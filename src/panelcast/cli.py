@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: train, predict, evaluate, stats. Every command takes one
---seed and fans it out into named substreams, writes its primary outputs
+--seed and derives all its randomness from it, writes its primary outputs
 atomically, and drops a <output>.manifest.json recording the effective
 configuration, seeds, and input digests so the run can be reproduced
 bit-for-bit. Exit codes: 0 success, 1 runtime failure, 2 usage or
@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -24,7 +23,13 @@ from . import __version__
 from .dataset import load_jsonl, velocity_histogram
 from .errors import ConfigError, DataError, PanelcastError
 from .evaluator import align, evaluate, rolling_backtest
-from .forecaster import DEFAULT_NUM_SAMPLES, forecast, read_forecasts, record_from_samples
+from .forecaster import (
+    DEFAULT_NUM_SAMPLES,
+    forecast_panel,
+    read_forecasts,
+    record_from_samples,
+    render_forecasts,
+)
 from .likelihood import LikelihoodKind
 from .network import load_model, model_to_bytes
 from .trainer import TrainConfig, grid_search, parse_config, train
@@ -148,11 +153,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _forecast_one(series, params, num_samples, seed, horizon, levels, emit):
-    fc = forecast(series, params, num_samples=num_samples, seed=seed, horizon=horizon)
-    return record_from_samples(fc, levels, emit_samples=emit)
-
-
 def cmd_predict(args) -> int:
     params = load_model(args.model)
     panel = load_jsonl(args.data)
@@ -162,20 +162,11 @@ def cmd_predict(args) -> int:
     if args.samples < 1:
         raise ConfigError("--samples must be at least 1")
     horizon = args.horizon or 0
-    job = lambda series: _forecast_one(
-        series, params, args.samples, args.seed, horizon, levels, args.emit_samples
-    )
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(job, panel.series))
-    else:
-        records = [job(series) for series in panel.series]
-    # pool.map preserves input order, so the file layout is worker-independent
-    body = "".join(
-        json.dumps(rec.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
-        for rec in records
-    )
-    _atomic_write(args.output, body)
+    records = [
+        record_from_samples(fc, levels, emit_samples=args.emit_samples)
+        for fc in forecast_panel(panel.series, params, args.samples, args.seed, horizon)
+    ]
+    _atomic_write(args.output, render_forecasts(records))
     _write_manifest(
         args.output,
         "predict",
@@ -185,7 +176,6 @@ def cmd_predict(args) -> int:
             "horizon": horizon or params.spec.prediction_length,
             "seed": args.seed,
             "emit_samples": bool(args.emit_samples),
-            "workers": args.workers,
         },
         {"model": args.model, "data": args.data},
     )
@@ -289,7 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--quantiles", default="0.5,0.9")
     p_pred.add_argument("--seed", type=int, default=0)
     p_pred.add_argument("--emit-samples", action="store_true", help="include sample matrices")
-    p_pred.add_argument("--workers", type=int, default=1)
+    p_pred.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: forecasts run as batched array work",
+    )
     p_pred.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser("evaluate", help="score forecasts against ground truth")

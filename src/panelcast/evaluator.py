@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Panel, TimeSeries, steps_between
 from .errors import DataError, MetricError
-from .forecaster import ForecastRecord, forecast, record_from_samples, span_aggregate
+from .forecaster import ForecastRecord, forecast_panel, record_from_samples, span_aggregate
 from .rng import derive_seed
 
 __all__ = [
@@ -269,7 +269,7 @@ def rolling_backtest(
     window_pairs = []
     for w in range(count):
         back = (count - 1 - w) * stride + horizon
-        pairs = []
+        truncated = []
         for series in panel:
             cut = series.n - back
             if cut < 1:
@@ -280,18 +280,17 @@ def rolling_backtest(
             history = series.target[:cut]
             if np.all(np.isnan(history)):
                 raise MetricError(f"series {series.id!r}: no observed history before window {w}")
-            truncated = TimeSeries(
-                series.id, series.start, series.granularity, history.copy(), series.category
+            truncated.append(
+                TimeSeries(series.id, series.start, series.granularity, history.copy(), series.category)
             )
-            fc = forecast(
-                truncated,
-                params,
-                num_samples=num_samples,
-                seed=derive_seed(seed, "rolling", w),
-            )
+        forecasts = forecast_panel(
+            truncated, params, num_samples=num_samples, seed=derive_seed(seed, "rolling", w)
+        )
+        pairs = []
+        for series, fc in zip(panel, forecasts):
             rec = record_from_samples(fc, levels, emit_samples=emit_samples)
-            truth = series.target[cut : cut + horizon].copy()
-            pairs.append(EvalPair(rec, truth))
+            cut = series.n - back
+            pairs.append(EvalPair(rec, series.target[cut : cut + horizon].copy()))
         window_pairs.append(pairs)
     reports = [evaluate(pairs, spans, levels) for pairs in window_pairs]
     pooled = evaluate([p for pairs in window_pairs for p in pairs], spans, levels)

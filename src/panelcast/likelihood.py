@@ -1,5 +1,5 @@
 """Noise models: log-densities with analytic parameter gradients, the
-scale-aware output heads, and sampling.
+scale-aware output heads, and keyed sampling.
 
 Two likelihoods are supported. The Gaussian is parameterized by mean and
 standard deviation; the negative binomial by its mean mu and a shape
@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
+from .rng import RowKeys, neg_binomials, normals
 from .special import digamma, lgamma, sigmoid, softplus
 
 __all__ = [
@@ -30,7 +31,7 @@ __all__ = [
     "apply_heads",
     "heads_backward",
     "nll_and_grads",
-    "sample",
+    "draw",
 ]
 
 # Lower bound on softplus outputs before scale multiplication; keeps the
@@ -200,10 +201,10 @@ def nll_and_grads(z, mu, disp, kind: LikelihoodKind):
     return gaussian_nll(z, mu, disp)
 
 
-def sample(params: LikelihoodParams, stream) -> float:
-    """One draw; Gaussian via Box-Muller, negative binomial via the
-    Gamma-Poisson mixture. Count draws come back as non-negative floats
-    holding integers."""
-    if params.kind is LikelihoodKind.NEG_BINOMIAL:
-        return float(stream.neg_binomial(params.mu, params.disp))
-    return stream.gaussian(params.mu, params.disp)
+def draw(kind: LikelihoodKind, mu, disp, keys: RowKeys, step: int) -> np.ndarray:
+    """One draw per row at counter `step`; Gaussian via Box-Muller,
+    negative binomial via the Gamma-Poisson mixture. Count draws come back
+    as non-negative floats holding integers."""
+    if kind is LikelihoodKind.NEG_BINOMIAL:
+        return neg_binomials(keys, step, mu, disp)
+    return mu + disp * normals(keys, step)

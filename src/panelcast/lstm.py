@@ -22,8 +22,10 @@ __all__ = [
     "CellCache",
     "init_layer",
     "zero_state",
+    "step_buffers",
     "cell_forward",
     "cell_backward",
+    "lstm_step",
     "lstm_forward",
     "lstm_backward",
 ]
@@ -59,9 +61,6 @@ class LstmState:
     h: list
     c: list
 
-    def copy(self) -> "LstmState":
-        return LstmState([a.copy() for a in self.h], [a.copy() for a in self.c])
-
 
 @dataclass
 class CellCache:
@@ -92,20 +91,59 @@ def zero_state(layers, batch: int) -> LstmState:
     )
 
 
-def cell_forward(x, h_prev, c_prev, layer: LstmLayerParams):
-    """One layer, one step. Returns (h, c, cache)."""
+def step_buffers(layers, batch: int) -> list:
+    """Per-layer (xh, gates) work arrays for a batch of `batch` rows,
+    which lstm_step can fill on every step instead of allocating them.
+    The layers share one storage: a layer's step is done with its work
+    arrays before the next layer starts."""
+    xh_store = np.empty(batch * max(layer.input_dim + layer.hidden_dim for layer in layers))
+    gates_store = np.empty(batch * max(4 * layer.hidden_dim for layer in layers))
+    return [
+        (
+            xh_store[: batch * (layer.input_dim + layer.hidden_dim)].reshape(batch, -1),
+            gates_store[: batch * 4 * layer.hidden_dim].reshape(batch, -1),
+        )
+        for layer in layers
+    ]
+
+
+def _cell(x, h_prev, c_prev, layer: LstmLayerParams, buffers=None):
+    """The gate arithmetic of one layer, one step; `buffers` is one layer's
+    entry of step_buffers, or None to allocate.
+
+    Returns (h, c, xh, gate_i, gate_f, gate_g, gate_o, tanh_c).
+    """
     if x.shape[1] != layer.input_dim:
         raise ConfigError(f"LSTM input width {x.shape[1]} != layer input_dim {layer.input_dim}")
     hd = layer.hidden_dim
-    xh = np.concatenate([x, h_prev], axis=1)
-    pre = xh @ layer.w + layer.b
-    gate_i = sigmoid(pre[:, :hd])
-    gate_f = sigmoid(pre[:, hd : 2 * hd])
-    gate_g = np.tanh(pre[:, 2 * hd : 3 * hd])
-    gate_o = sigmoid(pre[:, 3 * hd :])
-    c = gate_f * c_prev + gate_i * gate_g
+    if buffers is None:
+        xh = np.concatenate([x, h_prev], axis=1)
+        gates = xh @ layer.w
+    else:
+        xh, gates = buffers
+        xh[:, : layer.input_dim] = x
+        xh[:, layer.input_dim :] = h_prev
+        np.matmul(xh, layer.w, out=gates)
+    # The gates overwrite their pre-activations in place: fewer large
+    # temporaries per step, same values.
+    gates += layer.b
+    sigmoid(gates[:, : 2 * hd], out=gates[:, : 2 * hd])
+    np.tanh(gates[:, 2 * hd : 3 * hd], out=gates[:, 2 * hd : 3 * hd])
+    sigmoid(gates[:, 3 * hd :], out=gates[:, 3 * hd :])
+    gate_i = gates[:, :hd]
+    gate_f = gates[:, hd : 2 * hd]
+    gate_g = gates[:, 2 * hd : 3 * hd]
+    gate_o = gates[:, 3 * hd :]
+    c = gate_f * c_prev
+    c += gate_i * gate_g
     tanh_c = np.tanh(c)
     h = gate_o * tanh_c
+    return h, c, xh, gate_i, gate_f, gate_g, gate_o, tanh_c
+
+
+def cell_forward(x, h_prev, c_prev, layer: LstmLayerParams):
+    """One layer, one step. Returns (h, c, cache)."""
+    h, c, xh, gate_i, gate_f, gate_g, gate_o, tanh_c = _cell(x, h_prev, c_prev, layer)
     cache = CellCache(xh, gate_i, gate_f, gate_g, gate_o, c_prev, tanh_c)
     return h, c, cache
 
@@ -135,6 +173,21 @@ def cell_backward(cache: CellCache, d_h, d_c, layer: LstmLayerParams):
     d_h_prev = d_xh[:, layer.input_dim :]
     d_c_prev = dc * f
     return d_x, d_h_prev, d_c_prev, d_w, d_b
+
+
+def lstm_step(x, state: LstmState, layers, buffers=None) -> LstmState:
+    """One step through the whole stack, keeping nothing for a backward
+    pass; the inference counterpart of lstm_forward. `buffers` (from
+    step_buffers) saves allocating the largest per-step arrays."""
+    h_list, c_list = [], []
+    inp = x
+    for idx, layer in enumerate(layers):
+        bufs = None if buffers is None else buffers[idx]
+        h, c = _cell(inp, state.h[idx], state.c[idx], layer, bufs)[:2]
+        h_list.append(h)
+        c_list.append(c)
+        inp = h
+    return LstmState(h_list, c_list)
 
 
 def lstm_forward(x, state: LstmState, layers):

@@ -1,6 +1,6 @@
 """The autoregressive model: category embedding + stacked LSTM + output
-heads, with teacher-forced training unrolls, conditioning-range encoding,
-and single-step decoding for sampling.
+heads, with teacher-forced training unrolls, batched conditioning-range
+encoding, and batched single-step decoding for sampling.
 
 The input at step t is [z_{t-1}/nu, covariates_t, embedding]; z before
 the window start is 0. The loss sums the negative log-likelihood over
@@ -31,20 +31,27 @@ from .likelihood import (
     LikelihoodKind,
     LikelihoodParams,
     apply_heads,
+    draw,
     heads_backward,
     init_heads,
     nll_and_grads,
-    sample,
 )
-from .lstm import LstmLayerParams, LstmState, init_layer, lstm_backward, lstm_forward, zero_state
-from .rng import substream
+from .lstm import (
+    LstmLayerParams,
+    LstmState,
+    init_layer,
+    lstm_backward,
+    lstm_forward,
+    lstm_step,
+    zero_state,
+)
+from .rng import RowKeys, substream
 
 __all__ = [
     "ModelParams",
     "UnrollResult",
     "init_model",
     "step_input",
-    "unroll_training",
     "unroll_batch",
     "encode",
     "decode_step",
@@ -172,12 +179,10 @@ class UnrollResult:
     def step_likelihood(self, b: int, t: int) -> LikelihoodParams:
         return LikelihoodParams(self.likelihood, float(self.mus[b, t]), float(self.disps[b, t]))
 
-    @property
-    def step_params(self) -> list:
-        """Per-step parameters for a single-window unroll."""
-        if self.mus.shape[0] != 1:
-            raise ConfigError("step_params is only defined for single-window results")
-        return [self.step_likelihood(0, t) for t in range(self.mus.shape[1])]
+
+def _rows_input(z_prev, nu, covariates, emb) -> np.ndarray:
+    """Per-row step inputs [z_{t-1}/nu, x_t, embedding], shape (B, input_dim)."""
+    return np.concatenate([(z_prev / nu)[:, None], covariates, emb], axis=1)
 
 
 def _divergence(step: int, mu, disp) -> DivergenceError:
@@ -188,14 +193,16 @@ def _divergence(step: int, mu, disp) -> DivergenceError:
 
 
 def unroll_batch(
-    windows, params: ModelParams, stream=None, compute_grads: bool = True
+    windows, params: ModelParams, impute_seed=None, compute_grads: bool = True
 ) -> UnrollResult:
     """Teacher-forced forward and backward over a batch of windows.
 
     Returns the summed NLL over all counted steps of all windows, with
-    gradients for that sum. A stream is required only when some window
-    has missing observations. compute_grads=False skips the backward
-    pass (validation passes need only the loss) and leaves grads empty.
+    gradients for that sum. impute_seed is required only when some window
+    has missing observations: the value fed forward from a missing step t
+    of window b is drawn with the key of (impute_seed, window series id)
+    on path b at step t. compute_grads=False skips the backward pass
+    (validation passes need only the loss) and leaves grads empty.
     """
     if not windows:
         raise ConfigError("unroll_batch requires at least one window")
@@ -225,9 +232,10 @@ def unroll_batch(
     # the finite-difference harness depends on.
     nll_terms = []
     z_prev = np.zeros(B)
+    keys = None
 
     for t in range(T):
-        u = np.concatenate([(z_prev / nu)[:, None], covs[:, t, :], emb], axis=1)
+        u = _rows_input(z_prev, nu, covs[:, t, :], emb)
         state, step_caches = lstm_forward(u, state, params.layers)
         mu, disp, hcache = apply_heads(state.h[-1], params.heads, nu, kind)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
@@ -248,12 +256,13 @@ def unroll_batch(
             z_prev = np.where(counted[:, t], targets[:, t], 0.0)
             miss = np.nonzero(~counted[:, t])[0]
             if miss.size:
-                if stream is None:
-                    raise ConfigError("windows with missing values require a sampling stream")
-                for b in miss:
-                    z_prev[b] = sample(
-                        LikelihoodParams(kind, float(mu[b]), float(disp[b])), stream
+                if impute_seed is None:
+                    raise ConfigError("windows with missing values require an imputation seed")
+                if keys is None:
+                    keys = RowKeys.for_series(
+                        impute_seed, "impute", [w.series_id for w in windows], np.arange(B)
                     )
+                z_prev[miss] = draw(kind, mu[miss], disp[miss], keys.take(miss), t)
 
     total_nll = math.fsum(nll_terms)
     if not compute_grads:
@@ -281,44 +290,43 @@ def unroll_batch(
     return UnrollResult(total_nll, mus, disps, grads, int(counted.sum()), kind)
 
 
-def unroll_training(window: TrainingWindow, params: ModelParams, stream=None) -> UnrollResult:
-    """Single-window unroll; see unroll_batch."""
-    return unroll_batch([window], params, stream)
-
-
 def encode(
     target_cond: np.ndarray,
     mask_cond: np.ndarray,
     covariates_cond: np.ndarray,
-    nu: float,
-    category: int,
+    nu: np.ndarray,
+    categories: np.ndarray,
     params: ModelParams,
-    stream=None,
+    keys: RowKeys = None,
 ):
-    """Run the training recurrence over the conditioning range.
+    """Run the training recurrence over the conditioning ranges of a batch
+    of series, one row each.
 
-    Returns (state, z_last) where state is the batch-1 LSTM state after
-    the last conditioning step and z_last the value to feed the first
-    decode step. Missing values are replaced by a draw from that step's
-    predictive distribution; padded steps feed zeros. A zero-length
-    conditioning range gives the zero state.
+    target_cond and mask_cond are (B, c), covariates_cond (B, c, d), nu
+    and categories (B,). Returns (state, z_last) where state is the LSTM
+    state after the last conditioning step and z_last (B,) the values to
+    feed the first decode step. A missing value at step t is replaced by
+    a draw from that step's predictive distribution at counter step t of
+    the row's key; padded steps feed zeros. A zero-length conditioning
+    range gives the zero state.
     """
-    n = int(target_cond.size)
-    state = zero_state(params.layers, 1)
-    emb = params.embedding[category][None, :]
-    z_prev = 0.0
+    batch, n = target_cond.shape
+    kind = params.likelihood
+    state = zero_state(params.layers, batch)
+    emb = params.embedding[categories]
+    z_prev = np.zeros(batch)
     for t in range(n):
-        u = np.concatenate([[[z_prev / nu]], covariates_cond[t][None, :], emb], axis=1)
-        state, _ = lstm_forward(u, state, params.layers)
-        if mask_cond[t] == MASK_MISSING:
-            if stream is None:
-                raise ConfigError("missing conditioning values require a sampling stream")
-            mu, disp, _ = apply_heads(state.h[-1], params.heads, nu, params.likelihood)
-            z_prev = sample(
-                LikelihoodParams(params.likelihood, float(mu[0]), float(disp[0])), stream
-            )
-        else:
-            z_prev = float(target_cond[t])
+        u = _rows_input(z_prev, nu, covariates_cond[:, t, :], emb)
+        state = lstm_step(u, state, params.layers)
+        z_prev = target_cond[:, t].copy()
+        miss = np.nonzero(mask_cond[:, t] == MASK_MISSING)[0]
+        if miss.size:
+            if keys is None:
+                raise ConfigError("missing conditioning values require sampling keys")
+            mu, disp, _ = apply_heads(state.h[-1][miss], params.heads, nu[miss], kind)
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
+                raise DivergenceError("non-finite distribution parameters during encoding")
+            z_prev[miss] = draw(kind, mu, disp, keys.take(miss), t)
     return state, z_prev
 
 
@@ -326,24 +334,19 @@ def decode_step(
     params: ModelParams,
     state: LstmState,
     z_prev: np.ndarray,
-    x_row: np.ndarray,
-    category: int,
-    nu: float,
+    covariates: np.ndarray,
+    categories: np.ndarray,
+    nu: np.ndarray,
+    buffers=None,
 ):
-    """One prediction step for a batch of sample paths sharing covariates.
+    """One prediction step for a batch of rows (sample paths of one or
+    more series); covariates is (B, d), categories and nu (B,). buffers,
+    from lstm.step_buffers, are reused work arrays for the LSTM step.
 
     Returns (new state, mu, disp) with mu and disp shaped like z_prev.
     """
-    b = z_prev.shape[0]
-    u = np.concatenate(
-        [
-            (z_prev / nu)[:, None],
-            np.broadcast_to(x_row, (b, x_row.size)),
-            np.broadcast_to(params.embedding[category], (b, params.embedding.shape[1])),
-        ],
-        axis=1,
-    )
-    state, _ = lstm_forward(u, state, params.layers)
+    u = _rows_input(z_prev, nu, covariates, params.embedding[categories])
+    state = lstm_step(u, state, params.layers, buffers)
     mu, disp, _ = apply_heads(state.h[-1], params.heads, nu, params.likelihood)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
         raise DivergenceError("non-finite distribution parameters during decoding")
@@ -389,10 +392,19 @@ def model_from_bytes(blob: bytes) -> ModelParams:
         doc = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"unreadable model file: {e}") from None
-    if doc.get("format") != _FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise DataError("not a model file")
     if doc.get("version") != _VERSION:
         raise DataError(f"unsupported model version {doc.get('version')!r}")
+    try:
+        return _model_from_doc(doc)
+    except KeyError as e:
+        raise DataError(f"model file lacks {e}") from None
+    except (TypeError, ValueError, AttributeError) as e:
+        raise DataError(f"malformed model file: {e}") from None
+
+
+def _model_from_doc(doc: dict) -> ModelParams:
     spec = WindowSpec(
         int(doc["window"]["conditioning_length"]), int(doc["window"]["prediction_length"])
     )
@@ -400,6 +412,8 @@ def model_from_bytes(blob: bytes) -> ModelParams:
     arrays = {name: _decode_array(d) for name, d in doc["params"].items()}
     num_layers = int(doc["num_layers"])
     hidden = int(doc["hidden_dim"])
+    if num_layers < 1:
+        raise ValueError(f"num_layers must be at least 1, got {num_layers}")
     layers = []
     for i in range(num_layers):
         w = arrays[f"lstm{i}.w"]
@@ -413,13 +427,20 @@ def model_from_bytes(blob: bytes) -> ModelParams:
         arrays["head.w_disp"],
         arrays["head.b_disp"].reshape(()),
     )
+    cardinality = int(doc["category_cardinality"])
+    embedding = arrays["embedding"]
+    if embedding.shape != (cardinality, int(doc["embedding_dim"])):
+        raise ValueError(
+            f"embedding shape {embedding.shape} does not match category_cardinality "
+            f"{cardinality} and embedding_dim {doc['embedding_dim']}"
+        )
     return ModelParams(
         LikelihoodKind(doc["likelihood"]),
         spec,
         stats,
         Granularity.from_code(doc["granularity"]),
-        int(doc["category_cardinality"]),
-        arrays["embedding"],
+        cardinality,
+        embedding,
         layers,
         heads,
     )

@@ -1,16 +1,30 @@
-"""Deterministic random streams and the samplers built on them.
+"""Deterministic randomness: named PCG64 streams for sequential consumers
+and a counter-based keyed generator for sampling.
 
-Every piece of randomness in the engine flows from one integer seed, split
-into named substreams so that unrelated consumers (weight init, window
-draws, each forecast sample path, ...) never share state. A substream is
-identified by a path of strings/ints hashed into a PCG64 spawn key, so
-adding paths never reshuffles existing ones.
+Every piece of randomness in the engine flows from one integer seed.
+Sequential consumers (weight init, window draws, path shuffles) read a
+named substream: a path of strings/ints hashed into a PCG64 spawn key,
+so adding paths never reshuffles existing ones.
 
-Distribution transforms are implemented here rather than taken from
-numpy's Generator methods: normals via Box-Muller, Gamma via the
-Marsaglia-Tsang squeeze (with the shape<1 boost), Poisson via inversion
-below lambda=10 and Hormann's PTRS transformed rejection above, and the
-negative binomial as the Gamma-Poisson mixture.
+Sampling (forecast paths, imputation of missing values) uses no stream
+state at all. Each uniform is a pure function
+
+    u = H(seed, series id, path, step, round)
+
+computed by Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3", SC'11) on numpy uint64 arrays that hold 32-bit words.
+The Philox key is derived from (seed, tag, series id); the counter is
+(path, step, round, lane). So a path's draws depend only on its own key
+and counters: not on how many paths are drawn, on which other series
+share its batch, or on the order rows are processed.
+
+The distribution transforms run as masked rounds over arrays, round k
+reading counter round k: normals via Box-Muller, Gamma via the
+Marsaglia-Tsang squeeze (ACM TOMS 2000) with the shape<1 boost, Poisson
+via inversion below lambda=10 and Hormann's PTRS transformed rejection
+above, and the negative binomial as the Gamma-Poisson mixture. They are
+implemented here rather than taken from numpy's Generator methods so
+that draws stay stable across numpy versions.
 """
 
 from __future__ import annotations
@@ -20,7 +34,19 @@ import math
 
 import numpy as np
 
-__all__ = ["Stream", "substream", "derive_seed"]
+from .special import lgamma
+
+__all__ = [
+    "Stream",
+    "substream",
+    "derive_seed",
+    "philox4x32",
+    "RowKeys",
+    "normals",
+    "gammas",
+    "poissons",
+    "neg_binomials",
+]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -38,6 +64,11 @@ def _path_key(path):
     return tuple(key)
 
 
+def _seed_words(seed: int, path) -> np.ndarray:
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_path_key(path))
+    return ss.generate_state(2)
+
+
 def substream(seed: int, *path) -> "Stream":
     """Derive the named substream of `seed` identified by `path`."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_path_key(path))
@@ -50,18 +81,16 @@ def derive_seed(seed: int, *path) -> int:
     Lets one seed fan out into independent whole seed spaces (e.g. one
     per rolling-backtest window) without colliding substream names.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_path_key(path))
-    lo, hi = ss.generate_state(2)
+    lo, hi = _seed_words(seed, path)
     return int(lo) | (int(hi) << 32)
 
 
 class Stream:
-    """One deterministic random stream."""
+    """One sequential deterministic stream, for consumers that read their
+    randomness in a fixed order."""
 
     def __init__(self, seed_sequence: np.random.SeedSequence):
         self._gen = np.random.Generator(np.random.PCG64(seed_sequence))
-
-    # -- uniforms ----------------------------------------------------------
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
@@ -69,10 +98,6 @@ class Stream:
 
     def uniforms(self, n: int) -> np.ndarray:
         return self._gen.random(n)
-
-    def _uniform_pos(self) -> float:
-        # In (0, 1]; safe as a log argument.
-        return 1.0 - float(self._gen.random())
 
     def choice_weighted(self, cumulative_weights: np.ndarray) -> int:
         """Index drawn with probability proportional to the weight steps.
@@ -95,95 +120,277 @@ class Stream:
             out[i], out[j] = out[j], out[i]
         return out
 
-    # -- normals (Box-Muller) ----------------------------------------------
 
-    def normal(self) -> float:
-        r = math.sqrt(-2.0 * math.log(self._uniform_pos()))
-        return r * math.cos(_TWO_PI * float(self._gen.random()))
+# -- Philox4x32-10 -------------------------------------------------------------
 
-    def normals(self, n: int) -> np.ndarray:
-        u1 = 1.0 - self._gen.random(n)
-        u2 = self._gen.random(n)
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M0 = np.uint64(0xD2511F53)
+_PHILOX_M1 = np.uint64(0xCD9E8D57)
+_PHILOX_ROUNDS = 10
+# Key schedule: round r uses (k0 + r*W0, k1 + r*W1) mod 2^32.
+_BUMPS0 = np.arange(_PHILOX_ROUNDS, dtype=np.uint64) * np.uint64(0x9E3779B9)
+_BUMPS1 = np.arange(_PHILOX_ROUNDS, dtype=np.uint64) * np.uint64(0xBB67AE85)
 
-    def gaussian(self, mu: float, sigma: float) -> float:
-        return mu + sigma * self.normal()
 
-    # -- gamma (Marsaglia-Tsang) ---------------------------------------------
+def _round_keys(k0, k1):
+    """(rounds, ...) arrays of per-round key words."""
+    k0 = np.asarray(k0, dtype=np.uint64)
+    k1 = np.asarray(k1, dtype=np.uint64)
+    shape = (_PHILOX_ROUNDS,) + (1,) * k0.ndim
+    return (k0 + _BUMPS0.reshape(shape)) & _MASK32, (k1 + _BUMPS1.reshape(shape)) & _MASK32
 
-    def gamma(self, shape: float, scale: float = 1.0) -> float:
-        if shape <= 0.0 or scale <= 0.0:
-            raise ValueError("gamma requires shape > 0 and scale > 0")
-        if shape < 1.0:
-            # Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-            boost = math.exp(math.log(self._uniform_pos()) / shape)
-            return self._gamma_ge1(shape + 1.0) * boost * scale
-        return self._gamma_ge1(shape) * scale
 
-    def _gamma_ge1(self, shape: float) -> float:
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.normal()
-            v = 1.0 + c * x
-            if v <= 0.0:
-                continue
-            v = v * v * v
-            u = self._uniform_pos()
-            x2 = x * x
-            if u < 1.0 - 0.0331 * x2 * x2:
-                return d * v
-            if math.log(u) < 0.5 * x2 + d * (1.0 - v + math.log(v)):
-                return d * v
+def _philox(c0, c1, c2, c3, rk0, rk1):
+    for r in range(_PHILOX_ROUNDS):
+        p0 = _PHILOX_M0 * c0
+        p1 = _PHILOX_M1 * c2
+        c0, c1, c2, c3 = (
+            (p1 >> _SHIFT32) ^ c1 ^ rk0[r],
+            p1 & _MASK32,
+            (p0 >> _SHIFT32) ^ c3 ^ rk1[r],
+            p0 & _MASK32,
+        )
+    return c0, c1, c2, c3
 
-    # -- poisson -------------------------------------------------------------
 
-    def poisson(self, lam: float) -> int:
-        if lam < 0.0 or not math.isfinite(lam):
-            raise ValueError("poisson requires finite lambda >= 0")
-        if lam == 0.0:
-            return 0
-        if lam < 10.0:
-            return self._poisson_inversion(lam)
-        return self._poisson_ptrs(lam)
+def philox4x32(ctr, key):
+    """Philox4x32-10 block function.
 
-    def _poisson_inversion(self, lam: float) -> int:
-        p = math.exp(-lam)
-        s = p
-        u = self.uniform()
-        k = 0
-        while u > s:
-            k += 1
-            p *= lam / k
-            s += p
-        return k
+    `ctr` is four and `key` two uint64 arrays (or scalars) holding 32-bit
+    words; they broadcast against each other. Returns the four output
+    words as uint64 arrays. Each 32x32-bit product fits a uint64 exactly,
+    so its high and low halves are a shift and a mask.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in ctr)
+    return _philox(c0, c1, c2, c3, *_round_keys(*key))
 
-    def _poisson_ptrs(self, lam: float) -> int:
-        # Hormann's transformed rejection with squeeze (PTRS), lambda >= 10.
-        loglam = math.log(lam)
-        b = 0.931 + 2.53 * math.sqrt(lam)
-        a = -0.059 + 0.02483 * b
-        invalpha = 1.1239 + 1.1328 / (b - 3.4)
-        vr = 0.9277 - 3.6224 / (b - 2.0)
-        while True:
-            u = self.uniform() - 0.5
-            v = self._uniform_pos()
-            us = 0.5 - abs(u)
-            k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
-            if us >= 0.07 and v <= vr:
-                return int(k)
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            if math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b) <= (
-                k * loglam - lam - math.lgamma(k + 1.0)
-            ):
-                return int(k)
 
-    # -- negative binomial -----------------------------------------------------
+_SHIFT21 = np.uint64(21)
+_SHIFT11 = np.uint64(11)
+_TWO_M53 = 2.0**-53
 
-    def neg_binomial(self, mu: float, alpha: float) -> int:
-        """Gamma-Poisson mixture with mean mu and variance mu + mu^2 * alpha."""
-        if mu <= 0.0 or alpha <= 0.0:
-            raise ValueError("neg_binomial requires mu > 0 and alpha > 0")
-        lam = self.gamma(1.0 / alpha, scale=alpha * mu)
-        return self.poisson(lam)
+
+def _doubles(hi, lo) -> np.ndarray:
+    # 53 random bits from two 32-bit words, scaled into [0, 1).
+    return ((hi << _SHIFT21) ^ (lo >> _SHIFT11)).astype(np.float64) * _TWO_M53
+
+
+class RowKeys:
+    """Keys and path counters for a batch of rows.
+
+    Row i draws with Philox key (k0[i], k1[i]) and counter
+    (path[i], step, round, lane); each counter gives two uniforms.
+    """
+
+    __slots__ = ("path", "_rk0", "_rk1")
+
+    def __init__(self, k0, k1, path):
+        self.path = np.asarray(path, dtype=np.uint64) & _MASK32
+        self._rk0, self._rk1 = _round_keys(k0, k1)
+
+    @classmethod
+    def for_series(cls, seed: int, tag: str, series_ids, paths) -> "RowKeys":
+        """Row i draws from the key of (seed, tag, series_ids[i]) on path
+        paths[i]. The key is hashed once per distinct id."""
+        words = {}
+        k = np.empty((2, len(series_ids)), dtype=np.uint64)
+        for i, sid in enumerate(series_ids):
+            if sid not in words:
+                words[sid] = _seed_words(seed, (tag, sid))
+            k[:, i] = words[sid]
+        return cls(k[0], k[1], paths)
+
+    def __len__(self) -> int:
+        return int(self.path.shape[0])
+
+    def take(self, rows) -> "RowKeys":
+        out = RowKeys.__new__(RowKeys)
+        out.path = self.path[rows]
+        out._rk0 = self._rk0[:, rows]
+        out._rk1 = self._rk1[:, rows]
+        return out
+
+    def uniforms(self, step: int, rnd: int, lanes: int = 1, first_lane: int = 0) -> np.ndarray:
+        """(2 * lanes, rows) doubles in [0, 1) from counter round `rnd`,
+        lanes first_lane .. first_lane + lanes - 1."""
+        return self.rounds(step, rnd, 1, lanes, first_lane)[0]
+
+    def rounds(self, step: int, first_round: int, rounds: int, lanes: int, first_lane: int):
+        """(rounds, 2 * lanes, rows) doubles: uniforms() of several rounds
+        in one pass."""
+        n = len(self)
+        copies = rounds * lanes
+        rnd = np.arange(first_round, first_round + rounds, dtype=np.uint64)
+        lane = np.arange(first_lane, first_lane + lanes, dtype=np.uint64)
+        words = _philox(
+            np.tile(self.path, copies),
+            np.uint64(step),
+            np.repeat(rnd, lanes * n),
+            np.tile(np.repeat(lane, n), rounds),
+            np.tile(self._rk0, (1, copies)),
+            np.tile(self._rk1, (1, copies)),
+        )
+        out = np.empty((rounds, 2 * lanes, n))
+        out[:, 0::2] = _doubles(words[0], words[1]).reshape(rounds, lanes, n)
+        out[:, 1::2] = _doubles(words[2], words[3]).reshape(rounds, lanes, n)
+        return out
+
+
+# -- keyed samplers --------------------------------------------------------------
+#
+# Lanes: a Gamma round reads lanes 0 and 1 (Box-Muller pair, acceptance
+# uniform, and in round 0 the shape<1 boost uniform); a Poisson round
+# reads lane 2; a standalone normal reads lane 0. One step draws either a
+# normal or a Gamma-Poisson pair, never both, so no counter is read twice.
+
+_GAMMA_LANE = 0
+_POISSON_LANE = 2
+# Retry rounds fetched per Philox pass for the rows a round rejected.
+_RETRY_ROUNDS = 4
+
+
+def _masked_rounds(keys: RowKeys, step: int, lanes: int, first_lane: int, u0, attempt):
+    """Rejection sampling over rows: attempt(rows, u) -> (accepted, values)
+    for the given row indices and their uniforms of one round. Round 0
+    uses u0; rejected rows retry on rounds 1, 2, ... until all accept."""
+    out = np.empty(len(keys))
+    rows = np.arange(len(keys))
+    u = u0
+    rnd = 0
+    while True:
+        accepted, values = attempt(rows, u)
+        out[rows[accepted]] = values[accepted]
+        rows = rows[~accepted]
+        if not rows.size:
+            return out
+        rnd += 1
+        j = (rnd - 1) % _RETRY_ROUNDS
+        if j == 0:
+            batch_rows = rows
+            batch = keys.take(rows).rounds(step, rnd, _RETRY_ROUNDS, lanes, first_lane)
+        u = batch[j][:, np.searchsorted(batch_rows, rows)]
+
+
+def _box_muller(u1, u2):
+    # u1 in [0, 1) is flipped to (0, 1] so the log is finite.
+    return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(_TWO_PI * u2)
+
+
+def normals(keys: RowKeys, step: int) -> np.ndarray:
+    """One standard normal per row."""
+    u = keys.uniforms(step, 0)
+    return _box_muller(u[0], u[1])
+
+
+def gammas(keys: RowKeys, step: int, shape, scale=1.0) -> np.ndarray:
+    """One Gamma(shape, scale) per row; Marsaglia-Tsang rounds on the rows
+    not yet accepted, with Gamma(a) = Gamma(a + 1) * U^(1/a) for a < 1."""
+    if np.any(np.asarray(scale) <= 0.0):
+        raise ValueError("gamma requires scale > 0")
+    return _gammas(keys, step, shape, keys.uniforms(step, 0, 2, _GAMMA_LANE)) * scale
+
+
+def _gammas(keys: RowKeys, step: int, shape, u0) -> np.ndarray:
+    shape = np.broadcast_to(np.asarray(shape, dtype=np.float64), (len(keys),))
+    if not np.all(np.isfinite(shape) & (shape > 0.0)):
+        raise ValueError("gamma requires finite shape > 0")
+    boosted = shape < 1.0
+    d = np.where(boosted, shape + 1.0, shape) - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+
+    def attempt(rows, u):
+        dr = d[rows]
+        x = _box_muller(u[0], u[1])
+        v = 1.0 + c[rows] * x
+        live = v > 0.0
+        v = v * v * v
+        ua = 1.0 - u[2]
+        x2 = x * x
+        accepted = live & (ua < 1.0 - 0.0331 * x2 * x2)
+        slow = np.nonzero(live & ~accepted)[0]
+        if slow.size:
+            vs = v[slow]
+            accepted[slow] = np.log(ua[slow]) < 0.5 * x2[slow] + dr[slow] * (1.0 - vs + np.log(vs))
+        return accepted, dr * v
+
+    out = _masked_rounds(keys, step, 2, _GAMMA_LANE, u0, attempt)
+    if np.any(boosted):
+        out[boosted] *= np.exp(np.log(1.0 - u0[3, boosted]) / shape[boosted])
+    return out
+
+
+def poissons(keys: RowKeys, step: int, lam) -> np.ndarray:
+    """One Poisson(lam) count per row, as float64."""
+    return _poissons(keys, step, lam, keys.uniforms(step, 0, 1, _POISSON_LANE))
+
+
+def _poissons(keys: RowKeys, step: int, lam, u0) -> np.ndarray:
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (len(keys),))
+    if not np.all(np.isfinite(lam) & (lam >= 0.0)):
+        raise ValueError("poisson requires finite lambda >= 0")
+    out = np.zeros(len(keys))
+    small = np.nonzero((lam > 0.0) & (lam < 10.0))[0]
+    if small.size:
+        out[small] = _poisson_inversion(lam[small], u0[0, small])
+    large = np.nonzero(lam >= 10.0)[0]
+    if large.size:
+        out[large] = _poisson_ptrs(keys.take(large), step, lam[large], u0[:, large])
+    return out
+
+
+def _poisson_inversion(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # Sequential search of the cdf; every row walks k = 0, 1, ... until its
+    # uniform is covered. A pmf term that underflows ends the walk.
+    k = np.zeros(lam.shape[0])
+    p = np.exp(-lam)
+    s = p.copy()
+    walk = np.nonzero(u > s)[0]
+    while walk.size:
+        k[walk] += 1.0
+        p[walk] *= lam[walk] / k[walk]
+        s[walk] += p[walk]
+        walk = walk[(u[walk] > s[walk]) & (p[walk] > 0.0)]
+    return k
+
+
+def _poisson_ptrs(keys: RowKeys, step: int, lam: np.ndarray, u0) -> np.ndarray:
+    # Hormann's transformed rejection with squeeze (PTRS), lambda >= 10.
+    loglam = np.log(lam)
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    log_invalpha = np.log(1.1239 + 1.1328 / (b - 3.4))
+    vr = 0.9277 - 3.6224 / (b - 2.0)
+
+    def attempt(rows, w):
+        u = w[0] - 0.5
+        v = 1.0 - w[1]
+        us = 0.5 - np.abs(u)
+        ar, br, lr = a[rows], b[rows], lam[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # us == 0 gives k = -inf, which the k < 0 test rejects.
+            k = np.floor((2.0 * ar / us + br) * u + lr + 0.43)
+        accepted = (us >= 0.07) & (v <= vr[rows])
+        slow = np.nonzero(~accepted & (k >= 0.0) & ~((us < 0.013) & (v > us)))[0]
+        if slow.size:
+            i = rows[slow]
+            ks, uss = k[slow], us[slow]
+            accepted[slow] = np.log(v[slow]) + log_invalpha[i] - np.log(a[i] / (uss * uss) + b[i]) <= (
+                ks * loglam[i] - lam[i] - lgamma(ks + 1.0)
+            )
+        return accepted, k
+
+    return _masked_rounds(keys, step, 1, _POISSON_LANE, u0, attempt)
+
+
+def neg_binomials(keys: RowKeys, step: int, mu, alpha) -> np.ndarray:
+    """Gamma-Poisson mixture with mean mu and variance mu + mu^2 * alpha,
+    one count per row, as float64."""
+    mu = np.asarray(mu, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if np.any(mu <= 0.0) or np.any(alpha <= 0.0):
+        raise ValueError("neg_binomial requires mu > 0 and alpha > 0")
+    # Round 0 of both stages in one pass: Gamma lanes 0-1, Poisson lane 2.
+    u0 = keys.uniforms(step, 0, 3, _GAMMA_LANE)
+    lam = _gammas(keys, step, 1.0 / alpha, u0[:4]) * (alpha * mu)
+    return _poissons(keys, step, lam, u0[4:])

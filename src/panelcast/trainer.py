@@ -19,7 +19,7 @@ from .errors import ConfigError, DivergenceError
 from .likelihood import LikelihoodKind
 from .network import ModelParams, init_model, unroll_batch
 from .optim import clip_global_norm, init_adam, adam_step
-from .rng import substream
+from .rng import derive_seed, substream
 
 __all__ = ["TrainConfig", "TrainLog", "parse_config", "train", "grid_search"]
 
@@ -161,11 +161,13 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _pool_nll(pool, params: ModelParams, batch_size: int, stream) -> float:
+def _pool_nll(pool, params: ModelParams, batch_size: int, impute_seed: int) -> float:
     total = 0.0
     steps = 0
     for i in range(0, len(pool), batch_size):
-        res = unroll_batch(pool[i : i + batch_size], params, stream, compute_grads=False)
+        res = unroll_batch(
+            pool[i : i + batch_size], params, derive_seed(impute_seed, i), compute_grads=False
+        )
         total += res.loss
         steps += res.counted_steps
     if steps == 0:
@@ -198,7 +200,6 @@ def train(panel: Panel, config: TrainConfig):
     )
     adam = init_adam(model.blocks(), learning_rate=config.learning_rate)
     draw_stream = substream(config.seed, "train", "draw")
-    impute_stream = substream(config.seed, "train", "impute")
 
     pool = sampler.validation_windows(cap=VALIDATION_CAP)
     if not pool:
@@ -231,7 +232,9 @@ def train(panel: Panel, config: TrainConfig):
                 windows = [_force_unit_scale(w) for w in windows]
             batches_done += 1
             try:
-                res = unroll_batch(windows, model, impute_stream)
+                res = unroll_batch(
+                    windows, model, derive_seed(config.seed, "train", "impute", batches_done)
+                )
             except DivergenceError as e:
                 divergent_streak += 1
                 if divergent_streak >= DIVERGENCE_LIMIT:
@@ -258,7 +261,7 @@ def train(panel: Panel, config: TrainConfig):
             epoch_nll += res.loss
             epoch_steps += res.counted_steps
         train_nll = epoch_nll / epoch_steps if epoch_steps else float("nan")
-        val_nll = _pool_nll(pool, model, config.batch_size, substream(config.seed, "val", epoch))
+        val_nll = _pool_nll(pool, model, config.batch_size, derive_seed(config.seed, "val", epoch))
         log.add(epoch, batches_done, train_nll, val_nll, time.monotonic() - start_time)
         if val_nll < best_val:
             best_val = val_nll

@@ -41,7 +41,7 @@ from panelcast.forecaster import ForecastRecord, forecast, record_from_samples, 
 from panelcast.gradcheck import finite_diff_check
 from panelcast.likelihood import LikelihoodKind, negbin_nll
 from panelcast.network import init_model, unroll_batch
-from panelcast.rng import substream
+from panelcast.rng import RowKeys, neg_binomials, substream
 from panelcast.trainer import TrainConfig, train
 
 START = datetime(2014, 1, 6)
@@ -124,8 +124,18 @@ def test_count_likelihood_oracles():
     moment_lines = []
     moments_ok = True
     for mu, alpha in ((2.0, 1.0), (10.0, 0.1)):
-        stream = substream(2024, "acceptance", "nb", repr(mu), repr(alpha))
-        x = np.array([stream.neg_binomial(mu, alpha) for _ in range(n)])
+        # 10^6 draws on consecutive paths of one key, in chunks of 10^5
+        sid = f"nb-{mu!r}-{alpha!r}"
+        x = np.concatenate(
+            [
+                neg_binomials(
+                    RowKeys.for_series(2024, "acceptance", [sid] * 100_000,
+                                       np.arange(p0, p0 + 100_000)),
+                    0, mu, alpha,
+                )
+                for p0 in range(0, n, 100_000)
+            ]
+        )
         var = mu + mu * mu * alpha
         se_mean = math.sqrt(var / n)
         m4 = float(np.mean((x - x.mean()) ** 4))

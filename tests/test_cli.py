@@ -4,6 +4,9 @@ worker-count independence. Commands run in-process through main()."""
 
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -111,6 +114,34 @@ def test_validation_failures_exit_2(workdir, tmp_path, capsys):
         )
         == 2
     )
+
+
+def test_unseen_category_exits_2(workdir, tmp_path, capsys):
+    # the model was trained on cat 0 and 1 only
+    rows = _rows(num_series=3)
+    rows[1]["cat"] = 999
+    data = _write_rows(tmp_path / "newcat.jsonl", rows)
+    rc = main(["predict", "--model", workdir["model"], "--data", data,
+               "--output", str(tmp_path / "fc.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "category 999" in err and "'s1'" in err
+    assert not (tmp_path / "fc.jsonl").exists()
+    rc = main(["evaluate", "--truth", data, "--model", workdir["model"], "--rolling", "2:2"])
+    assert rc == 2
+    assert "category 999" in capsys.readouterr().err
+
+
+def test_model_file_missing_key_exits_2(workdir, tmp_path, capsys):
+    doc = json.loads(open(workdir["model"], "rb").read())
+    del doc["window"]
+    model = tmp_path / "nowindow.bin"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["predict", "--model", str(model), "--data", workdir["data"],
+               "--output", str(tmp_path / "fc.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "window" in err
 
 
 def test_missing_input_file_is_runtime_error(tmp_path, capsys):
@@ -257,6 +288,30 @@ def test_predict_worker_count_does_not_change_output(workdir, tmp_path):
         assert rc == 0
         files[workers] = open(out, "rb").read()
     assert files[1] == files[4]
+
+
+def test_predict_output_independent_of_blas_threads(workdir, tmp_path):
+    # Fresh processes, one with a single BLAS thread and one with the
+    # inherited default; the variable is set on the child only.
+    import panelcast
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(panelcast.__file__)))
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"fc-{threads}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "panelcast.cli", "predict", "--model", workdir["model"],
+             "--data", workdir["data"], "--output", str(out), "--samples", "150",
+             "--seed", "4", "--emit-samples"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_predict_granularity_mismatch(workdir, tmp_path, capsys):

@@ -12,16 +12,18 @@ from conftest import START, count_panel, make_series, tiny_model
 from panelcast.dataset import Granularity, Panel
 from panelcast.errors import ConfigError, DataError
 from panelcast.forecaster import (
+    ROW_BUDGET,
     ForecastRecord,
     ForecastSamples,
     forecast,
+    forecast_panel,
     nearest_rank,
     quantiles,
     read_forecasts,
     record_from_samples,
     shuffle_paths,
+    render_forecasts,
     span_aggregate,
-    write_forecasts,
 )
 from panelcast.likelihood import LikelihoodKind
 from panelcast.trainer import TrainConfig, train
@@ -232,6 +234,44 @@ def test_forecast_paths_stable_under_extra_samples():
     )
 
 
+def _block_test_panel():
+    series = list(count_panel(num_series=5, n=26).series)
+    gappy = [3.0, 4.0, float("nan"), 5.0, 2.0, float("nan"), 4.0, 3.0, 2.0, 6.0]
+    series.append(make_series("gappy", gappy, category=1))
+    return series
+
+
+@pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
+@pytest.mark.parametrize(
+    "num_samples",
+    [ROW_BUDGET // 2 - 10, ROW_BUDGET + 50],
+    ids=["packed-blocks", "split-series"],
+)
+def test_series_alone_matches_series_in_blocked_panel(kind, num_samples):
+    # A path's draws depend only on (seed, series id, path, step), so a
+    # series forecast alone equals the same series inside a panel that is
+    # split into several row blocks, whether blocks pack two series each
+    # or a series has more paths than the budget. Batching may shift the
+    # LSTM arithmetic by an ulp, hence the tolerance of
+    # test_forecast_paths_stable_under_extra_samples.
+    _, model = tiny_model(kind)
+    series = _block_test_panel()
+    blocked = list(forecast_panel(series, model, num_samples, seed=11))
+    assert [fc.series_id for fc in blocked] == [s.id for s in series]
+    for s, fc in zip(series, blocked):
+        alone = forecast(s, model, num_samples=num_samples, seed=11)
+        assert fc.samples.shape == (num_samples, model.spec.prediction_length)
+        assert fc.start == alone.start and fc.seed == alone.seed
+        np.testing.assert_allclose(fc.samples, alone.samples, rtol=1e-9, atol=1e-9)
+
+
+def test_forecast_panel_rejects_unseen_category_before_work():
+    _, model = tiny_model()  # two categories
+    series = [make_series("ok", [3.0] * 12), make_series("new", [3.0] * 12, category=2)]
+    with pytest.raises(DataError, match="'new': category 2"):
+        forecast_panel(series, model, num_samples=4, seed=0)
+
+
 def test_forecast_deterministic_with_missing_history():
     vals = [3.0, 4.0, float("nan"), 5.0, 2.0, float("nan"), 4.0, 3.0, 2.0, 6.0]
     series = make_series("gappy", vals)
@@ -384,7 +424,7 @@ def test_write_read_forecasts(tmp_path):
     records = [_sample_record(), _sample_record(emit=True)]
     records[1].series_id = "widget-8"
     path = tmp_path / "fc.jsonl"
-    write_forecasts(records, path)
+    path.write_text(render_forecasts(records), encoding="utf-8")
     back = read_forecasts(path)
     assert [r.series_id for r in back] == ["widget-7", "widget-8"]
     np.testing.assert_array_equal(

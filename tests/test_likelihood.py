@@ -13,15 +13,14 @@ from panelcast.likelihood import (
     PARAM_FLOOR,
     HeadParams,
     LikelihoodKind,
-    LikelihoodParams,
     apply_heads,
+    draw,
     gaussian_nll,
     heads_backward,
     init_heads,
     negbin_nll,
-    sample,
 )
-from panelcast.rng import substream
+from panelcast.rng import RowKeys, substream
 
 
 class TestGaussianNll:
@@ -219,25 +218,23 @@ class TestApplyHeads:
             assert report.passed, f"{kind.value}: {report}"
 
 
+def _keys(seed, tag, n):
+    return RowKeys.for_series(seed, tag, ["s"] * n, np.arange(n))
+
+
 class TestSample:
     def test_gaussian_degenerate_sigma(self):
-        params = LikelihoodParams(LikelihoodKind.GAUSSIAN, 4.2, 1e-12)
-        s = substream(0, "deg")
-        draws = [sample(params, s) for _ in range(10)]
+        draws = draw(LikelihoodKind.GAUSSIAN, 4.2, 1e-12, _keys(0, "deg", 10), 0)
         assert all(d == pytest.approx(4.2, abs=1e-9) for d in draws)
 
     def test_negbin_counts_are_integers(self):
-        params = LikelihoodParams(LikelihoodKind.NEG_BINOMIAL, 5.0, 0.5)
-        s = substream(1, "nb")
-        draws = np.array([sample(params, s) for _ in range(500)])
+        draws = draw(LikelihoodKind.NEG_BINOMIAL, 5.0, 0.5, _keys(1, "nb", 500), 0)
         assert np.all(draws >= 0)
         assert np.array_equal(draws, np.round(draws))
 
     def test_fixed_seed_reproducible(self):
-        params = LikelihoodParams(LikelihoodKind.GAUSSIAN, 0.0, 1.0)
-        a = [sample(params, substream(3, "rep")) for _ in range(1)]
-        s1 = substream(3, "rep")
-        s2 = substream(3, "rep")
-        seq1 = [sample(params, s1) for _ in range(20)]
-        seq2 = [sample(params, s2) for _ in range(20)]
-        assert seq1 == seq2
+        kind = LikelihoodKind.GAUSSIAN
+        seq1 = [draw(kind, 0.0, 1.0, _keys(3, "rep", 20), t) for t in range(3)]
+        seq2 = [draw(kind, 0.0, 1.0, _keys(3, "rep", 20), t) for t in range(3)]
+        assert all(np.array_equal(a, b) for a, b in zip(seq1, seq2))
+        assert not np.array_equal(seq1[0], seq1[1])

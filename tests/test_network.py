@@ -18,7 +18,7 @@ from panelcast.dataset import (
     feature_names,
     fit_feature_stats,
 )
-from panelcast.errors import ConfigError, DivergenceError
+from panelcast.errors import ConfigError, DataError, DivergenceError
 from panelcast.likelihood import LikelihoodKind, gaussian_nll, nll_and_grads
 from panelcast.lstm import zero_state
 from panelcast.network import (
@@ -29,9 +29,8 @@ from panelcast.network import (
     model_to_bytes,
     step_input,
     unroll_batch,
-    unroll_training,
 )
-from panelcast.rng import substream
+from panelcast.rng import RowKeys
 
 from conftest import count_panel, make_series, sinusoid_panel, tiny_model
 
@@ -76,7 +75,7 @@ class TestUnroll:
         w = default_window(panel, model)
         w.mask[:] = MASK_MISSING
         w.target[:] = np.nan
-        result = unroll_batch([w], model, stream=substream(0, "fill"))
+        result = unroll_batch([w], model, impute_seed=0)
         assert result.loss == 0.0
         assert result.counted_steps == 0
         assert all(np.allclose(g, 0.0) for g in result.grads.values())
@@ -93,7 +92,7 @@ class TestUnroll:
             1, 1, 4, 2, seed=5,
         )
         w = build_window(series, spec, 0, stats)
-        result = unroll_training(w, model)
+        result = unroll_batch([w], model)
 
         # Longhand: two steps of the shared recurrence with teacher forcing.
         from panelcast.likelihood import apply_heads
@@ -116,7 +115,7 @@ class TestUnroll:
     def test_loss_additivity_from_recorded_parameters(self):
         panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL)
         w = default_window(panel, model)
-        result = unroll_training(w, model)
+        result = unroll_batch([w], model)
         total = 0.0
         for t in range(w.total):
             if w.mask[t] == MASK_MISSING:
@@ -130,7 +129,7 @@ class TestUnroll:
         panel, model = tiny_model()
         ws = [default_window(panel, model, sid, start) for sid in ("c0", "c1") for start in (0, 4)]
         batched = unroll_batch(ws, model)
-        singles = [unroll_training(w, model) for w in ws]
+        singles = [unroll_batch([w], model) for w in ws]
         assert batched.loss == pytest.approx(math.fsum(s.loss for s in singles), rel=1e-13)
         for name, g in batched.grads.items():
             acc = np.zeros_like(g)
@@ -141,11 +140,11 @@ class TestUnroll:
     def test_causality_future_perturbation(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        base = unroll_training(w, model)
+        base = unroll_batch([w], model)
         t_cut = 7
         w2 = default_window(panel, model)
         w2.target[t_cut + 1:] = w2.target[t_cut + 1:] * 3.0 + 1.0
-        other = unroll_training(w2, model)
+        other = unroll_batch([w2], model)
         # distribution parameters at steps <= t_cut depend only on z_{<t}, x_{<=t}
         assert np.array_equal(base.mus[0, : t_cut + 1], other.mus[0, : t_cut + 1])
         assert np.array_equal(base.disps[0, : t_cut + 1], other.disps[0, : t_cut + 1])
@@ -155,7 +154,7 @@ class TestUnroll:
         w = default_window(panel, model)
         w.mask[2] = MASK_MISSING
         w.target[2] = np.nan
-        result = unroll_batch([w], model, stream=substream(1, "fill"))
+        result = unroll_batch([w], model, impute_seed=1)
         assert result.counted_steps == w.total - 1
         assert np.isfinite(result.loss)
 
@@ -172,7 +171,7 @@ class TestUnroll:
         w = default_window(panel, model)
         model.heads.b_mu.fill(np.inf)
         with pytest.raises(DivergenceError) as exc:
-            unroll_training(w, model)
+            unroll_batch([w], model)
         assert exc.value.log is not None
         assert "step" in exc.value.log
 
@@ -182,31 +181,48 @@ class TestUnroll:
         stats = fit_feature_stats(panel, other_spec)
         w = build_window(next(iter(panel)), other_spec, 0, stats)
         with pytest.raises(ConfigError):
-            unroll_training(w, model)
+            unroll_batch([w], model)
+
+
+def encode_one(w, model, target=None, mask=None, category=None, keys=None):
+    """Encode one window's conditioning range as a batch of one series."""
+    c = model.spec.conditioning_length
+    target = w.target[:c] if target is None else target
+    mask = w.mask[:c] if mask is None else mask
+    category = w.category if category is None else category
+    return encode(
+        target[None, :], mask[None, :], w.covariates[None, :c], np.array([w.scale]),
+        np.array([category]), model, keys,
+    )
+
+
+def decode_one(model, state, z_prev, w):
+    c = model.spec.conditioning_length
+    n = z_prev.shape[0]
+    return decode_step(
+        model, state, z_prev, np.repeat(w.covariates[c][None, :], n, axis=0),
+        np.full(n, w.category), np.full(n, w.scale),
+    )
 
 
 class TestEncodeDecode:
     def test_zero_length_conditioning_gives_zero_state(self):
         panel, model = tiny_model()
         state, z_last = encode(
-            np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros((0, len(model.stats.names))),
-            1.0, 0, model,
+            np.zeros((1, 0)), np.zeros((1, 0), dtype=np.int8),
+            np.zeros((1, 0, len(model.stats.names))), np.ones(1), np.zeros(1, dtype=int), model,
         )
         assert all(np.all(h == 0.0) for h in state.h)
         assert all(np.all(c == 0.0) for c in state.c)
-        assert z_last == 0.0
+        assert z_last[0] == 0.0
 
     def test_encode_plus_decode_equals_direct_unroll(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
         c = model.spec.conditioning_length
-        state, z_last = encode(
-            w.target[:c], w.mask[:c], w.covariates[:c], w.scale, w.category, model,
-        )
-        new_state, mu, disp = decode_step(
-            model, state, np.array([z_last]), w.covariates[c], w.category, w.scale,
-        )
-        result = unroll_training(w, model)
+        state, z_last = encode_one(w, model)
+        new_state, mu, disp = decode_one(model, state, z_last, w)
+        result = unroll_batch([w], model)
         assert float(mu[0]) == result.mus[0, c]
         assert float(disp[0]) == result.disps[0, c]
 
@@ -214,12 +230,9 @@ class TestEncodeDecode:
         panel, model = tiny_model()
         w = default_window(panel, model)
         c = model.spec.conditioning_length
-        s1, z1 = encode(w.target[:c], w.mask[:c], w.covariates[:c], w.scale, 0, model)
-        s2, z2 = encode(
-            w.target[:c].copy(), w.mask[:c].copy(), w.covariates[:c].copy(),
-            w.scale, 0, model,
-        )
-        assert z1 == z2
+        s1, z1 = encode_one(w, model, category=0)
+        s2, z2 = encode_one(w, model, w.target[:c].copy(), w.mask[:c].copy(), category=0)
+        assert z1[0] == z2[0]
         for a, b in zip(s1.h, s2.h):
             assert np.array_equal(a, b)
 
@@ -231,32 +244,39 @@ class TestEncodeDecode:
         target = w.target[:c].copy()
         mask[1] = MASK_MISSING
         target[1] = np.nan
-        s1, z1 = encode(target, mask, w.covariates[:c], w.scale, 0, model,
-                        stream=substream(4, "imp"))
-        s2, z2 = encode(target, mask, w.covariates[:c], w.scale, 0, model,
-                        stream=substream(4, "imp"))
-        assert z1 == z2
+        keys = RowKeys.for_series(4, "imp", [w.series_id], [0])
+        s1, z1 = encode_one(w, model, target, mask, category=0, keys=keys)
+        s2, z2 = encode_one(w, model, target, mask, category=0, keys=keys)
+        assert z1[0] == z2[0]
         assert all(np.array_equal(a, b) for a, b in zip(s1.h, s2.h))
+
+    def test_imputation_from_non_finite_parameters_diverges(self):
+        panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL)
+        w = default_window(panel, model)
+        c = model.spec.conditioning_length
+        mask = w.mask[:c].copy()
+        target = w.target[:c].copy()
+        mask[1] = MASK_MISSING
+        target[1] = np.nan
+        model.heads.b_disp.fill(np.nan)
+        keys = RowKeys.for_series(4, "imp", [w.series_id], [0])
+        with pytest.raises(DivergenceError):
+            encode_one(w, model, target, mask, keys=keys)
 
     def test_decode_step_batched_paths_independent(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        c = model.spec.conditioning_length
-        state, z_last = encode(
-            w.target[:c], w.mask[:c], w.covariates[:c], w.scale, w.category, model,
-        )
+        state, z_last = encode_one(w, model)
         # Batch of three paths with different previous values: each row must
         # match running the same step with batch size one.
-        z_prev = np.array([z_last, z_last * 2.0, 0.0])
+        z_prev = np.array([z_last[0], z_last[0] * 2.0, 0.0])
         tiled = type(state)(
             [np.repeat(h, 3, axis=0) for h in state.h],
             [np.repeat(cc, 3, axis=0) for cc in state.c],
         )
-        _, mu_b, disp_b = decode_step(model, tiled, z_prev, w.covariates[c], w.category, w.scale)
+        _, mu_b, disp_b = decode_one(model, tiled, z_prev, w)
         for i in range(3):
-            _, mu_1, disp_1 = decode_step(
-                model, state, z_prev[i : i + 1], w.covariates[c], w.category, w.scale,
-            )
+            _, mu_1, disp_1 = decode_one(model, state, z_prev[i : i + 1], w)
             assert mu_b[i] == pytest.approx(float(mu_1[0]), rel=1e-12)
             assert disp_b[i] == pytest.approx(float(disp_1[0]), rel=1e-12)
 
@@ -269,8 +289,8 @@ class TestSerialization:
         restored = model_from_bytes(blob)
         assert model_to_bytes(restored) == blob
         w = default_window(panel, model)
-        loss_a = unroll_training(w, model).loss
-        loss_b = unroll_training(w, restored).loss
+        loss_a = unroll_batch([w], model).loss
+        loss_b = unroll_batch([w], restored).loss
         assert loss_a == loss_b  # bitwise, not approximately
 
     def test_round_trip_preserves_every_block(self):
@@ -278,6 +298,28 @@ class TestSerialization:
         restored = model_from_bytes(model_to_bytes(model))
         for name, arr in model.blocks().items():
             assert np.array_equal(arr, restored.blocks()[name]), name
+
+    def test_each_missing_top_level_key_is_a_data_error(self):
+        import json
+
+        panel, model = tiny_model()
+        doc = json.loads(model_to_bytes(model))
+        for key in sorted(doc):
+            partial = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(DataError):
+                model_from_bytes(json.dumps(partial).encode("utf-8"))
+
+    def test_malformed_values_are_data_errors(self):
+        import json
+
+        panel, model = tiny_model()
+        doc = json.loads(model_to_bytes(model))
+        for key, bad in (("window", []), ("num_layers", "x"), ("params", {"embedding": 3}),
+                         ("embedding_dim", 7), ("category_cardinality", 9), ("num_layers", 0)):
+            with pytest.raises(DataError):
+                model_from_bytes(json.dumps(dict(doc, **{key: bad})).encode("utf-8"))
+        with pytest.raises(DataError):
+            model_from_bytes(b"[1, 2]\n")
 
     def test_corrupt_payload_rejected(self):
         with pytest.raises(Exception):
@@ -303,7 +345,7 @@ class TestSigmaShrinksOnConstantData:
         opt = init_adam(model.blocks(), learning_rate=5e-3)
         sigmas = []
         for step in range(60):
-            result = unroll_training(w, model)
+            result = unroll_batch([w], model)
             sigmas.append(float(result.disps[0].mean()))
             grads = dict(result.grads)
             clip_global_norm(grads, 10.0)

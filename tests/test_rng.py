@@ -1,9 +1,32 @@
-"""Deterministic stream derivation and distributional sanity of the samplers."""
+"""Deterministic stream derivation, the Philox keyed generator, and
+distributional sanity of the keyed samplers."""
 
 import numpy as np
 import pytest
 
-from panelcast.rng import Stream, derive_seed, substream
+from panelcast.likelihood import LikelihoodKind, draw
+from panelcast.rng import (
+    RowKeys,
+    derive_seed,
+    gammas,
+    neg_binomials,
+    normals,
+    philox4x32,
+    poissons,
+    substream,
+)
+
+
+def keys(seed, tag, n, first_path=0):
+    """n rows of one key, on paths first_path .. first_path + n - 1."""
+    return RowKeys.for_series(seed, tag, [tag] * n, np.arange(first_path, first_path + n))
+
+
+def chunked(sampler, seed, tag, n, chunk=100_000):
+    """n draws of `sampler(keys)` over consecutive paths, in chunks."""
+    return np.concatenate(
+        [sampler(keys(seed, tag, min(chunk, n - p0), p0)) for p0 in range(0, n, chunk)]
+    )
 
 
 class TestSubstreams:
@@ -65,24 +88,93 @@ class TestUniformAndInts:
         assert abs(frac1 - 0.75) < 0.01
 
 
+class TestPhilox:
+    # Known-answer vectors of the Random123 distribution (kat_vectors),
+    # counter words, key words -> output words.
+    @pytest.mark.parametrize(
+        "ctr,key,expected",
+        [
+            ((0, 0, 0, 0), (0, 0), "6627e8d5 e169c58d bc57ac4c 9b00dbd8"),
+            ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, "408f276d 41c83b0e a20bc7c6 6d5451fd"),
+            (
+                (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+                (0xA4093822, 0x299F31D0),
+                "d16cfe09 94fdcceb 5001e420 24126ea1",
+            ),
+        ],
+    )
+    def test_known_answers(self, ctr, key, expected):
+        out = philox4x32([np.uint64(c) for c in ctr], [np.uint64(k) for k in key])
+        assert " ".join(f"{int(w):08x}" for w in out) == expected
+
+    def test_array_lanes_match_scalar_calls(self):
+        ctr = [np.array([0, 0xFFFFFFFF, 7], dtype=np.uint64)] * 4
+        key = [np.array([0, 0xFFFFFFFF, 9], dtype=np.uint64)] * 2
+        out = philox4x32(ctr, key)
+        for i in range(3):
+            one = philox4x32([c[i] for c in ctr], [k[i] for k in key])
+            assert [int(w[i]) for w in out] == [int(w) for w in one]
+
+
+class TestKeyedUniforms:
+    def test_range_and_mean(self):
+        u = keys(0, "u", 50_000).uniforms(0, 0, 2)
+        assert u.shape == (4, 50_000)
+        assert np.all((u >= 0.0) & (u < 1.0))
+        assert abs(u.mean() - 0.5) < 0.01
+
+    def test_row_draws_independent_of_batch(self):
+        # A row's uniforms depend only on its key and counters: any subset,
+        # in any order, reads the same values.
+        full = keys(1, "sub", 64)
+        ref = full.uniforms(3, 2, 2)
+        rows = np.array([63, 5, 17, 0])
+        np.testing.assert_array_equal(full.take(rows).uniforms(3, 2, 2), ref[:, rows])
+        np.testing.assert_array_equal(keys(1, "sub", 10).uniforms(3, 2, 2), ref[:, :10])
+
+    def test_every_counter_component_matters(self):
+        base = keys(2, "c", 8).uniforms(0, 0)
+        for other in (
+            keys(3, "c", 8).uniforms(0, 0),
+            keys(2, "d", 8).uniforms(0, 0),
+            keys(2, "c", 8, first_path=8).uniforms(0, 0),
+            keys(2, "c", 8).uniforms(1, 0),
+            keys(2, "c", 8).uniforms(0, 1),
+            keys(2, "c", 8).uniforms(0, 0, 1, first_lane=1),
+        ):
+            assert not np.any(other == base)
+
+    @pytest.mark.parametrize("sampler", [
+        lambda k, rows: normals(k, 4),
+        lambda k, rows: gammas(k, 4, np.linspace(0.2, 30.0, 300)[rows]),
+        lambda k, rows: poissons(k, 4, np.linspace(0.0, 400.0, 300)[rows]),
+        lambda k, rows: neg_binomials(k, 4, np.linspace(0.5, 300.0, 300)[rows], 0.3),
+    ])
+    def test_samplers_row_independent(self, sampler):
+        # Masked retry rounds must not couple rows: each draw equals the
+        # draw made for that row alone.
+        k = keys(4, "rows", 300)
+        batch = sampler(k, slice(None))
+        for i in (0, 1, 150, 299):
+            alone = sampler(k.take(np.array([i])), np.array([i]))
+            assert batch[i] == alone[0], i
+
+
 class TestNormals:
     def test_moments(self):
-        s = substream(5, "norm")
-        x = s.normals(200_000)
+        x = normals(keys(5, "norm", 200_000), 0)
         assert abs(x.mean()) < 0.01
         assert abs(x.std() - 1.0) < 0.01
 
     def test_gaussian_location_scale(self):
-        s = substream(6, "gauss")
-        draws = np.array([s.gaussian(3.0, 0.5) for _ in range(50_000)])
+        draws = draw(LikelihoodKind.GAUSSIAN, 3.0, 0.5, keys(6, "gauss", 50_000), 0)
         assert abs(draws.mean() - 3.0) < 0.02
         assert abs(draws.std() - 0.5) < 0.02
 
     def test_kolmogorov_smirnov_vs_normal_cdf(self):
         from scipy.stats import kstest
 
-        s = substream(7, "ks")
-        x = s.normals(100_000)
+        x = normals(keys(7, "ks", 100_000), 0)
         stat, p = kstest(x, "norm")
         assert p > 1e-4
 
@@ -90,28 +182,26 @@ class TestNormals:
 class TestGamma:
     @pytest.mark.parametrize("shape,scale", [(0.5, 2.0), (1.0, 1.0), (4.0, 0.5), (20.0, 3.0)])
     def test_moments(self, shape, scale):
-        s = substream(8, "gamma", int(shape * 10))
         n = 100_000
-        x = np.array([s.gamma(shape, scale) for _ in range(n)])
+        x = gammas(keys(8, f"gamma{int(shape * 10)}", n), 0, shape, scale)
         mean, var = shape * scale, shape * scale**2
         se_mean = np.sqrt(var / n)
         assert abs(x.mean() - mean) < 4 * se_mean
         assert abs(x.var() - var) / var < 0.05
 
     def test_invalid_args(self):
-        s = substream(9, "gamma")
+        k = keys(9, "gamma", 4)
         with pytest.raises(ValueError):
-            s.gamma(0.0, 1.0)
+            gammas(k, 0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            s.gamma(1.0, -1.0)
+            gammas(k, 0, 1.0, -1.0)
 
 
 class TestPoisson:
     @pytest.mark.parametrize("lam", [0.3, 4.0, 9.9, 25.0, 300.0])
     def test_moments(self, lam):
-        s = substream(10, "pois", int(lam * 10))
         n = 60_000
-        x = np.array([s.poisson(lam) for _ in range(n)])
+        x = poissons(keys(10, f"pois{int(lam * 10)}", n), 0, lam)
         assert np.all(x >= 0)
         assert np.array_equal(x, np.round(x))
         se = np.sqrt(lam / n)
@@ -119,17 +209,15 @@ class TestPoisson:
         assert abs(x.var() - lam) / lam < 0.06
 
     def test_zero_rate(self):
-        s = substream(11, "pois0")
-        assert all(s.poisson(0.0) == 0 for _ in range(10))
+        assert np.all(poissons(keys(11, "pois0", 10), 0, 0.0) == 0)
 
 
 class TestNegBinomial:
     def test_moment_oracle(self):
         # mean mu, variance mu + mu^2 alpha
         mu, alpha = 5.0, 0.5
-        s = substream(12, "nb")
         n = 1_000_000
-        x = np.array([s.neg_binomial(mu, alpha) for _ in range(n)])
+        x = chunked(lambda k: neg_binomials(k, 0, mu, alpha), 12, "nb", n)
         assert np.all(x >= 0)
         assert np.array_equal(x, np.round(x))
         var = mu + mu * mu * alpha
@@ -145,9 +233,8 @@ class TestNegBinomial:
         from panelcast.likelihood import negbin_nll
 
         mu, alpha = 2.0, 1.0
-        s = substream(13, "nbpmf")
         n = 200_000
-        x = np.array([s.neg_binomial(mu, alpha) for _ in range(n)])
+        x = chunked(lambda k: neg_binomials(k, 0, mu, alpha), 13, "nbpmf", n)
         for z in range(8):
             p = float(np.exp(-negbin_nll(float(z), mu, alpha)[0]))
             emp = float(np.mean(x == z))

@@ -9,7 +9,7 @@ from panelcast.errors import ConfigError, DivergenceError
 from panelcast.forecaster import forecast, quantiles
 from panelcast.likelihood import LikelihoodKind
 from panelcast.network import init_model, model_to_bytes
-from panelcast.rng import substream
+from panelcast.rng import derive_seed
 from panelcast.trainer import TrainConfig, _pool_nll, grid_search, parse_config, train
 
 from conftest import count_panel, make_series, sinusoid_panel
@@ -85,7 +85,7 @@ class TestTrain:
         pool = sampler.validation_windows(cap=512)
         best_epoch = min(log.rows, key=lambda r: r[3])[0]
         recomputed = _pool_nll(pool, model, cfg.batch_size,
-                               substream(cfg.seed, "val", best_epoch))
+                               derive_seed(cfg.seed, "val", best_epoch))
         assert recomputed == pytest.approx(log.best_val_nll, rel=1e-12)
 
     def test_max_batches_bound(self):
@@ -132,7 +132,7 @@ class TestTrain:
             panel.category_cardinality, cfg.num_layers, cfg.hidden_units,
             cfg.embedding_dim, cfg.seed,
         )
-        init_nll = _pool_nll(pool, init, cfg.batch_size, substream(cfg.seed, "val", 1))
+        init_nll = _pool_nll(pool, init, cfg.batch_size, derive_seed(cfg.seed, "val", 1))
         assert log.best_val_nll < 0.8 * init_nll
 
     def test_integer_requirement_enforced_for_negbin(self):
