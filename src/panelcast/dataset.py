@@ -25,6 +25,7 @@ __all__ = [
     "MASK_OBSERVED",
     "MASK_PADDED",
     "MASK_MISSING",
+    "CATEGORY_LIMIT",
     "Granularity",
     "TimeSeries",
     "Panel",
@@ -48,6 +49,10 @@ __all__ = [
 MASK_OBSERVED = 0
 MASK_PADDED = 1
 MASK_MISSING = 2
+
+# Category codes index an embedding table of max(cat) + 1 rows, so a code
+# is bounded before it can size one.
+CATEGORY_LIMIT = 2**20
 
 
 class Granularity(str, Enum):
@@ -149,6 +154,7 @@ class TimeSeries:
 @dataclass
 class Panel:
     series: list[TimeSeries] = field(default_factory=list)
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.series:
@@ -156,6 +162,9 @@ class Panel:
         grans = {s.granularity for s in self.series}
         if len(grans) > 1:
             raise DataError(f"mixed granularities in panel: {sorted(g.value for g in grans)}")
+        self._by_id = {}
+        for s in self.series:
+            self._by_id.setdefault(s.id, s)
 
     @property
     def granularity(self) -> Granularity:
@@ -168,10 +177,10 @@ class Panel:
         return iter(self.series)
 
     def get(self, series_id: str) -> TimeSeries:
-        for s in self.series:
-            if s.id == series_id:
-                return s
-        raise DataError(f"no series with id {series_id!r}")
+        try:
+            return self._by_id[series_id]
+        except (KeyError, TypeError):  # TypeError: an unhashable id from a bad record
+            raise DataError(f"no series with id {series_id!r}") from None
 
     @property
     def category_cardinality(self) -> int:
@@ -236,6 +245,8 @@ def load_jsonl(path) -> Panel:
             cat = obj.get("cat", 0)
             if not isinstance(cat, int) or isinstance(cat, bool):
                 raise DataError(f"{where}: cat must be an integer")
+            if cat >= CATEGORY_LIMIT:
+                raise DataError(f"{where}: cat {cat} is not below the limit {CATEGORY_LIMIT}")
             try:
                 series.append(TimeSeries(sid, start, gran, values, cat))
             except DataError as e:
@@ -299,18 +310,26 @@ def raw_features(series: TimeSeries, start_offset: int, length: int) -> np.ndarr
     """Unstandardized covariate rows for steps [start_offset, start_offset+length).
 
     Steps may precede the series start (negative age) or run past its end
-    (future covariates are known).
+    (future covariates are known). Hourly and daily calendar features are
+    integer arithmetic on the start's hour and weekday, which equals
+    reading them off each timestamp: steps are whole hours or days of
+    wall-clock time, as add_steps takes them.
     """
     gran = series.granularity
     out = np.empty((length, len(feature_names(gran))), dtype=np.float64)
-    out[:, 0] = np.arange(start_offset, start_offset + length, dtype=np.float64)
-    stamps = [series.timestamp(k) for k in range(start_offset, start_offset + length)]
+    k = np.arange(start_offset, start_offset + length)
+    out[:, 0] = k
+    start = series.start
     if gran is Granularity.HOURLY:
-        out[:, 1] = [ts.hour for ts in stamps]
-        out[:, 2] = [ts.weekday() for ts in stamps]
-    elif gran is Granularity.DAILY:
-        out[:, 1] = [ts.weekday() for ts in stamps]
-    elif gran is Granularity.WEEKLY:
+        hours = start.hour + k
+        out[:, 1] = hours % 24
+        out[:, 2] = (start.weekday() + hours // 24) % 7
+        return out
+    if gran is Granularity.DAILY:
+        out[:, 1] = (start.weekday() + k) % 7
+        return out
+    stamps = [series.timestamp(j) for j in range(start_offset, start_offset + length)]
+    if gran is Granularity.WEEKLY:
         out[:, 1] = [ts.isocalendar()[1] for ts in stamps]
     else:
         out[:, 1] = [ts.month for ts in stamps]
@@ -522,12 +541,6 @@ class WindowSampler:
             stride = -(-len(slots) // cap)
             slots = slots[::stride]
         return [self._window(i, s) for i, s in slots]
-
-    def has_validation(self) -> bool:
-        return any(
-            self._bounds[i][1] - self._bounds[i][0] + 1 > self._n_train[i]
-            for i in range(len(self._series))
-        )
 
 
 def velocity_histogram(panel: Panel, bucket_width: float = 0.25):

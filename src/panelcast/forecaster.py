@@ -12,7 +12,8 @@ step t reads the uniforms H(seed, s, p, t, round), and imputation of a
 missing conditioning value at step t reads H(seed, s, 0, t, round)
 under a separate tag. So path p is the same no matter how many paths
 are drawn, which series share its block, or how the panel is split into
-blocks, up to last-bit rounding of the batched network arithmetic.
+blocks, bit for bit: the network computes each row independently of the
+other rows of its batch.
 
 Quantiles are empirical nearest-rank: sorted column index ceil(rho*n)-1.
 """

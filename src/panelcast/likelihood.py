@@ -153,11 +153,17 @@ def apply_heads(h, heads: HeadParams, nu, kind: LikelihoodKind):
     Negative binomial: mu = nu * softplus(o_mu), alpha = softplus(o_a)/sqrt(nu).
     Gaussian: mu = nu * o_mu, sigma = nu * softplus(o_s).
     Returns (mu, disp, cache); h is (B, hidden), nu broadcasts over B.
+    The pre-activations are row-wise reductions, not matrix-vector
+    products, so a row's parameters do not depend on the other rows.
     """
     h = np.atleast_2d(h)
     nu = np.broadcast_to(np.asarray(nu, dtype=np.float64), (h.shape[0],))
-    o_mu = h @ heads.w_mu + heads.b_mu
-    o_disp = h @ heads.w_disp + heads.b_disp
+    prod = np.multiply(h, heads.w_mu)
+    o_mu = prod.sum(axis=1)
+    o_mu += heads.b_mu
+    np.multiply(h, heads.w_disp, out=prod)
+    o_disp = prod.sum(axis=1)
+    o_disp += heads.b_disp
     sp_disp = softplus(o_disp)
     disp_live = (sp_disp > PARAM_FLOOR).astype(np.float64)
     sp_disp = np.maximum(sp_disp, PARAM_FLOOR)
@@ -185,12 +191,15 @@ def heads_backward(d_mu, d_disp, cache: HeadCache, heads: HeadParams, kind: Like
     else:
         d_o_mu = d_mu * nu
         d_o_disp = d_disp * nu * sigmoid(cache.o_disp) * cache.disp_live
-    d_h = np.outer(d_o_mu, heads.w_mu) + np.outer(d_o_disp, heads.w_disp)
+    d_o = np.stack([d_o_mu, d_o_disp], axis=1)  # (B, 2)
+    d_h = d_o @ np.stack([heads.w_mu, heads.w_disp])
+    d_w = cache.h.T @ d_o
+    d_b = d_o.sum(axis=0)
     grads = {
-        "w_mu": cache.h.T @ d_o_mu,
-        "b_mu": np.asarray(d_o_mu.sum()),
-        "w_disp": cache.h.T @ d_o_disp,
-        "b_disp": np.asarray(d_o_disp.sum()),
+        "w_mu": d_w[:, 0].copy(),
+        "b_mu": np.asarray(d_b[0]),
+        "w_disp": d_w[:, 1].copy(),
+        "b_disp": np.asarray(d_b[1]),
     }
     return d_h, grads
 

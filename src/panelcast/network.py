@@ -22,7 +22,6 @@ from .dataset import (
     MASK_MISSING,
     FeatureStats,
     Granularity,
-    TrainingWindow,
     WindowSpec,
 )
 from .errors import ConfigError, DataError, DivergenceError
@@ -39,10 +38,10 @@ from .likelihood import (
 from .lstm import (
     LstmLayerParams,
     LstmState,
+    SequenceTape,
     init_layer,
-    lstm_backward,
-    lstm_forward,
     lstm_step,
+    step_buffers,
     zero_state,
 )
 from .rng import RowKeys, substream
@@ -51,7 +50,6 @@ __all__ = [
     "ModelParams",
     "UnrollResult",
     "init_model",
-    "step_input",
     "unroll_batch",
     "encode",
     "decode_step",
@@ -155,16 +153,6 @@ def init_model(
     )
 
 
-def step_input(window: TrainingWindow, t: int, z_prev: float, params: ModelParams) -> np.ndarray:
-    """Input vector for one step: [z_{t-1}/nu, x_t, category embedding]."""
-    if not 0 <= t < window.total:
-        raise ConfigError(f"step {t} outside window of length {window.total}")
-    lagged = 0.0 if t == 0 else z_prev / window.scale
-    return np.concatenate(
-        [[lagged], window.covariates[t], params.embedding[window.category]]
-    )
-
-
 @dataclass
 class UnrollResult:
     """Loss, per-step distribution parameters, and parameter gradients."""
@@ -181,8 +169,9 @@ class UnrollResult:
 
 
 def _rows_input(z_prev, nu, covariates, emb) -> np.ndarray:
-    """Per-row step inputs [z_{t-1}/nu, x_t, embedding], shape (B, input_dim)."""
-    return np.concatenate([(z_prev / nu)[:, None], covariates, emb], axis=1)
+    """Per-row step inputs [z_{t-1}/nu, x_t, embedding], shape (..., B, input_dim)
+    for z_prev (..., B), nu (B,), covariates (..., B, d) and emb (..., B, e)."""
+    return np.concatenate([(z_prev / nu)[..., None], covariates, emb], axis=-1)
 
 
 def _divergence(step: int, mu, disp) -> DivergenceError:
@@ -193,7 +182,7 @@ def _divergence(step: int, mu, disp) -> DivergenceError:
 
 
 def unroll_batch(
-    windows, params: ModelParams, impute_seed=None, compute_grads: bool = True
+    windows, params: ModelParams, impute_seed=None, compute_grads: bool = True, *, tape=None
 ) -> UnrollResult:
     """Teacher-forced forward and backward over a batch of windows.
 
@@ -203,6 +192,14 @@ def unroll_batch(
     of window b is drawn with the key of (impute_seed, window series id)
     on path b at step t. compute_grads=False skips the backward pass
     (validation passes need only the loss) and leaves grads empty.
+
+    The batch runs as one (T, B) block: the recurrence fills a
+    SequenceTape, evaluating the heads inside the loop only for rows whose
+    next input must be imputed; the heads, the NLL and their gradients
+    then run once over all T*B rows. `tape`, a SequenceTape of
+    params.layers for T steps and at least B rows, is reused if given (a
+    training loop saves re-allocating, and page-faulting, the slabs every
+    batch); otherwise a new one is made.
     """
     if not windows:
         raise ConfigError("unroll_batch requires at least one window")
@@ -216,76 +213,77 @@ def unroll_batch(
     cats = np.array([w.category for w in windows], dtype=np.intp)
     if np.any(cats >= params.category_cardinality):
         raise DataError("category code outside the embedding table")
-    emb = params.embedding[cats]
     targets = np.stack([w.target for w in windows])
-    masks = np.stack([w.mask for w in windows])
-    covs = np.stack([w.covariates for w in windows])
-    counted = masks != MASK_MISSING
+    counted = np.stack([w.mask for w in windows]) != MASK_MISSING
+    impute = ~counted[:, :-1]  # rows whose next input is a draw
+    if impute_seed is None and impute.any():
+        raise ConfigError("windows with missing values require an imputation seed")
 
-    state = zero_state(params.layers, B)
-    caches = []
-    mus = np.empty((B, T))
-    disps = np.empty((B, T))
-    d_mu_steps = np.zeros((B, T))
-    d_disp_steps = np.zeros((B, T))
-    # Exact summation keeps the loss reproducible to the last ulp, which
-    # the finite-difference harness depends on.
-    nll_terms = []
-    z_prev = np.zeros(B)
+    if tape is None or tape.layers is not params.layers or tape.steps != T or tape.capacity < B:
+        tape = SequenceTape(params.layers, T, B)
+    else:
+        tape.reset(B)
+    x = tape.inputs
+    z_prev = np.zeros((T, B))
+    z_prev[1:] = np.where(counted[:, :-1], targets[:, :-1], 0.0).T
+    emb = params.embedding[cats]
+    x[...] = _rows_input(
+        z_prev,
+        nu,
+        np.stack([w.covariates for w in windows], axis=1),
+        np.broadcast_to(emb, (T, *emb.shape)),
+    )
     keys = None
-
+    steps = T
     for t in range(T):
-        u = _rows_input(z_prev, nu, covs[:, t, :], emb)
-        state, step_caches = lstm_forward(u, state, params.layers)
-        mu, disp, hcache = apply_heads(state.h[-1], params.heads, nu, kind)
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
-            raise _divergence(t, mu, disp)
-        mus[:, t] = mu
-        disps[:, t] = disp
-        caches.append((step_caches, hcache))
-        sel = counted[:, t]
-        if np.any(sel):
-            nll, d_mu, d_disp = nll_and_grads(targets[sel, t], mu[sel], disp[sel], kind)
-            nll = np.atleast_1d(nll)
-            if not np.all(np.isfinite(nll)):
-                raise _divergence(t, mu[sel], disp[sel])
-            nll_terms.extend(nll.tolist())
-            d_mu_steps[sel, t] = d_mu
-            d_disp_steps[sel, t] = d_disp
-        if t + 1 < T:
-            z_prev = np.where(counted[:, t], targets[:, t], 0.0)
-            miss = np.nonzero(~counted[:, t])[0]
-            if miss.size:
-                if impute_seed is None:
-                    raise ConfigError("windows with missing values require an imputation seed")
-                if keys is None:
-                    keys = RowKeys.for_series(
-                        impute_seed, "impute", [w.series_id for w in windows], np.arange(B)
-                    )
-                z_prev[miss] = draw(kind, mu[miss], disp[miss], keys.take(miss), t)
+        tape.forward_step(t)
+        if t + 1 < T and impute[:, t].any():
+            miss = np.nonzero(impute[:, t])[0]
+            mu, disp, _ = apply_heads(tape.hidden(t)[miss], params.heads, nu[miss], kind)
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
+                steps = t + 1  # the block check below reports the first bad step
+                break
+            if keys is None:
+                keys = RowKeys.for_series(
+                    impute_seed, "impute", [w.series_id for w in windows], np.arange(B)
+                )
+            # The drawn value replaces the lagged slot of _rows_input.
+            x[t + 1, miss, 0] = draw(kind, mu, disp, keys.take(miss), t) / nu[miss]
 
-    total_nll = math.fsum(nll_terms)
+    # Rows of the block are in (step, window) order.
+    mu, disp, hcache = apply_heads(tape.top_hidden(steps), params.heads, np.tile(nu, steps), kind)
+    finite = np.isfinite(mu) & np.isfinite(disp)
+    limit = mu.size if finite.all() else int(np.argmin(finite)) // B * B
+    sel = np.flatnonzero(counted.T[:steps].ravel()[:limit])
+    total_nll = 0.0
+    d_mu = np.zeros_like(mu)
+    d_disp = np.zeros_like(disp)
+    if sel.size:
+        nll, d_mu[sel], d_disp[sel] = nll_and_grads(targets.T.ravel()[sel], mu[sel], disp[sel], kind)
+        bad = ~np.isfinite(nll)
+        if bad.any():
+            t = int(sel[np.argmax(bad)]) // B
+            rows = sel[sel // B == t]
+            raise _divergence(t, mu[rows], disp[rows])
+        # Exact summation keeps the loss reproducible to the last ulp,
+        # which the finite-difference harness depends on.
+        total_nll = math.fsum(nll.tolist())
+    if limit < mu.size:
+        raise _divergence(limit // B, mu[limit : limit + B], disp[limit : limit + B])
+    mus = mu.reshape(T, B).T
+    disps = disp.reshape(T, B).T
     if not compute_grads:
         return UnrollResult(total_nll, mus, disps, {}, int(counted.sum()), kind)
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
-    d_emb = np.zeros_like(emb)
-    d_state = zero_state(params.layers, B)
-    n_feat = params.feature_dim
-    for t in range(T - 1, -1, -1):
-        step_caches, hcache = caches[t]
-        d_h_top, head_grads = heads_backward(
-            d_mu_steps[:, t], d_disp_steps[:, t], hcache, params.heads, kind
-        )
-        for key, g in head_grads.items():
-            grads[f"head.{key}"] += g
-        d_state.h[-1] = d_state.h[-1] + d_h_top
-        d_u, d_state, layer_grads = lstm_backward(step_caches, d_state, params.layers)
-        for i, (d_w, d_b) in enumerate(layer_grads):
-            grads[f"lstm{i}.w"] += d_w
-            grads[f"lstm{i}.b"] += d_b
-        d_emb += d_u[:, 1 + n_feat :]
+    d_h, head_grads = heads_backward(d_mu, d_disp, hcache, params.heads, kind)
+    d_x, _, layer_grads = tape.backward(d_h.reshape(T, B, -1))
+    d_emb = d_x[:, :, 1 + params.feature_dim :].sum(axis=0)
+    grads = {"embedding": np.zeros_like(params.embedding)}  # keyed in blocks() order
     np.add.at(grads["embedding"], cats, d_emb)
+    for i, (d_w, d_b) in enumerate(layer_grads):
+        grads[f"lstm{i}.w"] = d_w
+        grads[f"lstm{i}.b"] = d_b
+    grads.update((f"head.{key}", g) for key, g in head_grads.items())
 
     return UnrollResult(total_nll, mus, disps, grads, int(counted.sum()), kind)
 
@@ -315,9 +313,10 @@ def encode(
     state = zero_state(params.layers, batch)
     emb = params.embedding[categories]
     z_prev = np.zeros(batch)
+    buffers = step_buffers(params.layers, batch)
     for t in range(n):
         u = _rows_input(z_prev, nu, covariates_cond[:, t, :], emb)
-        state = lstm_step(u, state, params.layers)
+        state = lstm_step(u, state, params.layers, buffers)
         z_prev = target_cond[:, t].copy()
         miss = np.nonzero(mask_cond[:, t] == MASK_MISSING)[0]
         if miss.size:

@@ -17,6 +17,7 @@ import numpy as np
 from .dataset import Panel, WindowSampler, WindowSpec, fit_feature_stats
 from .errors import ConfigError, DivergenceError
 from .likelihood import LikelihoodKind
+from .lstm import SequenceTape
 from .network import ModelParams, init_model, unroll_batch
 from .optim import clip_global_norm, init_adam, adam_step
 from .rng import derive_seed, substream
@@ -141,32 +142,52 @@ def parse_config(text: str) -> TrainConfig:
 
 @dataclass
 class TrainLog:
-    """One row per validation pass plus the final stopping reason."""
+    """One row per validation pass plus the final stopping reason.
 
-    rows: list = field(default_factory=list)  # (epoch, batches, train_nll, val_nll, elapsed)
+    Besides the losses, a row says how healthy the epoch's updates were:
+    the largest gradient norm before clipping, how many batches were
+    clipped, how many were skipped as divergent, and the windows per
+    second of the epoch's training batches (validation excluded). The
+    last two columns, windows_per_s and elapsed_s, are wall-clock
+    readings; the others repeat exactly for a fixed seed.
+    """
+
+    rows: list = field(default_factory=list)
     stopping_reason: str = ""
 
-    def add(self, epoch: int, batches: int, train_nll: float, val_nll: float, elapsed: float):
-        self.rows.append((epoch, batches, train_nll, val_nll, elapsed))
+    COLUMNS = (
+        "epoch", "batches", "train_nll", "val_nll", "grad_norm_max", "clipped",
+        "skipped_divergent", "windows_per_s", "elapsed_s",
+    )
+
+    def add(self, epoch: int, batches: int, train_nll: float, val_nll: float,
+            grad_norm_max: float, clipped: int, skipped_divergent: int,
+            windows_per_s: float, elapsed: float):
+        self.rows.append((epoch, batches, train_nll, val_nll, grad_norm_max, clipped,
+                          skipped_divergent, windows_per_s, elapsed))
 
     @property
     def best_val_nll(self) -> float:
         return min(r[3] for r in self.rows) if self.rows else float("inf")
 
     def to_tsv(self) -> str:
-        lines = ["epoch\tbatches\ttrain_nll\tval_nll\telapsed_s"]
-        for epoch, batches, train_nll, val_nll, elapsed in self.rows:
-            lines.append(f"{epoch}\t{batches}\t{train_nll:.6f}\t{val_nll:.6f}\t{elapsed:.3f}")
+        lines = ["\t".join(self.COLUMNS)]
+        for epoch, batches, train_nll, val_nll, norm, clipped, skipped, wps, elapsed in self.rows:
+            lines.append(
+                f"{epoch}\t{batches}\t{train_nll:.6f}\t{val_nll:.6f}\t{norm:.6f}\t{clipped}"
+                f"\t{skipped}\t{wps:.1f}\t{elapsed:.3f}"
+            )
         lines.append(f"# stopped: {self.stopping_reason}")
         return "\n".join(lines) + "\n"
 
 
-def _pool_nll(pool, params: ModelParams, batch_size: int, impute_seed: int) -> float:
+def _pool_nll(pool, params: ModelParams, batch_size: int, impute_seed: int, tape=None) -> float:
     total = 0.0
     steps = 0
     for i in range(0, len(pool), batch_size):
         res = unroll_batch(
-            pool[i : i + batch_size], params, derive_seed(impute_seed, i), compute_grads=False
+            pool[i : i + batch_size], params, derive_seed(impute_seed, i), compute_grads=False,
+            tape=tape,
         )
         total += res.loss
         steps += res.counted_steps
@@ -210,6 +231,8 @@ def train(panel: Panel, config: TrainConfig):
     if config.no_scaling:
         pool = [_force_unit_scale(w) for w in pool]
 
+    # One recording of the recurrence, refilled by every batch.
+    tape = SequenceTape(model.layers, spec.total, config.batch_size)
     log = TrainLog()
     best_val = float("inf")
     best_blocks = model.copy_blocks()
@@ -224,6 +247,10 @@ def train(panel: Panel, config: TrainConfig):
         epoch += 1
         epoch_nll = 0.0
         epoch_steps = 0
+        norms = []  # pre-clip gradient norms of the batches applied
+        skipped = 0
+        epoch_windows = 0
+        epoch_start = time.perf_counter()
         for _ in range(steps_per_epoch):
             if batches_done >= config.max_batches:
                 break
@@ -231,11 +258,14 @@ def train(panel: Panel, config: TrainConfig):
             if config.no_scaling:
                 windows = [_force_unit_scale(w) for w in windows]
             batches_done += 1
+            epoch_windows += len(windows)
             try:
                 res = unroll_batch(
-                    windows, model, derive_seed(config.seed, "train", "impute", batches_done)
+                    windows, model, derive_seed(config.seed, "train", "impute", batches_done),
+                    tape=tape,
                 )
             except DivergenceError as e:
+                skipped += 1
                 divergent_streak += 1
                 if divergent_streak >= DIVERGENCE_LIMIT:
                     log.stopping_reason = f"diverged: {e}"
@@ -248,6 +278,7 @@ def train(panel: Panel, config: TrainConfig):
                 g /= len(windows)
             norm = clip_global_norm(grads, MAX_GRAD_NORM)
             if not np.isfinite(norm):
+                skipped += 1
                 divergent_streak += 1
                 if divergent_streak >= DIVERGENCE_LIMIT:
                     log.stopping_reason = "diverged: non-finite gradients"
@@ -257,12 +288,21 @@ def train(panel: Panel, config: TrainConfig):
                     )
                 continue
             divergent_streak = 0
+            norms.append(norm)
             adam_step(model.blocks(), grads, adam)
             epoch_nll += res.loss
             epoch_steps += res.counted_steps
+        train_s = time.perf_counter() - epoch_start
         train_nll = epoch_nll / epoch_steps if epoch_steps else float("nan")
-        val_nll = _pool_nll(pool, model, config.batch_size, derive_seed(config.seed, "val", epoch))
-        log.add(epoch, batches_done, train_nll, val_nll, time.monotonic() - start_time)
+        val_nll = _pool_nll(
+            pool, model, config.batch_size, derive_seed(config.seed, "val", epoch), tape
+        )
+        log.add(
+            epoch, batches_done, train_nll, val_nll, max(norms, default=float("nan")),
+            sum(n > MAX_GRAD_NORM for n in norms), skipped,
+            epoch_windows / train_s if train_s > 0.0 else float("nan"),
+            time.monotonic() - start_time,
+        )
         if val_nll < best_val:
             best_val = val_nll
             best_blocks = model.copy_blocks()

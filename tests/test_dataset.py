@@ -113,11 +113,45 @@ class TestLoadJsonl:
         with pytest.raises(DataError, match="duplicate"):
             load_jsonl(path)
 
+    def test_cat_at_limit_rejected(self, tmp_path):
+        from panelcast.dataset import CATEGORY_LIMIT
+
+        ok = {"id": "a", "start": "2014-01-01T00:00:00", "freq": "D", "target": [1, 2],
+              "cat": CATEGORY_LIMIT - 1}
+        assert load_jsonl(write_jsonl(tmp_path / "ok.jsonl", [ok])).category_cardinality == CATEGORY_LIMIT
+        big = dict(ok, id="b", cat=10**9)
+        with pytest.raises(DataError, match=r"big\.jsonl:2: cat 1000000000 is not below"):
+            load_jsonl(write_jsonl(tmp_path / "big.jsonl", [ok, big]))
+
     def test_missing_cat_defaults_to_zero(self, tmp_path):
         path = write_jsonl(tmp_path / "nocat.jsonl", [
             {"id": "a", "start": "2014-01-01T00:00:00", "freq": "D", "target": [1, 2]},
         ])
         assert load_jsonl(path).get("a").category == 0
+
+
+class TestPanelLookup:
+    def test_get_by_id_and_unknown_ids(self):
+        panel = Panel([make_series(f"s{i}", [1.0, 2.0]) for i in range(5)])
+        assert [panel.get(f"s{i}").id for i in (4, 0, 2)] == ["s4", "s0", "s2"]
+        for bad in ("s5", "", ["s1"]):
+            with pytest.raises(DataError, match="no series with id"):
+                panel.get(bad)
+
+    def test_get_is_constant_time(self):
+        # A scan would compare ids until the match; the lookup hashes once.
+        compared = []
+
+        class Id(str):
+            def __eq__(self, other):
+                compared.append(other)
+                return str.__eq__(self, other)
+
+            __hash__ = str.__hash__
+
+        panel = Panel([make_series(f"s{i}", [1.0]) for i in range(2000)])
+        assert panel.get(Id("s1999")).id == "s1999"
+        assert len(compared) <= 1
 
 
 class TestScales:
@@ -165,6 +199,30 @@ class TestCovariates:
         x = raw_features(s, 0, 4)
         assert feature_names(Granularity.HOURLY) == ["age", "hour_of_day", "day_of_week"]
         assert list(x[:, 1][:4]) == [22.0, 23.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            datetime(2015, 12, 31, 21),  # year boundary
+            datetime(2016, 2, 28, 23, 30),  # leap day, off-the-hour start
+            datetime(2016, 3, 31, 5),  # month boundary
+            datetime(2014, 1, 6, 0),
+            datetime.fromisoformat("2016-02-29T22:00:00+05:30"),
+            datetime.fromisoformat("2021-03-28T01:00:00-07:00"),
+        ],
+    )
+    @pytest.mark.parametrize("granularity", [Granularity.HOURLY, Granularity.DAILY])
+    def test_calendar_arithmetic_matches_timestamps(self, start, granularity):
+        # Reference: read every feature off the timestamp itself, over
+        # offsets before the start and across month, year and leap days.
+        s = make_series("c", [1.0] * 5, start=start, granularity=granularity)
+        lo, length = -800, 2000
+        ref = np.empty((length, len(feature_names(granularity))))
+        for j, k in enumerate(range(lo, lo + length)):
+            ts = s.timestamp(k)
+            ref[j, 0] = k
+            ref[j, 1:] = [ts.hour, ts.weekday()] if granularity is Granularity.HOURLY else [ts.weekday()]
+        np.testing.assert_array_equal(raw_features(s, lo, length), ref)
 
     def test_monthly_month_of_year(self):
         s = make_series("m", [1.0] * 15, start=datetime(2014, 11, 1),
@@ -342,7 +400,6 @@ class TestSampler:
         spec = WindowSpec(10, 5)
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
-        assert sampler.has_validation()
         val = sampler.validation_windows()
         assert val
         from panelcast.dataset import _train_placement_count
@@ -420,7 +477,7 @@ class TestShiftInvariance:
         )
         _, log_a = train(base, cfg)
         _, log_b = train(shifted, cfg)
-        assert [r[:-1] for r in log_a.rows] == [r[:-1] for r in log_b.rows]  # wall-clock excluded
+        assert [r[:-2] for r in log_a.rows] == [r[:-2] for r in log_b.rows]  # wall-clock excluded
 
 
 class TestPanelValidation:

@@ -251,9 +251,8 @@ def test_series_alone_matches_series_in_blocked_panel(kind, num_samples):
     # A path's draws depend only on (seed, series id, path, step), so a
     # series forecast alone equals the same series inside a panel that is
     # split into several row blocks, whether blocks pack two series each
-    # or a series has more paths than the budget. Batching may shift the
-    # LSTM arithmetic by an ulp, hence the tolerance of
-    # test_forecast_paths_stable_under_extra_samples.
+    # or a series has more paths than the budget. The network arithmetic
+    # of a row does not depend on the other rows, so the match is exact.
     _, model = tiny_model(kind)
     series = _block_test_panel()
     blocked = list(forecast_panel(series, model, num_samples, seed=11))
@@ -262,7 +261,7 @@ def test_series_alone_matches_series_in_blocked_panel(kind, num_samples):
         alone = forecast(s, model, num_samples=num_samples, seed=11)
         assert fc.samples.shape == (num_samples, model.spec.prediction_length)
         assert fc.start == alone.start and fc.seed == alone.seed
-        np.testing.assert_allclose(fc.samples, alone.samples, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(fc.samples, alone.samples)
 
 
 def test_forecast_panel_rejects_unseen_category_before_work():

@@ -8,10 +8,9 @@ from panelcast.gradcheck import finite_diff_check
 from panelcast.lstm import (
     LstmLayerParams,
     LstmState,
-    cell_forward,
+    SequenceTape,
     init_layer,
-    lstm_backward,
-    lstm_forward,
+    lstm_step,
     zero_state,
 )
 from panelcast.rng import substream
@@ -43,19 +42,28 @@ def brute_force_cell(x, h_prev, c_prev, layer):
     return h, c
 
 
+def run_tape(layers, xs, state=None):
+    """A SequenceTape over inputs xs (T, B, input_dim), run forward."""
+    tape = SequenceTape(layers, xs.shape[0], xs.shape[1], state)
+    tape.inputs[...] = xs
+    for t in range(xs.shape[0]):
+        tape.forward_step(t)
+    return tape
+
+
 class TestForward:
     def test_zero_weights_zero_output(self):
         layer = zero_layer(3, 4)
         x = np.array([[1.0, -2.0, 0.5]])
         state = zero_state([layer], batch=1)
-        new_state, caches = lstm_forward(x, state, [layer])
+        new_state = lstm_step(x, state, [layer])
         assert np.allclose(new_state.h[0], 0.0)
         assert np.allclose(new_state.c[0], 0.0)
 
     def test_zero_weights_nonzero_prior_cell_decays_through_forget_gate(self):
         layer = zero_layer(2, 3, forget_bias=1.0)
         state = LstmState([np.zeros((1, 3))], [np.ones((1, 3))])
-        new_state, _ = lstm_forward(np.zeros((1, 2)), state, [layer])
+        new_state = lstm_step(np.zeros((1, 2)), state, [layer])
         # candidate tanh(0)=0, forget gate sigmoid(1); c' = sigmoid(1)*1
         assert np.allclose(new_state.c[0], sigmoid(1.0))
 
@@ -67,43 +75,68 @@ class TestForward:
         c_prev = rng.normal(size=3)
         h_ref, c_ref = brute_force_cell(x, h_prev, c_prev, layer)
         state = LstmState([h_prev[None, :].copy()], [c_prev[None, :].copy()])
-        new_state, _ = lstm_forward(x[None, :], state, [layer])
+        new_state = lstm_step(x[None, :], state, [layer])
         assert np.allclose(new_state.h[0][0], h_ref, atol=1e-12)
         assert np.allclose(new_state.c[0][0], c_ref, atol=1e-12)
 
     def test_deterministic(self):
         layer = random_layer(4, 5, seed=2)
         x = np.random.default_rng(1).normal(size=(2, 4))
-        s1, _ = lstm_forward(x, zero_state([layer], 2), [layer])
-        s2, _ = lstm_forward(x, zero_state([layer], 2), [layer])
+        s1 = lstm_step(x, zero_state([layer], 2), [layer])
+        s2 = lstm_step(x, zero_state([layer], 2), [layer])
         assert np.array_equal(s1.h[0], s2.h[0])
         assert np.array_equal(s1.c[0], s2.c[0])
 
     def test_shape_mismatch_rejected(self):
         layer = random_layer(3, 4, seed=3)
         with pytest.raises(ConfigError):
-            lstm_forward(np.zeros((1, 5)), zero_state([layer], 1), [layer])
+            lstm_step(np.zeros((1, 5)), zero_state([layer], 1), [layer])
+        with pytest.raises(ConfigError):
+            SequenceTape([layer, random_layer(3, 4, seed=4)], 2, 1)
 
     def test_two_layer_stack_chains_hidden_to_input(self):
         l0 = random_layer(2, 3, seed=4)
         l1 = random_layer(3, 4, seed=5)
         x = np.array([[0.3, -0.7]])
-        state, _ = lstm_forward(x, zero_state([l0, l1], 1), [l0, l1])
+        state = lstm_step(x, zero_state([l0, l1], 1), [l0, l1])
         # layer 1 must have consumed layer 0's fresh hidden state
         h0_ref, c0_ref = brute_force_cell(x[0], np.zeros(3), np.zeros(3), l0)
         h1_ref, _ = brute_force_cell(h0_ref, np.zeros(4), np.zeros(4), l1)
         assert np.allclose(state.h[0][0], h0_ref, atol=1e-12)
         assert np.allclose(state.h[1][0], h1_ref, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_tape_equals_stepping_bitwise(self, batch):
+        # Training records the same arithmetic that inference steps through.
+        layers = [random_layer(3, 5, seed=12), random_layer(5, 5, seed=13), random_layer(5, 5, seed=14)]
+        rng = np.random.default_rng(7)
+        xs = rng.normal(size=(6, batch, 3))
+        start = LstmState([rng.normal(size=(batch, 5)) for _ in layers],
+                          [rng.normal(size=(batch, 5)) for _ in layers])
+        tape = run_tape(layers, xs, start)
+        state = start
+        for t in range(xs.shape[0]):
+            state = lstm_step(xs[t], state, layers)
+            recorded = tape.state(t)
+            for a, b in zip(state.h + state.c, recorded.h + recorded.c):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(tape.hidden(t), state.h[-1])
+
+    def test_rows_independent_of_batch(self):
+        layers = [random_layer(3, 6, seed=15), random_layer(6, 6, seed=16)]
+        xs = np.random.default_rng(8).normal(size=(5, 9, 3))
+        full = run_tape(layers, xs).top_hidden()
+        for r in (0, 4, 8):
+            alone = run_tape(layers, xs[:, r : r + 1]).top_hidden()
+            np.testing.assert_array_equal(alone, full.reshape(5, 9, -1)[:, r])
+
 
 class TestBackward:
     def test_zero_upstream_gradient_gives_zero(self):
         layer = random_layer(2, 3, seed=6)
-        x = np.array([[0.5, -1.0]])
-        state = zero_state([layer], 1)
-        new_state, caches = lstm_forward(x, state, [layer])
-        d_state = LstmState([np.zeros((1, 3))], [np.zeros((1, 3))])
-        d_x, d_in, d_params = lstm_backward(caches, d_state, [layer])
+        x = np.array([[[0.5, -1.0]]])
+        tape = run_tape([layer], x)
+        d_x, d_in, d_params = tape.backward(np.zeros((1, 1, 3)))
         assert np.allclose(d_x, 0.0)
         assert np.allclose(d_in.h[0], 0.0)
         assert np.allclose(d_in.c[0], 0.0)
@@ -114,25 +147,17 @@ class TestBackward:
         """Scalar loss: sum of squares of final h over a short unroll."""
 
         def loss_fn(blocks):
-            state = zero_state(layers, xs.shape[1])
-            caches_all = []
-            for t in range(xs.shape[0]):
-                state, caches = lstm_forward(xs[t], state, layers)
-                caches_all.append(caches)
-            loss = 0.5 * float(np.sum(state.h[-1] ** 2))
+            tape = run_tape(layers, xs)
+            h_final = tape.hidden(xs.shape[0] - 1)
+            loss = 0.5 * float(np.sum(h_final ** 2))
             # backward: d loss / d h_final = h_final
-            d_state = LstmState(
-                [np.zeros_like(h) for h in state.h],
-                [np.zeros_like(c) for c in state.c],
-            )
-            d_state.h[-1] = state.h[-1].copy()
-            grads = {f"l{i}.w": np.zeros_like(l.w) for i, l in enumerate(layers)}
-            grads.update({f"l{i}.b": np.zeros_like(l.b) for i, l in enumerate(layers)})
-            for t in reversed(range(xs.shape[0])):
-                _, d_state, d_params = lstm_backward(caches_all[t], d_state, layers)
-                for i, (dw, db) in enumerate(d_params):
-                    grads[f"l{i}.w"] += dw
-                    grads[f"l{i}.b"] += db
+            d_h = np.zeros((xs.shape[0], xs.shape[1], layers[-1].hidden_dim))
+            d_h[-1] = h_final
+            _, _, d_params = tape.backward(d_h)
+            grads = {}
+            for i, (dw, db) in enumerate(d_params):
+                grads[f"l{i}.w"] = dw
+                grads[f"l{i}.b"] = db
             return loss, grads
 
         return loss_fn
@@ -163,11 +188,11 @@ class TestBackward:
         xbox = {"x": x}
 
         def loss_fn(blocks):
-            state, caches = lstm_forward(blocks["x"], zero_state([layer], 1), [layer])
-            loss = 0.5 * float(np.sum(state.h[-1] ** 2))
-            d_state = LstmState([state.h[0].copy()], [np.zeros_like(state.c[0])])
-            d_x, _, _ = lstm_backward(caches, d_state, [layer])
-            return loss, {"x": d_x}
+            tape = run_tape([layer], blocks["x"][None])
+            h = tape.hidden(0)
+            loss = 0.5 * float(np.sum(h ** 2))
+            d_x, _, _ = tape.backward(h.copy()[None])
+            return loss, {"x": d_x[0]}
 
         report = finite_diff_check(loss_fn, xbox, 1e-6)
         assert report.passed, str(report)
@@ -182,13 +207,45 @@ class TestBackward:
 
         def loss_fn(blocks):
             state = LstmState([blocks["h0"].copy()], [blocks["c0"].copy()])
-            new_state, caches = lstm_forward(x, state, [layer])
+            tape = run_tape([layer], x[None], state)
+            new_state = tape.state(0)
             loss = 0.5 * float(np.sum(new_state.h[0] ** 2) + np.sum(new_state.c[0] ** 2))
-            d_state = LstmState([new_state.h[0].copy()], [new_state.c[0].copy()])
-            _, d_in, _ = lstm_backward(caches, d_state, [layer])
+            _, d_in, _ = tape.backward(np.zeros((1, 1, 3)), d_final=new_state)
             return loss, {"h0": d_in.h[0], "c0": d_in.c[0]}
 
         report = finite_diff_check(loss_fn, box, 1e-6)
+        assert report.passed, str(report)
+
+    def test_stack_gradients_fd_with_per_step_loss(self):
+        # Three layers, a loss on every step's top h and on the final
+        # state of every layer, batch of three rows: weights, inputs and
+        # the initial state checked at once.
+        layers = [random_layer(2, 4, seed=17), random_layer(4, 4, seed=18), random_layer(4, 4, seed=19)]
+        rng = np.random.default_rng(9)
+        box = {"x": rng.normal(size=(5, 3, 2)), "h1": rng.normal(size=(3, 4)) * 0.5,
+               "c2": rng.normal(size=(3, 4)) * 0.5}
+        for i, l in enumerate(layers):
+            box[f"l{i}.w"] = l.w
+            box[f"l{i}.b"] = l.b
+
+        def loss_fn(blocks):
+            start = zero_state(layers, 3)
+            start.h[1] = blocks["h1"].copy()
+            start.c[2] = blocks["c2"].copy()
+            tape = run_tape(layers, blocks["x"], start)
+            h = tape.top_hidden()
+            final = tape.state(4)
+            loss = 0.5 * float(np.sum(h ** 2)) + 0.1 * float(sum(np.sum(c) for c in final.c))
+            d_final = LstmState([np.zeros((3, 4)) for _ in layers],
+                                [np.full((3, 4), 0.1) for _ in layers])
+            d_x, d_in, d_params = tape.backward(h.reshape(5, 3, 4).copy(), d_final)
+            grads = {"x": d_x, "h1": d_in.h[1], "c2": d_in.c[2]}
+            for i, (dw, db) in enumerate(d_params):
+                grads[f"l{i}.w"] = dw
+                grads[f"l{i}.b"] = db
+            return loss, grads
+
+        report = finite_diff_check(loss_fn, box, 1e-4)
         assert report.passed, str(report)
 
 

@@ -22,12 +22,12 @@ from panelcast.errors import ConfigError, DataError, DivergenceError
 from panelcast.likelihood import LikelihoodKind, gaussian_nll, nll_and_grads
 from panelcast.lstm import zero_state
 from panelcast.network import (
+    _rows_input,
     decode_step,
     encode,
     init_model,
     model_from_bytes,
     model_to_bytes,
-    step_input,
     unroll_batch,
 )
 from panelcast.rng import RowKeys
@@ -40,32 +40,42 @@ def default_window(panel, model, sid=None, start=0):
     return build_window(series, model.spec, start, model.stats)
 
 
+def window_input(w, model, t, z_prev):
+    """One window's step-t input row, built the way the recurrence builds it."""
+    return _rows_input(
+        np.array([z_prev]), np.array([w.scale]), w.covariates[t : t + 1],
+        model.embedding[[w.category]],
+    )[0]
+
+
 class TestStepInput:
     def test_first_step_lagged_slot_zero(self):
+        # The recurrence starts from z = 0 before the window start.
         panel, model = tiny_model()
         w = default_window(panel, model)
-        u = step_input(w, 0, 123.0, model)
+        w.scale = 7.0
+        u = window_input(w, model, 0, 0.0)
         assert u[0] == 0.0
 
     def test_lagged_slot_divided_by_scale(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
         w.scale = 5.0
-        u = step_input(w, 3, 10.0, model)
+        u = window_input(w, model, 3, 10.0)
         assert u[0] == pytest.approx(2.0)
 
     def test_vector_length(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
         d = len(model.stats.names)
-        u = step_input(w, 1, 0.0, model)
+        u = window_input(w, model, 1, 0.0)
         assert u.size == 1 + d + model.embedding_dim
 
     def test_embedding_row_selected_by_category(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
         w.category = 1
-        u = step_input(w, 0, 0.0, model)
+        u = window_input(w, model, 0, 0.0)
         assert np.array_equal(u[-model.embedding_dim:], model.embedding[1])
 
 
@@ -96,7 +106,7 @@ class TestUnroll:
 
         # Longhand: two steps of the shared recurrence with teacher forcing.
         from panelcast.likelihood import apply_heads
-        from panelcast.lstm import lstm_forward
+        from panelcast.lstm import lstm_step
 
         nu = w.scale
         state = zero_state(model.layers, 1)
@@ -105,7 +115,7 @@ class TestUnroll:
         for t in range(2):
             lagged = 0.0 if t == 0 else z_prev / nu
             u = np.concatenate([[lagged], w.covariates[t], model.embedding[0]])[None, :]
-            state, _ = lstm_forward(u, state, model.layers)
+            state = lstm_step(u, state, model.layers)
             mu, disp, _ = apply_heads(state.h[-1], model.heads, nu, model.likelihood)
             nll, _, _ = gaussian_nll(w.target[t], float(mu[0]), float(disp[0]))
             total += float(nll)
@@ -174,6 +184,34 @@ class TestUnroll:
             unroll_batch([w], model)
         assert exc.value.log is not None
         assert "step" in exc.value.log
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_first_non_finite_step(self):
+        # A Gaussian NLL overflows on a huge target: window 1 at step 7
+        # comes before window 0 at step 9, so step 7 is named, with the
+        # parameters of the rows counted there.
+        panel, model = tiny_model()
+        ws = [default_window(panel, model, "c0"), default_window(panel, model, "c1")]
+        ws[0].target[9] = 1e300
+        ws[1].target[7] = 1e300
+        ref = unroll_batch([default_window(panel, model, "c0"), default_window(panel, model, "c1")],
+                           model)
+        with pytest.raises(DivergenceError, match="step 7") as exc:
+            unroll_batch(ws, model)
+        assert exc.value.log["step"] == 7
+        assert exc.value.log["mu"] == ref.mus[:, 7].tolist()
+        assert exc.value.log["disp"] == ref.disps[:, 7].tolist()
+
+    def test_divergence_before_imputation(self):
+        # Non-finite parameters stop the unroll before any draw from them.
+        panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL)
+        w = default_window(panel, model)
+        w.mask[3] = MASK_MISSING
+        w.target[3] = np.nan
+        model.heads.b_disp.fill(np.nan)
+        with pytest.raises(DivergenceError) as exc:
+            unroll_batch([w], model, impute_seed=2)
+        assert exc.value.log["step"] == 0
 
     def test_mismatched_window_length_rejected(self):
         panel, model = tiny_model()

@@ -70,7 +70,7 @@ class TestTrain:
         model_a, log_a = train(panel, cfg)
         model_b, log_b = train(panel, cfg)
         assert model_to_bytes(model_a) == model_to_bytes(model_b)
-        assert [r[:-1] for r in log_a.rows] == [r[:-1] for r in log_b.rows]
+        assert [r[:-2] for r in log_a.rows] == [r[:-2] for r in log_b.rows]
         assert log_a.stopping_reason == log_b.stopping_reason
 
     def test_best_snapshot_property(self):
@@ -159,6 +159,78 @@ class TestTrain:
                                                  "uniform_sampling": True,
                                                  "no_scaling": True}))
         assert model_to_bytes(full) != model_to_bytes(ablated)
+
+
+class TestTrainLogTelemetry:
+    def _recording(self, monkeypatch):
+        import panelcast.trainer as trainer_mod
+
+        norms = []
+        real = trainer_mod.clip_global_norm
+
+        def clip(grads, max_norm):
+            norms.append(real(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(trainer_mod, "clip_global_norm", clip)
+        return norms
+
+    def test_tsv_columns_after_val_nll(self):
+        panel = sinusoid_panel(num_series=4, n=50, seed=14)
+        _, log = train(panel, small_config(max_batches=16, windows_per_epoch=64))
+        lines = log.to_tsv().splitlines()
+        assert lines[0].split("\t") == [
+            "epoch", "batches", "train_nll", "val_nll", "grad_norm_max", "clipped",
+            "skipped_divergent", "windows_per_s", "elapsed_s",
+        ]
+        body = [line.split("\t") for line in lines[1:-1]]
+        assert len(body) == len(log.rows) == 2
+        for fields, row in zip(body, log.rows):
+            assert len(fields) == 9
+            # the first four columns keep their meaning and format
+            assert (int(fields[0]), int(fields[1])) == row[:2]
+            assert float(fields[3]) == pytest.approx(row[3], abs=1e-6)
+            assert row[7] > 0.0 and np.isfinite(row[7])
+
+    def test_grad_norm_max_and_clipped_count(self, monkeypatch):
+        import panelcast.trainer as trainer_mod
+
+        norms = self._recording(monkeypatch)
+        panel = sinusoid_panel(num_series=4, n=50, seed=15)
+        _, log = train(panel, small_config(max_batches=16, windows_per_epoch=64))
+        assert len(norms) == 16
+        for k, row in enumerate(log.rows):
+            epoch_norms = norms[8 * k : 8 * (k + 1)]
+            assert row[4] == max(epoch_norms)
+            assert row[5] == sum(n > trainer_mod.MAX_GRAD_NORM for n in epoch_norms)
+            assert row[6] == 0
+
+        # With a tiny clipping threshold every applied batch is clipped.
+        monkeypatch.setattr(trainer_mod, "MAX_GRAD_NORM", 1e-9)
+        _, log = train(panel, small_config(max_batches=16, windows_per_epoch=64))
+        assert [row[5] for row in log.rows] == [8, 8]
+
+    def test_skipped_divergent_batches_counted(self, monkeypatch):
+        import panelcast.trainer as trainer_mod
+
+        norms = self._recording(monkeypatch)
+        real = trainer_mod.unroll_batch
+        calls = []
+
+        def flaky(windows, params, impute_seed=None, compute_grads=True, **kwargs):
+            if compute_grads:
+                calls.append(1)
+                if len(calls) in (2, 3, 11):
+                    raise DivergenceError("injected")
+            return real(windows, params, impute_seed, compute_grads, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "unroll_batch", flaky)
+        panel = sinusoid_panel(num_series=4, n=50, seed=16)
+        _, log = train(panel, small_config(max_batches=16, windows_per_epoch=64))
+        assert [row[6] for row in log.rows] == [2, 1]
+        assert [row[1] for row in log.rows] == [8, 16]
+        assert len(norms) == 13
+        assert log.rows[0][4] == max(norms[:6])
 
 
 class TestGridSearch:
