@@ -40,10 +40,10 @@ __all__ = [
     "raw_features",
     "feature_names",
     "fit_feature_stats",
-    "build_window",
     "placement_bounds",
     "WindowSampler",
     "velocity_histogram",
+    "text_lines",
 ]
 
 MASK_OBSERVED = 0
@@ -197,6 +197,42 @@ class Panel:
                 )
 
 
+def _target_values(raw: list, where: str) -> np.ndarray:
+    """A JSON target list as float64, NaN for null. Any other entry than a
+    finite number or null (bools and strings included) is a DataError
+    naming the first such entry."""
+    if set(map(type, raw)) <= {int, float, type(None)}:
+        try:
+            values = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer beyond float range
+            values = None
+        if values is not None and np.count_nonzero(~np.isfinite(values)) == raw.count(None):
+            return values
+    j = next(j for j, v in enumerate(raw) if not _finite_or_null(v))
+    raise DataError(f"{where}: target[{j}] must be a finite number or null")
+
+
+def _finite_or_null(v) -> bool:
+    if v is None:
+        return True
+    if type(v) not in (int, float):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def text_lines(path):
+    """(line number, line) pairs of a UTF-8 text file; bytes that do not
+    decode are a DataError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def load_jsonl(path) -> Panel:
     """Parse a JSON-lines panel file.
 
@@ -205,53 +241,45 @@ def load_jsonl(path) -> Panel:
     """
     series = []
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: invalid JSON: {e}") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{where}: expected a JSON object")
-            for key in ("id", "start", "freq", "target"):
-                if key not in obj:
-                    raise DataError(f"{where}: missing key {key!r}")
-            sid = obj["id"]
-            if not isinstance(sid, str) or not sid:
-                raise DataError(f"{where}: id must be a non-empty string")
-            if sid in seen_ids:
-                raise DataError(f"{where}: duplicate series id {sid!r}")
-            try:
-                start = datetime.fromisoformat(obj["start"])
-            except (TypeError, ValueError):
-                raise DataError(f"{where}: start is not an ISO-8601 timestamp") from None
-            gran = Granularity.from_code(obj["freq"]) if isinstance(obj["freq"], str) else None
-            if gran is None:
-                raise DataError(f"{where}: freq must be a string code")
-            raw = obj["target"]
-            if not isinstance(raw, list) or not raw:
-                raise DataError(f"{where}: target must be a non-empty array")
-            values = np.empty(len(raw), dtype=np.float64)
-            for j, v in enumerate(raw):
-                if v is None:
-                    values[j] = np.nan
-                elif isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
-                    values[j] = float(v)
-                else:
-                    raise DataError(f"{where}: target[{j}] must be a finite number or null")
-            cat = obj.get("cat", 0)
-            if not isinstance(cat, int) or isinstance(cat, bool):
-                raise DataError(f"{where}: cat must be an integer")
-            if cat >= CATEGORY_LIMIT:
-                raise DataError(f"{where}: cat {cat} is not below the limit {CATEGORY_LIMIT}")
-            try:
-                series.append(TimeSeries(sid, start, gran, values, cat))
-            except DataError as e:
-                raise DataError(f"{where}: {e}") from None
-            seen_ids.add(sid)
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{where}: invalid JSON: {e}") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{where}: expected a JSON object")
+        for key in ("id", "start", "freq", "target"):
+            if key not in obj:
+                raise DataError(f"{where}: missing key {key!r}")
+        sid = obj["id"]
+        if not isinstance(sid, str) or not sid:
+            raise DataError(f"{where}: id must be a non-empty string")
+        if sid in seen_ids:
+            raise DataError(f"{where}: duplicate series id {sid!r}")
+        try:
+            start = datetime.fromisoformat(obj["start"])
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: start is not an ISO-8601 timestamp") from None
+        gran = Granularity.from_code(obj["freq"]) if isinstance(obj["freq"], str) else None
+        if gran is None:
+            raise DataError(f"{where}: freq must be a string code")
+        raw = obj["target"]
+        if not isinstance(raw, list) or not raw:
+            raise DataError(f"{where}: target must be a non-empty array")
+        values = _target_values(raw, where)
+        cat = obj.get("cat", 0)
+        if not isinstance(cat, int) or isinstance(cat, bool):
+            raise DataError(f"{where}: cat must be an integer")
+        if cat >= CATEGORY_LIMIT:
+            raise DataError(f"{where}: cat {cat} is not below the limit {CATEGORY_LIMIT}")
+        try:
+            series.append(TimeSeries(sid, start, gran, values, cat))
+        except DataError as e:
+            raise DataError(f"{where}: {e}") from None
+        seen_ids.add(sid)
     if not series:
         raise DataError(f"{path}: empty panel: no series")
     try:
@@ -462,16 +490,6 @@ def _window_arrays(series: TimeSeries, spec: WindowSpec, start_offset: int):
     cond[mask[: spec.conditioning_length] == MASK_MISSING] = np.nan
     scale = compute_scale(cond)
     return target, mask, scale
-
-
-def build_window(
-    series: TimeSeries, spec: WindowSpec, start_offset: int, stats: FeatureStats
-) -> TrainingWindow:
-    target, mask, scale = _window_arrays(series, spec, start_offset)
-    covariates = stats.standardize(raw_features(series, start_offset, spec.total))
-    return TrainingWindow(
-        series.id, start_offset, target, mask, covariates, scale, series.category
-    )
 
 
 class WindowSampler:

@@ -2,17 +2,26 @@
 roll its sample paths forward by drawing from the predicted distribution
 and feeding the draw back in.
 
-A panel is forecast in row blocks. A block holds whole series with all
-their paths, up to ROW_BUDGET rows; a series with more paths than that
-fills blocks of its own. Each block encodes its series' conditioning
-ranges together, then decodes all of its rows one step at a time.
+A panel is forecast in two phases, one group of up to ROW_BUDGET series
+at a time:
+
+1. Encode. The group's series run through their conditioning ranges and
+   the first prediction step together, one row per series. Every path of
+   a series starts from the same state and the same first predictive
+   distribution, so both are computed once per series.
+2. Decode. The paths are packed into row blocks of whole series with all
+   their paths, up to ROW_BUDGET rows; a series with more paths than that
+   fills blocks of its own. Each block loads its series' rows of the
+   encoded step slab (lstm.StepSlab), draws step 0 from the encoded
+   distribution and steps the slab in place from step 1 on, allocating
+   nothing per step.
 
 Draws come from the keyed generator in `rng`: path p of series s at
 step t reads the uniforms H(seed, s, p, t, round), and imputation of a
 missing conditioning value at step t reads H(seed, s, 0, t, round)
 under a separate tag. So path p is the same no matter how many paths
-are drawn, which series share its block, or how the panel is split into
-blocks, bit for bit: the network computes each row independently of the
+are drawn, which series share its group or block, or how the panel is
+split, bit for bit: the network computes each row independently of the
 other rows of its batch.
 
 Quantiles are empirical nearest-rank: sorted column index ceil(rho*n)-1.
@@ -34,10 +43,11 @@ from .dataset import (
     TimeSeries,
     compute_scale,
     raw_features,
+    text_lines,
 )
 from .errors import ConfigError, DataError
 from .likelihood import draw
-from .lstm import LstmState, step_buffers
+from .lstm import StepSlab
 from .network import ModelParams, decode_step, encode
 from .rng import RowKeys, substream
 
@@ -59,10 +69,10 @@ __all__ = [
 
 DEFAULT_NUM_SAMPLES = 200
 
-# Rows (series x paths) decoded together. Each decode step's numpy calls
-# are amortised over the block, and the block's arrays set the peak
-# memory of a forecast, not the panel size; at 400 rows the peak RSS of
-# `predict` stays within 1 MiB of a one-series-at-a-time loop.
+# Series encoded together, and rows (series x paths) decoded together.
+# Each step's numpy calls are amortised over the rows, and a group's and
+# a block's arrays, not the panel size, set the peak memory of a
+# forecast.
 ROW_BUDGET = 400
 
 
@@ -135,9 +145,9 @@ def forecast_panel(
     input order.
 
     horizon defaults to the model's prediction length. Each series'
-    conditioning range is encoded once per block (missing values imputed
-    by sampling); all its paths start from that state. The whole panel
-    is validated before any forecasting work.
+    conditioning range and first prediction step are encoded once
+    (missing values imputed by sampling); all its paths start from that
+    state. The whole panel is validated before any forecasting work.
     """
     series_list = list(series_list)
     if num_samples < 1:
@@ -156,7 +166,7 @@ def forecast_panel(
                 f"series {series.id!r}: category {series.category} is outside the "
                 f"model's {params.category_cardinality} categories"
             )
-    return _forecast_blocks(series_list, params, num_samples, seed, h)
+    return _forecast_groups(series_list, params, num_samples, seed, h)
 
 
 def _plan_blocks(num_series: int, num_samples: int) -> list:
@@ -180,66 +190,81 @@ def _plan_blocks(num_series: int, num_samples: int) -> list:
     return blocks
 
 
-def _forecast_blocks(series_list, params, num_samples, seed, h):
-    pending = []  # path chunks of a series split over several blocks
-    for block in _plan_blocks(len(series_list), num_samples):
-        members = [series_list[i] for i, _, _ in block]
-        chunks = _forecast_block(members, block, params, seed, h)
-        for (i, _, p1), chunk in zip(block, chunks):
-            pending.append(chunk)
-            if p1 == num_samples:
-                series = series_list[i]
-                samples = pending[0] if len(pending) == 1 else np.concatenate(pending)
-                pending = []
-                yield ForecastSamples(series.id, series.timestamp(series.n), samples, seed)
+def _forecast_groups(series_list, params, num_samples, seed, h):
+    if not series_list:
+        return
+    slab = StepSlab(params.layers, min(ROW_BUDGET, len(series_list) * num_samples))
+    for g0 in range(0, len(series_list), ROW_BUDGET):
+        group = series_list[g0 : g0 + ROW_BUDGET]
+        encoded = _encode_group(group, params, seed, h)
+        pending = []  # path chunks of a series split over several blocks
+        for block in _plan_blocks(len(group), num_samples):
+            chunks = _decode_block(encoded, block, params, seed, h, slab)
+            for (i, _, p1), chunk in zip(block, chunks):
+                pending.append(chunk)
+                if p1 == num_samples:
+                    series = group[i]
+                    samples = pending[0] if len(pending) == 1 else np.concatenate(pending)
+                    pending = []
+                    yield ForecastSamples(series.id, series.timestamp(series.n), samples, seed)
 
 
-def _forecast_block(members, block, params: ModelParams, seed: int, h: int) -> list:
-    """Sample matrices (paths, h) for one block's segments."""
+@dataclass
+class _EncodedGroup:
+    """A group's series after the first prediction step, one row each."""
+
+    ids: list
+    slab: StepSlab  # state after step 0, embedding columns written
+    mu: np.ndarray  # (G,) step-0 distribution parameters
+    disp: np.ndarray
+    nu: np.ndarray  # (G,)
+    covariates: np.ndarray  # (G, h - 1, d), steps 1 .. h - 1
+
+
+def _encode_group(group, params: ModelParams, seed: int, h: int) -> _EncodedGroup:
     c = params.spec.conditioning_length
-    conds = [_conditioning_arrays(series, params) for series in members]
+    conds = [_conditioning_arrays(series, params) for series in group]
     feats = np.stack(
         [
             params.stats.standardize(raw_features(series, cond[0], c + h))
-            for series, cond in zip(members, conds)
+            for series, cond in zip(group, conds)
         ]
     )
     nu = np.array([cond[3] for cond in conds])
-    cats = np.array([series.category for series in members], dtype=np.intp)
-    ids = [series.id for series in members]
-    state, z_last = encode(
+    ids = [series.id for series in group]
+    slab, z_last = encode(
         np.stack([cond[1] for cond in conds]),
         np.stack([cond[2] for cond in conds]),
         feats[:, :c],
         nu,
-        cats,
+        np.array([series.category for series in group], dtype=np.intp),
         params,
         RowKeys.for_series(seed, "impute", ids, np.zeros(len(ids))),
     )
+    mu, disp = decode_step(params, slab, z_last, feats[:, c], nu)
+    return _EncodedGroup(ids, slab, mu, disp, nu, feats[:, c + 1 :])
 
+
+def _decode_block(enc: _EncodedGroup, block, params: ModelParams, seed: int, h: int,
+                  slab: StepSlab) -> list:
+    """Sample matrices (paths, h) for one block's segments, stepped on `slab`."""
     counts = [p1 - p0 for _, p0, p1 in block]
-    row_series = np.repeat(np.arange(len(members)), counts)
+    row_series = np.repeat([i for i, _, _ in block], counts)
     keys = RowKeys.for_series(
         seed,
         "path",
-        [ids[i] for i in row_series],
+        [enc.ids[i] for i in row_series],
         np.concatenate([np.arange(p0, p1) for _, p0, p1 in block]),
     )
-    state = LstmState(
-        [np.repeat(a, counts, axis=0) for a in state.h],
-        [np.repeat(a, counts, axis=0) for a in state.c],
-    )
-    z_prev = z_last[row_series]
-    row_nu = nu[row_series]
-    row_cats = cats[row_series]
-    buffers = step_buffers(params.layers, row_series.size)
+    slab.reset(row_series.size)
+    slab.load(enc.slab, row_series)
+    nu = enc.nu[row_series]
+    covariates = enc.covariates[row_series]
     out = np.empty((row_series.size, h), dtype=np.float64)
-    for t in range(h):
-        state, mu, disp = decode_step(
-            params, state, z_prev, feats[row_series, c + t], row_cats, row_nu, buffers
-        )
-        z_prev = draw(params.likelihood, mu, disp, keys, t)
-        out[:, t] = z_prev
+    out[:, 0] = draw(params.likelihood, enc.mu[row_series], enc.disp[row_series], keys, 0)
+    for t in range(1, h):
+        mu, disp = decode_step(params, slab, out[:, t - 1], covariates[:, t - 1], nu)
+        out[:, t] = draw(params.likelihood, mu, disp, keys, t)
     return np.split(out, np.cumsum(counts)[:-1])
 
 
@@ -324,12 +349,12 @@ class ForecastRecord:
             "num_samples": self.num_samples,
             "seed": self.seed,
             "quantiles": {
-                repr(level): [float(v) for v in vals]
+                repr(level): np.asarray(vals, dtype=np.float64).tolist()
                 for level, vals in self.quantile_values.items()
             },
         }
         if self.samples is not None:
-            obj["samples"] = [[float(v) for v in row] for row in self.samples]
+            obj["samples"] = np.asarray(self.samples, dtype=np.float64).tolist()
         return obj
 
     @classmethod
@@ -350,7 +375,7 @@ class ForecastRecord:
                 int(obj["seed"]),
                 samples,
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
             raise DataError(f"malformed forecast record: {e}") from None
 
 
@@ -376,15 +401,14 @@ def render_forecasts(records) -> str:
 
 def read_forecasts(path):
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
-            records.append(ForecastRecord.from_json_obj(obj))
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
+        records.append(ForecastRecord.from_json_obj(obj))
     if not records:
         raise DataError(f"{path}: no forecast records")
     return records

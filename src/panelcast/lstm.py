@@ -6,11 +6,13 @@ one weight matrix in the order input | forget | candidate | output, with
 the input and recurrent paths stacked row-wise so each step is a single
 matmul of [x, h] against it.
 
-Inference steps the stack one time step at a time (lstm_step). Training
-records a whole sequence in a SequenceTape, whose per-layer (T, B, .)
-slabs the same cell arithmetic fills step by step; its backward pass
-runs layer by layer, keeps only the recurrence inside the time loop and
-takes each layer's weight gradient as one product over all T*B rows.
+Inference steps the stack one time step at a time on a StepSlab, which
+allocates nothing per step. Training records a whole sequence in a
+SequenceTape, whose per-layer (T, B, .) slabs the same cell arithmetic
+fills step by step; its backward pass runs layer by layer, keeps only
+the recurrence inside the time loop and takes each layer's weight
+gradient as one product over all T*B rows. Both lay a step's inputs and
+hidden states out as one row [x, h_0, ..., h_{L-1}].
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ __all__ = [
     "LstmLayerParams",
     "LstmState",
     "SequenceTape",
+    "StepSlab",
     "init_layer",
-    "zero_state",
-    "step_buffers",
-    "lstm_step",
 ]
 
 
@@ -74,32 +74,22 @@ def init_layer(input_dim: int, hidden_dim: int, stream) -> LstmLayerParams:
     return LstmLayerParams(input_dim, hidden_dim, w, b)
 
 
-def zero_state(layers, batch: int) -> LstmState:
-    return LstmState(
-        [np.zeros((batch, layer.hidden_dim)) for layer in layers],
-        [np.zeros((batch, layer.hidden_dim)) for layer in layers],
-    )
-
-
-def step_buffers(layers, batch: int) -> list:
-    """Per-layer (xh, gates, tanh_c, scratch) work arrays for a batch of
-    `batch` rows, which lstm_step can fill on every step instead of
-    allocating them. The layers share one storage: a layer's step is done
-    with its work arrays before the next layer starts."""
-    hidden = max(layer.hidden_dim for layer in layers)
-    xh_store = np.empty(batch * max(layer.input_dim + layer.hidden_dim for layer in layers))
-    gates_store = np.empty(batch * 4 * hidden)
-    tanh_store = np.empty(batch * hidden)
-    scratch_store = np.empty(batch * hidden)
-    return [
-        (
-            xh_store[: batch * (layer.input_dim + layer.hidden_dim)].reshape(batch, -1),
-            gates_store[: batch * 4 * layer.hidden_dim].reshape(batch, -1),
-            tanh_store[: batch * layer.hidden_dim].reshape(batch, -1),
-            scratch_store[: batch * layer.hidden_dim].reshape(batch, -1),
-        )
-        for layer in layers
-    ]
+def _slab_columns(layers):
+    """Column layout of a slab row [x, h_0, ..., h_{L-1}]: per layer the
+    column range of its [input, h] and the column its h starts at, and
+    the row width."""
+    cols, h_col = [], []
+    lo, hi = 0, layers[0].input_dim
+    for idx, layer in enumerate(layers):
+        if idx and layer.input_dim != layers[idx - 1].hidden_dim:
+            raise ConfigError(
+                f"LSTM layer {idx} input_dim {layer.input_dim} != hidden_dim "
+                f"{layers[idx - 1].hidden_dim} of the layer below"
+            )
+        h_col.append(hi)
+        cols.append((lo, hi + layer.hidden_dim))
+        lo, hi = hi, hi + layer.hidden_dim
+    return cols, h_col, hi
 
 
 def _cell(xh, c_prev, layer: LstmLayerParams, gates, c, tanh_c, h, scratch):
@@ -107,8 +97,10 @@ def _cell(xh, c_prev, layer: LstmLayerParams, gates, c, tanh_c, h, scratch):
 
     Reads xh = [x, h_prev] (B, input_dim + hidden_dim) and c_prev; writes
     the activated gates (B, 4 * hidden_dim), c, tanh(c) and h; scratch is a
-    (B, hidden_dim) work array. Each row's result depends only on that row,
-    bit for bit, whatever the batch size.
+    (B, hidden_dim) work array. c may be c_prev, and h may lie inside xh:
+    xh is read only by the product, before anything is written. Each
+    row's result depends only on that row, bit for bit, whatever the
+    batch size.
     """
     hd = layer.hidden_dim
     if xh.shape[0] == 1:
@@ -136,28 +128,81 @@ def _cell(xh, c_prev, layer: LstmLayerParams, gates, c, tanh_c, h, scratch):
     np.multiply(gates[:, 3 * hd :], tanh_c, out=h)
 
 
-def lstm_step(x, state: LstmState, layers, buffers=None) -> LstmState:
-    """One step through the whole stack, keeping nothing for a backward
-    pass. `buffers` (from step_buffers) saves allocating the work arrays."""
-    if buffers is None:
-        buffers = step_buffers(layers, x.shape[0])
-    h_list, c_list = [], []
-    inp = x
-    for idx, layer in enumerate(layers):
-        if inp.shape[1] != layer.input_dim:
-            raise ConfigError(
-                f"LSTM input width {inp.shape[1]} != layer input_dim {layer.input_dim}"
-            )
-        xh, gates, tanh_c, scratch = buffers[idx]
-        xh[:, : layer.input_dim] = inp
-        xh[:, layer.input_dim :] = state.h[idx]
-        c = np.empty_like(state.c[idx])
-        h = np.empty_like(c)
-        _cell(xh, state.c[idx], layer, gates, c, tanh_c, h, scratch)
-        h_list.append(h)
-        c_list.append(c)
-        inp = h
-    return LstmState(h_list, c_list)
+class StepSlab:
+    """The stack stepped one time step at a time over a batch of rows, on
+    arrays allocated once: the SequenceTape's skewed slab collapsed to a
+    single row.
+
+    xh (B, input_dim + sum of hidden dims) holds [x, h_0, ..., h_{L-1}],
+    so layer l's [input, h_prev] is one column range, and the h it writes
+    in place is already the next layer's input. Each layer keeps one cell
+    (B, H), updated in place; the layers share the gate and work arrays.
+    The caller writes the layer-0 inputs into `inputs` (columns it leaves
+    alone keep their values from step to step) and calls step(). A slab
+    starts from the zero state; storage is sized for `batch` rows, and
+    reset() starts over with fewer.
+    """
+
+    def __init__(self, layers, batch: int):
+        self.layers = layers
+        self.capacity = batch
+        self._cols, self._h_col, self._width = _slab_columns(layers)
+        hidden = max(layer.hidden_dim for layer in layers)
+        self._xh_store = np.empty(batch * self._width)
+        self._c_stores = [np.empty(batch * layer.hidden_dim) for layer in layers]
+        self._gate_store = np.empty(batch * 4 * hidden)
+        self._work_store = np.empty(2 * batch * hidden)  # a step's tanh(c) and scratch
+        self.reset(batch)
+
+    def reset(self, batch: int) -> None:
+        """Use the first `batch` rows (at most the capacity), with inputs
+        and state all zero."""
+        if not 0 < batch <= self.capacity:
+            raise ConfigError(f"slab holds at most {self.capacity} rows, not {batch}")
+        self.xh = self._xh_store[: batch * self._width].reshape(batch, self._width)
+        self.xh[...] = 0.0
+        self.c = [store[: batch * layer.hidden_dim].reshape(batch, -1)
+                  for store, layer in zip(self._c_stores, self.layers)]
+        self._step_arrays = []
+        for layer in self.layers:
+            n = batch * layer.hidden_dim
+            self._step_arrays.append((
+                self._gate_store[: 4 * n].reshape(batch, -1),
+                self._work_store[:n].reshape(batch, -1),
+                self._work_store[n : 2 * n].reshape(batch, -1),
+            ))
+        for c in self.c:
+            c[...] = 0.0
+
+    def load(self, source: "StepSlab", rows) -> None:
+        """Copy rows `rows` of `source` (inputs, states and all) into this
+        slab's rows, which reset() has sized to len(rows)."""
+        self.xh[...] = source.xh[rows]
+        for c, src in zip(self.c, source.c):
+            c[...] = src[rows]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """(B, input_dim) view of the layer-0 inputs, for the caller to fill."""
+        return self.xh[:, : self.layers[0].input_dim]
+
+    def h(self, idx: int) -> np.ndarray:
+        """(B, H) view of layer idx's hidden state."""
+        col = self._h_col[idx]
+        return self.xh[:, col : col + self.layers[idx].hidden_dim]
+
+    @property
+    def hidden(self) -> np.ndarray:
+        """(B, H) view of the top layer's hidden state."""
+        return self.h(len(self.layers) - 1)
+
+    def step(self) -> None:
+        """Run every layer for one step on the inputs in place."""
+        for idx, layer in enumerate(self.layers):
+            lo, hi = self._cols[idx]
+            gates, tanh_c, scratch = self._step_arrays[idx]
+            c = self.c[idx]
+            _cell(self.xh[:, lo:hi], c, layer, gates, c, tanh_c, self.h(idx), scratch)
 
 
 # Steps per pass of SequenceTape._local_derivatives; its work array,
@@ -185,22 +230,11 @@ class SequenceTape:
         self.steps = steps
         self.capacity = batch
         # Column range of layer l's [input, h] in a slab row, and where its h starts.
-        self._cols, self._h_col = [], []
-        lo, hi = 0, layers[0].input_dim
-        for idx, layer in enumerate(layers):
-            if idx and layer.input_dim != layers[idx - 1].hidden_dim:
-                raise ConfigError(
-                    f"LSTM layer {idx} input_dim {layer.input_dim} != hidden_dim "
-                    f"{layers[idx - 1].hidden_dim} of the layer below"
-                )
-            self._h_col.append(hi)
-            self._cols.append((lo, hi + layer.hidden_dim))
-            lo, hi = hi, hi + layer.hidden_dim
-        self._width = hi
+        self._cols, self._h_col, self._width = _slab_columns(layers)
         hidden = max(layer.hidden_dim for layer in layers)
         # Flat storage for `capacity` rows; reset() carves the slabs for
         # the rows in use, so a shorter batch reuses the same memory.
-        self._xh_store = np.empty((steps + len(layers)) * batch * hi)
+        self._xh_store = np.empty((steps + len(layers)) * batch * self._width)
         self._c_stores = [np.empty((steps + 1) * batch * layer.hidden_dim) for layer in layers]
         self._gate_stores = [np.empty(steps * batch * 4 * layer.hidden_dim) for layer in layers]
         self._row_work = np.empty((2, batch, hidden))  # a step's tanh(c) and scratch

@@ -2,6 +2,11 @@
 heads, with teacher-forced training unrolls, batched conditioning-range
 encoding, and batched single-step decoding for sampling.
 
+Encoding and decoding step a lstm.StepSlab: `encode` writes each row's
+embedding into the slab once and leaves the slab holding the state after
+the conditioning range; `decode_step` then advances the same slab (or
+one loaded from its rows) a step at a time in place.
+
 The input at step t is [z_{t-1}/nu, covariates_t, embedding]; z before
 the window start is 0. The loss sums the negative log-likelihood over
 observed and padded steps; steps with a missing target are excluded, and
@@ -23,6 +28,7 @@ from .dataset import (
     FeatureStats,
     Granularity,
     WindowSpec,
+    feature_names,
 )
 from .errors import ConfigError, DataError, DivergenceError
 from .likelihood import (
@@ -37,12 +43,9 @@ from .likelihood import (
 )
 from .lstm import (
     LstmLayerParams,
-    LstmState,
     SequenceTape,
+    StepSlab,
     init_layer,
-    lstm_step,
-    step_buffers,
-    zero_state,
 )
 from .rng import RowKeys, substream
 
@@ -168,10 +171,16 @@ class UnrollResult:
         return LikelihoodParams(self.likelihood, float(self.mus[b, t]), float(self.disps[b, t]))
 
 
-def _rows_input(z_prev, nu, covariates, emb) -> np.ndarray:
-    """Per-row step inputs [z_{t-1}/nu, x_t, embedding], shape (..., B, input_dim)
-    for z_prev (..., B), nu (B,), covariates (..., B, d) and emb (..., B, e)."""
-    return np.concatenate([(z_prev / nu)[..., None], covariates, emb], axis=-1)
+def _write_inputs(x, z_prev, nu, covariates, emb=None) -> None:
+    """Write the per-row step inputs [z_{t-1}/nu, x_t, embedding] into x
+    (..., B, input_dim) in place, for z_prev (..., B), nu (B,), covariates
+    (..., B, d) and emb (B, e). emb=None leaves the embedding columns as
+    they are."""
+    np.divide(z_prev, nu, out=x[..., 0])
+    d = covariates.shape[-1]
+    x[..., 1 : 1 + d] = covariates
+    if emb is not None:
+        x[..., 1 + d :] = emb
 
 
 def _divergence(step: int, mu, disp) -> DivergenceError:
@@ -226,12 +235,8 @@ def unroll_batch(
     x = tape.inputs
     z_prev = np.zeros((T, B))
     z_prev[1:] = np.where(counted[:, :-1], targets[:, :-1], 0.0).T
-    emb = params.embedding[cats]
-    x[...] = _rows_input(
-        z_prev,
-        nu,
-        np.stack([w.covariates for w in windows], axis=1),
-        np.broadcast_to(emb, (T, *emb.shape)),
+    _write_inputs(
+        x, z_prev, nu, np.stack([w.covariates for w in windows], axis=1), params.embedding[cats]
     )
     keys = None
     steps = T
@@ -247,7 +252,7 @@ def unroll_batch(
                 keys = RowKeys.for_series(
                     impute_seed, "impute", [w.series_id for w in windows], np.arange(B)
                 )
-            # The drawn value replaces the lagged slot of _rows_input.
+            # The drawn value replaces the lagged slot of _write_inputs.
             x[t + 1, miss, 0] = draw(kind, mu, disp, keys.take(miss), t) / nu[miss]
 
     # Rows of the block are in (step, window) order.
@@ -301,55 +306,55 @@ def encode(
     of series, one row each.
 
     target_cond and mask_cond are (B, c), covariates_cond (B, c, d), nu
-    and categories (B,). Returns (state, z_last) where state is the LSTM
-    state after the last conditioning step and z_last (B,) the values to
-    feed the first decode step. A missing value at step t is replaced by
-    a draw from that step's predictive distribution at counter step t of
-    the row's key; padded steps feed zeros. A zero-length conditioning
+    and categories (B,). Returns (slab, z_last): a StepSlab holding the
+    LSTM state after the last conditioning step, with each row's
+    embedding written, ready for decode_step; and z_last (B,), the values
+    to feed the first decode step. A missing value at step t is replaced
+    by a draw from that step's predictive distribution at counter step t
+    of the row's key; padded steps feed zeros. A zero-length conditioning
     range gives the zero state.
     """
     batch, n = target_cond.shape
     kind = params.likelihood
-    state = zero_state(params.layers, batch)
-    emb = params.embedding[categories]
+    slab = StepSlab(params.layers, batch)
     z_prev = np.zeros(batch)
-    buffers = step_buffers(params.layers, batch)
+    # The embedding columns of _write_inputs, written once for every step.
+    slab.inputs[:, 1 + params.feature_dim :] = params.embedding[categories]
     for t in range(n):
-        u = _rows_input(z_prev, nu, covariates_cond[:, t, :], emb)
-        state = lstm_step(u, state, params.layers, buffers)
+        _write_inputs(slab.inputs, z_prev, nu, covariates_cond[:, t, :])
+        slab.step()
         z_prev = target_cond[:, t].copy()
         miss = np.nonzero(mask_cond[:, t] == MASK_MISSING)[0]
         if miss.size:
             if keys is None:
                 raise ConfigError("missing conditioning values require sampling keys")
-            mu, disp, _ = apply_heads(state.h[-1][miss], params.heads, nu[miss], kind)
+            mu, disp, _ = apply_heads(slab.hidden[miss], params.heads, nu[miss], kind)
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
                 raise DivergenceError("non-finite distribution parameters during encoding")
             z_prev[miss] = draw(kind, mu, disp, keys.take(miss), t)
-    return state, z_prev
+    return slab, z_prev
 
 
 def decode_step(
     params: ModelParams,
-    state: LstmState,
+    slab: StepSlab,
     z_prev: np.ndarray,
     covariates: np.ndarray,
-    categories: np.ndarray,
     nu: np.ndarray,
-    buffers=None,
 ):
     """One prediction step for a batch of rows (sample paths of one or
-    more series); covariates is (B, d), categories and nu (B,). buffers,
-    from lstm.step_buffers, are reused work arrays for the LSTM step.
+    more series), advancing `slab` in place; its embedding columns must
+    already hold each row's embedding, as encode leaves them. z_prev and
+    nu are (B,), covariates (B, d).
 
-    Returns (new state, mu, disp) with mu and disp shaped like z_prev.
+    Returns (mu, disp), each (B,), for the step just taken.
     """
-    u = _rows_input(z_prev, nu, covariates, params.embedding[categories])
-    state = lstm_step(u, state, params.layers, buffers)
-    mu, disp, _ = apply_heads(state.h[-1], params.heads, nu, params.likelihood)
+    _write_inputs(slab.inputs, z_prev, nu, covariates)
+    slab.step()
+    mu, disp, _ = apply_heads(slab.hidden, params.heads, nu, params.likelihood)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
         raise DivergenceError("non-finite distribution parameters during decoding")
-    return state, mu, disp
+    return mu, disp
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -399,7 +404,7 @@ def model_from_bytes(blob: bytes) -> ModelParams:
         return _model_from_doc(doc)
     except KeyError as e:
         raise DataError(f"model file lacks {e}") from None
-    except (TypeError, ValueError, AttributeError) as e:
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
         raise DataError(f"malformed model file: {e}") from None
 
 
@@ -433,11 +438,19 @@ def _model_from_doc(doc: dict) -> ModelParams:
             f"embedding shape {embedding.shape} does not match category_cardinality "
             f"{cardinality} and embedding_dim {doc['embedding_dim']}"
         )
+    granularity = Granularity.from_code(doc["granularity"])
+    names = feature_names(granularity)
+    if stats.names != names or stats.mean.shape != (len(names),) or stats.std.shape != (len(names),):
+        raise ValueError(f"feature statistics do not match the {granularity.value} features {names}")
+    if layers[0].input_dim != 1 + len(names) + embedding.shape[1]:
+        raise ValueError(
+            f"LSTM input width {layers[0].input_dim} does not match the features and embedding"
+        )
     return ModelParams(
         LikelihoodKind(doc["likelihood"]),
         spec,
         stats,
-        Granularity.from_code(doc["granularity"]),
+        granularity,
         cardinality,
         embedding,
         layers,

@@ -220,20 +220,13 @@ class RowKeys:
         """(rounds, 2 * lanes, rows) doubles: uniforms() of several rounds
         in one pass."""
         n = len(self)
-        copies = rounds * lanes
-        rnd = np.arange(first_round, first_round + rounds, dtype=np.uint64)
-        lane = np.arange(first_lane, first_lane + lanes, dtype=np.uint64)
-        words = _philox(
-            np.tile(self.path, copies),
-            np.uint64(step),
-            np.repeat(rnd, lanes * n),
-            np.tile(np.repeat(lane, n), rounds),
-            np.tile(self._rk0, (1, copies)),
-            np.tile(self._rk1, (1, copies)),
-        )
+        # Counter words broadcast to (rounds, lanes, rows) inside the rounds.
+        rnd = np.arange(first_round, first_round + rounds, dtype=np.uint64).reshape(-1, 1, 1)
+        lane = np.arange(first_lane, first_lane + lanes, dtype=np.uint64).reshape(-1, 1)
+        words = _philox(self.path, np.uint64(step), rnd, lane, self._rk0, self._rk1)
         out = np.empty((rounds, 2 * lanes, n))
-        out[:, 0::2] = _doubles(words[0], words[1]).reshape(rounds, lanes, n)
-        out[:, 1::2] = _doubles(words[2], words[3]).reshape(rounds, lanes, n)
+        out[:, 0::2] = _doubles(words[0], words[1])
+        out[:, 1::2] = _doubles(words[2], words[3])
         return out
 
 
@@ -246,17 +239,20 @@ class RowKeys:
 
 _GAMMA_LANE = 0
 _POISSON_LANE = 2
-# Retry rounds fetched per Philox pass for the rows a round rejected.
+# Rounds that neg_binomials fetches for every row up front, and retry
+# rounds fetched per Philox pass for the rows those leave rejected.
+_PREFETCH_ROUNDS = 3
 _RETRY_ROUNDS = 4
 
 
-def _masked_rounds(keys: RowKeys, step: int, lanes: int, first_lane: int, u0, attempt):
+def _masked_rounds(keys: RowKeys, step: int, lanes: int, first_lane: int, pre, attempt):
     """Rejection sampling over rows: attempt(rows, u) -> (accepted, values)
-    for the given row indices and their uniforms of one round. Round 0
-    uses u0; rejected rows retry on rounds 1, 2, ... until all accept."""
+    for the given row indices and their uniforms of one round. `pre`
+    (k, 2 * lanes, rows) holds rounds 0 .. k-1 of every row; rows still
+    rejected after those retry on rounds k, k+1, ... until all accept."""
     out = np.empty(len(keys))
     rows = np.arange(len(keys))
-    u = u0
+    u = pre[0]
     rnd = 0
     while True:
         accepted, values = attempt(rows, u)
@@ -265,7 +261,10 @@ def _masked_rounds(keys: RowKeys, step: int, lanes: int, first_lane: int, u0, at
         if not rows.size:
             return out
         rnd += 1
-        j = (rnd - 1) % _RETRY_ROUNDS
+        if rnd < len(pre):
+            u = pre[rnd][:, rows]
+            continue
+        j = (rnd - len(pre)) % _RETRY_ROUNDS
         if j == 0:
             batch_rows = rows
             batch = keys.take(rows).rounds(step, rnd, _RETRY_ROUNDS, lanes, first_lane)
@@ -288,10 +287,10 @@ def gammas(keys: RowKeys, step: int, shape, scale=1.0) -> np.ndarray:
     not yet accepted, with Gamma(a) = Gamma(a + 1) * U^(1/a) for a < 1."""
     if np.any(np.asarray(scale) <= 0.0):
         raise ValueError("gamma requires scale > 0")
-    return _gammas(keys, step, shape, keys.uniforms(step, 0, 2, _GAMMA_LANE)) * scale
+    return _gammas(keys, step, shape, keys.rounds(step, 0, 1, 2, _GAMMA_LANE)) * scale
 
 
-def _gammas(keys: RowKeys, step: int, shape, u0) -> np.ndarray:
+def _gammas(keys: RowKeys, step: int, shape, pre) -> np.ndarray:
     shape = np.broadcast_to(np.asarray(shape, dtype=np.float64), (len(keys),))
     if not np.all(np.isfinite(shape) & (shape > 0.0)):
         raise ValueError("gamma requires finite shape > 0")
@@ -314,28 +313,28 @@ def _gammas(keys: RowKeys, step: int, shape, u0) -> np.ndarray:
             accepted[slow] = np.log(ua[slow]) < 0.5 * x2[slow] + dr[slow] * (1.0 - vs + np.log(vs))
         return accepted, dr * v
 
-    out = _masked_rounds(keys, step, 2, _GAMMA_LANE, u0, attempt)
+    out = _masked_rounds(keys, step, 2, _GAMMA_LANE, pre, attempt)
     if np.any(boosted):
-        out[boosted] *= np.exp(np.log(1.0 - u0[3, boosted]) / shape[boosted])
+        out[boosted] *= np.exp(np.log(1.0 - pre[0, 3, boosted]) / shape[boosted])
     return out
 
 
 def poissons(keys: RowKeys, step: int, lam) -> np.ndarray:
     """One Poisson(lam) count per row, as float64."""
-    return _poissons(keys, step, lam, keys.uniforms(step, 0, 1, _POISSON_LANE))
+    return _poissons(keys, step, lam, keys.rounds(step, 0, 1, 1, _POISSON_LANE))
 
 
-def _poissons(keys: RowKeys, step: int, lam, u0) -> np.ndarray:
+def _poissons(keys: RowKeys, step: int, lam, pre) -> np.ndarray:
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (len(keys),))
     if not np.all(np.isfinite(lam) & (lam >= 0.0)):
         raise ValueError("poisson requires finite lambda >= 0")
     out = np.zeros(len(keys))
     small = np.nonzero((lam > 0.0) & (lam < 10.0))[0]
     if small.size:
-        out[small] = _poisson_inversion(lam[small], u0[0, small])
+        out[small] = _poisson_inversion(lam[small], pre[0, 0, small])
     large = np.nonzero(lam >= 10.0)[0]
     if large.size:
-        out[large] = _poisson_ptrs(keys.take(large), step, lam[large], u0[:, large])
+        out[large] = _poisson_ptrs(keys.take(large), step, lam[large], pre[..., large])
     return out
 
 
@@ -354,7 +353,7 @@ def _poisson_inversion(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     return k
 
 
-def _poisson_ptrs(keys: RowKeys, step: int, lam: np.ndarray, u0) -> np.ndarray:
+def _poisson_ptrs(keys: RowKeys, step: int, lam: np.ndarray, pre) -> np.ndarray:
     # Hormann's transformed rejection with squeeze (PTRS), lambda >= 10.
     loglam = np.log(lam)
     b = 0.931 + 2.53 * np.sqrt(lam)
@@ -380,7 +379,7 @@ def _poisson_ptrs(keys: RowKeys, step: int, lam: np.ndarray, u0) -> np.ndarray:
             )
         return accepted, k
 
-    return _masked_rounds(keys, step, 1, _POISSON_LANE, u0, attempt)
+    return _masked_rounds(keys, step, 1, _POISSON_LANE, pre, attempt)
 
 
 def neg_binomials(keys: RowKeys, step: int, mu, alpha) -> np.ndarray:
@@ -390,7 +389,8 @@ def neg_binomials(keys: RowKeys, step: int, mu, alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(mu <= 0.0) or np.any(alpha <= 0.0):
         raise ValueError("neg_binomial requires mu > 0 and alpha > 0")
-    # Round 0 of both stages in one pass: Gamma lanes 0-1, Poisson lane 2.
-    u0 = keys.uniforms(step, 0, 3, _GAMMA_LANE)
-    lam = _gammas(keys, step, 1.0 / alpha, u0[:4]) * (alpha * mu)
-    return _poissons(keys, step, lam, u0[4:])
+    # The first rounds of both stages in one pass: Gamma lanes 0-1,
+    # Poisson lane 2. Few rows need a retry pass after them.
+    pre = keys.rounds(step, 0, _PREFETCH_ROUNDS, 3, _GAMMA_LANE)
+    lam = _gammas(keys, step, 1.0 / alpha, pre[:, :4]) * (alpha * mu)
+    return _poissons(keys, step, lam, pre[:, 4:])

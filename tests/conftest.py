@@ -4,13 +4,29 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from panelcast.dataset import Granularity, Panel, TimeSeries, WindowSpec, fit_feature_stats
+from panelcast.dataset import (
+    Granularity,
+    Panel,
+    TimeSeries,
+    WindowSampler,
+    WindowSpec,
+    fit_feature_stats,
+)
 from panelcast.likelihood import LikelihoodKind
 from panelcast.network import init_model
 from panelcast.trainer import TrainConfig, train
 
 START = datetime(2014, 1, 6)
+
+# Property and fuzz tests draw the same examples on every run, take as
+# long as they need per example, and stay few enough for the fast suite.
+# A test's own @settings still overrides these.
+settings.register_profile(
+    "panelcast", deadline=None, derandomize=True, max_examples=100, database=None
+)
+settings.load_profile("panelcast")
 
 
 def make_series(sid, values, start=START, granularity=Granularity.DAILY, category=0):
@@ -37,6 +53,12 @@ def count_panel(num_series=8, n=60, seed=3, mean_lo=2.0, mean_hi=9.0):
         vals = rng.poisson(mean, n).astype(np.float64)
         series.append(make_series(f"c{i}", vals, category=i % 2))
     return Panel(series)
+
+
+def cut_window(series, spec, start_offset, stats):
+    """The training window of `series` placed at `start_offset`, cut the
+    way WindowSampler cuts every window it draws."""
+    return WindowSampler(Panel([series]), spec, stats)._window(0, start_offset)
 
 
 def tiny_model(kind=LikelihoodKind.GAUSSIAN, panel=None, spec=None, *, hidden=8,

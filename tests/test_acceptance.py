@@ -30,7 +30,6 @@ from panelcast.dataset import (
     Panel,
     TimeSeries,
     WindowSpec,
-    build_window,
     fit_feature_stats,
     load_jsonl,
     series_scale,
@@ -43,6 +42,8 @@ from panelcast.likelihood import LikelihoodKind, negbin_nll
 from panelcast.network import init_model, unroll_batch
 from panelcast.rng import RowKeys, neg_binomials, substream
 from panelcast.trainer import TrainConfig, train
+
+from conftest import cut_window
 
 START = datetime(2014, 1, 6)
 
@@ -78,7 +79,7 @@ def test_gradient_suite():
     panel = Panel(series)
     spec = WindowSpec(6, 6)  # 12-step unroll
     stats = fit_feature_stats(panel, spec)
-    windows = [build_window(s, spec, 8, stats) for s in panel]
+    windows = [cut_window(s, spec, 8, stats) for s in panel]
 
     errors = {}
     for kind in (LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL):

@@ -314,6 +314,38 @@ def test_predict_output_independent_of_blas_threads(workdir, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_train_output_independent_of_blas_threads(workdir, tmp_path):
+    # As for predict: fresh processes under one BLAS thread and under the
+    # inherited default. The layers are wide enough that OpenBLAS would
+    # split the weight-gradient products over threads.
+    import panelcast
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(panelcast.__file__)))
+    config = tmp_path / "wide.cfg"
+    config.write_text(
+        CONFIG_TEXT.replace("num_layers = 1", "num_layers = 2")
+        .replace("hidden_units = 8", "hidden_units = 40")
+        .replace("batch_size = 16", "batch_size = 64")
+        .replace("max_batches = 40", "max_batches = 6"),
+        encoding="utf-8",
+    )
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"model-{threads}.bin"
+        proc = subprocess.run(
+            [sys.executable, "-m", "panelcast.cli", "train", "--data", workdir["data"],
+             "--config", str(config), "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_predict_granularity_mismatch(workdir, tmp_path, capsys):
     rows = _rows(num_series=2)
     for row in rows:
@@ -422,6 +454,16 @@ def test_stats_single_series(tmp_path, capsys):
     assert len(lines) == 1
     edge, count = lines[0].split("\t")
     assert int(count) == 1
+
+
+def test_stats_target_beyond_float_range_exits_2(tmp_path, capsys):
+    rows = _rows(num_series=1)
+    path = tmp_path / "huge.jsonl"
+    path.write_text(json.dumps(rows[0]).replace('"target": [', '"target": [1' + "0" * 400 + ", "))
+    assert main(["stats", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "target[0] must be a finite number or null" in err
+    assert "Traceback" not in err
 
 
 def test_stats_bucket_counts_sum_to_series(workdir, tmp_path, capsys):

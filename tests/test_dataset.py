@@ -17,7 +17,6 @@ from panelcast.dataset import (
     WindowSampler,
     WindowSpec,
     add_steps,
-    build_window,
     compute_scale,
     feature_names,
     fit_feature_stats,
@@ -31,7 +30,7 @@ from panelcast.dataset import (
 from panelcast.errors import ConfigError, DataError
 from panelcast.rng import substream
 
-from conftest import START, make_series, sinusoid_panel, write_jsonl
+from conftest import START, cut_window, make_series, sinusoid_panel, write_jsonl
 
 
 class TestGranularity:
@@ -122,6 +121,28 @@ class TestLoadJsonl:
         big = dict(ok, id="b", cat=10**9)
         with pytest.raises(DataError, match=r"big\.jsonl:2: cat 1000000000 is not below"):
             load_jsonl(write_jsonl(tmp_path / "big.jsonl", [ok, big]))
+
+    @pytest.mark.parametrize("literal", [
+        "1" + "0" * 400, "-" + "9" * 400, "true", '"3"', "NaN", "Infinity", "-Infinity",
+        "1e400", "[1]", "{}",
+    ])
+    def test_bad_target_entry_names_its_index(self, tmp_path, literal):
+        # Every entry is a finite number or null; the first other one is
+        # named, including integers beyond float range.
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id":"a","start":"2014-01-01T00:00:00","freq":"D","target":[1,null,%s,%s]}\n'
+            % (literal, literal)
+        )
+        with pytest.raises(DataError, match=r"bad\.jsonl:1: target\[2\] must be a finite number"):
+            load_jsonl(path)
+
+    def test_target_must_be_a_non_empty_array(self, tmp_path):
+        for target in ('"abc"', "[]", "5", "null"):
+            path = tmp_path / "t.jsonl"
+            path.write_text('{"id":"a","start":"2014-01-01T00:00:00","freq":"D","target":%s}\n' % target)
+            with pytest.raises(DataError, match="target must be a non-empty array"):
+                load_jsonl(path)
 
     def test_missing_cat_defaults_to_zero(self, tmp_path):
         path = write_jsonl(tmp_path / "nocat.jsonl", [
@@ -242,7 +263,7 @@ class TestCovariates:
             lo, hi = placement_bounds(s.n, spec)
             hi_train = lo + _train_placement_count(s.n, spec) - 1
             for start in range(lo, hi_train + 1):
-                w = build_window(s, spec, start, stats)
+                w = cut_window(s, spec, start, stats)
                 acc += w.covariates.sum(axis=0)
                 count += w.covariates.shape[0]
         assert np.all(np.abs(acc / count) < 1e-6)
@@ -271,7 +292,7 @@ class TestWindows:
         s = panel.get("s1")
         lo, hi = placement_bounds(s.n, spec)
         for start in range(lo, hi + 1):
-            w = build_window(s, spec, start, stats)
+            w = cut_window(s, spec, start, stats)
             assert w.total == spec.total
             assert w.covariates.shape == (spec.total, len(stats.names))
             assert w.scale >= 1.0
@@ -287,7 +308,7 @@ class TestWindows:
         s = make_series("short", [5.0, 7.0, 9.0])
         spec = WindowSpec(4, 3)
         stats = FeatureStats(np.zeros(2), np.ones(2), feature_names(Granularity.DAILY))
-        w = build_window(s, spec, -4, stats)
+        w = cut_window(s, spec, -4, stats)
         assert np.all(w.mask[:4] == MASK_PADDED)
         assert np.all(w.mask[4:] == MASK_OBSERVED)
         assert np.array_equal(w.target[4:], [5.0, 7.0, 9.0])
@@ -297,7 +318,7 @@ class TestWindows:
         s = make_series("m", [1.0, np.nan, 3.0, 4.0, 5.0, 6.0])
         spec = WindowSpec(3, 3)
         stats = FeatureStats(np.zeros(2), np.ones(2), feature_names(Granularity.DAILY))
-        w = build_window(s, spec, 0, stats)
+        w = cut_window(s, spec, 0, stats)
         assert w.mask[1] == MASK_MISSING
         assert w.scale == pytest.approx(1.0 + (1.0 + 0.0 + 3.0) / 3)
 
@@ -306,7 +327,7 @@ class TestWindows:
         spec = WindowSpec(3, 3)
         stats = FeatureStats(np.zeros(2), np.ones(2), feature_names(Granularity.DAILY))
         with pytest.raises(ConfigError):
-            build_window(s, spec, 5, stats)
+            cut_window(s, spec, 5, stats)
 
 
 class TestSampler:
@@ -391,7 +412,7 @@ class TestSampler:
         stream = substream(4, "all")
         starts = {sampler.draw(stream).start_offset for _ in range(300)}
         assert starts == {-2}  # only one valid placement
-        w = build_window(s, spec, -2, stats)
+        w = cut_window(s, spec, -2, stats)
         assert np.all(w.mask[:2] == MASK_PADDED)
         assert np.all(w.target[:2] == 0.0)
 
@@ -454,8 +475,8 @@ class TestShiftInvariance:
         for s in base:
             lo, hi = placement_bounds(s.n, spec)
             for start in (lo, 0, hi):
-                wa = build_window(s, spec, start, stats_a)
-                wb = build_window(shifted.get(s.id), spec, start, stats_b)
+                wa = cut_window(s, spec, start, stats_a)
+                wb = cut_window(shifted.get(s.id), spec, start, stats_b)
                 assert np.array_equal(wa.target, wb.target)
                 assert np.array_equal(wa.covariates, wb.covariates)
                 assert wa.scale == wb.scale

@@ -264,6 +264,66 @@ def test_series_alone_matches_series_in_blocked_panel(kind, num_samples):
         np.testing.assert_array_equal(fc.samples, alone.samples)
 
 
+def _gappy_series(sid, n, gaps, category=0, seed=0):
+    """A count series of length n with NaN at the given offsets from its end."""
+    vals = np.random.default_rng(seed).poisson(5.0, n).astype(np.float64)
+    vals[[n - 1 - g for g in gaps]] = np.nan
+    return make_series(sid, vals, category=category)
+
+
+@pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
+def test_horizon_one_paths_equal_series_alone(kind):
+    # With one step there is no decode step at all: every path is a draw
+    # from the distribution the encode phase left, the same whatever the
+    # horizon.
+    _, model = tiny_model(kind)
+    series = _block_test_panel()
+    panel = list(forecast_panel(series, model, 30, seed=5, horizon=1))
+    for s, fc in zip(series, panel):
+        alone = forecast(s, model, num_samples=30, seed=5, horizon=1)
+        assert fc.samples.shape == (30, 1)
+        np.testing.assert_array_equal(fc.samples, alone.samples)
+        longer = forecast(s, model, num_samples=30, seed=5, horizon=4)
+        np.testing.assert_array_equal(fc.samples[:, 0], longer.samples[:, 0])
+
+
+@pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
+def test_paths_over_budget_with_missing_history_equal_series_alone(kind):
+    # More paths than ROW_BUDGET, and missing values in every conditioning
+    # range: each series' paths span two decode blocks loaded from one
+    # encoded row, and equal the series forecast alone, also under a
+    # different block layout (fewer paths).
+    _, model = tiny_model(kind)
+    series = [_gappy_series(f"g{i}", 14, gaps, i % 2, seed=i)
+              for i, gaps in enumerate([(0,), (2, 3), (5,)])]
+    num_samples = ROW_BUDGET + 50
+    panel = list(forecast_panel(series, model, num_samples, seed=9, horizon=3))
+    for s, fc in zip(series, panel):
+        alone = forecast(s, model, num_samples=num_samples, seed=9, horizon=3)
+        np.testing.assert_array_equal(fc.samples, alone.samples)
+        few = forecast(s, model, num_samples=37, seed=9, horizon=3)
+        np.testing.assert_array_equal(fc.samples[:37], few.samples)
+
+
+@pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
+def test_two_encode_groups_equal_series_alone(kind):
+    # More series than ROW_BUDGET are encoded in two groups; every path of
+    # every series equals the series forecast alone.
+    _, model = tiny_model(kind)
+    series = [_gappy_series(f"w{i}", 12, (i % 6,) if i % 3 == 0 else (), i % 2, seed=i)
+              for i in range(ROW_BUDGET + 5)]
+    panel = list(forecast_panel(series, model, 3, seed=2, horizon=2))
+    assert [fc.series_id for fc in panel] == [s.id for s in series]
+    for s, fc in zip(series, panel):
+        alone = forecast(s, model, num_samples=3, seed=2, horizon=2)
+        np.testing.assert_array_equal(fc.samples, alone.samples)
+
+
+def test_forecast_panel_of_no_series_yields_nothing():
+    _, model = tiny_model()
+    assert list(forecast_panel([], model, num_samples=4, seed=0)) == []
+
+
 def test_forecast_panel_rejects_unseen_category_before_work():
     _, model = tiny_model()  # two categories
     series = [make_series("ok", [3.0] * 12), make_series("new", [3.0] * 12, category=2)]
@@ -453,4 +513,11 @@ def test_read_forecasts_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
     with pytest.raises(DataError, match="no forecast records"):
+        read_forecasts(path)
+
+
+def test_read_forecasts_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"id": "caf\xe9"}\n')
+    with pytest.raises(DataError, match="not UTF-8 text"):
         read_forecasts(path)

@@ -9,9 +9,8 @@ from panelcast.lstm import (
     LstmLayerParams,
     LstmState,
     SequenceTape,
+    StepSlab,
     init_layer,
-    lstm_step,
-    zero_state,
 )
 from panelcast.rng import substream
 from panelcast.special import sigmoid
@@ -42,6 +41,29 @@ def brute_force_cell(x, h_prev, c_prev, layer):
     return h, c
 
 
+def slab_state(slab):
+    """Copies of every layer's h and c on a StepSlab."""
+    return LstmState([slab.h(i).copy() for i in range(len(slab.layers))],
+                     [c.copy() for c in slab.c])
+
+
+def load_state(slab, state):
+    for i, (h, c) in enumerate(zip(state.h, state.c)):
+        slab.h(i)[...] = h
+        slab.c[i][...] = c
+
+
+def lstm_step(x, state, layers):
+    """One step of the stack from `state` (None: zeros) on a StepSlab;
+    the state after it."""
+    slab = StepSlab(layers, x.shape[0])
+    if state is not None:
+        load_state(slab, state)
+    slab.inputs[...] = x
+    slab.step()
+    return slab_state(slab)
+
+
 def run_tape(layers, xs, state=None):
     """A SequenceTape over inputs xs (T, B, input_dim), run forward."""
     tape = SequenceTape(layers, xs.shape[0], xs.shape[1], state)
@@ -55,8 +77,7 @@ class TestForward:
     def test_zero_weights_zero_output(self):
         layer = zero_layer(3, 4)
         x = np.array([[1.0, -2.0, 0.5]])
-        state = zero_state([layer], batch=1)
-        new_state = lstm_step(x, state, [layer])
+        new_state = lstm_step(x, None, [layer])
         assert np.allclose(new_state.h[0], 0.0)
         assert np.allclose(new_state.c[0], 0.0)
 
@@ -82,15 +103,18 @@ class TestForward:
     def test_deterministic(self):
         layer = random_layer(4, 5, seed=2)
         x = np.random.default_rng(1).normal(size=(2, 4))
-        s1 = lstm_step(x, zero_state([layer], 2), [layer])
-        s2 = lstm_step(x, zero_state([layer], 2), [layer])
+        s1 = lstm_step(x, None, [layer])
+        s2 = lstm_step(x, None, [layer])
         assert np.array_equal(s1.h[0], s2.h[0])
         assert np.array_equal(s1.c[0], s2.c[0])
 
     def test_shape_mismatch_rejected(self):
         layer = random_layer(3, 4, seed=3)
+        # A slab's input columns are as wide as the first layer's input.
+        with pytest.raises(ValueError):
+            StepSlab([layer], 1).inputs[...] = np.zeros((1, 5))
         with pytest.raises(ConfigError):
-            lstm_step(np.zeros((1, 5)), zero_state([layer], 1), [layer])
+            StepSlab([layer, random_layer(3, 4, seed=4)], 1)
         with pytest.raises(ConfigError):
             SequenceTape([layer, random_layer(3, 4, seed=4)], 2, 1)
 
@@ -98,7 +122,7 @@ class TestForward:
         l0 = random_layer(2, 3, seed=4)
         l1 = random_layer(3, 4, seed=5)
         x = np.array([[0.3, -0.7]])
-        state = lstm_step(x, zero_state([l0, l1], 1), [l0, l1])
+        state = lstm_step(x, None, [l0, l1])
         # layer 1 must have consumed layer 0's fresh hidden state
         h0_ref, c0_ref = brute_force_cell(x[0], np.zeros(3), np.zeros(3), l0)
         h1_ref, _ = brute_force_cell(h0_ref, np.zeros(4), np.zeros(4), l1)
@@ -114,13 +138,39 @@ class TestForward:
         start = LstmState([rng.normal(size=(batch, 5)) for _ in layers],
                           [rng.normal(size=(batch, 5)) for _ in layers])
         tape = run_tape(layers, xs, start)
-        state = start
+        slab = StepSlab(layers, batch)  # stepped in place throughout
+        load_state(slab, start)
         for t in range(xs.shape[0]):
-            state = lstm_step(xs[t], state, layers)
+            slab.inputs[...] = xs[t]
+            slab.step()
+            state = slab_state(slab)
             recorded = tape.state(t)
             for a, b in zip(state.h + state.c, recorded.h + recorded.c):
                 np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(tape.hidden(t), state.h[-1])
+
+    def test_slab_reset_and_load_rows(self):
+        # A slab reset to fewer rows and loaded from another slab's rows
+        # steps those rows exactly as the source would.
+        layers = [random_layer(3, 5, seed=17), random_layer(5, 4, seed=18)]
+        rng = np.random.default_rng(9)
+        source = StepSlab(layers, 3)
+        source.inputs[...] = rng.normal(size=(3, 3))
+        source.step()
+        rows = np.array([2, 0, 2])
+        slab = StepSlab(layers, 5)
+        slab.reset(3)
+        slab.load(source, rows)
+        loaded, src = slab_state(slab), slab_state(source)
+        for a, b in zip(loaded.h + loaded.c, src.h + src.c):
+            np.testing.assert_array_equal(a, b[rows])
+        x = rng.normal(size=(3, 3))
+        slab.inputs[...] = x
+        slab.step()
+        expected = lstm_step(x, LstmState([h[rows] for h in src.h], [c[rows] for c in src.c]), layers)
+        np.testing.assert_array_equal(slab.hidden, expected.h[-1])
+        with pytest.raises(ConfigError):
+            slab.reset(6)
 
     def test_rows_independent_of_batch(self):
         layers = [random_layer(3, 6, seed=15), random_layer(6, 6, seed=16)]
@@ -229,7 +279,7 @@ class TestBackward:
             box[f"l{i}.b"] = l.b
 
         def loss_fn(blocks):
-            start = zero_state(layers, 3)
+            start = LstmState([np.zeros((3, 4)) for _ in layers], [np.zeros((3, 4)) for _ in layers])
             start.h[1] = blocks["h1"].copy()
             start.c[2] = blocks["c2"].copy()
             tape = run_tape(layers, blocks["x"], start)

@@ -14,15 +14,14 @@ from panelcast.dataset import (
     Panel,
     TimeSeries,
     WindowSpec,
-    build_window,
     feature_names,
     fit_feature_stats,
 )
 from panelcast.errors import ConfigError, DataError, DivergenceError
 from panelcast.likelihood import LikelihoodKind, gaussian_nll, nll_and_grads
-from panelcast.lstm import zero_state
+from panelcast.lstm import StepSlab
 from panelcast.network import (
-    _rows_input,
+    _write_inputs,
     decode_step,
     encode,
     init_model,
@@ -32,20 +31,22 @@ from panelcast.network import (
 )
 from panelcast.rng import RowKeys
 
-from conftest import count_panel, make_series, sinusoid_panel, tiny_model
+from conftest import count_panel, cut_window, make_series, sinusoid_panel, tiny_model
 
 
 def default_window(panel, model, sid=None, start=0):
     series = panel.get(sid) if sid else next(iter(panel))
-    return build_window(series, model.spec, start, model.stats)
+    return cut_window(series, model.spec, start, model.stats)
 
 
 def window_input(w, model, t, z_prev):
     """One window's step-t input row, built the way the recurrence builds it."""
-    return _rows_input(
-        np.array([z_prev]), np.array([w.scale]), w.covariates[t : t + 1],
+    x = np.full((1, model.input_dim), np.nan)
+    _write_inputs(
+        x, np.array([z_prev]), np.array([w.scale]), w.covariates[t : t + 1],
         model.embedding[[w.category]],
-    )[0]
+    )
+    return x[0]
 
 
 class TestStepInput:
@@ -101,22 +102,21 @@ class TestUnroll:
             LikelihoodKind.GAUSSIAN, spec, stats, Granularity.DAILY,
             1, 1, 4, 2, seed=5,
         )
-        w = build_window(series, spec, 0, stats)
+        w = cut_window(series, spec, 0, stats)
         result = unroll_batch([w], model)
 
         # Longhand: two steps of the shared recurrence with teacher forcing.
         from panelcast.likelihood import apply_heads
-        from panelcast.lstm import lstm_step
 
         nu = w.scale
-        state = zero_state(model.layers, 1)
+        slab = StepSlab(model.layers, 1)
         total = 0.0
         z_prev = 0.0
         for t in range(2):
             lagged = 0.0 if t == 0 else z_prev / nu
-            u = np.concatenate([[lagged], w.covariates[t], model.embedding[0]])[None, :]
-            state = lstm_step(u, state, model.layers)
-            mu, disp, _ = apply_heads(state.h[-1], model.heads, nu, model.likelihood)
+            slab.inputs[0] = np.concatenate([[lagged], w.covariates[t], model.embedding[0]])
+            slab.step()
+            mu, disp, _ = apply_heads(slab.hidden, model.heads, nu, model.likelihood)
             nll, _, _ = gaussian_nll(w.target[t], float(mu[0]), float(disp[0]))
             total += float(nll)
             z_prev = w.target[t]
@@ -217,7 +217,7 @@ class TestUnroll:
         panel, model = tiny_model()
         other_spec = WindowSpec(3, 3)
         stats = fit_feature_stats(panel, other_spec)
-        w = build_window(next(iter(panel)), other_spec, 0, stats)
+        w = cut_window(next(iter(panel)), other_spec, 0, stats)
         with pytest.raises(ConfigError):
             unroll_batch([w], model)
 
@@ -234,32 +234,31 @@ def encode_one(w, model, target=None, mask=None, category=None, keys=None):
     )
 
 
-def decode_one(model, state, z_prev, w):
+def decode_one(model, slab, z_prev, w):
     c = model.spec.conditioning_length
     n = z_prev.shape[0]
     return decode_step(
-        model, state, z_prev, np.repeat(w.covariates[c][None, :], n, axis=0),
-        np.full(n, w.category), np.full(n, w.scale),
+        model, slab, z_prev, np.repeat(w.covariates[c][None, :], n, axis=0), np.full(n, w.scale)
     )
 
 
 class TestEncodeDecode:
     def test_zero_length_conditioning_gives_zero_state(self):
         panel, model = tiny_model()
-        state, z_last = encode(
+        slab, z_last = encode(
             np.zeros((1, 0)), np.zeros((1, 0), dtype=np.int8),
             np.zeros((1, 0, len(model.stats.names))), np.ones(1), np.zeros(1, dtype=int), model,
         )
-        assert all(np.all(h == 0.0) for h in state.h)
-        assert all(np.all(c == 0.0) for c in state.c)
+        assert all(np.all(slab.h(i) == 0.0) for i in range(len(model.layers)))
+        assert all(np.all(c == 0.0) for c in slab.c)
         assert z_last[0] == 0.0
 
     def test_encode_plus_decode_equals_direct_unroll(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
         c = model.spec.conditioning_length
-        state, z_last = encode_one(w, model)
-        new_state, mu, disp = decode_one(model, state, z_last, w)
+        slab, z_last = encode_one(w, model)
+        mu, disp = decode_one(model, slab, z_last, w)
         result = unroll_batch([w], model)
         assert float(mu[0]) == result.mus[0, c]
         assert float(disp[0]) == result.disps[0, c]
@@ -271,7 +270,7 @@ class TestEncodeDecode:
         s1, z1 = encode_one(w, model, category=0)
         s2, z2 = encode_one(w, model, w.target[:c].copy(), w.mask[:c].copy(), category=0)
         assert z1[0] == z2[0]
-        for a, b in zip(s1.h, s2.h):
+        for a, b in ((s1.h(i), s2.h(i)) for i in range(len(model.layers))):
             assert np.array_equal(a, b)
 
     def test_missing_conditioning_imputation_deterministic(self):
@@ -286,7 +285,7 @@ class TestEncodeDecode:
         s1, z1 = encode_one(w, model, target, mask, category=0, keys=keys)
         s2, z2 = encode_one(w, model, target, mask, category=0, keys=keys)
         assert z1[0] == z2[0]
-        assert all(np.array_equal(a, b) for a, b in zip(s1.h, s2.h))
+        assert all(np.array_equal(s1.h(i), s2.h(i)) for i in range(len(model.layers)))
 
     def test_imputation_from_non_finite_parameters_diverges(self):
         panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL)
@@ -304,17 +303,19 @@ class TestEncodeDecode:
     def test_decode_step_batched_paths_independent(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        state, z_last = encode_one(w, model)
+        encoded, z_last = encode_one(w, model)
         # Batch of three paths with different previous values: each row must
         # match running the same step with batch size one.
         z_prev = np.array([z_last[0], z_last[0] * 2.0, 0.0])
-        tiled = type(state)(
-            [np.repeat(h, 3, axis=0) for h in state.h],
-            [np.repeat(cc, 3, axis=0) for cc in state.c],
-        )
-        _, mu_b, disp_b = decode_one(model, tiled, z_prev, w)
+
+        def paths(n):
+            slab = StepSlab(model.layers, n)
+            slab.load(encoded, np.zeros(n, dtype=np.intp))
+            return slab
+
+        mu_b, disp_b = decode_one(model, paths(3), z_prev, w)
         for i in range(3):
-            _, mu_1, disp_1 = decode_one(model, state, z_prev[i : i + 1], w)
+            mu_1, disp_1 = decode_one(model, paths(1), z_prev[i : i + 1], w)
             assert mu_b[i] == pytest.approx(float(mu_1[0]), rel=1e-12)
             assert disp_b[i] == pytest.approx(float(disp_1[0]), rel=1e-12)
 
@@ -359,6 +360,23 @@ class TestSerialization:
         with pytest.raises(DataError):
             model_from_bytes(b"[1, 2]\n")
 
+    def test_features_inconsistent_with_layers_are_data_errors(self):
+        # Such files would load and then fail inside predict.
+        import json
+
+        panel, model = tiny_model()
+        doc = json.loads(model_to_bytes(model))
+        features = doc["features"]
+        for bad in (dict(features, mean=features["mean"] + [0.0]),
+                    dict(features, std=features["std"][:1]),
+                    dict(features, names=["age", "hour_of_day"])):
+            with pytest.raises(DataError, match="feature statistics"):
+                model_from_bytes(json.dumps(dict(doc, features=bad)).encode("utf-8"))
+        hourly = dict(features, names=feature_names(Granularity.HOURLY),
+                      mean=[0.0, 0.0, 0.0], std=[1.0, 1.0, 1.0])
+        with pytest.raises(DataError, match="LSTM input width"):
+            model_from_bytes(json.dumps(dict(doc, granularity="H", features=hourly)).encode("utf-8"))
+
     def test_corrupt_payload_rejected(self):
         with pytest.raises(Exception):
             model_from_bytes(b'{"format": "something-else"}\n')
@@ -379,7 +397,7 @@ class TestSigmaShrinksOnConstantData:
         model = init_model(
             LikelihoodKind.GAUSSIAN, spec, stats, Granularity.DAILY, 1, 1, 8, 2, seed=0,
         )
-        w = build_window(series, spec, 0, stats)
+        w = cut_window(series, spec, 0, stats)
         opt = init_adam(model.blocks(), learning_rate=5e-3)
         sigmas = []
         for step in range(60):
