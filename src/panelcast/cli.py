@@ -38,14 +38,16 @@ __all__ = ["main"]
 
 
 def _atomic_write(path: str, data) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    """Write bytes, a str or an iterable of str chunks (each written as it
+    comes) via a temp file in the target directory, then rename."""
+    if isinstance(data, (str, bytes)):
+        data = [data]
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in data:
+                fh.write(chunk if isinstance(chunk, bytes) else chunk.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -162,10 +164,12 @@ def cmd_predict(args) -> int:
     if args.samples < 1:
         raise ConfigError("--samples must be at least 1")
     horizon = args.horizon or 0
-    records = [
+    # One record at a time from forecast to file: memory is set by the
+    # forecaster's row budget, not by the panel.
+    records = (
         record_from_samples(fc, levels, emit_samples=args.emit_samples)
         for fc in forecast_panel(panel.series, params, args.samples, args.seed, horizon)
-    ]
+    )
     _atomic_write(args.output, render_forecasts(records))
     _write_manifest(
         args.output,
@@ -179,7 +183,7 @@ def cmd_predict(args) -> int:
         },
         {"model": args.model, "data": args.data},
     )
-    print(f"wrote forecasts for {len(records)} series to {args.output}")
+    print(f"wrote forecasts for {len(panel)} series to {args.output}")
     return 0
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "add_steps",
     "steps_between",
     "compute_scale",
+    "cut_series",
     "series_scale",
     "raw_features",
     "feature_names",
@@ -105,7 +106,12 @@ def add_steps(ts: datetime, k: int, granularity: Granularity) -> datetime:
 
 
 def steps_between(granularity: Granularity, a: datetime, b: datetime) -> int:
-    """Integer step count from a to b; errors if b is off the step grid."""
+    """Integer step count from a to b; errors if b is off the step grid or
+    only one of the two carries a UTC offset."""
+    if (a.utcoffset() is None) != (b.utcoffset() is None):
+        raise DataError(
+            f"timestamp {b.isoformat()} and {a.isoformat()} do not both carry a UTC offset"
+        )
     if granularity is Granularity.MONTHLY:
         k = (b.year - a.year) * 12 + (b.month - a.month)
     else:
@@ -310,17 +316,30 @@ def compute_scale(values) -> float:
     Missing entries (None or NaN) and padded zeros contribute 0 to the
     sum; the divisor is the full conditioning length.
     """
-    arr = np.array(
-        [np.nan if v is None else float(v) for v in values], dtype=np.float64
-    )
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ConfigError("compute_scale requires at least one conditioning step")
     return 1.0 + float(np.nansum(arr)) / arr.size
 
 
+def cut_series(series: TimeSeries, start_offset: int, length: int, conditioning_length: int):
+    """Steps [start_offset, start_offset + length) of a series, as the
+    network reads them: (target, mask, nu). target holds 0.0 at steps
+    before the series start and NaN at missing steps; nu is the scale of
+    the first conditioning_length steps. The steps must end by the series
+    end."""
+    target = np.zeros(length, dtype=np.float64)
+    mask = np.full(length, MASK_PADDED, dtype=np.int8)
+    first_real = max(0, -start_offset)
+    vals = series.target[start_offset + first_real : start_offset + length]
+    mask[first_real:] = np.where(np.isnan(vals), MASK_MISSING, MASK_OBSERVED)
+    target[first_real:] = vals
+    return target, mask, compute_scale(target[:conditioning_length])
+
+
 def series_scale(series: TimeSeries) -> float:
     """Whole-series scale used as the sampling weight for this series."""
-    return 1.0 + float(np.nansum(series.target)) / series.n
+    return compute_scale(series.target)
 
 
 def feature_names(granularity: Granularity) -> list:
@@ -471,27 +490,6 @@ class TrainingWindow:
         return int(self.target.size)
 
 
-def _window_arrays(series: TimeSeries, spec: WindowSpec, start_offset: int):
-    bounds = placement_bounds(series.n, spec)
-    if bounds is None or not (bounds[0] <= start_offset <= bounds[1]):
-        raise ConfigError(
-            f"series {series.id!r}: start offset {start_offset} is outside "
-            f"the valid placement range"
-        )
-    T = spec.total
-    target = np.zeros(T, dtype=np.float64)
-    mask = np.full(T, MASK_PADDED, dtype=np.int8)
-    first_real = max(0, -start_offset)
-    vals = series.target[start_offset + first_real : start_offset + T]
-    missing = np.isnan(vals)
-    mask[first_real:] = np.where(missing, MASK_MISSING, MASK_OBSERVED)
-    target[first_real:] = vals
-    cond = target[: spec.conditioning_length].copy()
-    cond[mask[: spec.conditioning_length] == MASK_MISSING] = np.nan
-    scale = compute_scale(cond)
-    return target, mask, scale
-
-
 class WindowSampler:
     """Draws training windows: series by scale weight, placement uniform.
 
@@ -538,7 +536,13 @@ class WindowSampler:
     def _window(self, i: int, start_offset: int) -> TrainingWindow:
         series = self._series[i]
         spec = self.spec
-        target, mask, scale = _window_arrays(series, spec, start_offset)
+        lo, hi = self._bounds[i]
+        if not lo <= start_offset <= hi:
+            raise ConfigError(
+                f"series {series.id!r}: start offset {start_offset} is outside "
+                f"the valid placement range"
+            )
+        target, mask, scale = cut_series(series, start_offset, spec.total, spec.conditioning_length)
         # Slice the precomputed slab; identical to standardizing fresh rows.
         row0 = start_offset + spec.conditioning_length
         covariates = self._features[i][row0 : row0 + spec.total]
@@ -571,7 +575,6 @@ def velocity_histogram(panel: Panel, bucket_width: float = 0.25):
         raise ConfigError("bucket width must be positive")
     counts = {}
     for series in panel:
-        mean = float(np.nansum(series.target)) / series.n
-        idx = int(math.floor(math.log10(1.0 + mean) / bucket_width))
+        idx = int(math.floor(math.log10(series_scale(series)) / bucket_width))
         counts[idx] = counts.get(idx, 0) + 1
     return [(idx * bucket_width, counts[idx]) for idx in sorted(counts)]

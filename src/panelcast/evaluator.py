@@ -256,7 +256,6 @@ def rolling_backtest(
     levels,
     num_samples: int,
     seed: int,
-    emit_samples: bool = True,
 ):
     """Evaluate `count` forecast windows per series, each `stride` steps
     apart, with the last window ending at the series end. The model is
@@ -288,7 +287,7 @@ def rolling_backtest(
         )
         pairs = []
         for series, fc in zip(panel, forecasts):
-            rec = record_from_samples(fc, levels, emit_samples=emit_samples)
+            rec = record_from_samples(fc, levels, emit_samples=True)
             cut = series.n - back
             pairs.append(EvalPair(rec, series.target[cut : cut + horizon].copy()))
         window_pairs.append(pairs)

@@ -36,15 +36,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .dataset import (
-    MASK_MISSING,
-    MASK_OBSERVED,
-    MASK_PADDED,
-    TimeSeries,
-    compute_scale,
-    raw_features,
-    text_lines,
-)
+from .dataset import TimeSeries, cut_series, raw_features, text_lines
 from .errors import ConfigError, DataError
 from .likelihood import draw
 from .lstm import StepSlab
@@ -98,30 +90,6 @@ class QuantileForecast:
     values: np.ndarray  # (len(levels), horizon)
 
 
-def _conditioning_arrays(series: TimeSeries, params: ModelParams):
-    """Last conditioning_length steps, zero-padded in front when the
-    series is shorter."""
-    c = params.spec.conditioning_length
-    n = series.n
-    start_offset = n - c
-    target = np.zeros(c, dtype=np.float64)
-    mask = np.full(c, MASK_PADDED, dtype=np.int8)
-    first_real = max(0, -start_offset)
-    vals = series.target[max(0, start_offset) : n]
-    missing = np.isnan(vals)
-    mask[first_real:] = np.where(missing, MASK_MISSING, MASK_OBSERVED)
-    target[first_real:] = vals
-    if not np.any(mask == MASK_OBSERVED):
-        raise DataError(
-            f"series {series.id!r}: no observed value in the conditioning range"
-        )
-    cond_for_scale = target.copy()
-    cond_for_scale[mask == MASK_MISSING] = np.nan
-    nu = compute_scale(cond_for_scale)
-    target[mask == MASK_MISSING] = np.nan
-    return start_offset, target, mask, nu
-
-
 def forecast(
     series: TimeSeries,
     params: ModelParams,
@@ -155,6 +123,7 @@ def forecast_panel(
     h = horizon if horizon else params.spec.prediction_length
     if h < 1:
         raise ConfigError("horizon must be at least 1")
+    c = params.spec.conditioning_length
     for series in series_list:
         if series.granularity is not params.granularity:
             raise DataError(
@@ -165,6 +134,10 @@ def forecast_panel(
             raise DataError(
                 f"series {series.id!r}: category {series.category} is outside the "
                 f"model's {params.category_cardinality} categories"
+            )
+        if np.isnan(series.target[max(0, series.n - c) :]).all():
+            raise DataError(
+                f"series {series.id!r}: no observed value in the conditioning range"
             )
     return _forecast_groups(series_list, params, num_samples, seed, h)
 
@@ -223,21 +196,15 @@ class _EncodedGroup:
 
 def _encode_group(group, params: ModelParams, seed: int, h: int) -> _EncodedGroup:
     c = params.spec.conditioning_length
-    conds = [_conditioning_arrays(series, params) for series in group]
-    feats = np.stack(
-        [
-            params.stats.standardize(raw_features(series, cond[0], c + h))
-            for series, cond in zip(group, conds)
-        ]
-    )
-    nu = np.array([cond[3] for cond in conds])
-    ids = [series.id for series in group]
+    target, mask, nu = map(np.stack, zip(*(cut_series(s, s.n - c, c, c) for s in group)))
+    feats = np.stack([params.stats.standardize(raw_features(s, s.n - c, c + h)) for s in group])
+    ids = [s.id for s in group]
     slab, z_last = encode(
-        np.stack([cond[1] for cond in conds]),
-        np.stack([cond[2] for cond in conds]),
+        target,
+        mask,
         feats[:, :c],
         nu,
-        np.array([series.category for series in group], dtype=np.intp),
+        np.array([s.category for s in group], dtype=np.intp),
         params,
         RowKeys.for_series(seed, "impute", ids, np.zeros(len(ids))),
     )
@@ -364,6 +331,12 @@ class ForecastRecord:
                 float(k): np.asarray(v, dtype=np.float64)
                 for k, v in obj["quantiles"].items()
             }
+            lengths = {v.shape[0] if v.ndim == 1 else 0 for v in quant.values()}
+            if len(lengths) != 1 or 0 in lengths:
+                raise DataError(
+                    "malformed forecast record: quantiles must map levels to "
+                    "arrays of one common length of at least 1"
+                )
             samples = None
             if "samples" in obj:
                 samples = np.asarray(obj["samples"], dtype=np.float64)
@@ -391,12 +364,11 @@ def record_from_samples(fc: ForecastSamples, levels, emit_samples: bool = False)
     )
 
 
-def render_forecasts(records) -> str:
-    """The forecast file body: one canonical JSON line per record."""
-    return "".join(
-        json.dumps(rec.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
-        for rec in records
-    )
+def render_forecasts(records):
+    """The forecast file body, one canonical JSON line per record, yielded
+    a line at a time."""
+    for rec in records:
+        yield json.dumps(rec.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def read_forecasts(path):

@@ -21,7 +21,6 @@ from .special import digamma, lgamma, sigmoid, softplus
 
 __all__ = [
     "LikelihoodKind",
-    "LikelihoodParams",
     "HeadParams",
     "HeadCache",
     "PARAM_FLOOR",
@@ -44,27 +43,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class LikelihoodKind(str, Enum):
     GAUSSIAN = "gaussian"
     NEG_BINOMIAL = "negbin"
-
-
-@dataclass(frozen=True)
-class LikelihoodParams:
-    """Distribution parameters for one step: (mu, sigma) or (mu, alpha)."""
-
-    kind: LikelihoodKind
-    mu: float
-    disp: float
-
-    @property
-    def sigma(self) -> float:
-        if self.kind is not LikelihoodKind.GAUSSIAN:
-            raise ConfigError("sigma is only defined for the Gaussian likelihood")
-        return self.disp
-
-    @property
-    def alpha(self) -> float:
-        if self.kind is not LikelihoodKind.NEG_BINOMIAL:
-            raise ConfigError("alpha is only defined for the negative binomial likelihood")
-        return self.disp
 
 
 def gaussian_nll(z, mu, sigma):

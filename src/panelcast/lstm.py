@@ -25,7 +25,6 @@ from .errors import ConfigError
 
 __all__ = [
     "LstmLayerParams",
-    "LstmState",
     "SequenceTape",
     "StepSlab",
     "init_layer",
@@ -53,14 +52,6 @@ class LstmLayerParams:
                 f"LSTM layer shapes inconsistent: w {self.w.shape}, b {self.b.shape}, "
                 f"expected ({rows}, {cols}) and ({cols},)"
             )
-
-
-@dataclass
-class LstmState:
-    """Per-layer hidden and cell vectors, each (B, hidden_dim)."""
-
-    h: list
-    c: list
 
 
 def init_layer(input_dim: int, hidden_dim: int, stream) -> LstmLayerParams:
@@ -221,11 +212,11 @@ class SequenceTape:
     layer writes is already the next layer's input. Per layer there are
     also gates (T, B, 4H), the activated gates of each step, and
     c (T+1, B, H), whose row 0 is the initial cell and row t+1 step t's.
-    The caller writes the layer-0 inputs into `inputs` and calls
-    forward_step(t) for t = 0, 1, ...
+    A sequence starts from the zero state. The caller writes the layer-0
+    inputs into `inputs` and calls forward_step(t) for t = 0, 1, ...
     """
 
-    def __init__(self, layers, steps: int, batch: int, state: LstmState = None):
+    def __init__(self, layers, steps: int, batch: int):
         self.layers = layers
         self.steps = steps
         self.capacity = batch
@@ -239,11 +230,11 @@ class SequenceTape:
         self._gate_stores = [np.empty(steps * batch * 4 * layer.hidden_dim) for layer in layers]
         self._row_work = np.empty((2, batch, hidden))  # a step's tanh(c) and scratch
         self._work = None  # backward's work arrays, made on first use
-        self.reset(batch, state)
+        self.reset(batch)
 
-    def reset(self, batch: int, state: LstmState = None) -> None:
+    def reset(self, batch: int) -> None:
         """Start a new sequence of `batch` rows (at most the capacity) from
-        `state`, or from zeros."""
+        the zero state."""
         if not 0 < batch <= self.capacity:
             raise ConfigError(f"tape holds at most {self.capacity} rows, not {batch}")
         T = self.steps
@@ -255,8 +246,8 @@ class SequenceTape:
         for idx, layer in enumerate(self.layers):
             hd = layer.hidden_dim
             c = self._c_stores[idx][: (T + 1) * batch * hd].reshape(T + 1, batch, hd)
-            self._h(idx, idx)[...] = 0.0 if state is None else state.h[idx]
-            c[0] = 0.0 if state is None else state.c[idx]
+            self._h(idx, idx)[...] = 0.0
+            c[0] = 0.0
             self.c.append(c)
             self.gates.append(self._gate_stores[idx][: T * batch * 4 * hd].reshape(T, batch, 4 * hd))
 
@@ -300,13 +291,6 @@ class SequenceTape:
         top = len(self.layers)
         return self._h(top - 1, slice(top, top + steps)).reshape(steps * self.batch, -1)
 
-    def state(self, t: int) -> LstmState:
-        """Copies of every layer's h and c after step t."""
-        return LstmState(
-            [self._h(i, t + i + 1).copy() for i in range(len(self.layers))],
-            [c[t + 1].copy() for c in self.c],
-        )
-
     def _local_derivatives(self, idx: int, work, a_out) -> None:
         """Overwrite layer idx's slabs with the factors of the cell backward
         that do not depend on the upstream gradient: gates i|f|g|o become
@@ -342,15 +326,13 @@ class SequenceTape:
             np.copyto(c[t0 + 1 : t1 + 1], gf)
             np.copyto(g, d)
 
-    def backward(self, d_h, d_final: LstmState = None):
+    def backward(self, d_h):
         """Exact gradients of a loss whose gradient w.r.t. the top layer's h
-        at every step is d_h (T, B, H), plus d_final, if given, w.r.t. every
-        layer's h and c after the last step.
+        at every step is d_h (T, B, H).
 
         Overwrites d_h and the tape's gate and cell slabs (each step's gate
         slab ends up holding its pre-activation gradient), so it can run
-        once. Returns (d_x (T, B, input_dim), gradient w.r.t. the initial
-        state, per-layer [(d_w, d_b)]).
+        once. Returns (d_x (T, B, input_dim), per-layer [(d_w, d_b)]).
         """
         T, B = self.steps, self.batch
         if d_h.shape != (T, B, self.layers[-1].hidden_dim):
@@ -364,8 +346,6 @@ class SequenceTape:
         work = self._work[0]
         a_store = self._work[1][: T * B * hidden].reshape(T, B, hidden)
         d_param = [None] * len(self.layers)
-        d_h0 = [None] * len(self.layers)
-        d_c0 = [None] * len(self.layers)
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
             hd, ind = layer.hidden_dim, layer.input_dim
@@ -381,9 +361,6 @@ class SequenceTape:
             d_rec = d_xh[:, ind:]
             d_c = np.zeros((B, hd))
             dc = np.empty((B, hd))
-            if d_final is not None:
-                d_h[T - 1] += d_final.h[idx]
-                d_c += d_final.c[idx]
             for t in range(T - 1, -1, -1):
                 dh = d_h[t]
                 dh += d_rec
@@ -397,10 +374,8 @@ class SequenceTape:
                 np.multiply(dc, forget[t], out=d_c)
                 np.matmul(d_pre[t], w_t, out=d_xh)
                 np.copyto(d_x[t], d_xh[:, :ind])
-            d_h0[idx] = d_rec.copy()
-            d_c0[idx] = d_c
             flat = d_pre.reshape(T * B, 4 * hd)
             xh = self._xh(idx, slice(idx, idx + T)).reshape(T * B, ind + hd)
             d_param[idx] = (xh.T @ flat, flat.sum(axis=0))
             d_h = d_x
-        return d_h, LstmState(d_h0, d_c0), d_param
+        return d_h, d_param

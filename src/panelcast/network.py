@@ -34,7 +34,6 @@ from .errors import ConfigError, DataError, DivergenceError
 from .likelihood import (
     HeadParams,
     LikelihoodKind,
-    LikelihoodParams,
     apply_heads,
     draw,
     heads_backward,
@@ -56,7 +55,6 @@ __all__ = [
     "unroll_batch",
     "encode",
     "decode_step",
-    "save_model",
     "load_model",
     "model_to_bytes",
     "model_from_bytes",
@@ -165,10 +163,6 @@ class UnrollResult:
     disps: np.ndarray  # (B, T)
     grads: dict
     counted_steps: int
-    likelihood: LikelihoodKind
-
-    def step_likelihood(self, b: int, t: int) -> LikelihoodParams:
-        return LikelihoodParams(self.likelihood, float(self.mus[b, t]), float(self.disps[b, t]))
 
 
 def _write_inputs(x, z_prev, nu, covariates, emb=None) -> None:
@@ -181,6 +175,16 @@ def _write_inputs(x, z_prev, nu, covariates, emb=None) -> None:
     x[..., 1 : 1 + d] = covariates
     if emb is not None:
         x[..., 1 + d :] = emb
+
+
+def _impute(params: ModelParams, h, nu, keys: RowKeys, step: int):
+    """Values to feed forward from missing steps: one draw per row of h
+    (B, H) from its predictive distribution, at counter `step` of keys.
+    None when the heads are not finite."""
+    mu, disp, _ = apply_heads(h, params.heads, nu, params.likelihood)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
+        return None
+    return draw(params.likelihood, mu, disp, keys, step)
 
 
 def _divergence(step: int, mu, disp) -> DivergenceError:
@@ -244,16 +248,16 @@ def unroll_batch(
         tape.forward_step(t)
         if t + 1 < T and impute[:, t].any():
             miss = np.nonzero(impute[:, t])[0]
-            mu, disp, _ = apply_heads(tape.hidden(t)[miss], params.heads, nu[miss], kind)
-            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
-                steps = t + 1  # the block check below reports the first bad step
-                break
             if keys is None:
                 keys = RowKeys.for_series(
                     impute_seed, "impute", [w.series_id for w in windows], np.arange(B)
                 )
+            z = _impute(params, tape.hidden(t)[miss], nu[miss], keys.take(miss), t)
+            if z is None:
+                steps = t + 1  # the block check below reports the first bad step
+                break
             # The drawn value replaces the lagged slot of _write_inputs.
-            x[t + 1, miss, 0] = draw(kind, mu, disp, keys.take(miss), t) / nu[miss]
+            x[t + 1, miss, 0] = z / nu[miss]
 
     # Rows of the block are in (step, window) order.
     mu, disp, hcache = apply_heads(tape.top_hidden(steps), params.heads, np.tile(nu, steps), kind)
@@ -278,10 +282,10 @@ def unroll_batch(
     mus = mu.reshape(T, B).T
     disps = disp.reshape(T, B).T
     if not compute_grads:
-        return UnrollResult(total_nll, mus, disps, {}, int(counted.sum()), kind)
+        return UnrollResult(total_nll, mus, disps, {}, int(counted.sum()))
 
     d_h, head_grads = heads_backward(d_mu, d_disp, hcache, params.heads, kind)
-    d_x, _, layer_grads = tape.backward(d_h.reshape(T, B, -1))
+    d_x, layer_grads = tape.backward(d_h.reshape(T, B, -1))
     d_emb = d_x[:, :, 1 + params.feature_dim :].sum(axis=0)
     grads = {"embedding": np.zeros_like(params.embedding)}  # keyed in blocks() order
     np.add.at(grads["embedding"], cats, d_emb)
@@ -290,7 +294,7 @@ def unroll_batch(
         grads[f"lstm{i}.b"] = d_b
     grads.update((f"head.{key}", g) for key, g in head_grads.items())
 
-    return UnrollResult(total_nll, mus, disps, grads, int(counted.sum()), kind)
+    return UnrollResult(total_nll, mus, disps, grads, int(counted.sum()))
 
 
 def encode(
@@ -315,7 +319,6 @@ def encode(
     range gives the zero state.
     """
     batch, n = target_cond.shape
-    kind = params.likelihood
     slab = StepSlab(params.layers, batch)
     z_prev = np.zeros(batch)
     # The embedding columns of _write_inputs, written once for every step.
@@ -328,10 +331,10 @@ def encode(
         if miss.size:
             if keys is None:
                 raise ConfigError("missing conditioning values require sampling keys")
-            mu, disp, _ = apply_heads(slab.hidden[miss], params.heads, nu[miss], kind)
-            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
+            z = _impute(params, slab.hidden[miss], nu[miss], keys.take(miss), t)
+            if z is None:
                 raise DivergenceError("non-finite distribution parameters during encoding")
-            z_prev[miss] = draw(kind, mu, disp, keys.take(miss), t)
+            z_prev[miss] = z
     return slab, z_prev
 
 
@@ -456,11 +459,6 @@ def _model_from_doc(doc: dict) -> ModelParams:
         layers,
         heads,
     )
-
-
-def save_model(params: ModelParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_to_bytes(params))
 
 
 def load_model(path) -> ModelParams:

@@ -43,24 +43,12 @@ def softplus(x):
     return float(out) if scalar else out
 
 
-def sigmoid(x, out=None):
-    """Logistic function; stable companion of softplus (its derivative).
-
-    With `out` (an array, which may be x itself) the result is written
-    there, allocating a single temporary.
-    """
+def sigmoid(x):
+    """Logistic function; stable companion of softplus (its derivative)."""
     arr, scalar = _wrap(x)
-    t = np.abs(arr, out=np.empty_like(arr))
-    np.negative(t, out=t)
-    np.exp(t, out=t)
+    t = np.exp(-np.abs(arr))
     # 1/(1+t) where arr >= 0 and t/(1+t) elsewhere.
-    positive = arr >= 0.0
-    if out is None:
-        out = np.empty_like(t)
-    np.copyto(out, t)
-    np.copyto(out, 1.0, where=positive)
-    t += 1.0
-    np.divide(out, t, out=out)
+    out = np.where(arr >= 0.0, 1.0, t) / (1.0 + t)
     return float(out) if scalar else out
 
 

@@ -264,6 +264,12 @@ def train(panel: Panel, config: TrainConfig):
                     windows, model, derive_seed(config.seed, "train", "impute", batches_done),
                     tape=tape,
                 )
+                grads = res.grads
+                for g in grads.values():
+                    g /= len(windows)
+                norm = clip_global_norm(grads, MAX_GRAD_NORM)
+                if not np.isfinite(norm):
+                    raise DivergenceError("non-finite gradients")
             except DivergenceError as e:
                 skipped += 1
                 divergent_streak += 1
@@ -272,20 +278,6 @@ def train(panel: Panel, config: TrainConfig):
                     raise DivergenceError(
                         f"training diverged after {batches_done} batches: {e}", log=log
                     ) from None
-                continue
-            grads = res.grads
-            for g in grads.values():
-                g /= len(windows)
-            norm = clip_global_norm(grads, MAX_GRAD_NORM)
-            if not np.isfinite(norm):
-                skipped += 1
-                divergent_streak += 1
-                if divergent_streak >= DIVERGENCE_LIMIT:
-                    log.stopping_reason = "diverged: non-finite gradients"
-                    raise DivergenceError(
-                        f"training diverged after {batches_done} batches: non-finite gradients",
-                        log=log,
-                    )
                 continue
             divergent_streak = 0
             norms.append(norm)

@@ -12,7 +12,9 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from panelcast import cli
 from panelcast.cli import _parse_spans, main
+from panelcast.errors import DataError
 
 START = datetime(2014, 1, 6)
 N_STEPS = 60
@@ -359,6 +361,41 @@ def test_predict_granularity_mismatch(workdir, tmp_path, capsys):
     assert "hourly" in capsys.readouterr().err
 
 
+def test_predict_empty_conditioning_range_exits_2(workdir, tmp_path, capsys):
+    # s1 has observations, but none in the 8 steps the model conditions on.
+    rows = _rows(num_series=3)
+    rows[1]["target"][-8:] = [None] * 8
+    data = _write_rows(tmp_path / "tailgap.jsonl", rows)
+    out = tmp_path / "fc.jsonl"
+    rc = main(["predict", "--model", workdir["model"], "--data", data, "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'s1': no observed value in the conditioning range" in err
+    assert not out.exists()
+
+
+def test_predict_failing_mid_stream_leaves_no_file(workdir, tmp_path, monkeypatch, capsys):
+    # Records stream into the temporary file while later series are still
+    # being forecast; a failure then leaves neither it nor the output.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    real = cli.forecast_panel
+
+    def failing_panel(*args, **kwargs):
+        forecasts = real(*args, **kwargs)
+        yield next(forecasts)
+        yield next(forecasts)
+        assert any(p.name.startswith(".tmp-") for p in out_dir.iterdir())
+        raise DataError("series 's2': failed mid-stream")
+
+    monkeypatch.setattr(cli, "forecast_panel", failing_panel)
+    rc = main(["predict", "--model", workdir["model"], "--data", workdir["data"],
+               "--output", str(out_dir / "fc.jsonl")])
+    assert rc == 2
+    assert "failed mid-stream" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -401,6 +438,44 @@ def test_evaluate_perfect_forecast_scores_zero(workdir, tmp_path, capsys):
     assert report["levels"] == ["0.5", "0.9"]  # taken from the forecast file
     manifest = json.load(open(str(report_path) + ".manifest.json"))
     assert manifest["inputs"]["forecasts"]["sha256"] == _sha(fc)
+
+
+def _aware_start(obj):
+    obj["start"] += "+00:00"
+
+
+def _unequal_lengths(obj):
+    obj["quantiles"]["0.9"] = obj["quantiles"]["0.9"][:2]
+
+
+def _scalar_quantile(obj):
+    obj["quantiles"] = {"0.5": 1.0}
+
+
+def _empty_quantiles(obj):
+    obj["quantiles"] = {}
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_aware_start, "UTC offset"),
+        (_unequal_lengths, "one common length"),
+        (_scalar_quantile, "one common length"),
+        (_empty_quantiles, "one common length"),
+    ],
+)
+def test_evaluate_malformed_forecast_exits_2(workdir, tmp_path, capsys, corrupt, message):
+    lines = open(_perfect_forecasts(workdir, tmp_path)).read().splitlines()
+    obj = json.loads(lines[1])
+    corrupt(obj)
+    lines[1] = json.dumps(obj)
+    fc = tmp_path / "malformed.jsonl"
+    fc.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["evaluate", "--truth", workdir["data"], "--forecasts", str(fc)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_spans_string_parses_into_pairs():

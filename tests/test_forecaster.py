@@ -357,6 +357,16 @@ def test_forecast_rejects_empty_conditioning_range():
         forecast(series, model, num_samples=4, seed=0)
 
 
+def test_forecast_panel_rejects_empty_conditioning_range_before_work():
+    # The bad series comes after a full encode group of good ones; the
+    # call itself raises, before any of them is forecast.
+    _, model = tiny_model()
+    good = [make_series(f"g{i}", [3.0] * 12) for i in range(ROW_BUDGET + 1)]
+    bad = make_series("tail-gap", [5.0, 6.0, 7.0] + [float("nan")] * 8)
+    with pytest.raises(DataError, match="'tail-gap': no observed value in the conditioning range"):
+        forecast_panel(good + [bad], model, num_samples=4, seed=0)
+
+
 def test_forecast_rejects_granularity_mismatch():
     _, model = tiny_model()  # a daily model
     series = make_series("hourly", [1.0] * 30, granularity=Granularity.HOURLY)
@@ -483,7 +493,7 @@ def test_write_read_forecasts(tmp_path):
     records = [_sample_record(), _sample_record(emit=True)]
     records[1].series_id = "widget-8"
     path = tmp_path / "fc.jsonl"
-    path.write_text(render_forecasts(records), encoding="utf-8")
+    path.write_text("".join(render_forecasts(records)), encoding="utf-8")
     back = read_forecasts(path)
     assert [r.series_id for r in back] == ["widget-7", "widget-8"]
     np.testing.assert_array_equal(

@@ -147,6 +147,21 @@ records = st.fixed_dictionaries(
 )
 
 
+def _record(**quantiles):
+    return {"id": "a", "start": "2014-01-06", "num_samples": 4, "seed": 0,
+            "quantiles": quantiles}
+
+
 @given(st.one_of(records, json_values))
+@example(obj=_record(**{"0.5": [1.0, 2.0], "0.9": [1.0]}))  # unequal lengths
+@example(obj=_record(**{"0.5": 1.0}))  # a scalar, not an array
+@example(obj=_record())  # no quantiles at all
 def test_forecast_record_from_json_obj_loads_or_rejects(obj):
-    loads_or_rejects(ForecastRecord.from_json_obj, obj)
+    # A record that loads has a horizon of at least 1 that every quantile
+    # array shares.
+    try:
+        rec = ForecastRecord.from_json_obj(obj)
+    except PanelcastError:
+        return
+    assert rec.horizon >= 1
+    assert all(v.shape == (rec.horizon,) for v in rec.quantile_values.values())

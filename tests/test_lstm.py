@@ -1,5 +1,7 @@
 """LSTM cell and stack: hand oracles, brute-force gate equations, FD gradients."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,15 @@ from panelcast.errors import ConfigError
 from panelcast.gradcheck import finite_diff_check
 from panelcast.lstm import (
     LstmLayerParams,
-    LstmState,
     SequenceTape,
     StepSlab,
     init_layer,
 )
 from panelcast.rng import substream
 from panelcast.special import sigmoid
+
+# Per-layer hidden and cell vectors, each (B, hidden_dim).
+LstmState = namedtuple("LstmState", "h c")
 
 
 def zero_layer(input_dim, hidden, forget_bias=1.0):
@@ -64,9 +68,10 @@ def lstm_step(x, state, layers):
     return slab_state(slab)
 
 
-def run_tape(layers, xs, state=None):
-    """A SequenceTape over inputs xs (T, B, input_dim), run forward."""
-    tape = SequenceTape(layers, xs.shape[0], xs.shape[1], state)
+def run_tape(layers, xs):
+    """A SequenceTape over inputs xs (T, B, input_dim), run forward from
+    the zero state."""
+    tape = SequenceTape(layers, xs.shape[0], xs.shape[1])
     tape.inputs[...] = xs
     for t in range(xs.shape[0]):
         tape.forward_step(t)
@@ -135,19 +140,14 @@ class TestForward:
         layers = [random_layer(3, 5, seed=12), random_layer(5, 5, seed=13), random_layer(5, 5, seed=14)]
         rng = np.random.default_rng(7)
         xs = rng.normal(size=(6, batch, 3))
-        start = LstmState([rng.normal(size=(batch, 5)) for _ in layers],
-                          [rng.normal(size=(batch, 5)) for _ in layers])
-        tape = run_tape(layers, xs, start)
+        tape = run_tape(layers, xs)
         slab = StepSlab(layers, batch)  # stepped in place throughout
-        load_state(slab, start)
         for t in range(xs.shape[0]):
             slab.inputs[...] = xs[t]
             slab.step()
-            state = slab_state(slab)
-            recorded = tape.state(t)
-            for a, b in zip(state.h + state.c, recorded.h + recorded.c):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(tape.hidden(t), state.h[-1])
+            for c, recorded in zip(slab.c, tape.c):
+                np.testing.assert_array_equal(c, recorded[t + 1])
+            np.testing.assert_array_equal(tape.hidden(t), slab.hidden)
 
     def test_slab_reset_and_load_rows(self):
         # A slab reset to fewer rows and loaded from another slab's rows
@@ -186,10 +186,8 @@ class TestBackward:
         layer = random_layer(2, 3, seed=6)
         x = np.array([[[0.5, -1.0]]])
         tape = run_tape([layer], x)
-        d_x, d_in, d_params = tape.backward(np.zeros((1, 1, 3)))
+        d_x, d_params = tape.backward(np.zeros((1, 1, 3)))
         assert np.allclose(d_x, 0.0)
-        assert np.allclose(d_in.h[0], 0.0)
-        assert np.allclose(d_in.c[0], 0.0)
         assert np.allclose(d_params[0][0], 0.0)
         assert np.allclose(d_params[0][1], 0.0)
 
@@ -203,7 +201,7 @@ class TestBackward:
             # backward: d loss / d h_final = h_final
             d_h = np.zeros((xs.shape[0], xs.shape[1], layers[-1].hidden_dim))
             d_h[-1] = h_final
-            _, _, d_params = tape.backward(d_h)
+            _, d_params = tape.backward(d_h)
             grads = {}
             for i, (dw, db) in enumerate(d_params):
                 grads[f"l{i}.w"] = dw
@@ -241,55 +239,28 @@ class TestBackward:
             tape = run_tape([layer], blocks["x"][None])
             h = tape.hidden(0)
             loss = 0.5 * float(np.sum(h ** 2))
-            d_x, _, _ = tape.backward(h.copy()[None])
+            d_x, _ = tape.backward(h.copy()[None])
             return loss, {"x": d_x[0]}
 
         report = finite_diff_check(loss_fn, xbox, 1e-6)
         assert report.passed, str(report)
 
-    def test_state_gradient_fd(self):
-        layer = random_layer(2, 3, seed=11)
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(1, 2))
-        h0 = rng.normal(size=(1, 3))
-        c0 = rng.normal(size=(1, 3))
-        box = {"h0": h0, "c0": c0}
-
-        def loss_fn(blocks):
-            state = LstmState([blocks["h0"].copy()], [blocks["c0"].copy()])
-            tape = run_tape([layer], x[None], state)
-            new_state = tape.state(0)
-            loss = 0.5 * float(np.sum(new_state.h[0] ** 2) + np.sum(new_state.c[0] ** 2))
-            _, d_in, _ = tape.backward(np.zeros((1, 1, 3)), d_final=new_state)
-            return loss, {"h0": d_in.h[0], "c0": d_in.c[0]}
-
-        report = finite_diff_check(loss_fn, box, 1e-6)
-        assert report.passed, str(report)
-
     def test_stack_gradients_fd_with_per_step_loss(self):
-        # Three layers, a loss on every step's top h and on the final
-        # state of every layer, batch of three rows: weights, inputs and
-        # the initial state checked at once.
+        # Three layers, a loss on every step's top h, batch of three rows:
+        # weights and inputs checked at once.
         layers = [random_layer(2, 4, seed=17), random_layer(4, 4, seed=18), random_layer(4, 4, seed=19)]
         rng = np.random.default_rng(9)
-        box = {"x": rng.normal(size=(5, 3, 2)), "h1": rng.normal(size=(3, 4)) * 0.5,
-               "c2": rng.normal(size=(3, 4)) * 0.5}
+        box = {"x": rng.normal(size=(5, 3, 2))}
         for i, l in enumerate(layers):
             box[f"l{i}.w"] = l.w
             box[f"l{i}.b"] = l.b
 
         def loss_fn(blocks):
-            start = LstmState([np.zeros((3, 4)) for _ in layers], [np.zeros((3, 4)) for _ in layers])
-            start.h[1] = blocks["h1"].copy()
-            start.c[2] = blocks["c2"].copy()
-            tape = run_tape(layers, blocks["x"], start)
+            tape = run_tape(layers, blocks["x"])
             h = tape.top_hidden()
-            final = tape.state(4)
-            loss = 0.5 * float(np.sum(h ** 2)) + 0.1 * float(sum(np.sum(c) for c in final.c))
-            d_final = LstmState([np.zeros((3, 4)) for _ in layers],
-                                [np.full((3, 4), 0.1) for _ in layers])
-            d_x, d_in, d_params = tape.backward(h.reshape(5, 3, 4).copy(), d_final)
-            grads = {"x": d_x, "h1": d_in.h[1], "c2": d_in.c[2]}
+            loss = 0.5 * float(np.sum(h ** 2))
+            d_x, d_params = tape.backward(h.reshape(5, 3, 4).copy())
+            grads = {"x": d_x}
             for i, (dw, db) in enumerate(d_params):
                 grads[f"l{i}.w"] = dw
                 grads[f"l{i}.b"] = db

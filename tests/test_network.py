@@ -130,8 +130,9 @@ class TestUnroll:
         for t in range(w.total):
             if w.mask[t] == MASK_MISSING:
                 continue
-            p = result.step_likelihood(0, t)
-            nll, _, _ = nll_and_grads(w.target[t], p.mu, p.disp, model.likelihood)
+            nll, _, _ = nll_and_grads(
+                w.target[t], result.mus[0, t], result.disps[0, t], model.likelihood
+            )
             total += float(nll)
         assert result.loss == pytest.approx(total, abs=1e-10)
 

@@ -1,0 +1,36 @@
+"""Package-wide guards: the runtime imports only the standard library and
+numpy, and every exported name exists."""
+
+import ast
+import importlib
+import pathlib
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "panelcast"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def _absolute_imports(tree):
+    """Top-level names of every absolute import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_imports_only_stdlib_and_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    assert sorted(set(_absolute_imports(tree)) - allowed) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exports_resolve(name):
+    module = importlib.import_module(f"panelcast.{name}")
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
+    assert len(set(exported)) == len(exported)

@@ -151,6 +151,18 @@ class TestTrain:
             train(panel, cfg)
         assert exc.value.log is not None
 
+    def test_non_finite_gradients_stop_training(self, monkeypatch):
+        # A finite loss whose gradient norm is not finite counts as a
+        # divergent batch; three in a row stop training.
+        import panelcast.trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "clip_global_norm", lambda grads, max_norm: float("nan"))
+        panel = sinusoid_panel(num_series=4, n=50, seed=7)
+        with pytest.raises(DivergenceError) as exc:
+            train(panel, small_config(max_batches=20))
+        assert str(exc.value) == "training diverged after 3 batches: non-finite gradients"
+        assert exc.value.log.stopping_reason == "diverged: non-finite gradients"
+
     def test_ablation_flags_produce_different_models(self):
         panel = count_panel(num_series=6, n=50, seed=8)
         cfg = small_config(likelihood="negbin", max_batches=16)
