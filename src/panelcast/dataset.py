@@ -73,11 +73,6 @@ class Granularity(str, Enum):
             raise DataError(f"unknown freq code {code!r}; expected one of H, D, W, M")
         return table[code]
 
-    @property
-    def season_length(self) -> int:
-        """Natural season: day for hourly, week for daily, year otherwise."""
-        return {"hourly": 24, "daily": 7, "weekly": 52, "monthly": 12}[self.value]
-
 
 def _add_months(ts: datetime, k: int) -> datetime:
     total = ts.year * 12 + (ts.month - 1) + k
@@ -504,7 +499,6 @@ class WindowSampler:
         self.stats = stats
         self._series = []
         self._bounds = []
-        self._n_train = []
         weights = []
         for series in panel:
             bounds = placement_bounds(series.n, spec)
@@ -516,22 +510,29 @@ class WindowSampler:
                 continue
             self._series.append(series)
             self._bounds.append(bounds)
-            self._n_train.append(_train_placement_count(series.n, spec))
             weights.append(1.0 if uniform else series_scale(series))
         if not self._series:
             raise DataError("no series is long enough for the window spec")
         self._cum_weights = np.cumsum(np.asarray(weights, dtype=np.float64))
+        self._lo = np.array([lo for lo, _ in self._bounds], dtype=np.int64)
+        self._n_train = np.array(
+            [_train_placement_count(s.n, spec) for s in self._series], dtype=np.int64
+        )
         # Extended standardized features per series, sliced on each draw.
         self._features = [
             stats.standardize(raw_features(s, -spec.conditioning_length, s.n + spec.conditioning_length))
             for s in self._series
         ]
 
-    def draw(self, stream) -> TrainingWindow:
-        i = stream.choice_weighted(self._cum_weights)
-        lo, _ = self._bounds[i]
-        start = lo + stream.randint(self._n_train[i])
-        return self._window(i, start)
+    def draw(self, u) -> list:
+        """One window per row of the (n, 2) uniforms u in [0, 1): column 0
+        picks the series by cumulative weight, column 1 its training
+        placement."""
+        idx = np.searchsorted(self._cum_weights, u[:, 0] * self._cum_weights[-1], side="right")
+        n_train = self._n_train[idx]
+        offsets = np.minimum(np.floor(u[:, 1] * n_train).astype(np.int64), n_train - 1)
+        starts = self._lo[idx] + offsets
+        return [self._window(i, s) for i, s in zip(idx.tolist(), starts.tolist())]
 
     def _window(self, i: int, start_offset: int) -> TrainingWindow:
         series = self._series[i]
@@ -556,7 +557,7 @@ class WindowSampler:
         slots = []
         for i, series in enumerate(self._series):
             lo, hi = self._bounds[i]
-            first_val = lo + self._n_train[i]
+            first_val = lo + int(self._n_train[i])
             for s in range(first_val, hi + 1):
                 slots.append((i, s))
         if len(slots) > cap:

@@ -23,7 +23,3 @@ class DivergenceError(PanelcastError):
 
 class MetricError(PanelcastError):
     """A metric is undefined for the given inputs (e.g. zero denominator)."""
-
-
-class CheckError(PanelcastError):
-    """A verification harness could not run (e.g. non-deterministic loss)."""

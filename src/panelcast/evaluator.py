@@ -1,7 +1,7 @@
 """Forecast accuracy metrics over spans [L, L+S): quantile loss and
 rho-risk, ND and normalized RMSE from the median forecast, Coverage(p),
-a seasonal-naive reference, and rolling backtests that re-condition a
-trained model without retraining it.
+and rolling backtests that re-condition a trained model without
+retraining it.
 
 A span's forecast value is the rho-quantile of per-path span sums; for
 single-step spans this equals the per-step quantile, so those metrics
@@ -30,7 +30,6 @@ __all__ = [
     "all_k_risk",
     "nd_rmse",
     "coverage",
-    "seasonal_naive",
     "evaluate",
     "rolling_backtest",
 ]
@@ -166,21 +165,6 @@ def coverage(pairs, levels, lead: int = 0, span: int = 1) -> dict:
             if _forecast_span(pair, lead, span, rho) > _truth_span(pair, lead, span):
                 hits += 1
         out[float(rho)] = hits / len(pairs)
-    return out
-
-
-def seasonal_naive(series: TimeSeries, horizon: int, season: int) -> np.ndarray:
-    """Repeat the last observed season; missing source values become 0."""
-    if season < 1 or horizon < 1:
-        raise MetricError("seasonal_naive needs season >= 1 and horizon >= 1")
-    if series.n < season:
-        raise MetricError(
-            f"series {series.id!r}: history of {series.n} steps is shorter than one "
-            f"season of {season}"
-        )
-    last = series.target[series.n - season :]
-    out = np.array([last[k % season] for k in range(horizon)], dtype=np.float64)
-    out[np.isnan(out)] = 0.0
     return out
 
 

@@ -41,7 +41,7 @@ from .errors import ConfigError, DataError
 from .likelihood import draw
 from .lstm import StepSlab
 from .network import ModelParams, decode_step, encode
-from .rng import RowKeys, substream
+from .rng import RowKeys
 
 __all__ = [
     "ForecastSamples",
@@ -53,7 +53,6 @@ __all__ = [
     "nearest_rank",
     "quantiles",
     "span_aggregate",
-    "shuffle_paths",
     "record_from_samples",
     "render_forecasts",
     "read_forecasts",
@@ -276,21 +275,6 @@ def span_aggregate(samples, lead: int, span: int, rho: float) -> float:
         )
     sums = mat[:, lead : lead + span].sum(axis=1)
     return float(nearest_rank(np.sort(sums), rho))
-
-
-def shuffle_paths(samples, seed: int):
-    """Permute the path dimension independently at each step, destroying
-    inter-step correlation while keeping each step's marginal intact."""
-    mat = _as_matrix(samples)
-    if mat.shape[0] < 2:
-        raise ConfigError("shuffling needs at least two sample paths")
-    out = np.empty_like(mat)
-    for t in range(mat.shape[1]):
-        perm = substream(seed, "shuffle", t).permutation(mat.shape[0])
-        out[:, t] = mat[perm, t]
-    if isinstance(samples, ForecastSamples):
-        return ForecastSamples(samples.series_id, samples.start, out, samples.seed)
-    return out
 
 
 @dataclass

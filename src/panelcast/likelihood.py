@@ -118,10 +118,10 @@ class HeadCache:
     nu: np.ndarray
 
 
-def init_heads(hidden_dim: int, stream) -> HeadParams:
+def init_heads(hidden_dim: int, gen: np.random.Generator) -> HeadParams:
     bound = 1.0 / np.sqrt(hidden_dim)
-    w_mu = (stream.uniforms(hidden_dim) * 2.0 - 1.0) * bound
-    w_disp = (stream.uniforms(hidden_dim) * 2.0 - 1.0) * bound
+    w_mu = (gen.random(hidden_dim) * 2.0 - 1.0) * bound
+    w_disp = (gen.random(hidden_dim) * 2.0 - 1.0) * bound
     return HeadParams(w_mu, np.zeros(()), w_disp, np.zeros(()))
 
 

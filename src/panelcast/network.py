@@ -127,15 +127,8 @@ def init_model(
 ) -> ModelParams:
     if num_layers < 1 or hidden_dim < 1 or embedding_dim < 1 or category_cardinality < 1:
         raise ConfigError("model dimensions must be positive")
-    emb_stream = substream(seed, "init", "embedding")
-    bound = 1.0 / np.sqrt(embedding_dim)
-    embedding = (
-        emb_stream.uniforms(category_cardinality * embedding_dim).reshape(
-            category_cardinality, embedding_dim
-        )
-        * 2.0
-        - 1.0
-    ) * bound
+    u = substream(seed, "init", "embedding").random((category_cardinality, embedding_dim))
+    embedding = (u * 2.0 - 1.0) * (1.0 / np.sqrt(embedding_dim))
     input_dim = 1 + len(stats.names) + embedding_dim
     layers = []
     for i in range(num_layers):

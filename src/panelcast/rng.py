@@ -1,10 +1,11 @@
 """Deterministic randomness: named PCG64 streams for sequential consumers
 and a counter-based keyed generator for sampling.
 
-Every piece of randomness in the engine flows from one integer seed.
-Sequential consumers (weight init, window draws, path shuffles) read a
-named substream: a path of strings/ints hashed into a PCG64 spawn key,
-so adding paths never reshuffles existing ones.
+Every piece of randomness in the engine flows from one non-negative
+integer seed. Sequential consumers (weight init, window draws) read a
+named substream: a numpy PCG64 Generator whose spawn key is a path of
+strings/ints hashed into words, so adding paths never reshuffles
+existing ones.
 
 Sampling (forecast paths, imputation of missing values) uses no stream
 state at all. Each uniform is a pure function
@@ -34,10 +35,10 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .special import lgamma
 
 __all__ = [
-    "Stream",
     "substream",
     "derive_seed",
     "philox4x32",
@@ -64,15 +65,20 @@ def _path_key(path):
     return tuple(key)
 
 
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(entropy=seed, spawn_key=_path_key(path))
+
+
 def _seed_words(seed: int, path) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_path_key(path))
-    return ss.generate_state(2)
+    return _seed_sequence(seed, path).generate_state(2)
 
 
-def substream(seed: int, *path) -> "Stream":
-    """Derive the named substream of `seed` identified by `path`."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=_path_key(path))
-    return Stream(ss)
+def substream(seed: int, *path) -> np.random.Generator:
+    """The PCG64 generator of `seed`'s substream named by `path`."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path) -> int:
@@ -83,42 +89,6 @@ def derive_seed(seed: int, *path) -> int:
     """
     lo, hi = _seed_words(seed, path)
     return int(lo) | (int(hi) << 32)
-
-
-class Stream:
-    """One sequential deterministic stream, for consumers that read their
-    randomness in a fixed order."""
-
-    def __init__(self, seed_sequence: np.random.SeedSequence):
-        self._gen = np.random.Generator(np.random.PCG64(seed_sequence))
-
-    def uniform(self) -> float:
-        """One double in [0, 1)."""
-        return float(self._gen.random())
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return self._gen.random(n)
-
-    def choice_weighted(self, cumulative_weights: np.ndarray) -> int:
-        """Index drawn with probability proportional to the weight steps.
-
-        `cumulative_weights` is the inclusive cumulative sum of positive
-        weights; the last entry is the total.
-        """
-        u = self.uniform() * cumulative_weights[-1]
-        return int(np.searchsorted(cumulative_weights, u, side="right"))
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return min(int(self.uniform() * n), n - 1)
-
-    def permutation(self, n: int) -> np.ndarray:
-        # Fisher-Yates driven by this stream's uniforms.
-        out = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
 
 
 # -- Philox4x32-10 -------------------------------------------------------------

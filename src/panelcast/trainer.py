@@ -220,14 +220,14 @@ def train(panel: Panel, config: TrainConfig):
         config.seed,
     )
     adam = init_adam(model.blocks(), learning_rate=config.learning_rate)
-    draw_stream = substream(config.seed, "train", "draw")
+    draws = substream(config.seed, "train", "draw")
 
     pool = sampler.validation_windows(cap=VALIDATION_CAP)
     if not pool:
         # Panels where every series has fewer than 10 placements hold
         # nothing out; fall back to a fixed in-sample pool.
         fallback = substream(config.seed, "train", "valpool")
-        pool = [sampler.draw(fallback) for _ in range(min(VALIDATION_CAP, 64))]
+        pool = sampler.draw(fallback.random((min(VALIDATION_CAP, 64), 2)))
     if config.no_scaling:
         pool = [_force_unit_scale(w) for w in pool]
 
@@ -254,7 +254,7 @@ def train(panel: Panel, config: TrainConfig):
         for _ in range(steps_per_epoch):
             if batches_done >= config.max_batches:
                 break
-            windows = [sampler.draw(draw_stream) for _ in range(config.batch_size)]
+            windows = sampler.draw(draws.random((config.batch_size, 2)))
             if config.no_scaling:
                 windows = [_force_unit_scale(w) for w in windows]
             batches_done += 1

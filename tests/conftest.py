@@ -14,8 +14,11 @@ from panelcast.dataset import (
     WindowSpec,
     fit_feature_stats,
 )
+from panelcast.errors import ConfigError, MetricError
+from panelcast.forecaster import ForecastSamples
 from panelcast.likelihood import LikelihoodKind
 from panelcast.network import init_model
+from panelcast.rng import substream
 from panelcast.trainer import TrainConfig, train
 
 START = datetime(2014, 1, 6)
@@ -59,6 +62,48 @@ def cut_window(series, spec, start_offset, stats):
     """The training window of `series` placed at `start_offset`, cut the
     way WindowSampler cuts every window it draws."""
     return WindowSampler(Panel([series]), spec, stats)._window(0, start_offset)
+
+
+def permutation(gen, n):
+    """Fisher-Yates shuffle of range(n), one gen.random() per swap from
+    the top index down."""
+    out = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = min(int(gen.random() * (i + 1)), i)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def shuffle_paths(samples, seed):
+    """Permute the path dimension independently at each step, destroying
+    inter-step correlation while keeping each step's marginal intact.
+    Takes a (paths, horizon) matrix or ForecastSamples and returns the
+    same kind."""
+    wrapped = isinstance(samples, ForecastSamples)
+    mat = np.asarray(samples.samples if wrapped else samples, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] < 2:
+        raise ConfigError("shuffling needs a 2-d matrix of at least two sample paths")
+    out = np.empty_like(mat)
+    for t in range(mat.shape[1]):
+        out[:, t] = mat[permutation(substream(seed, "shuffle", t), mat.shape[0]), t]
+    if wrapped:
+        return ForecastSamples(samples.series_id, samples.start, out, samples.seed)
+    return out
+
+
+def seasonal_naive(series, horizon, season):
+    """Repeat the last observed season; missing source values become 0."""
+    if season < 1 or horizon < 1:
+        raise MetricError("seasonal_naive needs season >= 1 and horizon >= 1")
+    if series.n < season:
+        raise MetricError(
+            f"series {series.id!r}: history of {series.n} steps is shorter than one "
+            f"season of {season}"
+        )
+    last = series.target[series.n - season :]
+    out = last[np.arange(horizon) % season]
+    out[np.isnan(out)] = 0.0
+    return out
 
 
 def tiny_model(kind=LikelihoodKind.GAUSSIAN, panel=None, spec=None, *, hidden=8,

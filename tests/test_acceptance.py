@@ -35,15 +35,15 @@ from panelcast.dataset import (
     series_scale,
 )
 from panelcast.errors import DivergenceError
-from panelcast.evaluator import EvalPair, all_k_risk, coverage, nd_rmse, rolling_backtest, seasonal_naive
-from panelcast.forecaster import ForecastRecord, forecast, record_from_samples, shuffle_paths
-from panelcast.gradcheck import finite_diff_check
+from panelcast.evaluator import EvalPair, all_k_risk, coverage, nd_rmse, rolling_backtest
+from panelcast.forecaster import ForecastRecord, forecast, record_from_samples
 from panelcast.likelihood import LikelihoodKind, negbin_nll
 from panelcast.network import init_model, unroll_batch
 from panelcast.rng import RowKeys, neg_binomials, substream
 from panelcast.trainer import TrainConfig, train
 
-from conftest import cut_window
+from conftest import cut_window, seasonal_naive, shuffle_paths
+from gradcheck import finite_diff_check
 
 START = datetime(2014, 1, 6)
 
@@ -417,11 +417,10 @@ def test_weighted_selection_frequencies():
     panel = Panel(series)
     spec = WindowSpec(4, 4)
     sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
-    stream = substream(77, "acceptance", "selection")
     draws = 100_000
     counts = {s.id: 0 for s in series}
-    for _ in range(draws):
-        counts[sampler.draw(stream).series_id] += 1
+    for w in sampler.draw(substream(77, "acceptance", "selection").random((draws, 2))):
+        counts[w.series_id] += 1
 
     weights = np.array([series_scale(s) for s in series])
     expected = weights / weights.sum()

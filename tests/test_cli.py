@@ -396,6 +396,33 @@ def test_predict_failing_mid_stream_leaves_no_file(workdir, tmp_path, monkeypatc
     assert list(out_dir.iterdir()) == []
 
 
+def _negative_seed_argv(workdir, tmp_path, out, command):
+    if command == "train-flag":
+        return ["train", "--data", workdir["data"], "--config", workdir["config"],
+                "--output", str(out / "m.bin"), "--seed", "-1"]
+    if command == "train-config":
+        config = tmp_path / "negative.cfg"
+        config.write_text(CONFIG_TEXT.replace("seed = 0", "seed = -1"), encoding="utf-8")
+        return ["train", "--data", workdir["data"], "--config", str(config),
+                "--output", str(out / "m.bin")]
+    if command == "predict":
+        return ["predict", "--model", workdir["model"], "--data", workdir["data"],
+                "--output", str(out / "fc.jsonl"), "--seed", "-1"]
+    return ["evaluate", "--truth", workdir["data"], "--model", workdir["model"],
+            "--rolling", "2:3", "--seed", "-3", "--output", str(out / "report.json")]
+
+
+@pytest.mark.parametrize("command", ["train-flag", "train-config", "predict", "evaluate"])
+def test_negative_seed_exits_2(workdir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(_negative_seed_argv(workdir, tmp_path, out, command))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be a non-negative integer" in err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from panelcast.dataset import (
     TimeSeries,
     WindowSampler,
     WindowSpec,
+    _train_placement_count,
     add_steps,
     compute_scale,
     feature_names,
@@ -39,12 +40,6 @@ class TestGranularity:
         assert Granularity.from_code("D") is Granularity.DAILY
         assert Granularity.from_code("W") is Granularity.WEEKLY
         assert Granularity.from_code("M") is Granularity.MONTHLY
-
-    def test_season_lengths(self):
-        assert Granularity.HOURLY.season_length == 24
-        assert Granularity.DAILY.season_length == 7
-        assert Granularity.WEEKLY.season_length == 52
-        assert Granularity.MONTHLY.season_length == 12
 
     def test_add_steps_roundtrip(self):
         for gran in Granularity:
@@ -257,7 +252,6 @@ class TestCovariates:
         stats = fit_feature_stats(panel, spec)
         acc = np.zeros(len(stats.names))
         count = 0
-        from panelcast.dataset import _train_placement_count
 
         for s in panel:
             lo, hi = placement_bounds(s.n, spec)
@@ -339,9 +333,8 @@ class TestSampler:
         spec = WindowSpec(5, 5)
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
-        stream = substream(0, "draw")
         n = 100_000
-        picks = sum(sampler.draw(stream).series_id == "b" for _ in range(n))
+        picks = sum(w.series_id == "b" for w in sampler.draw(substream(0, "draw").random((n, 2))))
         assert abs(picks / n - 0.75) < 0.01
 
     def test_ten_series_chi_square(self):
@@ -356,12 +349,10 @@ class TestSampler:
         sampler = WindowSampler(panel, spec, stats)
         weights = np.array([series_scale(s) for s in series])
         probs = weights / weights.sum()
-        stream = substream(1, "chi")
         n = 100_000
         counts = np.zeros(10)
-        for _ in range(n):
-            sid = sampler.draw(stream).series_id
-            counts[int(sid[1:])] += 1
+        for w in sampler.draw(substream(1, "chi").random((n, 2))):
+            counts[int(w.series_id[1:])] += 1
         chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
         # 9 degrees of freedom; 99.9th percentile is 27.88
         assert chi2 < 27.88
@@ -373,9 +364,8 @@ class TestSampler:
         spec = WindowSpec(5, 5)
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats, uniform=True)
-        stream = substream(2, "uni")
         n = 40_000
-        picks = sum(sampler.draw(stream).series_id == "b" for _ in range(n))
+        picks = sum(w.series_id == "b" for w in sampler.draw(substream(2, "uni").random((n, 2))))
         assert abs(picks / n - 0.5) < 0.02
 
     def test_fixed_seed_identical_sequence(self):
@@ -383,9 +373,10 @@ class TestSampler:
         spec = WindowSpec(8, 4)
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
-        seq1 = [sampler.draw(substream(9, "s", i)) for i in range(20)]
+        seq1 = sampler.draw(substream(9, "s").random((20, 2)))
         sampler2 = WindowSampler(panel, spec, stats)
-        seq2 = [sampler2.draw(substream(9, "s", i)) for i in range(20)]
+        seq2 = sampler2.draw(substream(9, "s").random((20, 2)))
+        assert len(seq1) == len(seq2) == 20
         for w1, w2 in zip(seq1, seq2):
             assert w1.series_id == w2.series_id
             assert w1.start_offset == w2.start_offset
@@ -400,8 +391,8 @@ class TestSampler:
         stats = fit_feature_stats(panel, spec)
         with pytest.warns(UserWarning, match="short"):
             sampler = WindowSampler(panel, spec, stats)
-        stream = substream(3, "skip")
-        assert all(sampler.draw(stream).series_id == "long" for _ in range(50))
+        windows = sampler.draw(substream(3, "skip").random((50, 2)))
+        assert all(w.series_id == "long" for w in windows)
 
     def test_single_series_covering_all_placements(self):
         s = make_series("only", [3.0, 1.0, 4.0, 1.0, 5.0])
@@ -409,12 +400,56 @@ class TestSampler:
         spec = WindowSpec(2, 5)  # prediction range = series length
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
-        stream = substream(4, "all")
-        starts = {sampler.draw(stream).start_offset for _ in range(300)}
+        starts = {w.start_offset for w in sampler.draw(substream(4, "all").random((300, 2)))}
         assert starts == {-2}  # only one valid placement
         w = cut_window(s, spec, -2, stats)
         assert np.all(w.mask[:2] == MASK_PADDED)
         assert np.all(w.target[:2] == 0.0)
+
+    def test_draw_matches_scalar_reference(self):
+        # Uneven lengths, and a series too short to draw from. The scales
+        # 3, 29, 1 and 31 sum to 64, so u = 3/64 and 32/64 land exactly on
+        # a cumulative weight, where a draw picks the next series.
+        series = [
+            make_series("a", np.full(30, 2.0)),
+            make_series("short", [1.0, 2.0]),
+            make_series("b", np.arange(57.0)),
+            make_series("c", [0.0] * 12),
+            make_series("d", np.full(90, 30.0)),
+        ]
+        panel = Panel(series)
+        spec = WindowSpec(6, 4)
+        with pytest.warns(UserWarning, match="short"):
+            sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
+        drawable = [s for s in series if s.id != "short"]
+        cum = np.cumsum([series_scale(s) for s in drawable])
+        lo = [placement_bounds(s.n, spec)[0] for s in drawable]
+        n_train = [_train_placement_count(s.n, spec) for s in drawable]
+
+        def reference(u0, u1):
+            # One weighted choice, then one uniform placement, as scalars.
+            i = int(np.searchsorted(cum, u0 * cum[-1], side="right"))
+            return drawable[i].id, lo[i] + min(int(u1 * n_train[i]), n_train[i] - 1)
+
+        top = 1.0 - 2.0**-53
+        u = np.vstack([
+            np.random.default_rng(11).random((2000, 2)),
+            [[0.0, 0.0], [0.0, top], [top, 0.0], [top, top], [3 / 64, 0.5], [0.5, 0.5]],
+        ])
+        got = [(w.series_id, w.start_offset) for w in sampler.draw(u)]
+        assert got == [reference(u0, u1) for u0, u1 in u.tolist()]
+
+    def test_placements_cover_training_range(self):
+        series = [make_series("a", [1.0] * 7), make_series("b", [1.0] * 30)]
+        panel = Panel(series)
+        spec = WindowSpec(2, 3)
+        sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
+        starts = {s.id: set() for s in series}
+        for w in sampler.draw(substream(1, "ints").random((5000, 2))):
+            starts[w.series_id].add(w.start_offset)
+        for s in series:
+            lo = placement_bounds(s.n, spec)[0]
+            assert starts[s.id] == set(range(lo, lo + _train_placement_count(s.n, spec)))
 
     def test_validation_windows_chronological(self):
         panel = sinusoid_panel(num_series=3, n=60, seed=7)
@@ -423,7 +458,6 @@ class TestSampler:
         sampler = WindowSampler(panel, spec, stats)
         val = sampler.validation_windows()
         assert val
-        from panelcast.dataset import _train_placement_count
 
         for w in val:
             s = panel.get(w.series_id)

@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from conftest import START, make_series, tiny_model
+from conftest import START, make_series, seasonal_naive, shuffle_paths, tiny_model
 from panelcast.dataset import Panel
 from panelcast.errors import MetricError
 from panelcast.evaluator import (
@@ -21,14 +21,8 @@ from panelcast.evaluator import (
     quantile_loss,
     rho_risk,
     rolling_backtest,
-    seasonal_naive,
 )
-from panelcast.forecaster import (
-    ForecastRecord,
-    forecast,
-    record_from_samples,
-    shuffle_paths,
-)
+from panelcast.forecaster import ForecastRecord, forecast, record_from_samples
 from panelcast.rng import derive_seed
 
 # ---------------------------------------------------------------------------

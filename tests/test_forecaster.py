@@ -8,7 +8,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from conftest import START, count_panel, make_series, tiny_model
+from conftest import START, count_panel, make_series, shuffle_paths, tiny_model
 from panelcast.dataset import Granularity, Panel
 from panelcast.errors import ConfigError, DataError
 from panelcast.forecaster import (
@@ -21,7 +21,6 @@ from panelcast.forecaster import (
     quantiles,
     read_forecasts,
     record_from_samples,
-    shuffle_paths,
     render_forecasts,
     span_aggregate,
 )

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from panelcast.errors import CheckError
-from panelcast.gradcheck import finite_diff_check
 from panelcast.likelihood import gaussian_nll
+
+from gradcheck import CheckError, finite_diff_check
 
 
 class TestHarness:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelcast.errors import ConfigError
-from panelcast.gradcheck import finite_diff_check
 from panelcast.likelihood import (
     PARAM_FLOOR,
     HeadParams,
@@ -21,6 +20,8 @@ from panelcast.likelihood import (
     negbin_nll,
 )
 from panelcast.rng import RowKeys, substream
+
+from gradcheck import finite_diff_check
 
 
 class TestGaussianNll:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from panelcast.errors import ConfigError
-from panelcast.gradcheck import finite_diff_check
 from panelcast.lstm import (
     LstmLayerParams,
     SequenceTape,
@@ -15,6 +14,8 @@ from panelcast.lstm import (
 )
 from panelcast.rng import substream
 from panelcast.special import sigmoid
+
+from gradcheck import finite_diff_check
 
 # Per-layer hidden and cell vectors, each (B, hidden_dim).
 LstmState = namedtuple("LstmState", "h c")

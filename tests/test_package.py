@@ -1,9 +1,12 @@
 """Package-wide guards: the runtime imports only the standard library and
-numpy, and every exported name exists."""
+numpy, every exported name exists, and every module is one the CLI
+loads."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -34,3 +37,19 @@ def test_exports_resolve(name):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_cli_loads_every_module():
+    # A module the CLI never imports is reached only from tests; it belongs
+    # in tests/. Checked in a fresh interpreter so the test session's own
+    # imports do not count.
+    code = (
+        "import sys, panelcast.cli; "
+        "print(' '.join(sorted(m.split('.', 1)[1] for m in sys.modules "
+        "if m.startswith('panelcast.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert sorted(set(MODULES) - set(out.split())) == []

@@ -4,6 +4,7 @@ distributional sanity of the keyed samplers."""
 import numpy as np
 import pytest
 
+from panelcast.errors import ConfigError
 from panelcast.likelihood import LikelihoodKind, draw
 from panelcast.rng import (
     RowKeys,
@@ -15,6 +16,8 @@ from panelcast.rng import (
     poissons,
     substream,
 )
+
+from conftest import permutation
 
 
 def keys(seed, tag, n, first_path=0):
@@ -31,20 +34,20 @@ def chunked(sampler, seed, tag, n, chunk=100_000):
 
 class TestSubstreams:
     def test_same_path_same_draws(self):
-        a = substream(7, "train", "draw").uniforms(16)
-        b = substream(7, "train", "draw").uniforms(16)
+        a = substream(7, "train", "draw").random(16)
+        b = substream(7, "train", "draw").random(16)
         assert np.array_equal(a, b)
 
     def test_different_path_different_draws(self):
-        a = substream(7, "train", "draw").uniforms(16)
-        b = substream(7, "train", "init").uniforms(16)
-        c = substream(8, "train", "draw").uniforms(16)
+        a = substream(7, "train", "draw").random(16)
+        b = substream(7, "train", "init").random(16)
+        c = substream(8, "train", "draw").random(16)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_integer_and_string_components(self):
-        a = substream(3, "path", "s1", 4).uniforms(8)
-        b = substream(3, "path", "s1", 5).uniforms(8)
+        a = substream(3, "path", "s1", 4).random(8)
+        b = substream(3, "path", "s1", 5).random(8)
         assert not np.array_equal(a, b)
 
     def test_derive_seed_stable_and_distinct(self):
@@ -55,37 +58,35 @@ class TestSubstreams:
         assert s1 != s3
         assert 0 <= s1 < 2**64
 
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda seed: substream(seed, "train", "draw"),
+            lambda seed: derive_seed(seed, "rolling", 0),
+            lambda seed: RowKeys.for_series(seed, "impute", ["s"], [0]),
+        ],
+        ids=["substream", "derive_seed", "row_keys"],
+    )
+    def test_negative_seed_rejected(self, derive):
+        with pytest.raises(ConfigError, match="non-negative integer, got -1"):
+            derive(-1)
+
 
 class TestUniformAndInts:
     def test_uniform_range(self):
         s = substream(0, "u")
-        draws = s.uniforms(10_000)
+        draws = s.random(10_000)
         assert np.all((draws >= 0.0) & (draws < 1.0))
         assert abs(draws.mean() - 0.5) < 0.02
 
-    def test_randint_covers_range(self):
-        s = substream(1, "ints")
-        draws = [s.randint(5) for _ in range(5000)]
-        assert set(draws) == {0, 1, 2, 3, 4}
-
     def test_permutation_is_bijection(self):
-        s = substream(2, "perm")
-        p = s.permutation(50)
+        p = permutation(substream(2, "perm"), 50)
         assert sorted(p.tolist()) == list(range(50))
 
     def test_permutation_not_identity_often(self):
         s = substream(3, "perm")
-        hits = sum(np.array_equal(s.permutation(10), np.arange(10)) for _ in range(50))
+        hits = sum(np.array_equal(permutation(s, 10), np.arange(10)) for _ in range(50))
         assert hits <= 1
-
-    def test_choice_weighted_frequencies(self):
-        s = substream(4, "choice")
-        w = np.array([1.0, 3.0])
-        cum = np.cumsum(w)
-        n = 100_000
-        picks = np.array([s.choice_weighted(cum) for _ in range(n)])
-        frac1 = picks.mean()
-        assert abs(frac1 - 0.75) < 0.01
 
 
 class TestPhilox:

@@ -4,7 +4,13 @@ and hyperparameter grid search."""
 import numpy as np
 import pytest
 
-from panelcast.dataset import Panel, WindowSampler, fit_feature_stats
+from panelcast.dataset import (
+    Panel,
+    WindowSampler,
+    _train_placement_count,
+    fit_feature_stats,
+    placement_bounds,
+)
 from panelcast.errors import ConfigError, DivergenceError
 from panelcast.forecaster import forecast, quantiles
 from panelcast.likelihood import LikelihoodKind
@@ -162,6 +168,40 @@ class TestTrain:
             train(panel, small_config(max_batches=20))
         assert str(exc.value) == "training diverged after 3 batches: non-finite gradients"
         assert exc.value.log.stopping_reason == "diverged: non-finite gradients"
+
+    def test_fallback_validation_pool_is_reproducible(self, monkeypatch):
+        # Every series has 7 placements, fewer than the 10 it takes to hold
+        # one out, so training validates on windows drawn in-sample.
+        import panelcast.trainer as trainer_mod
+
+        panel = Panel([
+            make_series(f"f{i}", 4.0 + i + np.sin(np.arange(10.0) + i), category=i % 2)
+            for i in range(5)
+        ])
+        cfg = small_config(max_batches=16)
+        spec = cfg.window_spec
+        assert WindowSampler(panel, spec, fit_feature_stats(panel, spec)).validation_windows() == []
+        pools = []
+
+        def recording_pool_nll(pool, *args, **kwargs):
+            pools.append(pool)
+            return _pool_nll(pool, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "_pool_nll", recording_pool_nll)
+        model_a, log_a = train(panel, cfg)
+        model_b, log_b = train(panel, cfg)
+        assert model_to_bytes(model_a) == model_to_bytes(model_b)
+        assert [r[:-2] for r in log_a.rows] == [r[:-2] for r in log_b.rows]
+        assert log_a.stopping_reason == log_b.stopping_reason
+        pool = pools[0]
+        assert len(pool) == 64
+        assert [(w.series_id, w.start_offset) for w in pool] == [
+            (w.series_id, w.start_offset) for w in pools[-1]
+        ]
+        for w in pool:
+            n = panel.get(w.series_id).n
+            lo, _ = placement_bounds(n, spec)
+            assert lo <= w.start_offset < lo + _train_placement_count(n, spec)
 
     def test_ablation_flags_produce_different_models(self):
         panel = count_panel(num_series=6, n=50, seed=8)
