@@ -95,9 +95,12 @@ def _parse_spans(text: str):
             continue
         try:
             lead, _, span = part.partition(":")
-            spans.append((int(lead), int(span)))
+            lead, span = int(lead), int(span)
         except ValueError:
             raise ConfigError(f"bad span {part!r}; expected LEAD:LENGTH") from None
+        if lead < 0 or span < 1:
+            raise ConfigError(f"bad span {part!r}; LEAD must be at least 0 and LENGTH at least 1")
+        spans.append((lead, span))
     if not spans:
         raise ConfigError("no spans given")
     return spans

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Panel, TimeSeries, steps_between
-from .errors import DataError, MetricError
+from .errors import ConfigError, DataError, MetricError
 from .forecaster import ForecastRecord, forecast_panel, record_from_samples, span_aggregate
 from .rng import derive_seed
 
@@ -244,11 +244,18 @@ def rolling_backtest(
     """Evaluate `count` forecast windows per series, each `stride` steps
     apart, with the last window ending at the series end. The model is
     re-conditioned on the truncated history for every window and never
-    retrained. Returns (per-window reports, pooled report).
+    retrained. Returns (per-window reports, pooled report). A count or
+    stride below 1, or a span that does not fit the model's prediction
+    length, is a ConfigError raised before any forecasting.
     """
     if count < 1 or stride < 1:
-        raise MetricError("rolling backtest needs count >= 1 and stride >= 1")
+        raise ConfigError(f"rolling backtest needs COUNT >= 1 and STRIDE >= 1, got {count}:{stride}")
     horizon = params.spec.prediction_length
+    for lead, span in spans:
+        if lead < 0 or span < 1 or lead + span > horizon:
+            raise ConfigError(
+                f"span [{lead}, {lead + span}) does not fit the model's prediction length {horizon}"
+            )
     window_pairs = []
     for w in range(count):
         back = (count - 1 - w) * stride + horizon

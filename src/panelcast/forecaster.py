@@ -12,9 +12,10 @@ at a time:
 2. Decode. The paths are packed into row blocks of whole series with all
    their paths, up to ROW_BUDGET rows; a series with more paths than that
    fills blocks of its own. Each block loads its series' rows of the
-   encoded step slab (lstm.StepSlab), draws step 0 from the encoded
-   distribution and steps the slab in place from step 1 on, allocating
-   nothing per step.
+   encoded step slab (lstm.StepSlab, feature-major: one column per path),
+   draws step 0 from the encoded distribution and steps the slab in
+   place from step 1 on, allocating nothing per step. Each step's draw
+   judges the rejection rounds of all the block's paths at once.
 
 Draws come from the keyed generator in `rng`: path p of series s at
 step t reads the uniforms H(seed, s, p, t, round), and imputation of a
@@ -22,7 +23,8 @@ missing conditioning value at step t reads H(seed, s, 0, t, round)
 under a separate tag. So path p is the same no matter how many paths
 are drawn, which series share its group or block, or how the panel is
 split, bit for bit: the network computes each row independently of the
-other rows of its batch.
+other rows of its batch (the slab pads its columns to a multiple of 8
+so that BLAS rounds a row the same at every block size).
 
 Quantiles are empirical nearest-rank: sorted column index ceil(rho*n)-1.
 """

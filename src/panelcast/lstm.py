@@ -1,18 +1,27 @@
 """Stacked LSTM cell with hand-derived backward pass.
 
-Arrays are float64 with a leading batch axis: inputs are (B, input_dim),
-states (B, hidden_dim). The four gates are packed along the last axis of
-one weight matrix in the order input | forget | candidate | output, with
-the input and recurrent paths stacked row-wise so each step is a single
+Arrays are float64. The four gates are packed along the last axis of one
+weight matrix in the order input | forget | candidate | output, with the
+input and recurrent paths stacked row-wise so each step is a single
 matmul of [x, h] against it.
 
+Training records a whole sequence in a SequenceTape, row-major with a
+leading batch axis: inputs (B, input_dim), states and gates (B, .) per
+step in (T, B, .) slabs. Its backward pass runs layer by layer, keeps
+only the recurrence inside the time loop and takes each layer's weight
+gradient as one product over all T*B rows.
+
 Inference steps the stack one time step at a time on a StepSlab, which
-allocates nothing per step. Training records a whole sequence in a
-SequenceTape, whose per-layer (T, B, .) slabs the same cell arithmetic
-fills step by step; its backward pass runs layer by layer, keeps only
-the recurrence inside the time loop and takes each layer's weight
-gradient as one product over all T*B rows. Both lay a step's inputs and
-hidden states out as one row [x, h_0, ..., h_{L-1}].
+allocates nothing per step and stores its rows feature-major: one column
+per row, so each gate quarter is a contiguous block and a step is one
+product layer.w.T @ [x, h] per layer. Its accessors still hand out
+(B, .) views. The slab's cell arithmetic is the tape's, element for
+element, and at the shapes the tests pin (among them a 3 x 40 stack at
+decode batch sizes) the two products round every row alike, so tape and
+slab agree bit for bit. OpenBLAS does not promise that for every shape:
+at 400 rows a scan found last-bit differences for odd hidden sizes up
+to 23 once [x, h] is 16 or more wide, and none for even sizes. Both lay
+a step's inputs and hidden states out as one vector [x, h_0, ..., h_{L-1}].
 """
 
 from __future__ import annotations
@@ -66,9 +75,9 @@ def init_layer(input_dim: int, hidden_dim: int, gen: np.random.Generator) -> Lst
 
 
 def _slab_columns(layers):
-    """Column layout of a slab row [x, h_0, ..., h_{L-1}]: per layer the
-    column range of its [input, h] and the column its h starts at, and
-    the row width."""
+    """Layout of the vector [x, h_0, ..., h_{L-1}]: per layer the range
+    of its [input, h] and the position its h starts at, and the length.
+    It runs along a SequenceTape row and down a StepSlab column."""
     cols, h_col = [], []
     lo, hi = 0, layers[0].input_dim
     for idx, layer in enumerate(layers):
@@ -84,14 +93,17 @@ def _slab_columns(layers):
 
 
 def _cell(xh, c_prev, layer: LstmLayerParams, gates, c, tanh_c, h, scratch):
-    """The gate arithmetic of one layer, one step, on caller-owned arrays.
+    """The gate arithmetic of one layer, one step, on a SequenceTape's
+    row-major arrays (StepSlab.step is its feature-major twin).
 
     Reads xh = [x, h_prev] (B, input_dim + hidden_dim) and c_prev; writes
     the activated gates (B, 4 * hidden_dim), c, tanh(c) and h; scratch is a
     (B, hidden_dim) work array. c may be c_prev, and h may lie inside xh:
-    xh is read only by the product, before anything is written. Each
-    row's result depends only on that row, bit for bit, whatever the
-    batch size.
+    xh is read only by the product, before anything is written. At the
+    shapes the tests pin, each row's result depends only on that row, bit
+    for bit, whatever the batch size; OpenBLAS does not promise it for
+    every shape (an 11-unit layer with 46 inputs rounds rows differently
+    in a 400-row batch than in smaller ones).
     """
     hd = layer.hidden_dim
     if xh.shape[0] == 1:
@@ -119,30 +131,50 @@ def _cell(xh, c_prev, layer: LstmLayerParams, gates, c, tanh_c, h, scratch):
     np.multiply(gates[:, 3 * hd :], tanh_c, out=h)
 
 
+def _padded(batch: int) -> int:
+    """Columns a StepSlab steps for `batch` rows: the next multiple of 8,
+    the columns past the batch being padding.
+
+    The slab's gate product puts the batch on the axis that OpenBLAS
+    blocks and splits between threads. Unless the column count is a
+    multiple of 8, those splits move with it, and a row's gates round
+    differently with different batch sizes: a scan of a 40-unit layer
+    found such rows at 161 or more columns on two threads, 193 or more
+    on one. At multiples of 8 no shape in the scan rounded a row
+    differently from the same row stepped alone, and a one-row batch
+    never reaches gemv, which rounds differently from gemm.
+    """
+    return -(-batch // 8) * 8
+
+
 class StepSlab:
     """The stack stepped one time step at a time over a batch of rows, on
     arrays allocated once: the SequenceTape's skewed slab collapsed to a
-    single row.
+    single step and stored feature-major, one column per row.
 
-    xh (B, input_dim + sum of hidden dims) holds [x, h_0, ..., h_{L-1}],
-    so layer l's [input, h_prev] is one column range, and the h it writes
-    in place is already the next layer's input. Each layer keeps one cell
-    (B, H), updated in place; the layers share the gate and work arrays.
-    The caller writes the layer-0 inputs into `inputs` (columns it leaves
-    alone keep their values from step to step) and calls step(). A slab
-    starts from the zero state; storage is sized for `batch` rows, and
-    reset() starts over with fewer.
+    xh (input_dim + sum of hidden dims, columns) holds
+    [x, h_0, ..., h_{L-1}] down its rows, so layer l's [input, h_prev] is
+    one row range, and the h it writes in place is already the next
+    layer's input. Each layer keeps one cell (H, columns), updated in
+    place; the layers share one gate array (4H, columns). So a step is
+    one product layer.w.T @ xh per layer on a transposed view of the
+    weights, and every gate quarter is a contiguous block. Columns past
+    the B rows in use are padding (see _padded), stepped and never read.
+    The caller writes the layer-0 inputs into `inputs` (values it leaves
+    alone are kept from step to step) and calls step(). A slab starts
+    from the zero state; storage is sized for `batch` rows, and reset()
+    starts over with fewer.
     """
 
     def __init__(self, layers, batch: int):
         self.layers = layers
         self.capacity = batch
-        self._cols, self._h_col, self._width = _slab_columns(layers)
+        self._rows, self._h_row, self._width = _slab_columns(layers)
         hidden = max(layer.hidden_dim for layer in layers)
-        self._xh_store = np.empty(batch * self._width)
-        self._c_stores = [np.empty(batch * layer.hidden_dim) for layer in layers]
-        self._gate_store = np.empty(batch * 4 * hidden)
-        self._work_store = np.empty(2 * batch * hidden)  # a step's tanh(c) and scratch
+        cols = _padded(batch)
+        self._xh_store = np.empty(self._width * cols)
+        self._c_stores = [np.empty(layer.hidden_dim * cols) for layer in layers]
+        self._gate_store = np.empty(4 * hidden * cols)
         self.reset(batch)
 
     def reset(self, batch: int) -> None:
@@ -150,50 +182,70 @@ class StepSlab:
         and state all zero."""
         if not 0 < batch <= self.capacity:
             raise ConfigError(f"slab holds at most {self.capacity} rows, not {batch}")
-        self.xh = self._xh_store[: batch * self._width].reshape(batch, self._width)
-        self.xh[...] = 0.0
-        self.c = [store[: batch * layer.hidden_dim].reshape(batch, -1)
-                  for store, layer in zip(self._c_stores, self.layers)]
-        self._step_arrays = []
-        for layer in self.layers:
-            n = batch * layer.hidden_dim
-            self._step_arrays.append((
-                self._gate_store[: 4 * n].reshape(batch, -1),
-                self._work_store[:n].reshape(batch, -1),
-                self._work_store[n : 2 * n].reshape(batch, -1),
-            ))
-        for c in self.c:
+        self.batch = batch
+        cols = _padded(batch)
+        self._xh = self._xh_store[: self._width * cols].reshape(self._width, cols)
+        self._xh[...] = 0.0
+        self._c = [store[: layer.hidden_dim * cols].reshape(-1, cols)
+                   for store, layer in zip(self._c_stores, self.layers)]
+        for c in self._c:
             c[...] = 0.0
+        self._gates = [self._gate_store[: 4 * layer.hidden_dim * cols].reshape(-1, cols)
+                       for layer in self.layers]
+        # (B, H) views of each layer's cell.
+        self.c = [c[:, :batch].T for c in self._c]
 
     def load(self, source: "StepSlab", rows) -> None:
         """Copy rows `rows` of `source` (inputs, states and all) into this
         slab's rows, which reset() has sized to len(rows)."""
-        self.xh[...] = source.xh[rows]
-        for c, src in zip(self.c, source.c):
-            c[...] = src[rows]
+        self._xh[:, : self.batch] = source._xh[:, rows]
+        for c, src in zip(self._c, source._c):
+            c[:, : self.batch] = src[:, rows]
 
     @property
     def inputs(self) -> np.ndarray:
         """(B, input_dim) view of the layer-0 inputs, for the caller to fill."""
-        return self.xh[:, : self.layers[0].input_dim]
+        return self._xh[: self.layers[0].input_dim, : self.batch].T
 
     def h(self, idx: int) -> np.ndarray:
         """(B, H) view of layer idx's hidden state."""
-        col = self._h_col[idx]
-        return self.xh[:, col : col + self.layers[idx].hidden_dim]
+        row = self._h_row[idx]
+        return self._xh[row : row + self.layers[idx].hidden_dim, : self.batch].T
 
     @property
     def hidden(self) -> np.ndarray:
-        """(B, H) view of the top layer's hidden state."""
-        return self.h(len(self.layers) - 1)
+        """(B, H) C-ordered copy of the top layer's hidden state, so that
+        row-wise reductions over it keep the bits they have on the
+        SequenceTape's row-major slab."""
+        return self.h(len(self.layers) - 1).copy()
 
     def step(self) -> None:
-        """Run every layer for one step on the inputs in place."""
-        for idx, layer in enumerate(self.layers):
-            lo, hi = self._cols[idx]
-            gates, tanh_c, scratch = self._step_arrays[idx]
-            c = self.c[idx]
-            _cell(self.xh[:, lo:hi], c, layer, gates, c, tanh_c, self.h(idx), scratch)
+        """Run every layer for one step on the inputs in place.
+
+        The cell arithmetic is _cell's, element for element: the sigmoid
+        runs on the i|f and o blocks, tanh in place on the candidate, and
+        the spent forget block holds tanh(c).
+        """
+        with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0
+            for idx, layer in enumerate(self.layers):
+                lo, hi = self._rows[idx]
+                hd = layer.hidden_dim
+                gates, c = self._gates[idx], self._c[idx]
+                np.matmul(layer.w.T, self._xh[lo:hi], out=gates)
+                gates += layer.b[:, None]
+                for block in (gates[: 2 * hd], gates[3 * hd :]):
+                    np.negative(block, out=block)
+                    np.exp(block, out=block)
+                    block += 1.0
+                    np.reciprocal(block, out=block)
+                i, f, g, o = (gates[k * hd : (k + 1) * hd] for k in range(4))
+                np.tanh(g, out=g)
+                c *= f
+                i *= g
+                c += i
+                np.tanh(c, out=f)
+                row = self._h_row[idx]
+                np.multiply(o, f, out=self._xh[row : row + hd])
 
 
 # Steps per pass of SequenceTape._local_derivatives; its work array,

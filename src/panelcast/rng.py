@@ -19,13 +19,18 @@ The Philox key is derived from (seed, tag, series id); the counter is
 and counters: not on how many paths are drawn, on which other series
 share its batch, or on the order rows are processed.
 
-The distribution transforms run as masked rounds over arrays, round k
-reading counter round k: normals via Box-Muller, Gamma via the
-Marsaglia-Tsang squeeze (ACM TOMS 2000) with the shape<1 boost, Poisson
-via inversion below lambda=10 and Hormann's PTRS transformed rejection
-above, and the negative binomial as the Gamma-Poisson mixture. They are
-implemented here rather than taken from numpy's Generator methods so
-that draws stay stable across numpy versions.
+The distribution transforms run on arrays of rows: normals via
+Box-Muller, Gamma via the Marsaglia-Tsang squeeze (ACM TOMS 2000) with
+the shape<1 boost, Poisson via inversion below lambda=10 and Hormann's
+PTRS transformed rejection above, and the negative binomial as the
+Gamma-Poisson mixture. Rejection round k of a row reads counter round k.
+Since a round's uniforms depend on nothing else, a rejection stage
+judges several rounds of every row in one vectorised pass and keeps
+each row's first accepted round: the draw a round-by-round sampler
+would make. Inversion reads a fixed-depth table of cdf terms, summed as
+the sequential walk sums them. The transforms are implemented here
+rather than taken from numpy's Generator methods so that draws stay
+stable across numpy versions.
 """
 
 from __future__ import annotations
@@ -213,32 +218,38 @@ _POISSON_LANE = 2
 # rounds fetched per Philox pass for the rows those leave rejected.
 _PREFETCH_ROUNDS = 3
 _RETRY_ROUNDS = 4
+# Terms of the Poisson inversion table past its first, and the divisors
+# k = 1 .. depth of the pmf recurrence p(k) = p(k-1) * (lam / k).
+_INVERSION_DEPTH = 20
+_INVERSION_STEPS = np.arange(1.0, _INVERSION_DEPTH + 1.0).reshape(-1, 1)
 
 
-def _masked_rounds(keys: RowKeys, step: int, lanes: int, first_lane: int, pre, attempt):
-    """Rejection sampling over rows: attempt(rows, u) -> (accepted, values)
-    for the given row indices and their uniforms of one round. `pre`
-    (k, 2 * lanes, rows) holds rounds 0 .. k-1 of every row; rows still
-    rejected after those retry on rounds k, k+1, ... until all accept."""
+def _first_accepted(keys: RowKeys, step: int, lanes: int, first_lane: int, pre, attempt):
+    """Rejection sampling over rows, a pass of rounds at a time.
+
+    attempt(rows, u) -> (accepted, values), each (R, len(rows)), judges R
+    consecutive rounds of the given row indices at once from their
+    uniforms u (R, 2 * lanes, len(rows)). `pre` (k, 2 * lanes, rows)
+    holds rounds 0 .. k-1 of every row; rows rejected in all of them
+    judge passes of _RETRY_ROUNDS further rounds until all accept. Each
+    row keeps the value of its first accepted round. A round's uniforms
+    depend only on (row, step, round), so each row's draw is the one a
+    round-by-round sampler makes; the rounds judged past it are unused.
+    """
     out = np.empty(len(keys))
     rows = np.arange(len(keys))
-    u = pre[0]
-    rnd = 0
+    u, rnd = pre, len(pre)
     while True:
         accepted, values = attempt(rows, u)
-        out[rows[accepted]] = values[accepted]
-        rows = rows[~accepted]
+        first = accepted.argmax(axis=0)
+        cols = np.arange(rows.size)
+        done = accepted[first, cols]
+        out[rows[done]] = values[first, cols][done]
+        rows = rows[~done]
         if not rows.size:
             return out
-        rnd += 1
-        if rnd < len(pre):
-            u = pre[rnd][:, rows]
-            continue
-        j = (rnd - len(pre)) % _RETRY_ROUNDS
-        if j == 0:
-            batch_rows = rows
-            batch = keys.take(rows).rounds(step, rnd, _RETRY_ROUNDS, lanes, first_lane)
-        u = batch[j][:, np.searchsorted(batch_rows, rows)]
+        u = keys.take(rows).rounds(step, rnd, _RETRY_ROUNDS, lanes, first_lane)
+        rnd += _RETRY_ROUNDS
 
 
 def _box_muller(u1, u2):
@@ -270,20 +281,20 @@ def _gammas(keys: RowKeys, step: int, shape, pre) -> np.ndarray:
 
     def attempt(rows, u):
         dr = d[rows]
-        x = _box_muller(u[0], u[1])
+        x = _box_muller(u[:, 0], u[:, 1])
         v = 1.0 + c[rows] * x
         live = v > 0.0
         v = v * v * v
-        ua = 1.0 - u[2]
+        ua = 1.0 - u[:, 2]
         x2 = x * x
         accepted = live & (ua < 1.0 - 0.0331 * x2 * x2)
-        slow = np.nonzero(live & ~accepted)[0]
-        if slow.size:
+        slow = np.nonzero(live & ~accepted)
+        if slow[0].size:
             vs = v[slow]
-            accepted[slow] = np.log(ua[slow]) < 0.5 * x2[slow] + dr[slow] * (1.0 - vs + np.log(vs))
+            accepted[slow] = np.log(ua[slow]) < 0.5 * x2[slow] + dr[slow[1]] * (1.0 - vs + np.log(vs))
         return accepted, dr * v
 
-    out = _masked_rounds(keys, step, 2, _GAMMA_LANE, pre, attempt)
+    out = _first_accepted(keys, step, 2, _GAMMA_LANE, pre, attempt)
     if np.any(boosted):
         out[boosted] *= np.exp(np.log(1.0 - pre[0, 3, boosted]) / shape[boosted])
     return out
@@ -309,17 +320,27 @@ def _poissons(keys: RowKeys, step: int, lam, pre) -> np.ndarray:
 
 
 def _poisson_inversion(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Sequential search of the cdf; every row walks k = 0, 1, ... until its
-    # uniform is covered. A pmf term that underflows ends the walk.
-    k = np.zeros(lam.shape[0])
-    p = np.exp(-lam)
-    s = p.copy()
-    walk = np.nonzero(u > s)[0]
+    # Sequential search of the cdf: the count is the first k at which the
+    # uniform is covered, u <= cdf(k), or the pmf term underflows to 0.
+    # Terms 0 .. _INVERSION_DEPTH of every row come as one table, built
+    # along its first axis with the walk's own products and sums; the
+    # rows it does not settle walk on from its last term.
+    p = np.empty((_INVERSION_DEPTH + 1, lam.size))
+    p[0] = np.exp(-lam)
+    np.divide(lam, _INVERSION_STEPS, out=p[1:])
+    np.multiply.accumulate(p, axis=0, out=p)
+    s = np.add.accumulate(p, axis=0)
+    # Both tests fail from some k on and stay failed, so the count of
+    # terms that pass them is the first k that does not.
+    going = (u > s) & (p > 0.0)
+    k = going.sum(axis=0, dtype=np.float64)
+    walk = np.nonzero(going[-1])[0]  # k = depth + 1, the next term
+    p, s = p[-1], s[-1]
     while walk.size:
-        k[walk] += 1.0
         p[walk] *= lam[walk] / k[walk]
         s[walk] += p[walk]
         walk = walk[(u[walk] > s[walk]) & (p[walk] > 0.0)]
+        k[walk] += 1.0
     return k
 
 
@@ -332,24 +353,24 @@ def _poisson_ptrs(keys: RowKeys, step: int, lam: np.ndarray, pre) -> np.ndarray:
     vr = 0.9277 - 3.6224 / (b - 2.0)
 
     def attempt(rows, w):
-        u = w[0] - 0.5
-        v = 1.0 - w[1]
+        u = w[:, 0] - 0.5
+        v = 1.0 - w[:, 1]
         us = 0.5 - np.abs(u)
         ar, br, lr = a[rows], b[rows], lam[rows]
         with np.errstate(divide="ignore", invalid="ignore"):
             # us == 0 gives k = -inf, which the k < 0 test rejects.
             k = np.floor((2.0 * ar / us + br) * u + lr + 0.43)
         accepted = (us >= 0.07) & (v <= vr[rows])
-        slow = np.nonzero(~accepted & (k >= 0.0) & ~((us < 0.013) & (v > us)))[0]
-        if slow.size:
-            i = rows[slow]
+        slow = np.nonzero(~accepted & (k >= 0.0) & ~((us < 0.013) & (v > us)))
+        if slow[0].size:
+            i = rows[slow[1]]
             ks, uss = k[slow], us[slow]
             accepted[slow] = np.log(v[slow]) + log_invalpha[i] - np.log(a[i] / (uss * uss) + b[i]) <= (
                 ks * loglam[i] - lam[i] - lgamma(ks + 1.0)
             )
         return accepted, k
 
-    return _masked_rounds(keys, step, 1, _POISSON_LANE, pre, attempt)
+    return _first_accepted(keys, step, 1, _POISSON_LANE, pre, attempt)
 
 
 def neg_binomials(keys: RowKeys, step: int, mu, alpha) -> np.ndarray:

@@ -12,7 +12,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from panelcast import cli
+from panelcast import cli, evaluator
 from panelcast.cli import _parse_spans, main
 from panelcast.errors import DataError
 
@@ -542,6 +542,38 @@ def test_evaluate_rolling_backtest(workdir, tmp_path, capsys):
     assert len(doc["windows"]) == 2
     assert doc["pooled"]["n_series"] == 24  # 12 series x 2 windows
     assert set(doc["pooled"]["risks"]) == {"0:1@0.5", "0:1@0.9"}
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--rolling", "3:2", "--spans", f"0:1,0:{HORIZON + 1}"],
+         f"span [0, {HORIZON + 1}) does not fit the model's prediction length {HORIZON}"),
+        (["--rolling", "0:3"], "COUNT >= 1 and STRIDE >= 1, got 0:3"),
+        (["--rolling", "2:0"], "COUNT >= 1 and STRIDE >= 1, got 2:0"),
+        (["--rolling", "2:2", "--spans=-1:2"], "bad span '-1:2'"),
+        (["--rolling", "2:2", "--spans", "0:1,1:0"], "bad span '1:0'"),
+        (["--forecasts", "never-read.jsonl", "--spans", "0:-1"], "bad span '0:-1'"),
+    ],
+    ids=["span-past-horizon", "count-0", "stride-0", "lead-negative", "length-0", "forecasts-length-negative"],
+)
+def test_bad_spans_and_rolling_exit_2_before_forecasting(
+    workdir, tmp_path, capsys, monkeypatch, options, message
+):
+    def no_forecast(*args, **kwargs):
+        raise AssertionError("forecast_panel was called")
+
+    monkeypatch.setattr(evaluator, "forecast_panel", no_forecast)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["evaluate", "--truth", workdir["data"], "--output", str(out / "report.json")]
+    if "--rolling" in options:
+        argv += ["--model", workdir["model"]]
+    rc = main(argv + options)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

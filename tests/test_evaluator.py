@@ -10,7 +10,7 @@ import pytest
 
 from conftest import START, make_series, seasonal_naive, shuffle_paths, tiny_model
 from panelcast.dataset import Panel
-from panelcast.errors import MetricError
+from panelcast.errors import ConfigError, MetricError
 from panelcast.evaluator import (
     EvalPair,
     all_k_risk,
@@ -436,10 +436,13 @@ def test_rolling_pooled_equals_concatenation():
 
 def test_rolling_validation():
     panel, model = tiny_model()
-    with pytest.raises(MetricError):
+    with pytest.raises(ConfigError, match="COUNT >= 1"):
         rolling_backtest(panel, model, 0, 1, [(0, 1)], [0.5], 8, 0)
-    with pytest.raises(MetricError):
+    with pytest.raises(ConfigError, match="STRIDE >= 1"):
         rolling_backtest(panel, model, 1, 0, [(0, 1)], [0.5], 8, 0)
+    # the model predicts 6 steps
+    with pytest.raises(ConfigError, match="prediction length 6"):
+        rolling_backtest(panel, model, 1, 1, [(0, 1), (2, 5)], [0.5], 8, 0)
     # 26-step series cannot supply 5 windows 6 steps apart plus a horizon
     with pytest.raises(MetricError, match="trailing"):
         rolling_backtest(panel, model, 5, 6, [(0, 1)], [0.5], 8, 0)

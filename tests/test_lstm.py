@@ -32,6 +32,11 @@ def random_layer(input_dim, hidden, seed):
     return init_layer(input_dim, hidden, substream(seed, "layer"))
 
 
+def stack(dims, seed):
+    """Layers dims[0] -> dims[1] -> ... with random weights."""
+    return [random_layer(i, h, seed + k) for k, (i, h) in enumerate(zip(dims, dims[1:]))]
+
+
 def brute_force_cell(x, h_prev, c_prev, layer):
     """Straight transcription of the gate equations, one unit at a time."""
     hidden = layer.hidden_dim
@@ -135,43 +140,76 @@ class TestForward:
         assert np.allclose(state.h[0][0], h0_ref, atol=1e-12)
         assert np.allclose(state.h[1][0], h1_ref, atol=1e-12)
 
-    @pytest.mark.parametrize("batch", [1, 2, 7])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 203, 400])
     def test_tape_equals_stepping_bitwise(self, batch):
-        # Training records the same arithmetic that inference steps through.
-        layers = [random_layer(3, 5, seed=12), random_layer(5, 5, seed=13), random_layer(5, 5, seed=14)]
-        rng = np.random.default_rng(7)
-        xs = rng.normal(size=(6, batch, 3))
-        tape = run_tape(layers, xs)
-        slab = StepSlab(layers, batch)  # stepped in place throughout
-        for t in range(xs.shape[0]):
-            slab.inputs[...] = xs[t]
-            slab.step()
-            for c, recorded in zip(slab.c, tape.c):
-                np.testing.assert_array_equal(c, recorded[t + 1])
-            np.testing.assert_array_equal(tape.hidden(t), slab.hidden)
+        # Training records the same arithmetic that inference steps
+        # through, in row-major and feature-major layouts: on a small
+        # stack, and on three 40-unit layers at decode batch sizes.
+        for layers in (stack((3, 5, 5, 5), seed=12), stack((13, 40, 40, 40), seed=21)):
+            xs = np.random.default_rng(7).normal(size=(6, batch, layers[0].input_dim))
+            tape = run_tape(layers, xs)
+            slab = StepSlab(layers, batch)  # stepped in place throughout
+            for t in range(xs.shape[0]):
+                slab.inputs[...] = xs[t]
+                slab.step()
+                for c, recorded in zip(slab.c, tape.c):
+                    np.testing.assert_array_equal(c, recorded[t + 1])
+                np.testing.assert_array_equal(tape.hidden(t), slab.hidden)
 
-    def test_slab_reset_and_load_rows(self):
-        # A slab reset to fewer rows and loaded from another slab's rows
-        # steps those rows exactly as the source would.
-        layers = [random_layer(3, 5, seed=17), random_layer(5, 4, seed=18)]
-        rng = np.random.default_rng(9)
-        source = StepSlab(layers, 3)
-        source.inputs[...] = rng.normal(size=(3, 3))
-        source.step()
-        rows = np.array([2, 0, 2])
-        slab = StepSlab(layers, 5)
-        slab.reset(3)
+    @staticmethod
+    def _check_load(layers, size, rows, capacity, rng):
+        """Load rows `rows` of a stepped slab of `size` rows into a slab
+        of `capacity` reset to len(rows): they hold the source's rows,
+        inputs included, and step on as the source's rows would."""
+        width = layers[0].input_dim
+        source = StepSlab(layers, size)
+        for _ in range(3):
+            source.inputs[...] = rng.normal(size=(size, width))
+            source.step()
+        slab = StepSlab(layers, capacity)
+        slab.reset(rows.size)
         slab.load(source, rows)
         loaded, src = slab_state(slab), slab_state(source)
         for a, b in zip(loaded.h + loaded.c, src.h + src.c):
             np.testing.assert_array_equal(a, b[rows])
-        x = rng.normal(size=(3, 3))
+        np.testing.assert_array_equal(slab.inputs, source.inputs[rows])
+        x = rng.normal(size=(rows.size, width))
         slab.inputs[...] = x
         slab.step()
         expected = lstm_step(x, LstmState([h[rows] for h in src.h], [c[rows] for c in src.c]), layers)
-        np.testing.assert_array_equal(slab.hidden, expected.h[-1])
+        stepped = slab_state(slab)
+        for a, b in zip(stepped.h + stepped.c, expected.h + expected.c):
+            np.testing.assert_array_equal(a, b)
         with pytest.raises(ConfigError):
-            slab.reset(6)
+            slab.reset(capacity + 1)
+
+    def test_slab_reset_and_load_rows(self):
+        # A slab reset to fewer rows and loaded from another slab's rows
+        # steps those rows exactly as the source would.
+        rng = np.random.default_rng(9)
+        layers = [random_layer(3, 5, seed=17), random_layer(5, 4, seed=18)]
+        self._check_load(layers, 3, np.array([2, 0, 2]), 5, rng)
+        # Decode shape: a block of reordered, repeated rows of a larger
+        # encoded slab.
+        rows = np.repeat(rng.permutation(57)[:23], 9)[:203]
+        self._check_load(stack((13, 40, 40, 40), seed=22), 57, rows, 400, rng)
+
+    def test_slab_rows_independent_of_batch(self):
+        # A row steps to the same bits whatever the number of rows beside
+        # it, at batch sizes up to the decode block's 400.
+        layers = stack((13, 40, 40, 40), seed=23)
+        xs = np.random.default_rng(11).normal(size=(3, 400, 13))
+
+        def run(batch):
+            slab = StepSlab(layers, batch)
+            for x in xs[:, :batch]:
+                slab.inputs[...] = x
+                slab.step()
+            return slab.hidden
+
+        full = run(400)
+        for batch in (1, 2, 7, 8, 161, 203, 399):
+            np.testing.assert_array_equal(run(batch), full[:batch], err_msg=f"batch {batch}")
 
     def test_rows_independent_of_batch(self):
         layers = [random_layer(3, 6, seed=15), random_layer(6, 6, seed=16)]

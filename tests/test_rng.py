@@ -7,7 +7,9 @@ import pytest
 from panelcast.errors import ConfigError
 from panelcast.likelihood import LikelihoodKind, draw
 from panelcast.rng import (
+    _INVERSION_DEPTH,
     RowKeys,
+    _poisson_inversion,
     derive_seed,
     gammas,
     neg_binomials,
@@ -213,6 +215,78 @@ class TestPoisson:
         assert np.all(poissons(keys(11, "pois0", 10), 0, 0.0) == 0)
 
 
+def walk_inversion(lam, u):
+    """Poisson counts by inversion, row by row: walk k = 0, 1, ... until
+    the cdf covers u or the pmf term underflows to 0."""
+    out = np.zeros(lam.size)
+    first = np.exp(-lam)
+    for i in range(lam.size):
+        p = s = first[i]
+        while u[i] > s and p > 0.0:
+            out[i] += 1.0
+            p *= lam[i] / out[i]
+            s += p
+    return out
+
+
+def cdf_terms(lam, n):
+    """The first n cdf values of Poisson(lam) as the walk sums them."""
+    p = s = np.exp(-np.array([lam]))[0]
+    out = [s]
+    for j in range(1, n):
+        p *= lam / float(j)
+        s += p
+        out.append(s)
+    return np.array(out)
+
+
+class TestPoissonInversion:
+    # The table of the first _INVERSION_DEPTH + 1 terms and the walk it
+    # falls back to must give the row-by-row walk's count on every row.
+
+    def check(self, lam, u):
+        lam = np.asarray(lam, dtype=np.float64)
+        u = np.broadcast_to(np.asarray(u, dtype=np.float64), lam.shape).copy()
+        got = _poisson_inversion(lam, u)
+        np.testing.assert_array_equal(got, walk_inversion(lam, u))
+        return got
+
+    def test_zero_uniform(self):
+        assert np.all(self.check([1e-300, 0.3, 4.0, 9.999], 0.0) == 0.0)
+
+    def test_uniform_equal_to_a_cdf_value(self):
+        # u == cdf(j) is covered at j; the next double above it is not.
+        cdf = cdf_terms(3.7, 12)
+        lam = np.full(2 * cdf.size, 3.7)
+        u = np.concatenate([cdf, np.nextafter(cdf, 1.0)])
+        got = self.check(lam, u)
+        np.testing.assert_array_equal(got, np.concatenate([np.arange(12.0), np.arange(1.0, 13.0)]))
+
+    def test_uniform_next_to_one(self):
+        # At lam = 9.999 the float cdf tops out at 1 - 3 * 2**-53: a u
+        # above it is never covered, and the walk ends where the pmf term
+        # underflows, far past the table.
+        top = cdf_terms(9.999, 400).max()
+        u = np.array([1.0 - 2.0**-40, 1.0 - 2.0**-52, 1.0 - 2.0**-53])
+        assert np.all(u[1:] > top)
+        got = self.check(np.full(3, 9.999), u)
+        assert _INVERSION_DEPTH < got[0] < 60
+        assert np.all(got[1:] > 300)
+
+    def test_tiny_rate(self):
+        assert np.all(self.check(np.full(3, 1e-300), [0.0, 0.5, 1.0 - 2.0**-53]) == 0.0)
+
+    def test_fallback_rows_mixed_with_settled_rows(self):
+        rng = np.random.default_rng(16)
+        lam = rng.uniform(0.0, 10.0, 3000)
+        u = rng.random(3000)
+        tail = rng.choice(3000, 60, replace=False)
+        lam[tail] = rng.uniform(8.0, 10.0, 60)
+        u[tail] = 1.0 - 10.0 ** -rng.uniform(4.0, 15.9, 60)
+        got = self.check(lam, u)
+        assert np.any(got > _INVERSION_DEPTH) and np.any(got <= _INVERSION_DEPTH)
+
+
 def reference_neg_binomials(k, step, mu, alpha):
     """The Gamma-Poisson draws written round by round: round r of a stage
     reads counter round r, fetched on its own for the rows still rejected.
@@ -247,14 +321,8 @@ def reference_neg_binomials(k, step, mu, alpha):
 
     out = np.zeros(n)
     small = np.nonzero((lam > 0.0) & (lam < 10.0))[0]
-    u = k.take(small).uniforms(step, 0, 1, 2)[0]
-    first = np.exp(-lam[small])
-    for j, i in enumerate(small):  # inversion of the cdf, lane 2 round 0
-        p = s = first[j]
-        while u[j] > s and p > 0.0:
-            out[i] += 1.0
-            p *= lam[i] / out[i]
-            s += p
+    # inversion of the cdf, lane 2 round 0
+    out[small] = walk_inversion(lam[small], k.take(small).uniforms(step, 0, 1, 2)[0])
     rows, rnd = np.nonzero(lam >= 10.0)[0], 0
     while rows.size:  # PTRS, lane 2
         lr = lam[rows]
@@ -290,6 +358,20 @@ class TestNegBinomial:
         ref, most = reference_neg_binomials(k, 3, mu, alpha)
         assert most > 3  # some rows needed rounds beyond the prefetched ones
         np.testing.assert_array_equal(neg_binomials(k, 3, mu, alpha), ref)
+
+    def test_rows_needing_two_retry_passes(self):
+        # Paths of one key whose Poisson stage rejects its first seven
+        # rounds (3 prefetched, 4 of the first retry pass) at mu = 10.5,
+        # alpha = 1e-4, found by search, mixed with 300 random rows.
+        slow = np.array([1930, 18189, 22425, 53157, 86354])
+        paths = np.concatenate([slow, np.arange(300)])
+        k = RowKeys.for_series(16, "nbretry", ["r"] * paths.size, paths)
+        rng = np.random.default_rng(17)
+        mu = np.concatenate([np.full(slow.size, 10.5), rng.uniform(0.2, 400.0, 300)])
+        alpha = np.concatenate([np.full(slow.size, 1e-4), np.exp(rng.uniform(np.log(0.01), np.log(5.0), 300))])
+        ref, most = reference_neg_binomials(k, 0, mu, alpha)
+        assert most >= 8
+        np.testing.assert_array_equal(neg_binomials(k, 0, mu, alpha), ref)
 
     def test_moment_oracle(self):
         # mean mu, variance mu + mu^2 alpha
