@@ -229,6 +229,15 @@ def cmd_evaluate(args) -> int:
     if not args.forecasts:
         raise ConfigError("evaluate needs --forecasts (or --rolling with --model)")
     records = read_forecasts(args.forecasts)
+    if records:
+        # Every record is checked against the first one's horizon later;
+        # a span past it is a bad option, rejected before any alignment.
+        horizon = records[0].horizon
+        for lead, span in spans:
+            if lead + span > horizon:
+                raise ConfigError(
+                    f"span [{lead}, {lead + span}) does not fit the forecasts' horizon {horizon}"
+                )
     levels = (
         _parse_levels(args.levels)
         if args.levels

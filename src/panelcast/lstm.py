@@ -7,21 +7,25 @@ matmul of [x, h] against it.
 
 Training records a whole sequence in a SequenceTape, row-major with a
 leading batch axis: inputs (B, input_dim), states and gates (B, .) per
-step in (T, B, .) slabs. Its backward pass runs layer by layer, keeps
-only the recurrence inside the time loop and takes each layer's weight
-gradient as one product over all T*B rows.
+step in (T, B, .) slabs. Its backward pass runs layer by layer and
+keeps only the recurrence inside the time loop, the product of each
+step's pre-activation gradient with the recurrent weights; each layer's
+input gradient (in blocks of rows) and weight gradient are products over
+all T*B rows after it.
 
-Inference steps the stack one time step at a time on a StepSlab, which
-allocates nothing per step and stores its rows feature-major: one column
-per row, so each gate quarter is a contiguous block and a step is one
-product layer.w.T @ [x, h] per layer. Its accessors still hand out
-(B, .) views. The slab's cell arithmetic is the tape's, element for
-element, and at the shapes the tests pin (among them a 3 x 40 stack at
-decode batch sizes) the two products round every row alike, so tape and
-slab agree bit for bit. OpenBLAS does not promise that for every shape:
-at 400 rows a scan found last-bit differences for odd hidden sizes up
-to 23 once [x, h] is 16 or more wide, and none for even sizes. Both lay
-a step's inputs and hidden states out as one vector [x, h_0, ..., h_{L-1}].
+Whatever runs forward only (validation, conditioning, decoding) steps
+the stack one time step at a time on a StepSlab, which allocates
+nothing per step and stores its rows feature-major: one column per row,
+so each gate quarter is a contiguous block and a step is one product
+layer.w.T @ [x, h] per layer. Its accessors still hand out (B, .) views.
+The slab's cell arithmetic is the tape's, element for element, and at
+the shapes the tests pin (among them a 3 x 40 stack at decode and
+validation batch sizes) the two products round every row alike, so tape
+and slab agree bit for bit. OpenBLAS does not promise that for every
+shape: at 400 rows a scan found last-bit differences for odd hidden
+sizes up to 23 once [x, h] is 16 or more wide, and none for even sizes.
+Both lay a step's inputs and hidden states out as one vector
+[x, h_0, ..., h_{L-1}].
 """
 
 from __future__ import annotations
@@ -116,11 +120,11 @@ def _cell(xh, c_prev, layer: LstmLayerParams, gates, c, tanh_c, h, scratch):
     cand = gates[:, 2 * hd : 3 * hd]
     np.copyto(scratch, cand)
     # One sigmoid over the whole slab as 1 / (1 + exp(-x)); exp overflows
-    # to inf for very negative x, which gives the exact limit 0. The
-    # candidate quarter is then replaced by tanh of its saved input.
+    # to inf for very negative x, which gives the exact limit 0 (the
+    # caller silences the overflow warning). The candidate quarter is then
+    # replaced by tanh of its saved input.
     np.negative(gates, out=gates)
-    with np.errstate(over="ignore"):
-        np.exp(gates, out=gates)
+    np.exp(gates, out=gates)
     gates += 1.0
     np.reciprocal(gates, out=gates)
     np.tanh(scratch, out=cand)
@@ -249,8 +253,13 @@ class StepSlab:
 
 
 # Steps per pass of SequenceTape._local_derivatives; its work array,
-# (_DERIV_STEPS, B, 4H), stays small.
+# (_DERIV_STEPS, B, H), stays small.
 _DERIV_STEPS = 8
+# Rows per product of SequenceTape.backward's input gradient. OpenBLAS
+# packs each thread's share of a product's rows into its buffers: on two
+# threads, one product over all 2688 rows of a 42-step, 64-row tape
+# raised a training run's peak RSS by 3 MiB, 256-row blocks by 0.1 MiB.
+_GRAD_ROWS = 256
 
 
 class SequenceTape:
@@ -319,18 +328,19 @@ class SequenceTape:
 
     def forward_step(self, t: int) -> None:
         """Run every layer for step t, once its layer-0 inputs are written."""
-        for idx, layer in enumerate(self.layers):
-            hd = layer.hidden_dim
-            _cell(
-                self._xh(idx, t + idx),
-                self.c[idx][t],
-                layer,
-                self.gates[idx][t],
-                self.c[idx][t + 1],
-                self._row_work[0, : self.batch, :hd],
-                self._h(idx, t + idx + 1),
-                self._row_work[1, : self.batch, :hd],
-            )
+        with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0
+            for idx, layer in enumerate(self.layers):
+                hd = layer.hidden_dim
+                _cell(
+                    self._xh(idx, t + idx),
+                    self.c[idx][t],
+                    layer,
+                    self.gates[idx][t],
+                    self.c[idx][t + 1],
+                    self._row_work[0, : self.batch, :hd],
+                    self._h(idx, t + idx + 1),
+                    self._row_work[1, : self.batch, :hd],
+                )
 
     def hidden(self, t: int) -> np.ndarray:
         """(B, H) view of the top layer's h at step t."""
@@ -351,7 +361,9 @@ class SequenceTape:
 
         Works through the slab _DERIV_STEPS steps at a time, the latest
         first: a chunk overwrites c[t0+1 : t1+1] with f, and c[t0] is still
-        the previous cell of its first step. `work` holds a chunk's gates.
+        the previous cell of its first step. Each quarter is overwritten in
+        place once nothing left reads it; `work` holds one quarter of a
+        chunk meanwhile.
         """
         hd = self.layers[idx].hidden_dim
         B = self.batch
@@ -360,23 +372,31 @@ class SequenceTape:
         for t1 in range(self.steps, 0, -_DERIV_STEPS):
             t0 = max(0, t1 - _DERIV_STEPS)
             g = gates[t0:t1]
-            d = work[: (t1 - t0) * B * 4 * hd].reshape(t1 - t0, B, 4 * hd)
-            np.subtract(1.0, g, out=d)
-            d *= g  # s(1-s) in every quarter; the candidate's is replaced below
             gi, gf, gg, go = (g[..., k * hd : (k + 1) * hd] for k in range(4))
-            di, df, dg, do = (d[..., k * hd : (k + 1) * hd] for k in range(4))
+            tmp = work[: (t1 - t0) * B * hd].reshape(t1 - t0, B, hd)
             tc = a_out[t0:t1]
-            do *= tc
+            # o and a_out both read o and tanh_c.
+            np.subtract(1.0, go, out=tmp)
+            tmp *= go
+            tmp *= tc
             np.square(tc, out=tc)
             np.subtract(1.0, tc, out=tc)
             tc *= go
-            di *= gg
-            np.square(gg, out=dg)
-            np.subtract(1.0, dg, out=dg)
-            dg *= gi
-            df *= c[t0:t1]
+            np.copyto(go, tmp)
+            # f reads c_prev before the cells make way for f.
+            np.subtract(1.0, gf, out=tmp)
+            tmp *= gf
+            tmp *= c[t0:t1]
             np.copyto(c[t0 + 1 : t1 + 1], gf)
-            np.copyto(g, d)
+            np.copyto(gf, tmp)
+            # i and g each read the other's activation.
+            np.subtract(1.0, gi, out=tmp)
+            tmp *= gi
+            tmp *= gg
+            np.square(gg, out=gg)
+            np.subtract(1.0, gg, out=gg)
+            gg *= gi
+            np.copyto(gi, tmp)
 
     def backward(self, d_h):
         """Exact gradients of a loss whose gradient w.r.t. the top layer's h
@@ -392,7 +412,7 @@ class SequenceTape:
         hidden = max(layer.hidden_dim for layer in self.layers)
         if self._work is None:
             self._work = (
-                np.empty(_DERIV_STEPS * self.capacity * 4 * hidden),
+                np.empty(_DERIV_STEPS * self.capacity * hidden),
                 np.empty(T * self.capacity * hidden),
             )
         work = self._work[0]
@@ -406,11 +426,8 @@ class SequenceTape:
             d_pre, forget = self.gates[idx], self.c[idx][1:]
             d_pre4 = d_pre.reshape(T, B, 4, hd)
             w_t = np.ascontiguousarray(layer.w.T)
-            # Gradient w.r.t. this layer's input at every step; step t of
-            # d_h is spent once step t is done, so it can hold it in place.
-            d_x = d_h if d_h.shape[-1] == ind else np.empty((T, B, ind))
-            d_xh = np.zeros((B, ind + hd))
-            d_rec = d_xh[:, ind:]
+            # Only the gradient w.r.t. h_prev feeds the next step back.
+            d_rec = np.zeros((B, hd))
             d_c = np.zeros((B, hd))
             dc = np.empty((B, hd))
             for t in range(T - 1, -1, -1):
@@ -419,14 +436,22 @@ class SequenceTape:
                 np.multiply(dh, a_out[t], out=dc)
                 dc += d_c
                 step = d_pre4[t]
-                step[:, 0] *= dc
-                step[:, 1] *= dc
-                step[:, 2] *= dc
+                step[:, :3] *= dc[:, None]
                 step[:, 3] *= dh
                 np.multiply(dc, forget[t], out=d_c)
-                np.matmul(d_pre[t], w_t, out=d_xh)
-                np.copyto(d_x[t], d_xh[:, :ind])
+                np.matmul(d_pre[t], w_t[:, ind:], out=d_rec)
             flat = d_pre.reshape(T * B, 4 * hd)
+            # The gradient w.r.t. this layer's input at every step, after
+            # the loop, _GRAD_ROWS rows of T*B per product; d_h is spent,
+            # so an equally wide d_h holds it.
+            if d_h.shape[-1] == ind and d_h.flags.c_contiguous:
+                d_x = d_h
+            else:
+                d_x = np.empty((T, B, ind))
+            d_x_flat = d_x.reshape(T * B, ind)
+            for lo in range(0, T * B, _GRAD_ROWS):
+                hi = lo + _GRAD_ROWS
+                np.matmul(flat[lo:hi], w_t[:, :ind], out=d_x_flat[lo:hi])
             xh = self._xh(idx, slice(idx, idx + T)).reshape(T * B, ind + hd)
             d_param[idx] = (xh.T @ flat, flat.sum(axis=0))
             d_h = d_x

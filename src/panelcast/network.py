@@ -1,11 +1,14 @@
 """The autoregressive model: category embedding + stacked LSTM + output
-heads, with teacher-forced training unrolls, batched conditioning-range
-encoding, and batched single-step decoding for sampling.
+heads, with teacher-forced training unrolls, a forward-only validation
+pass, batched conditioning-range encoding, and batched single-step
+decoding for sampling.
 
-Encoding and decoding step a lstm.StepSlab: `encode` writes each row's
-embedding into the slab once and leaves the slab holding the state after
-the conditioning range; `decode_step` then advances the same slab (or
-one loaded from its rows) a step at a time in place.
+Training records its unroll on a lstm.SequenceTape for the backward
+pass. Everything that runs forward only steps a lstm.StepSlab, through
+one recurrence (_run_slab): `encode` leaves the slab holding the state
+after the conditioning range, `forward_nll` scores every step of a
+batch of windows on the way, and `decode_step` advances an encoded slab
+(or one loaded from its rows) a step at a time in place.
 
 The input at step t is [z_{t-1}/nu, covariates_t, embedding]; z before
 the window start is 0. The loss sums the negative log-likelihood over
@@ -53,6 +56,7 @@ __all__ = [
     "UnrollResult",
     "init_model",
     "unroll_batch",
+    "forward_nll",
     "encode",
     "decode_step",
     "load_model",
@@ -187,17 +191,31 @@ def _divergence(step: int, mu, disp) -> DivergenceError:
     )
 
 
-def unroll_batch(
-    windows, params: ModelParams, impute_seed=None, compute_grads: bool = True, *, tape=None
-) -> UnrollResult:
+def _batch_arrays(windows, params: ModelParams):
+    """(nu, categories, targets, counted) of a batch of windows checked
+    against the model: scales and categories (B,), targets and the mask
+    of steps that count toward the loss (B, T)."""
+    if not windows:
+        raise ConfigError("a batch needs at least one window")
+    if any(w.total != params.spec.total for w in windows):
+        raise ConfigError("window length does not match the model's window spec")
+    nu = np.array([w.scale for w in windows], dtype=np.float64)
+    cats = np.array([w.category for w in windows], dtype=np.intp)
+    if np.any(cats >= params.category_cardinality):
+        raise DataError("category code outside the embedding table")
+    targets = np.stack([w.target for w in windows])
+    counted = np.stack([w.mask for w in windows]) != MASK_MISSING
+    return nu, cats, targets, counted
+
+
+def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -> UnrollResult:
     """Teacher-forced forward and backward over a batch of windows.
 
     Returns the summed NLL over all counted steps of all windows, with
     gradients for that sum. impute_seed is required only when some window
     has missing observations: the value fed forward from a missing step t
     of window b is drawn with the key of (impute_seed, window series id)
-    on path b at step t. compute_grads=False skips the backward pass
-    (validation passes need only the loss) and leaves grads empty.
+    on path b at step t.
 
     The batch runs as one (T, B) block: the recurrence fills a
     SequenceTape, evaluating the heads inside the loop only for rows whose
@@ -207,20 +225,9 @@ def unroll_batch(
     training loop saves re-allocating, and page-faulting, the slabs every
     batch); otherwise a new one is made.
     """
-    if not windows:
-        raise ConfigError("unroll_batch requires at least one window")
     kind = params.likelihood
-    B = len(windows)
-    T = params.spec.total
-    for w in windows:
-        if w.total != T:
-            raise ConfigError("window length does not match the model's window spec")
-    nu = np.array([w.scale for w in windows], dtype=np.float64)
-    cats = np.array([w.category for w in windows], dtype=np.intp)
-    if np.any(cats >= params.category_cardinality):
-        raise DataError("category code outside the embedding table")
-    targets = np.stack([w.target for w in windows])
-    counted = np.stack([w.mask for w in windows]) != MASK_MISSING
+    nu, cats, targets, counted = _batch_arrays(windows, params)
+    B, T = targets.shape
     impute = ~counted[:, :-1]  # rows whose next input is a draw
     if impute_seed is None and impute.any():
         raise ConfigError("windows with missing values require an imputation seed")
@@ -272,11 +279,6 @@ def unroll_batch(
         total_nll = math.fsum(nll.tolist())
     if limit < mu.size:
         raise _divergence(limit // B, mu[limit : limit + B], disp[limit : limit + B])
-    mus = mu.reshape(T, B).T
-    disps = disp.reshape(T, B).T
-    if not compute_grads:
-        return UnrollResult(total_nll, mus, disps, {}, int(counted.sum()))
-
     d_h, head_grads = heads_backward(d_mu, d_disp, hcache, params.heads, kind)
     d_x, layer_grads = tape.backward(d_h.reshape(T, B, -1))
     d_emb = d_x[:, :, 1 + params.feature_dim :].sum(axis=0)
@@ -287,7 +289,36 @@ def unroll_batch(
         grads[f"lstm{i}.b"] = d_b
     grads.update((f"head.{key}", g) for key, g in head_grads.items())
 
-    return UnrollResult(total_nll, mus, disps, grads, int(counted.sum()))
+    return UnrollResult(total_nll, mu.reshape(T, B).T, disp.reshape(T, B).T, grads,
+                        int(counted.sum()))
+
+
+def _run_slab(params: ModelParams, slab: StepSlab, target, missing, covariates, nu, keys,
+              observe=None):
+    """The forward-only recurrence: step the slab's rows, from the state
+    it holds and with their embedding columns written, over the
+    covariates.shape[1] steps of target and missing (B, n), covariates
+    (B, n, d) and nu (B,). Step t feeds z_{t-1}/nu: the target, or for a
+    missing one a draw from that step's predictive distribution at
+    counter step t of the row's key. observe(t), if given, runs after
+    step t and before its draws. Returns the values to feed next (B,).
+    """
+    z_prev = np.zeros(slab.batch)
+    for t in range(covariates.shape[1]):
+        _write_inputs(slab.inputs, z_prev, nu, covariates[:, t, :])
+        slab.step()
+        if observe is not None:
+            observe(t)
+        z_prev = target[:, t].copy()
+        miss = np.nonzero(missing[:, t])[0]
+        if miss.size:
+            if keys is None:
+                raise ConfigError("missing values require sampling keys")
+            z = _impute(params, slab.hidden[miss], nu[miss], keys.take(miss), t)
+            if z is None:
+                raise DivergenceError("non-finite distribution parameters during encoding")
+            z_prev[miss] = z
+    return z_prev
 
 
 def encode(
@@ -311,24 +342,73 @@ def encode(
     of the row's key; padded steps feed zeros. A zero-length conditioning
     range gives the zero state.
     """
-    batch, n = target_cond.shape
-    slab = StepSlab(params.layers, batch)
-    z_prev = np.zeros(batch)
+    slab = StepSlab(params.layers, target_cond.shape[0])
     # The embedding columns of _write_inputs, written once for every step.
     slab.inputs[:, 1 + params.feature_dim :] = params.embedding[categories]
-    for t in range(n):
-        _write_inputs(slab.inputs, z_prev, nu, covariates_cond[:, t, :])
-        slab.step()
-        z_prev = target_cond[:, t].copy()
-        miss = np.nonzero(mask_cond[:, t] == MASK_MISSING)[0]
-        if miss.size:
-            if keys is None:
-                raise ConfigError("missing conditioning values require sampling keys")
-            z = _impute(params, slab.hidden[miss], nu[miss], keys.take(miss), t)
-            if z is None:
-                raise DivergenceError("non-finite distribution parameters during encoding")
-            z_prev[miss] = z
-    return slab, z_prev
+    z_last = _run_slab(params, slab, target_cond, mask_cond == MASK_MISSING, covariates_cond,
+                       nu, keys)
+    return slab, z_last
+
+
+# Steps whose heads and NLL forward_nll evaluates in one pass.
+_NLL_STEPS = 8
+
+
+def forward_nll(windows, params: ModelParams, keys: RowKeys = None):
+    """The teacher-forced NLL of every step of a batch of windows, forward
+    only: unroll_batch's loss terms without a tape, bit for bit wherever
+    the slab and the tape round alike (see lstm).
+
+    The whole batch steps one StepSlab through the recurrence encode
+    uses; the heads and the NLL run once per _NLL_STEPS steps over the
+    top hidden states of all rows. Row b imputes its missing steps with
+    keys row b (needed only when some window has missing values). Returns
+    (nll, counted), each (B, T): counted marks the steps that contribute,
+    and nll is 0 elsewhere. Raises DivergenceError at the first step where
+    some row's distribution parameters or counted loss are not finite.
+    """
+    kind = params.likelihood
+    nu, cats, targets, counted = _batch_arrays(windows, params)
+    B, T = targets.shape
+    # A missing last step feeds nothing forward, so it needs no draw.
+    missing = ~counted
+    missing[:, -1] = False
+    draws = missing.any(axis=0)
+    # Rows of a run are in (step, window) order.
+    z = targets.T.ravel()
+    live = counted.T.ravel()
+    nll = np.zeros(T * B)
+    top = np.empty((min(_NLL_STEPS, T), B, params.hidden_dim))
+    slab = StepSlab(params.layers, B)
+    slab.inputs[:, 1 + params.feature_dim :] = params.embedding[cats]
+    first = 0  # the first step of the run being collected
+
+    def observe(t):
+        nonlocal first
+        top[t - first] = slab.h(len(params.layers) - 1)
+        # A run also ends at a step with draws: the draws read that step's
+        # heads, which the run's check must have found finite.
+        if t + 1 - first < len(top) and t + 1 < T and not draws[t]:
+            return
+        lo, hi = first * B, (t + 1) * B
+        mu, disp, _ = apply_heads(top[: t + 1 - first].reshape(hi - lo, -1), params.heads,
+                                  np.tile(nu, t + 1 - first), kind)
+        bad = ~(np.isfinite(mu) & np.isfinite(disp))
+        sel = np.flatnonzero(live[lo:hi] & ~bad)
+        if sel.size:
+            vals = nll_and_grads(z[lo:hi][sel], mu[sel], disp[sel], kind)[0]
+            nll[lo + sel] = vals
+            bad[sel] = ~np.isfinite(vals)
+        if bad.any():
+            row = int(np.argmax(bad)) // B * B
+            rows = bad[row : row + B]
+            raise _divergence(first + row // B, mu[row : row + B][rows],
+                              disp[row : row + B][rows])
+        first = t + 1
+
+    _run_slab(params, slab, targets, missing, np.stack([w.covariates for w in windows]), nu,
+              keys, observe)
+    return nll.reshape(T, B).T, counted
 
 
 def decode_step(

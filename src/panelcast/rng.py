@@ -176,6 +176,15 @@ class RowKeys:
             k[:, i] = words[sid]
         return cls(k[0], k[1], paths)
 
+    @classmethod
+    def concat(cls, parts) -> "RowKeys":
+        """The rows of every RowKeys in `parts`, in order."""
+        out = cls.__new__(cls)
+        out.path = np.concatenate([p.path for p in parts])
+        out._rk0 = np.concatenate([p._rk0 for p in parts], axis=1)
+        out._rk1 = np.concatenate([p._rk1 for p in parts], axis=1)
+        return out
+
     def __len__(self) -> int:
         return int(self.path.shape[0])
 

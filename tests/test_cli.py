@@ -576,6 +576,23 @@ def test_bad_spans_and_rolling_exit_2_before_forecasting(
     assert list(out.iterdir()) == []
 
 
+def test_forecasts_span_past_horizon_exits_2_before_align(workdir, tmp_path, capsys, monkeypatch):
+    def no_align(*args, **kwargs):
+        raise AssertionError("align was called")
+
+    monkeypatch.setattr(cli, "align", no_align)
+    fc = _perfect_forecasts(workdir, tmp_path, with_samples=True)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["evaluate", "--truth", workdir["data"], "--forecasts", fc,
+               "--spans", f"0:1,0:{HORIZON + 1}", "--output", str(out / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"span [0, {HORIZON + 1}) does not fit the forecasts' horizon {HORIZON}" in err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------

@@ -156,6 +156,20 @@ class TestForward:
                     np.testing.assert_array_equal(c, recorded[t + 1])
                 np.testing.assert_array_equal(tape.hidden(t), slab.hidden)
 
+    def test_pool_slab_equals_chunked_tapes_bitwise(self):
+        # Validation steps a 507-window pool on one slab; the loss it
+        # reproduces is defined by 64-row training tapes.
+        layers = stack((13, 40, 40, 40), seed=24)
+        xs = np.random.default_rng(13).normal(size=(6, 507, 13))
+        tapes = [run_tape(layers, xs[:, lo : lo + 64]) for lo in range(0, 507, 64)]
+        slab = StepSlab(layers, 507)
+        for t in range(xs.shape[0]):
+            slab.inputs[...] = xs[t]
+            slab.step()
+            np.testing.assert_array_equal(
+                slab.hidden, np.concatenate([tape.hidden(t) for tape in tapes])
+            )
+
     @staticmethod
     def _check_load(layers, size, rows, capacity, rng):
         """Load rows `rows` of a stepped slab of `size` rows into a slab
@@ -220,7 +234,94 @@ class TestForward:
             np.testing.assert_array_equal(alone, full.reshape(5, 9, -1)[:, r])
 
 
+def full_width_local_derivatives(tape, idx, a_out):
+    """SequenceTape._local_derivatives as the tape once ran it, through a
+    full-width copy of each chunk's gates."""
+    hd = tape.layers[idx].hidden_dim
+    gates, c = tape.gates[idx], tape.c[idx]
+    np.tanh(c[1:], out=a_out)
+    for t1 in range(tape.steps, 0, -8):
+        t0 = max(0, t1 - 8)
+        g = gates[t0:t1]
+        d = np.empty_like(g)
+        np.subtract(1.0, g, out=d)
+        d *= g
+        gi, gf, gg, go = (g[..., k * hd : (k + 1) * hd] for k in range(4))
+        di, df, dg, do = (d[..., k * hd : (k + 1) * hd] for k in range(4))
+        tc = a_out[t0:t1]
+        do *= tc
+        np.square(tc, out=tc)
+        np.subtract(1.0, tc, out=tc)
+        tc *= go
+        di *= gg
+        np.square(gg, out=dg)
+        np.subtract(1.0, dg, out=dg)
+        dg *= gi
+        df *= c[t0:t1]
+        np.copyto(c[t0 + 1 : t1 + 1], gf)
+        np.copyto(g, d)
+
+
+def per_step_backward(tape, d_h):
+    """SequenceTape.backward as the tape once ran it: each layer's input
+    gradient inside the time loop, one (B, 4H) @ (4H, input + H) product
+    per step, and the local derivatives through a full-width copy. The
+    reference for the single product after the loop and the in-place
+    local derivatives."""
+    T, B = tape.steps, tape.batch
+    hidden = max(layer.hidden_dim for layer in tape.layers)
+    a_store = np.empty((T, B, hidden))
+    d_param = [None] * len(tape.layers)
+    for idx in range(len(tape.layers) - 1, -1, -1):
+        layer = tape.layers[idx]
+        hd, ind = layer.hidden_dim, layer.input_dim
+        a_out = a_store[..., :hd]
+        full_width_local_derivatives(tape, idx, a_out)
+        d_pre, forget = tape.gates[idx], tape.c[idx][1:]
+        d_pre4 = d_pre.reshape(T, B, 4, hd)
+        w_t = np.ascontiguousarray(layer.w.T)
+        d_x = d_h if d_h.shape[-1] == ind else np.empty((T, B, ind))
+        d_xh = np.zeros((B, ind + hd))
+        d_rec = d_xh[:, ind:]
+        d_c = np.zeros((B, hd))
+        dc = np.empty((B, hd))
+        for t in range(T - 1, -1, -1):
+            dh = d_h[t]
+            dh += d_rec
+            np.multiply(dh, a_out[t], out=dc)
+            dc += d_c
+            step = d_pre4[t]
+            step[:, 0] *= dc
+            step[:, 1] *= dc
+            step[:, 2] *= dc
+            step[:, 3] *= dh
+            np.multiply(dc, forget[t], out=d_c)
+            np.matmul(d_pre[t], w_t, out=d_xh)
+            np.copyto(d_x[t], d_xh[:, :ind])
+        flat = d_pre.reshape(T * B, 4 * hd)
+        xh = tape._xh(idx, slice(idx, idx + T)).reshape(T * B, ind + hd)
+        d_param[idx] = (xh.T @ flat, flat.sum(axis=0))
+        d_h = d_x
+    return d_h, d_param
+
+
 class TestBackward:
+    @pytest.mark.parametrize("batch, steps", [(64, 42), (9, 42)])
+    def test_hoisted_input_gradient_equals_per_step_bitwise(self, batch, steps):
+        # The input gradient, taken in products over all steps after the
+        # time loop, has the bits of one product per step inside it, and
+        # the in-place local derivatives those of the full-width copy.
+        layers = stack((13, 40, 40, 40), seed=31)
+        rng = np.random.default_rng(12)
+        xs = rng.normal(size=(steps, batch, 13))
+        d_h = rng.normal(size=(steps, batch, 40))
+        d_x, d_params = run_tape(layers, xs).backward(d_h.copy())
+        ref_x, ref_params = per_step_backward(run_tape(layers, xs), d_h.copy())
+        np.testing.assert_array_equal(d_x, ref_x)
+        for (d_w, d_b), (ref_w, ref_b) in zip(d_params, ref_params):
+            np.testing.assert_array_equal(d_w, ref_w)
+            np.testing.assert_array_equal(d_b, ref_b)
+
     def test_zero_upstream_gradient_gives_zero(self):
         layer = random_layer(2, 3, seed=6)
         x = np.array([[[0.5, -1.0]]])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from panelcast.dataset import (
+    MASK_MISSING,
     Panel,
     WindowSampler,
     _train_placement_count,
@@ -14,8 +15,8 @@ from panelcast.dataset import (
 from panelcast.errors import ConfigError, DivergenceError
 from panelcast.forecaster import forecast, quantiles
 from panelcast.likelihood import LikelihoodKind
-from panelcast.network import init_model, model_to_bytes
-from panelcast.rng import derive_seed
+from panelcast.network import init_model, model_to_bytes, unroll_batch
+from panelcast.rng import derive_seed, substream
 from panelcast.trainer import TrainConfig, _pool_nll, grid_search, parse_config, train
 
 from conftest import count_panel, make_series, sinusoid_panel
@@ -76,7 +77,7 @@ class TestTrain:
         model_a, log_a = train(panel, cfg)
         model_b, log_b = train(panel, cfg)
         assert model_to_bytes(model_a) == model_to_bytes(model_b)
-        assert [r[:-2] for r in log_a.rows] == [r[:-2] for r in log_b.rows]
+        assert [r[:7] for r in log_a.rows] == [r[:7] for r in log_b.rows]
         assert log_a.stopping_reason == log_b.stopping_reason
 
     def test_best_snapshot_property(self):
@@ -191,7 +192,7 @@ class TestTrain:
         model_a, log_a = train(panel, cfg)
         model_b, log_b = train(panel, cfg)
         assert model_to_bytes(model_a) == model_to_bytes(model_b)
-        assert [r[:-2] for r in log_a.rows] == [r[:-2] for r in log_b.rows]
+        assert [r[:7] for r in log_a.rows] == [r[:7] for r in log_b.rows]
         assert log_a.stopping_reason == log_b.stopping_reason
         pool = pools[0]
         assert len(pool) == 64
@@ -211,6 +212,98 @@ class TestTrain:
                                                  "uniform_sampling": True,
                                                  "no_scaling": True}))
         assert model_to_bytes(full) != model_to_bytes(ablated)
+
+
+def per_chunk_nll(pool, model, batch_size, seed):
+    """The validation NLL by definition: each batch_size-window chunk
+    unrolled alone, imputing with the seed derived from its offset, the
+    chunk losses added in order over the counted steps."""
+    total, steps = 0.0, 0
+    for i in range(0, len(pool), batch_size):
+        res = unroll_batch(pool[i : i + batch_size], model, derive_seed(seed, i))
+        total += res.loss
+        steps += res.counted_steps
+    return total / steps
+
+
+def gappy_pool(kind, size, seed):
+    """`size` windows drawn from a panel with about 8 % of its values
+    missing, and a model to score them."""
+    if kind is LikelihoodKind.NEG_BINOMIAL:
+        panel = count_panel(num_series=14, n=70, seed=seed, mean_hi=40.0)
+    else:
+        panel = sinusoid_panel(num_series=14, n=70, seed=seed)
+    gaps = np.random.default_rng(seed)
+    for series in panel:
+        series.target[gaps.random(series.n) < 0.08] = np.nan
+        series.target[-1] = 5.0  # every series keeps an observed point
+    cfg = small_config(likelihood=kind, num_layers=2, hidden_units=16, embedding_dim=3)
+    spec = cfg.window_spec
+    stats = fit_feature_stats(panel, spec)
+    pool = WindowSampler(panel, spec, stats).draw(substream(seed, "pool").random((size, 2)))
+    model = init_model(kind, spec, stats, panel.granularity, panel.category_cardinality,
+                       cfg.num_layers, cfg.hidden_units, cfg.embedding_dim, seed)
+    return pool, model
+
+
+class TestPoolNll:
+    # The whole pool runs forward in one pass; its NLL must keep the bits
+    # of the per-chunk definition.
+
+    @pytest.mark.parametrize("kind", list(LikelihoodKind))
+    def test_equals_per_chunk_unrolls_with_missing_values(self, kind):
+        pool, model = gappy_pool(kind, 203, seed=21)
+        assert any(np.any(w.mask == MASK_MISSING) for w in pool[64:])
+        seed = derive_seed(3, "val", 2)
+        assert _pool_nll(pool, model, 64, seed) == per_chunk_nll(pool, model, 64, seed)
+
+    def test_equals_single_chunk_unroll(self):
+        pool, model = gappy_pool(LikelihoodKind.NEG_BINOMIAL, 40, seed=22)
+        assert _pool_nll(pool, model, 64, 9) == per_chunk_nll(pool, model, 64, 9)
+
+    def test_equals_per_chunk_on_fallback_pool(self):
+        # The 64 in-sample windows train() validates on when no series
+        # holds placements out.
+        panel = Panel([
+            make_series(f"f{i}", 4.0 + i + np.sin(np.arange(10.0) + i), category=i % 2)
+            for i in range(5)
+        ])
+        cfg = small_config()
+        spec = cfg.window_spec
+        stats = fit_feature_stats(panel, spec)
+        sampler = WindowSampler(panel, spec, stats)
+        pool = sampler.draw(substream(cfg.seed, "train", "valpool").random((64, 2)))
+        model = init_model(cfg.likelihood, spec, stats, panel.granularity,
+                           panel.category_cardinality, cfg.num_layers, cfg.hidden_units,
+                           cfg.embedding_dim, cfg.seed)
+        seed = derive_seed(cfg.seed, "val", 1)
+        assert _pool_nll(pool, model, 8, seed) == per_chunk_nll(pool, model, 8, seed)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_heads_diverge(self):
+        pool, model = gappy_pool(LikelihoodKind.GAUSSIAN, 100, seed=23)
+        model.heads.w_mu.fill(1e308)
+        with pytest.raises(DivergenceError, match="non-finite loss at step 0") as exc:
+            _pool_nll(pool, model, 64, 5)
+        assert exc.value.log["step"] == 0
+        with pytest.raises(DivergenceError, match="non-finite loss at step 0"):
+            per_chunk_nll(pool, model, 64, 5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_with_draws_diverges_as_a_loss(self):
+        # Step 4 of window 3 has NaN inputs and a missing value: the step
+        # is named as non-finite, as unroll_batch names it, rather than
+        # failing the draw of the missing value.
+        pool, model = gappy_pool(LikelihoodKind.NEG_BINOMIAL, 20, seed=24)
+        w = pool[3]
+        w.covariates[4] = np.nan
+        w.mask[4] = MASK_MISSING
+        w.target[4] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite loss at step 4") as exc:
+            _pool_nll(pool, model, 64, 5)
+        assert exc.value.log["step"] == 4
+        with pytest.raises(DivergenceError, match="non-finite loss at step 4"):
+            per_chunk_nll(pool, model, 64, 5)
 
 
 class TestTrainLogTelemetry:
@@ -233,16 +326,19 @@ class TestTrainLogTelemetry:
         lines = log.to_tsv().splitlines()
         assert lines[0].split("\t") == [
             "epoch", "batches", "train_nll", "val_nll", "grad_norm_max", "clipped",
-            "skipped_divergent", "windows_per_s", "elapsed_s",
+            "skipped_divergent", "windows_per_s", "elapsed_s", "val_s",
         ]
         body = [line.split("\t") for line in lines[1:-1]]
         assert len(body) == len(log.rows) == 2
         for fields, row in zip(body, log.rows):
-            assert len(fields) == 9
+            assert len(fields) == 10
             # the first four columns keep their meaning and format
             assert (int(fields[0]), int(fields[1])) == row[:2]
             assert float(fields[3]) == pytest.approx(row[3], abs=1e-6)
             assert row[7] > 0.0 and np.isfinite(row[7])
+            # the validation pass takes a positive time, within the run's
+            assert 0.0 < row[9] < row[8]
+            assert float(fields[9]) == pytest.approx(row[9], abs=5e-4)
 
     def test_grad_norm_max_and_clipped_count(self, monkeypatch):
         import panelcast.trainer as trainer_mod
@@ -269,12 +365,12 @@ class TestTrainLogTelemetry:
         real = trainer_mod.unroll_batch
         calls = []
 
-        def flaky(windows, params, impute_seed=None, compute_grads=True, **kwargs):
-            if compute_grads:
-                calls.append(1)
-                if len(calls) in (2, 3, 11):
-                    raise DivergenceError("injected")
-            return real(windows, params, impute_seed, compute_grads, **kwargs)
+        def flaky(windows, params, impute_seed=None, **kwargs):
+            # Only training batches unroll; validation runs forward_nll.
+            calls.append(1)
+            if len(calls) in (2, 3, 11):
+                raise DivergenceError("injected")
+            return real(windows, params, impute_seed, **kwargs)
 
         monkeypatch.setattr(trainer_mod, "unroll_batch", flaky)
         panel = sinusoid_panel(num_series=4, n=50, seed=16)
