@@ -11,7 +11,6 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -32,6 +31,7 @@ from .forecaster import (
 )
 from .likelihood import LikelihoodKind
 from .network import load_model, model_to_bytes
+from .rng import sha256
 from .trainer import TrainConfig, grid_search, parse_config, train
 
 __all__ = ["main"]
@@ -56,7 +56,7 @@ def _atomic_write(path: str, data) -> None:
 
 
 def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
@@ -228,21 +228,27 @@ def cmd_evaluate(args) -> int:
         return 0
     if not args.forecasts:
         raise ConfigError("evaluate needs --forecasts (or --rolling with --model)")
-    records = read_forecasts(args.forecasts)
-    if records:
-        # Every record is checked against the first one's horizon later;
-        # a span past it is a bad option, rejected before any alignment.
-        horizon = records[0].horizon
-        for lead, span in spans:
-            if lead + span > horizon:
+    records = read_forecasts(args.forecasts)  # at least one
+    first = records[0]
+    levels = _parse_levels(args.levels) if args.levels else sorted(first.quantile_values)
+    # Every record is checked against the first one later; an option the
+    # first one cannot serve is rejected before any alignment.
+    for lead, span in spans:
+        if lead + span > first.horizon:
+            raise ConfigError(
+                f"span [{lead}, {lead + span}) does not fit the forecasts' horizon {first.horizon}"
+            )
+        if span > 1 and first.samples is None:
+            raise ConfigError(
+                f"span [{lead}, {lead + span}) is longer than one step and needs the sample "
+                "matrix; re-run prediction with --emit-samples"
+            )
+    if first.samples is None:
+        for rho in levels:
+            if not any(level == rho or abs(level - rho) < 1e-12 for level in first.quantile_values):
                 raise ConfigError(
-                    f"span [{lead}, {lead + span}) does not fit the forecasts' horizon {horizon}"
+                    f"forecasts have no {rho} quantile (available: {sorted(first.quantile_values)})"
                 )
-    levels = (
-        _parse_levels(args.levels)
-        if args.levels
-        else sorted(records[0].quantile_values)
-    )
     pairs = align(panel, records)
     report = evaluate(pairs, spans, levels)
     if args.output:

@@ -5,7 +5,15 @@ Every piece of randomness in the engine flows from one non-negative
 integer seed. Sequential consumers (weight init, window draws) read a
 named substream: a numpy PCG64 Generator whose spawn key is a path of
 strings/ints hashed into words, so adding paths never reshuffles
-existing ones.
+existing ones. `substream` is the only user of numpy.random.
+
+Keys (derive_seed, RowKeys.for_series) are the two words numpy's
+SeedSequence would generate from (seed, path), computed by an in-house
+port of its mixing that equals it bit for bit. So `predict` and
+`evaluate` load neither numpy.random nor OpenSSL: SHA-256, for the path
+words and the CLI's manifest digests, is the interpreter's builtin
+module. RowKeys.for_series mixes the seed and tag words once per call,
+then each distinct series id's two words, all ids at once.
 
 Sampling (forecast paths, imputation of missing values) uses no stream
 state at all. Each uniform is a pure function
@@ -35,10 +43,19 @@ stable across numpy versions.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
+
+# The builtin SHA-256, as CPython's random module imports its SHA-512:
+# the OpenSSL-backed one would load libcrypto into every process.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError
 from .special import lgamma
@@ -64,30 +81,115 @@ def _path_key(path):
             key.append(int(part) & 0xFFFFFFFF)
             key.append((int(part) >> 32) & 0xFFFFFFFF)
         else:
-            digest = hashlib.sha256(str(part).encode("utf-8")).digest()
+            digest = sha256(str(part).encode("utf-8")).digest()
             key.append(int.from_bytes(digest[:4], "little"))
             key.append(int.from_bytes(digest[4:8], "little"))
     return tuple(key)
 
 
-def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+def _checked(seed) -> int:
     seed = int(seed)
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.SeedSequence(entropy=seed, spawn_key=_path_key(path))
-
-
-def _seed_words(seed: int, path) -> np.ndarray:
-    return _seed_sequence(seed, path).generate_state(2)
+    return seed
 
 
 def substream(seed: int, *path) -> np.random.Generator:
     """The PCG64 generator of `seed`'s substream named by `path`."""
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, path)))
+    seq = np.random.SeedSequence(entropy=_checked(seed), spawn_key=_path_key(path))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+# -- SeedSequence words ------------------------------------------------------------
+#
+# numpy's SeedSequence(entropy=seed, spawn_key=_path_key(path)).generate_state(2),
+# re-derived so that key derivation needs no numpy.random: a 4-word pool,
+# numpy's hashmix/mix and their constants. The hash constant advances once
+# per hashmix whatever the data, so the four hashmixes that absorb a word
+# into the pool run as one array op, and a pool can hold one column per
+# series id. Words are 32-bit values in uint64, so every product fits.
+
+_MASK = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    """(hashed value, next hash constant); ints or uint64 arrays."""
+    nxt = const * mult & _MASK
+    value = (value ^ const) * nxt & _MASK
+    return value ^ (value >> 16), nxt
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK
+    return r ^ (r >> 16)
+
+
+def _entropy(seed: int, path) -> list:
+    """The words SeedSequence assembles: the seed's 32-bit words, low
+    first and zero-padded to the pool size when a path follows, then the
+    path's words."""
+    seed = _checked(seed)
+    words = [seed & _MASK]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK)
+    key = _path_key(path)
+    if key:
+        words += [0] * (_POOL_SIZE - len(words))
+    return words + list(key)
+
+
+def _absorb(pool, const, words):
+    """Mix each row of `words` (m, n) into every word of `pool` (4, n or
+    1), as SeedSequence mixes entropy past the pool size."""
+    consts = [const]
+    for _ in range(_POOL_SIZE * len(words)):
+        consts.append(consts[-1] * _MULT_A & _MASK)
+    before = np.array(consts[:-1], dtype=np.uint64).reshape(-1, _POOL_SIZE, 1)
+    for hashed in _hashmix(words[:, None, :], before)[0]:
+        pool = _mix(pool, hashed)
+    return pool, consts[-1]
+
+
+def _mix_entropy(words):
+    """SeedSequence.mix_entropy of a word list: the (4, 1) pool and the
+    hash constant it leaves."""
+    pool, const = [], _INIT_A
+    for i in range(_POOL_SIZE):
+        value, const = _hashmix(words[i] if i < len(words) else 0, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    rest = np.array(words[_POOL_SIZE:], dtype=np.uint64).reshape(-1, 1)
+    return _absorb(np.array(pool, dtype=np.uint64).reshape(-1, 1), const, rest)
+
+
+_STATE_CONSTS = np.array([[_INIT_B], [_INIT_B * _MULT_B & _MASK]], dtype=np.uint64)
+
+
+def _generate_state(pool) -> np.ndarray:
+    """SeedSequence.generate_state(2) of every pool column: (2, n) words."""
+    return _hashmix(pool[:2], _STATE_CONSTS, _MULT_B)[0]
+
+
+def _seed_words(seed: int, path) -> np.ndarray:
+    return _generate_state(_mix_entropy(_entropy(seed, path))[0])[:, 0]
 
 
 def derive_seed(seed: int, *path) -> int:
-    """A new integer seed deterministically derived from (seed, path).
+    """A new integer seed deterministically derived from (seed, path): the
+    two words numpy's SeedSequence(seed, spawn_key) generates, computed
+    here without numpy.random.
 
     Lets one seed fan out into independent whole seed spaces (e.g. one
     per rolling-backtest window) without colliding substream names.
@@ -167,14 +269,17 @@ class RowKeys:
     @classmethod
     def for_series(cls, seed: int, tag: str, series_ids, paths) -> "RowKeys":
         """Row i draws from the key of (seed, tag, series_ids[i]) on path
-        paths[i]. The key is hashed once per distinct id."""
-        words = {}
-        k = np.empty((2, len(series_ids)), dtype=np.uint64)
-        for i, sid in enumerate(series_ids):
-            if sid not in words:
-                words[sid] = _seed_words(seed, (tag, sid))
-            k[:, i] = words[sid]
-        return cls(k[0], k[1], paths)
+        paths[i]: the words derive_seed(seed, tag, series_ids[i]) is made
+        of. The seed and tag words are mixed once per call, then each
+        distinct id's two words, all ids at once."""
+        index = {}
+        rows = [index.setdefault(sid, len(index)) for sid in series_ids]
+        # A path pads the seed words to the pool size, so an id's words
+        # always come past the pool: absorbed after the shared prefix.
+        pool, const = _mix_entropy(_entropy(seed, (tag,)))
+        words = np.array([_path_key((sid,)) for sid in index], dtype=np.uint64).reshape(-1, 2)
+        k0, k1 = _generate_state(_absorb(pool, const, words.T)[0])
+        return cls(k0[rows], k1[rows], paths)
 
     @classmethod
     def concat(cls, parts) -> "RowKeys":

@@ -348,6 +348,44 @@ def test_train_output_independent_of_blas_threads(workdir, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_forecasting_commands_load_neither_numpy_random_nor_openssl(workdir, tmp_path):
+    # predict and evaluate derive their sampling keys and manifest digests
+    # without numpy.random or hashlib's OpenSSL backend, both of which
+    # raise a fresh process's peak RSS. train is exempt: its weight init
+    # and window draws read numpy PCG64 substreams (ROADMAP item 4).
+    import panelcast
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(panelcast.__file__)))
+    fc, report, rolling = (str(tmp_path / name) for name in ("fc.jsonl", "r.json", "roll.json"))
+    history = _write_rows(tmp_path / "history.jsonl",
+                          [dict(r, target=r["target"][:-HORIZON]) for r in workdir["rows"]])
+    commands = [
+        ["predict", "--model", workdir["model"], "--data", history, "--output", fc,
+         "--samples", "20", "--emit-samples"],
+        ["evaluate", "--truth", workdir["data"], "--forecasts", fc, "--spans", "0:1,0:4",
+         "--output", report],
+        ["evaluate", "--truth", workdir["data"], "--model", workdir["model"],
+         "--rolling", "2:2", "--samples", "20", "--output", rolling],
+    ]
+    code = (
+        "import json, sys\n"
+        "from panelcast.cli import main\n"
+        f"rcs = [main(argv) for argv in {commands!r}]\n"
+        "print(json.dumps([rcs, [m for m in ('numpy.random', '_hashlib') if m in sys.modules]]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rcs, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rcs == [0, 0, 0], proc.stderr
+    assert loaded == []
+    for path in (fc, report, rolling):
+        manifest = json.load(open(path + ".manifest.json"))
+        assert manifest["outputs"]["primary"]["sha256"] == _sha(path)
+
+
 def test_predict_granularity_mismatch(workdir, tmp_path, capsys):
     rows = _rows(num_series=2)
     for row in rows:
@@ -515,7 +553,7 @@ def test_evaluate_multi_span_needs_samples(workdir, tmp_path, capsys):
         ["evaluate", "--truth", workdir["data"], "--forecasts", fc,
          "--spans", "0:1,0:2"]
     )
-    assert rc == 1
+    assert rc == 2
     assert "--emit-samples" in capsys.readouterr().err
 
 
@@ -591,6 +629,42 @@ def test_forecasts_span_past_horizon_exits_2_before_align(workdir, tmp_path, cap
     assert err.count("\n") == 1
     assert f"span [0, {HORIZON + 1}) does not fit the forecasts' horizon {HORIZON}" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--levels", "0.5,0.95"], "forecasts have no 0.95 quantile (available: [0.5, 0.9])"),
+        (["--spans", "0:1,1:3"], "span [1, 4) is longer than one step and needs the sample"),
+    ],
+    ids=["level-missing", "long-span-without-samples"],
+)
+def test_forecasts_option_first_record_cannot_serve_exits_2_before_align(
+    workdir, tmp_path, capsys, monkeypatch, options, message
+):
+    def no_align(*args, **kwargs):
+        raise AssertionError("align was called")
+
+    monkeypatch.setattr(cli, "align", no_align)
+    fc = _perfect_forecasts(workdir, tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["evaluate", "--truth", workdir["data"], "--forecasts", fc, *options,
+               "--output", str(out / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert message in err
+    assert list(out.iterdir()) == []
+
+
+def test_forecasts_levels_and_spans_served_by_samples(workdir, tmp_path, capsys):
+    # With sample matrices any level and any span that fits can be scored.
+    fc = _perfect_forecasts(workdir, tmp_path, with_samples=True)
+    rc = main(["evaluate", "--truth", workdir["data"], "--forecasts", fc,
+               "--levels", "0.5,0.95", "--spans", "0:1,1:3"])
+    assert rc == 0
+    assert "risk[1:3@0.95]\t0.000000" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

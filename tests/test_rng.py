@@ -9,7 +9,9 @@ from panelcast.likelihood import LikelihoodKind, draw
 from panelcast.rng import (
     _INVERSION_DEPTH,
     RowKeys,
+    _path_key,
     _poisson_inversion,
+    _seed_words,
     derive_seed,
     gammas,
     neg_binomials,
@@ -72,6 +74,49 @@ class TestSubstreams:
     def test_negative_seed_rejected(self, derive):
         with pytest.raises(ConfigError, match="non-negative integer, got -1"):
             derive(-1)
+
+
+def numpy_words(seed, path):
+    """The two words numpy's own SeedSequence generates for (seed, path)."""
+    words = np.random.SeedSequence(seed, spawn_key=_path_key(path)).generate_state(2)
+    return [int(w) for w in words]
+
+
+# 2**130 + 5 has five 32-bit words: run entropy longer than the 4-word pool.
+PORT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5]
+PORT_PATHS = [
+    (),
+    ("impute",),
+    ("path", "s1"),
+    ("train", "impute", 0),
+    ("rolling", 2**32 + 7, "série-β", 2**40),
+    ("a", 0, "日本", 2**63 - 1, "z"),
+]
+
+
+class TestSeedSequencePort:
+    @pytest.mark.parametrize("seed", PORT_SEEDS)
+    @pytest.mark.parametrize("path", PORT_PATHS, ids=lambda p: f"{len(p)}-parts")
+    def test_words_equal_numpy(self, seed, path):
+        assert [int(w) for w in _seed_words(seed, path)] == numpy_words(seed, path)
+        lo, hi = numpy_words(seed, path)
+        assert derive_seed(seed, *path) == lo | (hi << 32)
+
+    @pytest.mark.parametrize("seed", PORT_SEEDS)
+    def test_for_series_equals_numpy_and_generic_path(self, seed):
+        # Duplicates, non-ASCII strings and int ids in one call; the shared
+        # seed-and-tag prefix must give each row the generic derivation.
+        ids = ["s0", "ß-7", 0, 2**32 + 1, "s0", "日本", 0, "s0"]
+        ids += [f"series-{i}" for i in range(200)]
+        keys = RowKeys.for_series(seed, "path", ids, np.arange(len(ids)))
+        # The key in force at every Philox round is (k0, k1) plus a bump
+        # that is zero in round 0.
+        got = np.stack([keys._rk0[0], keys._rk1[0]], axis=1).tolist()
+        assert got == [numpy_words(seed, ("path", sid)) for sid in ids]
+        assert got == [[int(w) for w in _seed_words(seed, ("path", sid))] for sid in ids]
+
+    def test_for_series_without_rows(self):
+        assert len(RowKeys.for_series(3, "path", [], np.zeros(0))) == 0
 
 
 class TestUniformAndInts:
