@@ -244,7 +244,8 @@ def cmd_evaluate(args) -> int:
                 "matrix; re-run prediction with --emit-samples"
             )
     if first.samples is None:
-        for rho in levels:
+        # ND and RMSE read the median whatever the levels.
+        for rho in [*levels, 0.5]:
             if not any(level == rho or abs(level - rho) < 1e-12 for level in first.quantile_values):
                 raise ConfigError(
                     f"forecasts have no {rho} quantile (available: {sorted(first.quantile_values)})"

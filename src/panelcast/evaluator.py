@@ -18,7 +18,13 @@ import numpy as np
 
 from .dataset import Panel, TimeSeries, steps_between
 from .errors import ConfigError, DataError, MetricError
-from .forecaster import ForecastRecord, forecast_panel, record_from_samples, span_aggregate
+from .forecaster import (
+    ForecastRecord,
+    forecast_panel,
+    quantiles,
+    record_from_samples,
+    span_aggregate,
+)
 from .rng import derive_seed
 
 __all__ = [
@@ -149,9 +155,17 @@ def nd_rmse(truth: np.ndarray, p50: np.ndarray):
     return nd, rmse
 
 
+def _median(rec: ForecastRecord) -> np.ndarray:
+    """The nearest-rank median of the samples when the record carries
+    them, which is predict's 0.5 track, else that track."""
+    if rec.samples is None:
+        return _level_array(rec, 0.5)
+    return quantiles(rec.samples, [0.5]).values[0]
+
+
 def _pairs_nd_rmse(pairs):
     truth = np.stack([pair.truth for pair in pairs])
-    p50 = np.stack([_level_array(pair.record, 0.5) for pair in pairs])
+    p50 = np.stack([_median(pair.record) for pair in pairs])
     return nd_rmse(truth, p50)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "PARAM_FLOOR",
     "gaussian_nll",
     "negbin_nll",
-    "init_heads",
     "apply_heads",
     "heads_backward",
     "nll_and_grads",
@@ -116,13 +115,6 @@ class HeadCache:
     disp_live: np.ndarray
     h: np.ndarray
     nu: np.ndarray
-
-
-def init_heads(hidden_dim: int, gen: np.random.Generator) -> HeadParams:
-    bound = 1.0 / np.sqrt(hidden_dim)
-    w_mu = (gen.random(hidden_dim) * 2.0 - 1.0) * bound
-    w_disp = (gen.random(hidden_dim) * 2.0 - 1.0) * bound
-    return HeadParams(w_mu, np.zeros(()), w_disp, np.zeros(()))
 
 
 def apply_heads(h, heads: HeadParams, nu, kind: LikelihoodKind):

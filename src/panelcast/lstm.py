@@ -40,7 +40,6 @@ __all__ = [
     "LstmLayerParams",
     "SequenceTape",
     "StepSlab",
-    "init_layer",
 ]
 
 
@@ -65,17 +64,6 @@ class LstmLayerParams:
                 f"LSTM layer shapes inconsistent: w {self.w.shape}, b {self.b.shape}, "
                 f"expected ({rows}, {cols}) and ({cols},)"
             )
-
-
-def init_layer(input_dim: int, hidden_dim: int, gen: np.random.Generator) -> LstmLayerParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights; biases zero except
-    the forget gate's, which starts at 1.0."""
-    rows = input_dim + hidden_dim
-    bound = 1.0 / np.sqrt(rows)
-    w = (gen.random((rows, 4 * hidden_dim)) * 2.0 - 1.0) * bound
-    b = np.zeros(4 * hidden_dim)
-    b[hidden_dim : 2 * hidden_dim] = 1.0
-    return LstmLayerParams(input_dim, hidden_dim, w, b)
 
 
 def _slab_columns(layers):

@@ -40,16 +40,10 @@ from .likelihood import (
     apply_heads,
     draw,
     heads_backward,
-    init_heads,
     nll_and_grads,
 )
-from .lstm import (
-    LstmLayerParams,
-    SequenceTape,
-    StepSlab,
-    init_layer,
-)
-from .rng import RowKeys, substream
+from .lstm import LstmLayerParams, SequenceTape, StepSlab
+from .rng import RowKeys
 
 __all__ = [
     "ModelParams",
@@ -129,16 +123,30 @@ def init_model(
     embedding_dim: int,
     seed: int,
 ) -> ModelParams:
+    """Every weight block uniform within +-1/sqrt(fan-in), read from the
+    key of (seed, "init", block); biases zero except the LSTM forget
+    gate's, which starts at 1.0."""
     if num_layers < 1 or hidden_dim < 1 or embedding_dim < 1 or category_cardinality < 1:
         raise ConfigError("model dimensions must be positive")
-    u = substream(seed, "init", "embedding").random((category_cardinality, embedding_dim))
-    embedding = (u * 2.0 - 1.0) * (1.0 / np.sqrt(embedding_dim))
+
+    def uniform(block, shape, fan_in):
+        n = math.prod(shape)
+        keys = RowKeys.for_series(seed, "init", [block], [0])
+        u = keys.uniforms(0, 0, lanes=-(-n // 2))[:n, 0].reshape(shape)
+        return (u * 2.0 - 1.0) * (1.0 / np.sqrt(fan_in))
+
+    embedding = uniform("embedding", (category_cardinality, embedding_dim), embedding_dim)
     input_dim = 1 + len(stats.names) + embedding_dim
     layers = []
     for i in range(num_layers):
         in_dim = input_dim if i == 0 else hidden_dim
-        layers.append(init_layer(in_dim, hidden_dim, substream(seed, "init", f"lstm{i}")))
-    heads = init_heads(hidden_dim, substream(seed, "init", "heads"))
+        rows = in_dim + hidden_dim
+        b = np.zeros(4 * hidden_dim)
+        b[hidden_dim : 2 * hidden_dim] = 1.0
+        w = uniform(f"lstm{i}", (rows, 4 * hidden_dim), rows)
+        layers.append(LstmLayerParams(in_dim, hidden_dim, w, b))
+    w_mu, w_disp = uniform("heads", (2, hidden_dim), hidden_dim)
+    heads = HeadParams(w_mu, np.zeros(()), w_disp, np.zeros(()))
     return ModelParams(
         likelihood,
         spec,

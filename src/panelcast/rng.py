@@ -1,22 +1,22 @@
-"""Deterministic randomness: named PCG64 streams for sequential consumers
-and a counter-based keyed generator for sampling.
+"""Deterministic randomness: one counter-based keyed generator.
 
 Every piece of randomness in the engine flows from one non-negative
-integer seed. Sequential consumers (weight init, window draws) read a
-named substream: a numpy PCG64 Generator whose spawn key is a path of
-strings/ints hashed into words, so adding paths never reshuffles
-existing ones. `substream` is the only user of numpy.random.
+integer seed through one generator: Philox uniforms under keys derived
+from (seed, tag, name). Forecast paths and imputed values key each row
+by its series id. Training keys its window draws by (seed, "train",
+"draw"), one path per window of a batch and batch k at step k, and
+weight init keys each block by (seed, "init", block), one row of as
+many lanes as the block has weights.
 
 Keys (derive_seed, RowKeys.for_series) are the two words numpy's
 SeedSequence would generate from (seed, path), computed by an in-house
-port of its mixing that equals it bit for bit. So `predict` and
-`evaluate` load neither numpy.random nor OpenSSL: SHA-256, for the path
-words and the CLI's manifest digests, is the interpreter's builtin
-module. RowKeys.for_series mixes the seed and tag words once per call,
-then each distinct series id's two words, all ids at once.
+port of its mixing that equals it bit for bit. So no command loads
+numpy's random module or OpenSSL: SHA-256, for the path words and the
+CLI's manifest digests, is the interpreter's builtin module.
+RowKeys.for_series mixes the seed and tag words once per call, then
+each distinct name's two words, all names at once.
 
-Sampling (forecast paths, imputation of missing values) uses no stream
-state at all. Each uniform is a pure function
+No draw keeps stream state. Each uniform is a pure function
 
     u = H(seed, series id, path, step, round)
 
@@ -61,7 +61,6 @@ from .errors import ConfigError
 from .special import lgamma
 
 __all__ = [
-    "substream",
     "derive_seed",
     "philox4x32",
     "RowKeys",
@@ -94,20 +93,14 @@ def _checked(seed) -> int:
     return seed
 
 
-def substream(seed: int, *path) -> np.random.Generator:
-    """The PCG64 generator of `seed`'s substream named by `path`."""
-    seq = np.random.SeedSequence(entropy=_checked(seed), spawn_key=_path_key(path))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
 # -- SeedSequence words ------------------------------------------------------------
 #
 # numpy's SeedSequence(entropy=seed, spawn_key=_path_key(path)).generate_state(2),
-# re-derived so that key derivation needs no numpy.random: a 4-word pool,
-# numpy's hashmix/mix and their constants. The hash constant advances once
-# per hashmix whatever the data, so the four hashmixes that absorb a word
-# into the pool run as one array op, and a pool can hold one column per
-# series id. Words are 32-bit values in uint64, so every product fits.
+# re-derived so that key derivation needs nothing of numpy's random module:
+# a 4-word pool, numpy's hashmix/mix and their constants. The hash constant
+# advances once per hashmix whatever the data, so the four hashmixes that
+# absorb a word into the pool run as one array op, and a pool can hold one
+# column per series id. Words are 32-bit values in uint64: every product fits.
 
 _MASK = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -189,10 +182,10 @@ def _seed_words(seed: int, path) -> np.ndarray:
 def derive_seed(seed: int, *path) -> int:
     """A new integer seed deterministically derived from (seed, path): the
     two words numpy's SeedSequence(seed, spawn_key) generates, computed
-    here without numpy.random.
+    here without numpy's random module.
 
     Lets one seed fan out into independent whole seed spaces (e.g. one
-    per rolling-backtest window) without colliding substream names.
+    per rolling-backtest window) without colliding key names.
     """
     lo, hi = _seed_words(seed, path)
     return int(lo) | (int(hi) << 32)

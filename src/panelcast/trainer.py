@@ -25,7 +25,7 @@ from .likelihood import LikelihoodKind
 from .lstm import SequenceTape
 from .network import ModelParams, forward_nll, init_model, unroll_batch
 from .optim import clip_global_norm, init_adam, adam_step
-from .rng import RowKeys, derive_seed, substream
+from .rng import RowKeys, derive_seed
 
 __all__ = ["TrainConfig", "TrainLog", "parse_config", "train", "grid_search"]
 
@@ -239,14 +239,17 @@ def train(panel: Panel, config: TrainConfig):
         config.seed,
     )
     adam = init_adam(model.blocks(), learning_rate=config.learning_rate)
-    draws = substream(config.seed, "train", "draw")
+    # Batch k's (B, 2) draw uniforms: step k of one key, a path per window.
+    batch = config.batch_size
+    draws = RowKeys.for_series(config.seed, "train", ["draw"] * batch, np.arange(batch))
 
     pool = sampler.validation_windows(cap=VALIDATION_CAP)
     if not pool:
         # Panels where every series has fewer than 10 placements hold
         # nothing out; fall back to a fixed in-sample pool.
-        fallback = substream(config.seed, "train", "valpool")
-        pool = sampler.draw(fallback.random((min(VALIDATION_CAP, 64), 2)))
+        size = min(VALIDATION_CAP, 64)
+        fallback = RowKeys.for_series(config.seed, "train", ["valpool"] * size, np.arange(size))
+        pool = sampler.draw(fallback.uniforms(0, 0).T)
     if config.no_scaling:
         pool = [_force_unit_scale(w) for w in pool]
 
@@ -275,7 +278,7 @@ def train(panel: Panel, config: TrainConfig):
         for _ in range(steps_per_epoch):
             if batches_done >= config.max_batches:
                 break
-            windows = sampler.draw(draws.random((config.batch_size, 2)))
+            windows = sampler.draw(draws.uniforms(batches_done, 0).T)
             if config.no_scaling:
                 windows = [_force_unit_scale(w) for w in windows]
             batches_done += 1

@@ -18,7 +18,7 @@ from panelcast.errors import ConfigError, MetricError
 from panelcast.forecaster import ForecastSamples
 from panelcast.likelihood import LikelihoodKind
 from panelcast.network import init_model
-from panelcast.rng import substream
+from panelcast.rng import _path_key
 from panelcast.trainer import TrainConfig, train
 
 START = datetime(2014, 1, 6)
@@ -58,6 +58,35 @@ def count_panel(num_series=8, n=60, seed=3, mean_lo=2.0, mean_hi=9.0):
     return Panel(series)
 
 
+def pcg64(seed, *path):
+    """numpy's PCG64 generator of the SeedSequence (seed, path's words):
+    the named streams the engine drew its weights and windows from
+    before it had one keyed generator, kept for tests that pin those
+    draws."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=_path_key(path))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def pcg64_init_model(likelihood, spec, stats, granularity, cardinality, num_layers,
+                     hidden_dim, embedding_dim, seed):
+    """init_model's model at the engine's former PCG64 weights: each
+    block uniform within +-1/sqrt(fan-in) from pcg64(seed, "init",
+    block), the heads' w_mu then w_disp from one stream. Biases are
+    init_model's."""
+    model = init_model(likelihood, spec, stats, granularity, cardinality, num_layers,
+                       hidden_dim, embedding_dim, seed)
+
+    def uniform(block, shape, fan_in):
+        return (pcg64(seed, "init", block).random(shape) * 2.0 - 1.0) * (1.0 / np.sqrt(fan_in))
+
+    blocks = {"embedding": uniform("embedding", model.embedding.shape, embedding_dim)}
+    for i, layer in enumerate(model.layers):
+        blocks[f"lstm{i}.w"] = uniform(f"lstm{i}", layer.w.shape, layer.w.shape[0])
+    blocks["head.w_mu"], blocks["head.w_disp"] = uniform("heads", (2, hidden_dim), hidden_dim)
+    model.load_blocks({**model.copy_blocks(), **blocks})
+    return model
+
+
 def cut_window(series, spec, start_offset, stats):
     """The training window of `series` placed at `start_offset`, cut the
     way WindowSampler cuts every window it draws."""
@@ -85,7 +114,7 @@ def shuffle_paths(samples, seed):
         raise ConfigError("shuffling needs a 2-d matrix of at least two sample paths")
     out = np.empty_like(mat)
     for t in range(mat.shape[1]):
-        out[:, t] = mat[permutation(substream(seed, "shuffle", t), mat.shape[0]), t]
+        out[:, t] = mat[permutation(pcg64(seed, "shuffle", t), mat.shape[0]), t]
     if wrapped:
         return ForecastSamples(samples.series_id, samples.start, out, samples.seed)
     return out

@@ -37,13 +37,12 @@ from panelcast.dataset import (
 from panelcast.errors import DivergenceError
 from panelcast.evaluator import EvalPair, all_k_risk, coverage, nd_rmse, rolling_backtest
 from panelcast.forecaster import ForecastRecord, forecast, record_from_samples
-from panelcast.likelihood import HeadParams, LikelihoodKind, negbin_nll
-from panelcast.lstm import LstmLayerParams
-from panelcast.network import ModelParams, unroll_batch
-from panelcast.rng import RowKeys, neg_binomials, substream
+from panelcast.likelihood import LikelihoodKind, negbin_nll
+from panelcast.network import unroll_batch
+from panelcast.rng import RowKeys, neg_binomials
 from panelcast.trainer import TrainConfig, train
 
-from conftest import cut_window, seasonal_naive, shuffle_paths
+from conftest import cut_window, pcg64, pcg64_init_model, seasonal_naive, shuffle_paths
 from gradcheck import finite_diff_check
 
 START = datetime(2014, 1, 6)
@@ -71,37 +70,13 @@ def _truncated(series, steps):
 
 
 def _gate_model(kind, spec, stats, seed=7, hidden=8, embedding_dim=2, cardinality=2):
-    """A one-layer model at weights the gate draws itself: each block
-    uniform within +-1/sqrt(fan-in) from the PCG64 substream
-    (seed, "init", block), the LSTM bias zero but for a forget slice of
-    1.0, and every block then tripled so that every gate works in its
-    nonlinear range. The gate's evaluation point thus stays put when the
-    engine's initialisation changes."""
-
-    def uniform(gen, shape, fan_in):
-        return (gen.random(shape) * 2.0 - 1.0) * (1.0 / np.sqrt(fan_in))
-
-    input_dim = 1 + len(stats.names) + embedding_dim
-    rows = input_dim + hidden
-    bias = np.zeros(4 * hidden)
-    bias[hidden : 2 * hidden] = 1.0
-    heads = substream(seed, "init", "heads")
-    weights = {
-        "embedding": uniform(substream(seed, "init", "embedding"), (cardinality, embedding_dim), embedding_dim),
-        "lstm0.w": uniform(substream(seed, "init", "lstm0"), (rows, 4 * hidden), rows),
-        "lstm0.b": bias,
-        "head.w_mu": uniform(heads, hidden, hidden),
-        "head.b_mu": np.zeros(()),
-        "head.w_disp": uniform(heads, hidden, hidden),
-        "head.b_disp": np.zeros(()),
-    }
-    model = ModelParams(
-        kind, spec, stats, Granularity.DAILY, cardinality,
-        np.zeros((cardinality, embedding_dim)),
-        [LstmLayerParams(input_dim, hidden, np.zeros((rows, 4 * hidden)), np.zeros(4 * hidden))],
-        HeadParams(np.zeros(hidden), np.zeros(()), np.zeros(hidden), np.zeros(())),
-    )
-    model.load_blocks({name: 3.0 * arr for name, arr in weights.items()})
+    """A one-layer model at weights the gate draws itself: the PCG64
+    init of conftest.pcg64_init_model, every block then tripled so that
+    every gate works in its nonlinear range. The gate's evaluation point
+    thus stays put when the engine's initialisation changes."""
+    model = pcg64_init_model(kind, spec, stats, Granularity.DAILY, cardinality, 1, hidden,
+                             embedding_dim, seed)
+    model.load_blocks({name: 3.0 * arr for name, arr in model.copy_blocks().items()})
     return model
 
 
@@ -453,7 +428,7 @@ def test_weighted_selection_frequencies():
     sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
     draws = 100_000
     counts = {s.id: 0 for s in series}
-    for w in sampler.draw(substream(77, "acceptance", "selection").random((draws, 2))):
+    for w in sampler.draw(pcg64(77, "acceptance", "selection").random((draws, 2))):
         counts[w.series_id] += 1
 
     weights = np.array([series_scale(s) for s in series])

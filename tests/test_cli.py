@@ -349,17 +349,19 @@ def test_train_output_independent_of_blas_threads(workdir, tmp_path):
 
 
 def test_forecasting_commands_load_neither_numpy_random_nor_openssl(workdir, tmp_path):
-    # predict and evaluate derive their sampling keys and manifest digests
-    # without numpy.random or hashlib's OpenSSL backend, both of which
-    # raise a fresh process's peak RSS. train is exempt: its weight init
-    # and window draws read numpy PCG64 substreams (ROADMAP item 4).
+    # Every command derives its random draws and manifest digests without
+    # numpy.random or hashlib's OpenSSL backend, both of which raise a
+    # fresh process's peak RSS.
     import panelcast
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(panelcast.__file__)))
-    fc, report, rolling = (str(tmp_path / name) for name in ("fc.jsonl", "r.json", "roll.json"))
+    model, fc, report, rolling = (
+        str(tmp_path / name) for name in ("model.bin", "fc.jsonl", "r.json", "roll.json")
+    )
     history = _write_rows(tmp_path / "history.jsonl",
                           [dict(r, target=r["target"][:-HORIZON]) for r in workdir["rows"]])
     commands = [
+        ["train", "--data", workdir["data"], "--config", workdir["config"], "--output", model],
         ["predict", "--model", workdir["model"], "--data", history, "--output", fc,
          "--samples", "20", "--emit-samples"],
         ["evaluate", "--truth", workdir["data"], "--forecasts", fc, "--spans", "0:1,0:4",
@@ -379,9 +381,10 @@ def test_forecasting_commands_load_neither_numpy_random_nor_openssl(workdir, tmp
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     rcs, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert rcs == [0, 0, 0], proc.stderr
+    assert rcs == [0, 0, 0, 0], proc.stderr
     assert loaded == []
-    for path in (fc, report, rolling):
+    assert open(model, "rb").read() == open(workdir["model"], "rb").read()
+    for path in (model, fc, report, rolling):
         manifest = json.load(open(path + ".manifest.json"))
         assert manifest["outputs"]["primary"]["sha256"] == _sha(path)
 
@@ -665,6 +668,59 @@ def test_forecasts_levels_and_spans_served_by_samples(workdir, tmp_path, capsys)
                "--levels", "0.5,0.95", "--spans", "0:1,1:3"])
     assert rc == 0
     assert "risk[1:3@0.95]\t0.000000" in capsys.readouterr().out
+
+
+def test_rolling_nd_rmse_without_median_level(workdir, tmp_path):
+    # ND and RMSE take the median from the sample paths, so a level list
+    # without 0.5 scores them as the one with it does.
+    docs = []
+    for levels in ("0.9", "0.5,0.9"):
+        out = tmp_path / f"rolling-{levels}.json"
+        rc = main(["evaluate", "--truth", workdir["data"], "--model", workdir["model"],
+                   "--rolling", "2:3", "--samples", "25", "--levels", levels,
+                   "--output", str(out)])
+        assert rc == 0
+        docs.append(json.loads(out.read_text()))
+    for report in ("nd", "rmse"):
+        assert docs[0]["pooled"][report] == docs[1]["pooled"][report]
+        assert [w[report] for w in docs[0]["windows"]] == [w[report] for w in docs[1]["windows"]]
+
+
+def test_forecasts_with_samples_without_median_level(workdir, tmp_path):
+    history = _write_rows(tmp_path / "history.jsonl",
+                          [dict(r, target=r["target"][:-HORIZON]) for r in workdir["rows"]])
+    reports = []
+    for levels in ("0.9", "0.5,0.9"):
+        fc, out = tmp_path / f"fc-{levels}.jsonl", tmp_path / f"report-{levels}.json"
+        assert main(["predict", "--model", workdir["model"], "--data", history,
+                     "--output", str(fc), "--samples", "25", "--quantiles", levels,
+                     "--emit-samples"]) == 0
+        assert main(["evaluate", "--truth", workdir["data"], "--forecasts", str(fc),
+                     "--levels", "0.9", "--output", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_forecasts_without_median_level_exit_2_before_align(workdir, tmp_path, capsys,
+                                                            monkeypatch):
+    def no_align(*args, **kwargs):
+        raise AssertionError("align was called")
+
+    monkeypatch.setattr(cli, "align", no_align)
+    lines = open(_perfect_forecasts(workdir, tmp_path)).read().splitlines()
+    objs = [json.loads(line) for line in lines]
+    for obj in objs:
+        del obj["quantiles"]["0.5"]
+    fc = _write_rows(tmp_path / "p90.jsonl", objs)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["evaluate", "--truth", workdir["data"], "--forecasts", fc,
+               "--output", str(out / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "forecasts have no 0.5 quantile (available: [0.9])" in err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

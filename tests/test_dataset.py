@@ -29,9 +29,8 @@ from panelcast.dataset import (
     velocity_histogram,
 )
 from panelcast.errors import ConfigError, DataError
-from panelcast.rng import substream
 
-from conftest import START, cut_window, make_series, sinusoid_panel, write_jsonl
+from conftest import START, cut_window, make_series, pcg64, sinusoid_panel, write_jsonl
 
 
 class TestGranularity:
@@ -334,7 +333,7 @@ class TestSampler:
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
         n = 100_000
-        picks = sum(w.series_id == "b" for w in sampler.draw(substream(0, "draw").random((n, 2))))
+        picks = sum(w.series_id == "b" for w in sampler.draw(pcg64(0, "draw").random((n, 2))))
         assert abs(picks / n - 0.75) < 0.01
 
     def test_ten_series_chi_square(self):
@@ -351,7 +350,7 @@ class TestSampler:
         probs = weights / weights.sum()
         n = 100_000
         counts = np.zeros(10)
-        for w in sampler.draw(substream(1, "chi").random((n, 2))):
+        for w in sampler.draw(pcg64(1, "chi").random((n, 2))):
             counts[int(w.series_id[1:])] += 1
         chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
         # 9 degrees of freedom; 99.9th percentile is 27.88
@@ -365,7 +364,7 @@ class TestSampler:
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats, uniform=True)
         n = 40_000
-        picks = sum(w.series_id == "b" for w in sampler.draw(substream(2, "uni").random((n, 2))))
+        picks = sum(w.series_id == "b" for w in sampler.draw(pcg64(2, "uni").random((n, 2))))
         assert abs(picks / n - 0.5) < 0.02
 
     def test_fixed_seed_identical_sequence(self):
@@ -373,9 +372,9 @@ class TestSampler:
         spec = WindowSpec(8, 4)
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
-        seq1 = sampler.draw(substream(9, "s").random((20, 2)))
+        seq1 = sampler.draw(pcg64(9, "s").random((20, 2)))
         sampler2 = WindowSampler(panel, spec, stats)
-        seq2 = sampler2.draw(substream(9, "s").random((20, 2)))
+        seq2 = sampler2.draw(pcg64(9, "s").random((20, 2)))
         assert len(seq1) == len(seq2) == 20
         for w1, w2 in zip(seq1, seq2):
             assert w1.series_id == w2.series_id
@@ -391,7 +390,7 @@ class TestSampler:
         stats = fit_feature_stats(panel, spec)
         with pytest.warns(UserWarning, match="short"):
             sampler = WindowSampler(panel, spec, stats)
-        windows = sampler.draw(substream(3, "skip").random((50, 2)))
+        windows = sampler.draw(pcg64(3, "skip").random((50, 2)))
         assert all(w.series_id == "long" for w in windows)
 
     def test_single_series_covering_all_placements(self):
@@ -400,7 +399,7 @@ class TestSampler:
         spec = WindowSpec(2, 5)  # prediction range = series length
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
-        starts = {w.start_offset for w in sampler.draw(substream(4, "all").random((300, 2)))}
+        starts = {w.start_offset for w in sampler.draw(pcg64(4, "all").random((300, 2)))}
         assert starts == {-2}  # only one valid placement
         w = cut_window(s, spec, -2, stats)
         assert np.all(w.mask[:2] == MASK_PADDED)
@@ -445,7 +444,7 @@ class TestSampler:
         spec = WindowSpec(2, 3)
         sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
         starts = {s.id: set() for s in series}
-        for w in sampler.draw(substream(1, "ints").random((5000, 2))):
+        for w in sampler.draw(pcg64(1, "ints").random((5000, 2))):
             starts[w.series_id].add(w.start_offset)
         for s in series:
             lo = placement_bounds(s.n, spec)[0]

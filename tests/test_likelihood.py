@@ -16,11 +16,11 @@ from panelcast.likelihood import (
     draw,
     gaussian_nll,
     heads_backward,
-    init_heads,
     negbin_nll,
 )
-from panelcast.rng import RowKeys, substream
+from panelcast.rng import RowKeys
 
+from conftest import pcg64
 from gradcheck import finite_diff_check
 
 
@@ -135,6 +135,12 @@ def make_heads(hidden, w_mu=None, b_mu=0.0, w_disp=None, b_disp=0.0):
     )
 
 
+def random_heads(hidden, gen):
+    """w_mu then w_disp uniform within +-1/sqrt(hidden) from gen."""
+    w_mu, w_disp = (gen.random((2, hidden)) * 2.0 - 1.0) * (1.0 / np.sqrt(hidden))
+    return make_heads(hidden, w_mu=w_mu, w_disp=w_disp)
+
+
 class TestApplyHeads:
     def test_negbin_mu_is_scaled_softplus(self):
         heads = make_heads(3)
@@ -178,8 +184,7 @@ class TestApplyHeads:
 
     @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
     def test_outputs_in_domain_random(self, kind):
-        stream = substream(5, "heads")
-        heads = init_heads(6, stream)
+        heads = random_heads(6, pcg64(5, "heads"))
         rng = np.random.default_rng(2)
         h = rng.normal(size=(8, 6)) * 3
         nu = 1.0 + rng.uniform(0, 50, size=8)
@@ -190,8 +195,7 @@ class TestApplyHeads:
 
     def test_heads_backward_vs_finite_differences(self):
         for kind in (LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL):
-            stream = substream(9, "hb", kind.value)
-            heads = init_heads(4, stream)
+            heads = random_heads(4, pcg64(9, "hb", kind.value))
             rng = np.random.default_rng(3)
             h = rng.normal(size=(3, 4))
             nu = np.array([1.0, 2.5, 7.0])

@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from panelcast.errors import ConfigError
-from panelcast.lstm import (
-    LstmLayerParams,
-    SequenceTape,
-    StepSlab,
-    init_layer,
-)
-from panelcast.rng import substream
+from panelcast.lstm import LstmLayerParams, SequenceTape, StepSlab
 from panelcast.special import sigmoid
 
+from conftest import pcg64, tiny_model
 from gradcheck import finite_diff_check
 
 # Per-layer hidden and cell vectors, each (B, hidden_dim).
@@ -29,7 +24,12 @@ def zero_layer(input_dim, hidden, forget_bias=1.0):
 
 
 def random_layer(input_dim, hidden, seed):
-    return init_layer(input_dim, hidden, substream(seed, "layer"))
+    """Weights uniform within +-1/sqrt(fan-in) from pcg64(seed, "layer"),
+    the forget bias 1.0."""
+    layer = zero_layer(input_dim, hidden)
+    bound = 1.0 / np.sqrt(input_dim + hidden)
+    layer.w[...] = (pcg64(seed, "layer").random(layer.w.shape) * 2.0 - 1.0) * bound
+    return layer
 
 
 def stack(dims, seed):
@@ -411,14 +411,18 @@ class TestBackward:
 
 
 class TestInit:
+    # The layers network.init_model builds.
     def test_forget_bias_is_one(self):
-        layer = init_layer(5, 7, substream(0, "init"))
-        assert np.all(layer.b[7:14] == 1.0)
-        assert np.all(layer.b[:7] == 0.0)
-        assert np.all(layer.b[14:] == 0.0)
+        _, model = tiny_model(hidden=7, layers=2, seed=0)
+        for layer in model.layers:
+            assert np.all(layer.b[7:14] == 1.0)
+            assert np.all(layer.b[:7] == 0.0)
+            assert np.all(layer.b[14:] == 0.0)
 
     def test_weight_bound(self):
-        layer = init_layer(5, 7, substream(1, "init"))
-        bound = 1.0 / np.sqrt(layer.w.shape[0])
-        assert np.all(np.abs(layer.w) <= bound)
-        assert layer.w.shape == (12, 28)
+        _, model = tiny_model(hidden=7, layers=2, seed=1)
+        for layer, in_dim in zip(model.layers, (model.input_dim, 7)):
+            bound = 1.0 / np.sqrt(layer.w.shape[0])
+            assert np.all(np.abs(layer.w) <= bound)
+            assert np.abs(layer.w).max() > 0.9 * bound
+            assert layer.w.shape == (in_dim + 7, 28)

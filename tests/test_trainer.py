@@ -16,10 +16,10 @@ from panelcast.errors import ConfigError, DivergenceError
 from panelcast.forecaster import forecast, quantiles
 from panelcast.likelihood import LikelihoodKind
 from panelcast.network import init_model, model_to_bytes, unroll_batch
-from panelcast.rng import derive_seed, substream
+from panelcast.rng import RowKeys, derive_seed
 from panelcast.trainer import TrainConfig, _pool_nll, grid_search, parse_config, train
 
-from conftest import count_panel, make_series, sinusoid_panel
+from conftest import count_panel, make_series, pcg64, sinusoid_panel
 
 
 def small_config(**overrides):
@@ -199,10 +199,40 @@ class TestTrain:
         assert [(w.series_id, w.start_offset) for w in pool] == [
             (w.series_id, w.start_offset) for w in pools[-1]
         ]
+        # Window i reads path i of the key of (seed, "train", "valpool").
+        keys = RowKeys.for_series(cfg.seed, "train", ["valpool"] * 64, np.arange(64))
+        expected = WindowSampler(panel, spec, fit_feature_stats(panel, spec)).draw(
+            keys.uniforms(0, 0).T
+        )
+        assert [(w.series_id, w.start_offset) for w in pool] == [
+            (w.series_id, w.start_offset) for w in expected
+        ]
         for w in pool:
             n = panel.get(w.series_id).n
             lo, _ = placement_bounds(n, spec)
             assert lo <= w.start_offset < lo + _train_placement_count(n, spec)
+
+    def test_window_draws_read_step_k_of_one_key(self, monkeypatch):
+        # Batch k's window b reads step k, path b of the key of
+        # (seed, "train", "draw").
+        import panelcast.trainer as trainer_mod
+
+        panel = count_panel(num_series=6, n=50, seed=8)
+        cfg = small_config(max_batches=12, seed=4)
+        batches = []
+
+        def recording_unroll(windows, *args, **kwargs):
+            batches.append([(w.series_id, w.start_offset) for w in windows])
+            return unroll_batch(windows, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "unroll_batch", recording_unroll)
+        train(panel, cfg)
+        sampler = WindowSampler(panel, cfg.window_spec, fit_feature_stats(panel, cfg.window_spec))
+        keys = RowKeys.for_series(4, "train", ["draw"] * 8, np.arange(8))
+        assert len(batches) == 12
+        for k, batch in enumerate(batches):
+            expected = sampler.draw(keys.uniforms(k, 0).T)
+            assert batch == [(w.series_id, w.start_offset) for w in expected]
 
     def test_ablation_flags_produce_different_models(self):
         panel = count_panel(num_series=6, n=50, seed=8)
@@ -240,7 +270,7 @@ def gappy_pool(kind, size, seed):
     cfg = small_config(likelihood=kind, num_layers=2, hidden_units=16, embedding_dim=3)
     spec = cfg.window_spec
     stats = fit_feature_stats(panel, spec)
-    pool = WindowSampler(panel, spec, stats).draw(substream(seed, "pool").random((size, 2)))
+    pool = WindowSampler(panel, spec, stats).draw(pcg64(seed, "pool").random((size, 2)))
     model = init_model(kind, spec, stats, panel.granularity, panel.category_cardinality,
                        cfg.num_layers, cfg.hidden_units, cfg.embedding_dim, seed)
     return pool, model
@@ -272,7 +302,8 @@ class TestPoolNll:
         spec = cfg.window_spec
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
-        pool = sampler.draw(substream(cfg.seed, "train", "valpool").random((64, 2)))
+        keys = RowKeys.for_series(cfg.seed, "train", ["valpool"] * 64, np.arange(64))
+        pool = sampler.draw(keys.uniforms(0, 0).T)
         model = init_model(cfg.likelihood, spec, stats, panel.granularity,
                            panel.category_cardinality, cfg.num_layers, cfg.hidden_units,
                            cfg.embedding_dim, cfg.seed)
