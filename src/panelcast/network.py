@@ -4,11 +4,12 @@ pass, batched conditioning-range encoding, and batched single-step
 decoding for sampling.
 
 Training records its unroll on a lstm.SequenceTape for the backward
-pass. Everything that runs forward only steps a lstm.StepSlab, through
-one recurrence (_run_slab): `encode` leaves the slab holding the state
-after the conditioning range, `forward_nll` scores every step of a
-batch of windows on the way, and `decode_step` advances an encoded slab
-(or one loaded from its rows) a step at a time in place.
+pass. Everything that runs forward only steps a lstm.StepSlab, which
+runs the tape's LSTM cell on the tape's layout, through one recurrence
+(_run_slab): `encode` leaves the slab holding the state after the
+conditioning range, `forward_nll` scores every step of a batch of
+windows on the way, and `decode_step` advances an encoded slab (or one
+loaded from its rows) a step at a time in place.
 
 The input at step t is [z_{t-1}/nu, covariates_t, embedding]; z before
 the window start is 0. The loss sums the negative log-likelihood over
@@ -364,8 +365,9 @@ _NLL_STEPS = 8
 
 def forward_nll(windows, params: ModelParams, keys: RowKeys = None):
     """The teacher-forced NLL of every step of a batch of windows, forward
-    only: unroll_batch's loss terms without a tape, bit for bit wherever
-    the slab and the tape round alike (see lstm).
+    only: unroll_batch's loss terms without a tape, bit for bit, as the
+    slab steps the tape's cell and a row's bits do not depend on the rows
+    beside it (see lstm).
 
     The whole batch steps one StepSlab through the recurrence encode
     uses; the heads and the NLL run once per _NLL_STEPS steps over the

@@ -140,12 +140,13 @@ class TestForward:
         assert np.allclose(state.h[0][0], h0_ref, atol=1e-12)
         assert np.allclose(state.h[1][0], h1_ref, atol=1e-12)
 
-    @pytest.mark.parametrize("batch", [1, 2, 7, 203, 400])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 64, 203, 400])
     def test_tape_equals_stepping_bitwise(self, batch):
         # Training records the same arithmetic that inference steps
-        # through, in row-major and feature-major layouts: on a small
-        # stack, and on three 40-unit layers at decode batch sizes.
-        for layers in (stack((3, 5, 5, 5), seed=12), stack((13, 40, 40, 40), seed=21)):
+        # through: on a small stack, on one 11-unit layer with 46 inputs,
+        # and on three 40-unit layers at training and decode batch sizes.
+        for layers in (stack((3, 5, 5, 5), seed=12), stack((46, 11), seed=25),
+                       stack((13, 40, 40, 40), seed=21)):
             xs = np.random.default_rng(7).normal(size=(6, batch, layers[0].input_dim))
             tape = run_tape(layers, xs)
             slab = StepSlab(layers, batch)  # stepped in place throughout
@@ -153,7 +154,7 @@ class TestForward:
                 slab.inputs[...] = xs[t]
                 slab.step()
                 for c, recorded in zip(slab.c, tape.c):
-                    np.testing.assert_array_equal(c, recorded[t + 1])
+                    np.testing.assert_array_equal(c, recorded[:, t + 1, :batch].T)
                 np.testing.assert_array_equal(tape.hidden(t), slab.hidden)
 
     def test_pool_slab_equals_chunked_tapes_bitwise(self):
@@ -232,6 +233,14 @@ class TestForward:
         for r in (0, 4, 8):
             alone = run_tape(layers, xs[:, r : r + 1]).top_hidden()
             np.testing.assert_array_equal(alone, full.reshape(5, 9, -1)[:, r])
+        # One 11-unit layer with 46 inputs: a 400-row tape once rounded
+        # rows differently from smaller tapes of the same rows.
+        layers = stack((46, 11), seed=26)
+        xs = np.random.default_rng(14).normal(size=(3, 400, 46))
+        full = run_tape(layers, xs).top_hidden().reshape(3, 400, -1)
+        for batch in (1, 8, 64, 256):
+            part = run_tape(layers, xs[:, :batch]).top_hidden().reshape(3, batch, -1)
+            np.testing.assert_array_equal(part, full[:, :batch], err_msg=f"batch {batch}")
 
 
 def full_width_local_derivatives(tape, idx, a_out):
@@ -239,16 +248,16 @@ def full_width_local_derivatives(tape, idx, a_out):
     full-width copy of each chunk's gates."""
     hd = tape.layers[idx].hidden_dim
     gates, c = tape.gates[idx], tape.c[idx]
-    np.tanh(c[1:], out=a_out)
+    np.tanh(c[:, 1:], out=a_out)
     for t1 in range(tape.steps, 0, -8):
         t0 = max(0, t1 - 8)
-        g = gates[t0:t1]
+        g = gates[:, t0:t1]
         d = np.empty_like(g)
         np.subtract(1.0, g, out=d)
         d *= g
-        gi, gf, gg, go = (g[..., k * hd : (k + 1) * hd] for k in range(4))
-        di, df, dg, do = (d[..., k * hd : (k + 1) * hd] for k in range(4))
-        tc = a_out[t0:t1]
+        gi, gf, gg, go = (g[k * hd : (k + 1) * hd] for k in range(4))
+        di, df, dg, do = (d[k * hd : (k + 1) * hd] for k in range(4))
+        tc = a_out[:, t0:t1]
         do *= tc
         np.square(tc, out=tc)
         np.subtract(1.0, tc, out=tc)
@@ -257,52 +266,54 @@ def full_width_local_derivatives(tape, idx, a_out):
         np.square(gg, out=dg)
         np.subtract(1.0, dg, out=dg)
         dg *= gi
-        df *= c[t0:t1]
-        np.copyto(c[t0 + 1 : t1 + 1], gf)
+        df *= c[:, t0:t1]
+        np.copyto(c[:, t0 + 1 : t1 + 1], gf)
         np.copyto(g, d)
 
 
 def per_step_backward(tape, d_h):
     """SequenceTape.backward as the tape once ran it: each layer's input
-    gradient inside the time loop, one (B, 4H) @ (4H, input + H) product
-    per step, and the local derivatives through a full-width copy. The
-    reference for the single product after the loop and the in-place
-    local derivatives."""
+    gradient inside the time loop, one (input + H, 4H) @ (4H, columns)
+    product per step, and the local derivatives through a full-width
+    copy. The reference for the single product after the loop and the
+    in-place local derivatives."""
     T, B = tape.steps, tape.batch
+    cols = tape.xh.shape[-1]
     hidden = max(layer.hidden_dim for layer in tape.layers)
-    a_store = np.empty((T, B, hidden))
+    a_store = np.empty((hidden, T, cols))
+    d_up = np.zeros((d_h.shape[-1], T, cols))  # padded columns get no gradient
+    d_up[:, :, :B] = d_h.transpose(2, 0, 1)
     d_param = [None] * len(tape.layers)
     for idx in range(len(tape.layers) - 1, -1, -1):
         layer = tape.layers[idx]
         hd, ind = layer.hidden_dim, layer.input_dim
-        a_out = a_store[..., :hd]
+        a_out = a_store[:hd]
         full_width_local_derivatives(tape, idx, a_out)
-        d_pre, forget = tape.gates[idx], tape.c[idx][1:]
-        d_pre4 = d_pre.reshape(T, B, 4, hd)
-        w_t = np.ascontiguousarray(layer.w.T)
-        d_x = d_h if d_h.shape[-1] == ind else np.empty((T, B, ind))
-        d_xh = np.zeros((B, ind + hd))
-        d_rec = d_xh[:, ind:]
-        d_c = np.zeros((B, hd))
-        dc = np.empty((B, hd))
+        d_pre, forget = tape.gates[idx], tape.c[idx][:, 1:]
+        d_pre4 = d_pre.reshape(4, hd, T, cols)
+        d_x = np.empty((ind, T, cols))
+        d_xh = np.zeros((ind + hd, cols))
+        d_rec = d_xh[ind:]
+        d_c = np.zeros((hd, cols))
+        dc = np.empty((hd, cols))
         for t in range(T - 1, -1, -1):
-            dh = d_h[t]
+            dh = d_up[:, t]
             dh += d_rec
-            np.multiply(dh, a_out[t], out=dc)
+            np.multiply(dh, a_out[:, t], out=dc)
             dc += d_c
-            step = d_pre4[t]
-            step[:, 0] *= dc
-            step[:, 1] *= dc
-            step[:, 2] *= dc
-            step[:, 3] *= dh
-            np.multiply(dc, forget[t], out=d_c)
-            np.matmul(d_pre[t], w_t, out=d_xh)
-            np.copyto(d_x[t], d_xh[:, :ind])
-        flat = d_pre.reshape(T * B, 4 * hd)
-        xh = tape._xh(idx, slice(idx, idx + T)).reshape(T * B, ind + hd)
-        d_param[idx] = (xh.T @ flat, flat.sum(axis=0))
-        d_h = d_x
-    return d_h, d_param
+            step = d_pre4[:, :, t]
+            step[0] *= dc
+            step[1] *= dc
+            step[2] *= dc
+            step[3] *= dh
+            np.multiply(dc, forget[:, t], out=d_c)
+            np.matmul(layer.w, d_pre[:, t], out=d_xh)
+            np.copyto(d_x[:, t], d_xh[:ind])
+        flat = d_pre.reshape(4 * hd, T * cols)
+        xh = tape._xh(idx, slice(idx, idx + T)).reshape(ind + hd, T * cols)
+        d_param[idx] = (xh @ flat.T, flat.sum(axis=1))
+        d_up = d_x
+    return d_up[:, :, :B].transpose(1, 2, 0), d_param
 
 
 class TestBackward:
