@@ -38,7 +38,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .dataset import TimeSeries, cut_series, raw_features, text_lines
+from .dataset import cut_series, raw_features, text_lines
 from .errors import ConfigError, DataError
 from .likelihood import draw
 from .lstm import StepSlab
@@ -50,7 +50,6 @@ __all__ = [
     "QuantileForecast",
     "ForecastRecord",
     "ROW_BUDGET",
-    "forecast",
     "forecast_panel",
     "nearest_rank",
     "quantiles",
@@ -89,18 +88,6 @@ class ForecastSamples:
 class QuantileForecast:
     levels: list
     values: np.ndarray  # (len(levels), horizon)
-
-
-def forecast(
-    series: TimeSeries,
-    params: ModelParams,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    seed: int = 0,
-    horizon: int = 0,
-) -> ForecastSamples:
-    """Sample paths for the steps after the series' last recorded point;
-    see forecast_panel."""
-    return next(forecast_panel([series], params, num_samples, seed, horizon))
 
 
 def forecast_panel(

@@ -8,13 +8,15 @@ by its series id. Training keys its window draws by (seed, "train",
 weight init keys each block by (seed, "init", block), one row of as
 many lanes as the block has weights.
 
-Keys (derive_seed, RowKeys.for_series) are the two words numpy's
-SeedSequence would generate from (seed, path), computed by an in-house
-port of its mixing that equals it bit for bit. So no command loads
-numpy's random module or OpenSSL: SHA-256, for the path words and the
-CLI's manifest digests, is the interpreter's builtin module.
-RowKeys.for_series mixes the seed and tag words once per call, then
-each distinct name's two words, all names at once.
+Keys (derive_seed, RowKeys.for_series) come from the same block
+function: starting from key (0, 0), the seed and then each part of the
+path are folded in, two words at a time, as the counter of one Philox
+call whose first two output words become the next key. The counter's
+other two words, a depth and a domain, keep seed chunks and path parts
+apart. RowKeys.for_series folds the seed and tag once per call, then
+every distinct name in one vectorised call. No command loads numpy's
+random module or OpenSSL: SHA-256, for the words of a string path part
+and the CLI's manifest digests, is the interpreter's builtin module.
 
 No draw keeps stream state. Each uniform is a pure function
 
@@ -65,8 +67,6 @@ __all__ = [
     "philox4x32",
     "RowKeys",
     "normals",
-    "gammas",
-    "poissons",
     "neg_binomials",
 ]
 
@@ -91,104 +91,6 @@ def _checked(seed) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return seed
-
-
-# -- SeedSequence words ------------------------------------------------------------
-#
-# numpy's SeedSequence(entropy=seed, spawn_key=_path_key(path)).generate_state(2),
-# re-derived so that key derivation needs nothing of numpy's random module:
-# a 4-word pool, numpy's hashmix/mix and their constants. The hash constant
-# advances once per hashmix whatever the data, so the four hashmixes that
-# absorb a word into the pool run as one array op, and a pool can hold one
-# column per series id. Words are 32-bit values in uint64: every product fits.
-
-_MASK = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-
-
-def _hashmix(value, const, mult=_MULT_A):
-    """(hashed value, next hash constant); ints or uint64 arrays."""
-    nxt = const * mult & _MASK
-    value = (value ^ const) * nxt & _MASK
-    return value ^ (value >> 16), nxt
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK
-    return r ^ (r >> 16)
-
-
-def _entropy(seed: int, path) -> list:
-    """The words SeedSequence assembles: the seed's 32-bit words, low
-    first and zero-padded to the pool size when a path follows, then the
-    path's words."""
-    seed = _checked(seed)
-    words = [seed & _MASK]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK)
-    key = _path_key(path)
-    if key:
-        words += [0] * (_POOL_SIZE - len(words))
-    return words + list(key)
-
-
-def _absorb(pool, const, words):
-    """Mix each row of `words` (m, n) into every word of `pool` (4, n or
-    1), as SeedSequence mixes entropy past the pool size."""
-    consts = [const]
-    for _ in range(_POOL_SIZE * len(words)):
-        consts.append(consts[-1] * _MULT_A & _MASK)
-    before = np.array(consts[:-1], dtype=np.uint64).reshape(-1, _POOL_SIZE, 1)
-    for hashed in _hashmix(words[:, None, :], before)[0]:
-        pool = _mix(pool, hashed)
-    return pool, consts[-1]
-
-
-def _mix_entropy(words):
-    """SeedSequence.mix_entropy of a word list: the (4, 1) pool and the
-    hash constant it leaves."""
-    pool, const = [], _INIT_A
-    for i in range(_POOL_SIZE):
-        value, const = _hashmix(words[i] if i < len(words) else 0, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    rest = np.array(words[_POOL_SIZE:], dtype=np.uint64).reshape(-1, 1)
-    return _absorb(np.array(pool, dtype=np.uint64).reshape(-1, 1), const, rest)
-
-
-_STATE_CONSTS = np.array([[_INIT_B], [_INIT_B * _MULT_B & _MASK]], dtype=np.uint64)
-
-
-def _generate_state(pool) -> np.ndarray:
-    """SeedSequence.generate_state(2) of every pool column: (2, n) words."""
-    return _hashmix(pool[:2], _STATE_CONSTS, _MULT_B)[0]
-
-
-def _seed_words(seed: int, path) -> np.ndarray:
-    return _generate_state(_mix_entropy(_entropy(seed, path))[0])[:, 0]
-
-
-def derive_seed(seed: int, *path) -> int:
-    """A new integer seed deterministically derived from (seed, path): the
-    two words numpy's SeedSequence(seed, spawn_key) generates, computed
-    here without numpy's random module.
-
-    Lets one seed fan out into independent whole seed spaces (e.g. one
-    per rolling-backtest window) without colliding key names.
-    """
-    lo, hi = _seed_words(seed, path)
-    return int(lo) | (int(hi) << 32)
 
 
 # -- Philox4x32-10 -------------------------------------------------------------
@@ -236,6 +138,45 @@ def philox4x32(ctr, key):
     return _philox(c0, c1, c2, c3, *_round_keys(*key))
 
 
+# -- keys ----------------------------------------------------------------------
+#
+# A key folds in two words at a time: key <- the first two output words of
+# philox4x32((w0, w1, depth, domain), key), from key (0, 0). The seed folds
+# first, one 64-bit chunk per step (domain 0, depth = chunk index), then
+# each path part's two words (domain 1, depth = part index).
+
+_SEED_DOMAIN = 0
+_PATH_DOMAIN = 1
+
+
+def _fold(key, w0, w1, depth, domain):
+    return philox4x32((w0, w1, depth, domain), key)[:2]
+
+
+def _key(seed, path):
+    seed = _checked(seed)
+    key = (0, 0)
+    for depth in range(max(1, (seed.bit_length() + 63) // 64)):
+        chunk = seed >> (64 * depth)
+        key = _fold(key, chunk & 0xFFFFFFFF, (chunk >> 32) & 0xFFFFFFFF, depth, _SEED_DOMAIN)
+    words = _path_key(path)
+    for depth in range(len(words) // 2):
+        key = _fold(key, words[2 * depth], words[2 * depth + 1], depth, _PATH_DOMAIN)
+    return key
+
+
+def derive_seed(seed: int, *path) -> int:
+    """A new integer seed deterministically derived from (seed, path): the
+    Philox key that folding the seed and then each part of the path into
+    key (0, 0) leaves, as k0 | k1 << 32.
+
+    Lets one seed fan out into independent whole seed spaces (e.g. one
+    per rolling-backtest window) without colliding key names.
+    """
+    k0, k1 = _key(seed, path)
+    return int(k0) | (int(k1) << 32)
+
+
 _SHIFT21 = np.uint64(21)
 _SHIFT11 = np.uint64(11)
 _TWO_M53 = 2.0**-53
@@ -263,15 +204,12 @@ class RowKeys:
     def for_series(cls, seed: int, tag: str, series_ids, paths) -> "RowKeys":
         """Row i draws from the key of (seed, tag, series_ids[i]) on path
         paths[i]: the words derive_seed(seed, tag, series_ids[i]) is made
-        of. The seed and tag words are mixed once per call, then each
-        distinct id's two words, all ids at once."""
+        of. The seed and tag are folded once per call, then every distinct
+        id in one Philox call, as path part 1."""
         index = {}
         rows = [index.setdefault(sid, len(index)) for sid in series_ids]
-        # A path pads the seed words to the pool size, so an id's words
-        # always come past the pool: absorbed after the shared prefix.
-        pool, const = _mix_entropy(_entropy(seed, (tag,)))
         words = np.array([_path_key((sid,)) for sid in index], dtype=np.uint64).reshape(-1, 2)
-        k0, k1 = _generate_state(_absorb(pool, const, words.T)[0])
+        k0, k1 = _fold(_key(seed, (tag,)), words[:, 0], words[:, 1], 1, _PATH_DOMAIN)
         return cls(k0[rows], k1[rows], paths)
 
     @classmethod
@@ -370,14 +308,6 @@ def normals(keys: RowKeys, step: int) -> np.ndarray:
     return _box_muller(u[0], u[1])
 
 
-def gammas(keys: RowKeys, step: int, shape, scale=1.0) -> np.ndarray:
-    """One Gamma(shape, scale) per row; Marsaglia-Tsang rounds on the rows
-    not yet accepted, with Gamma(a) = Gamma(a + 1) * U^(1/a) for a < 1."""
-    if np.any(np.asarray(scale) <= 0.0):
-        raise ValueError("gamma requires scale > 0")
-    return _gammas(keys, step, shape, keys.rounds(step, 0, 1, 2, _GAMMA_LANE)) * scale
-
-
 def _gammas(keys: RowKeys, step: int, shape, pre) -> np.ndarray:
     shape = np.broadcast_to(np.asarray(shape, dtype=np.float64), (len(keys),))
     if not np.all(np.isfinite(shape) & (shape > 0.0)):
@@ -405,11 +335,6 @@ def _gammas(keys: RowKeys, step: int, shape, pre) -> np.ndarray:
     if np.any(boosted):
         out[boosted] *= np.exp(np.log(1.0 - pre[0, 3, boosted]) / shape[boosted])
     return out
-
-
-def poissons(keys: RowKeys, step: int, lam) -> np.ndarray:
-    """One Poisson(lam) count per row, as float64."""
-    return _poissons(keys, step, lam, keys.rounds(step, 0, 1, 1, _POISSON_LANE))
 
 
 def _poissons(keys: RowKeys, step: int, lam, pre) -> np.ndarray:

@@ -36,7 +36,7 @@ from panelcast.dataset import (
 )
 from panelcast.errors import DivergenceError
 from panelcast.evaluator import EvalPair, all_k_risk, coverage, nd_rmse, rolling_backtest
-from panelcast.forecaster import ForecastRecord, forecast, record_from_samples
+from panelcast.forecaster import ForecastRecord, forecast_panel, record_from_samples
 from panelcast.likelihood import LikelihoodKind, negbin_nll
 from panelcast.network import unroll_batch
 from panelcast.rng import RowKeys, neg_binomials
@@ -214,7 +214,8 @@ def seasonal_experiment():
         for idx, s in enumerate(panel.series):
             cut = s.n - SEASONAL_H
             truth = s.target[cut : cut + SEASONAL_H].copy()
-            fc = forecast(_truncated(s, SEASONAL_H), model, num_samples=200, seed=90 + seed)
+            fc = next(forecast_panel([_truncated(s, SEASONAL_H)], model,
+                                     num_samples=200, seed=90 + seed))
             model_pairs.append(
                 EvalPair(record_from_samples(fc, list(LEVELS_34)), truth)
             )
@@ -315,7 +316,8 @@ def test_scaling_sampling_ablation():
         pairs = []
         for s in panel.series:
             cut = s.n - horizon
-            fc = forecast(_truncated(s, horizon), model, num_samples=200, seed=900 + seed)
+            fc = next(forecast_panel([_truncated(s, horizon)], model,
+                                     num_samples=200, seed=900 + seed))
             pairs.append(
                 EvalPair(record_from_samples(fc, [0.5]), s.target[cut : cut + horizon].copy())
             )
@@ -383,7 +385,7 @@ def test_shuffle_miscalibration():
     for i, s in enumerate(panel.series):
         cut = s.n - horizon
         truth = s.target[cut : cut + horizon].copy()
-        fc = forecast(_truncated(s, horizon), model, num_samples=200, seed=777)
+        fc = next(forecast_panel([_truncated(s, horizon)], model, num_samples=200, seed=777))
         orig_pairs.append(EvalPair(record_from_samples(fc, [0.5], emit_samples=True), truth))
         shuffled = shuffle_paths(fc, seed=31 + i)
         shuf_pairs.append(EvalPair(record_from_samples(shuffled, [0.5], emit_samples=True), truth))

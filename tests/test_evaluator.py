@@ -22,7 +22,7 @@ from panelcast.evaluator import (
     rho_risk,
     rolling_backtest,
 )
-from panelcast.forecaster import ForecastRecord, forecast, record_from_samples
+from panelcast.forecaster import ForecastRecord, forecast_panel, record_from_samples
 from panelcast.rng import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,8 @@ def test_rolling_single_window_matches_direct_evaluation():
     for series in panel:
         cut = series.n - h
         truncated = make_series(series.id, series.target[:cut], category=series.category)
-        fc = forecast(truncated, model, num_samples=32, seed=derive_seed(5, "rolling", 0))
+        seed = derive_seed(5, "rolling", 0)
+        fc = next(forecast_panel([truncated], model, num_samples=32, seed=seed))
         rec = record_from_samples(fc, levels, emit_samples=True)
         direct.append(EvalPair(rec, series.target[cut : cut + h].copy()))
     expected = evaluate(direct, spans, levels)
@@ -425,7 +426,8 @@ def test_rolling_pooled_equals_concatenation():
         for series in panel:
             cut = series.n - back
             truncated = make_series(series.id, series.target[:cut], category=series.category)
-            fc = forecast(truncated, model, num_samples=16, seed=derive_seed(9, "rolling", w))
+            seed = derive_seed(9, "rolling", w)
+            fc = next(forecast_panel([truncated], model, num_samples=16, seed=seed))
             rec = record_from_samples(fc, levels, emit_samples=True)
             pairs.append(EvalPair(rec, series.target[cut : cut + h].copy()))
     expected = evaluate(pairs, spans, levels)

@@ -16,7 +16,6 @@ from panelcast.forecaster import (
     ROW_BUDGET,
     ForecastRecord,
     ForecastSamples,
-    forecast,
     forecast_panel,
     nearest_rank,
     quantiles,
@@ -193,7 +192,7 @@ def test_shuffle_is_seeded_and_preserves_wrapper():
 
 def test_forecast_shape_and_start():
     panel, model = tiny_model()
-    fc = forecast(panel.series[0], model, num_samples=17, seed=4)
+    fc = next(forecast_panel([panel.series[0]], model, num_samples=17, seed=4))
     assert fc.samples.shape == (17, model.spec.prediction_length)
     assert fc.num_samples == 17
     assert fc.horizon == model.spec.prediction_length
@@ -205,18 +204,18 @@ def test_forecast_shape_and_start():
 
 def test_forecast_explicit_horizon():
     panel, model = tiny_model()
-    fc = forecast(panel.series[0], model, num_samples=5, seed=0, horizon=3)
+    fc = next(forecast_panel([panel.series[0]], model, num_samples=5, seed=0, horizon=3))
     assert fc.samples.shape == (5, 3)
-    long = forecast(panel.series[0], model, num_samples=5, seed=0, horizon=10)
+    long = next(forecast_panel([panel.series[0]], model, num_samples=5, seed=0, horizon=10))
     assert long.samples.shape == (5, 10)
 
 
 def test_forecast_deterministic_for_fixed_seed():
     panel, model = tiny_model()
-    a = forecast(panel.series[1], model, num_samples=32, seed=123)
-    b = forecast(panel.series[1], model, num_samples=32, seed=123)
+    a = next(forecast_panel([panel.series[1]], model, num_samples=32, seed=123))
+    b = next(forecast_panel([panel.series[1]], model, num_samples=32, seed=123))
     np.testing.assert_array_equal(a.samples, b.samples)
-    c = forecast(panel.series[1], model, num_samples=32, seed=124)
+    c = next(forecast_panel([panel.series[1]], model, num_samples=32, seed=124))
     assert not np.array_equal(a.samples, c.samples)
 
 
@@ -227,8 +226,8 @@ def test_forecast_paths_stable_under_extra_samples():
     # a reshuffle would show up as differences on the scale of the
     # predictive spread (~1e0 here), orders of magnitude above this bound.
     panel, model = tiny_model()
-    small = forecast(panel.series[0], model, num_samples=50, seed=7)
-    large = forecast(panel.series[0], model, num_samples=200, seed=7)
+    small = next(forecast_panel([panel.series[0]], model, num_samples=50, seed=7))
+    large = next(forecast_panel([panel.series[0]], model, num_samples=200, seed=7))
     np.testing.assert_allclose(
         large.samples[:50], small.samples, rtol=1e-9, atol=1e-9
     )
@@ -258,7 +257,7 @@ def test_series_alone_matches_series_in_blocked_panel(kind, num_samples):
     blocked = list(forecast_panel(series, model, num_samples, seed=11))
     assert [fc.series_id for fc in blocked] == [s.id for s in series]
     for s, fc in zip(series, blocked):
-        alone = forecast(s, model, num_samples=num_samples, seed=11)
+        alone = next(forecast_panel([s], model, num_samples=num_samples, seed=11))
         assert fc.samples.shape == (num_samples, model.spec.prediction_length)
         assert fc.start == alone.start and fc.seed == alone.seed
         np.testing.assert_array_equal(fc.samples, alone.samples)
@@ -280,10 +279,10 @@ def test_horizon_one_paths_equal_series_alone(kind):
     series = _block_test_panel()
     panel = list(forecast_panel(series, model, 30, seed=5, horizon=1))
     for s, fc in zip(series, panel):
-        alone = forecast(s, model, num_samples=30, seed=5, horizon=1)
+        alone = next(forecast_panel([s], model, num_samples=30, seed=5, horizon=1))
         assert fc.samples.shape == (30, 1)
         np.testing.assert_array_equal(fc.samples, alone.samples)
-        longer = forecast(s, model, num_samples=30, seed=5, horizon=4)
+        longer = next(forecast_panel([s], model, num_samples=30, seed=5, horizon=4))
         np.testing.assert_array_equal(fc.samples[:, 0], longer.samples[:, 0])
 
 
@@ -299,9 +298,9 @@ def test_paths_over_budget_with_missing_history_equal_series_alone(kind):
     num_samples = ROW_BUDGET + 50
     panel = list(forecast_panel(series, model, num_samples, seed=9, horizon=3))
     for s, fc in zip(series, panel):
-        alone = forecast(s, model, num_samples=num_samples, seed=9, horizon=3)
+        alone = next(forecast_panel([s], model, num_samples=num_samples, seed=9, horizon=3))
         np.testing.assert_array_equal(fc.samples, alone.samples)
-        few = forecast(s, model, num_samples=37, seed=9, horizon=3)
+        few = next(forecast_panel([s], model, num_samples=37, seed=9, horizon=3))
         np.testing.assert_array_equal(fc.samples[:37], few.samples)
 
 
@@ -315,7 +314,7 @@ def test_two_encode_groups_equal_series_alone(kind):
     panel = list(forecast_panel(series, model, 3, seed=2, horizon=2))
     assert [fc.series_id for fc in panel] == [s.id for s in series]
     for s, fc in zip(series, panel):
-        alone = forecast(s, model, num_samples=3, seed=2, horizon=2)
+        alone = next(forecast_panel([s], model, num_samples=3, seed=2, horizon=2))
         np.testing.assert_array_equal(fc.samples, alone.samples)
 
 
@@ -335,15 +334,15 @@ def test_forecast_deterministic_with_missing_history():
     vals = [3.0, 4.0, float("nan"), 5.0, 2.0, float("nan"), 4.0, 3.0, 2.0, 6.0]
     series = make_series("gappy", vals)
     _, model = tiny_model()
-    a = forecast(series, model, num_samples=16, seed=5)
-    b = forecast(series, model, num_samples=16, seed=5)
+    a = next(forecast_panel([series], model, num_samples=16, seed=5))
+    b = next(forecast_panel([series], model, num_samples=16, seed=5))
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
 def test_forecast_short_series_padded_history():
     series = make_series("short", [2.0, 3.0])  # shorter than the window
     _, model = tiny_model()
-    fc = forecast(series, model, num_samples=8, seed=1)
+    fc = next(forecast_panel([series], model, num_samples=8, seed=1))
     assert np.all(np.isfinite(fc.samples))
 
 
@@ -354,7 +353,7 @@ def test_forecast_rejects_empty_conditioning_range():
     series = make_series("tail-gap", vals)
     _, model = tiny_model()
     with pytest.raises(DataError, match="conditioning"):
-        forecast(series, model, num_samples=4, seed=0)
+        next(forecast_panel([series], model, num_samples=4, seed=0))
 
 
 def test_forecast_panel_rejects_empty_conditioning_range_before_work():
@@ -371,20 +370,20 @@ def test_forecast_rejects_granularity_mismatch():
     _, model = tiny_model()  # a daily model
     series = make_series("hourly", [1.0] * 30, granularity=Granularity.HOURLY)
     with pytest.raises(DataError, match="hourly|daily"):
-        forecast(series, model, num_samples=4, seed=0)
+        next(forecast_panel([series], model, num_samples=4, seed=0))
 
 
 def test_forecast_rejects_bad_arguments():
     panel, model = tiny_model()
     with pytest.raises(ConfigError):
-        forecast(panel.series[0], model, num_samples=0, seed=0)
+        next(forecast_panel([panel.series[0]], model, num_samples=0, seed=0))
     with pytest.raises(ConfigError):
-        forecast(panel.series[0], model, num_samples=4, seed=0, horizon=-2)
+        next(forecast_panel([panel.series[0]], model, num_samples=4, seed=0, horizon=-2))
 
 
 def test_count_forecasts_are_non_negative_integers():
     panel, model = tiny_model(kind=LikelihoodKind.NEG_BINOMIAL)
-    fc = forecast(panel.series[0], model, num_samples=64, seed=2)
+    fc = next(forecast_panel([panel.series[0]], model, num_samples=64, seed=2))
     assert np.all(fc.samples >= 0)
     np.testing.assert_array_equal(fc.samples, np.round(fc.samples))
 
@@ -395,7 +394,7 @@ def test_tiny_spread_collapses_paths():
     panel, model = tiny_model(kind=LikelihoodKind.GAUSSIAN)
     model.blocks()["head.w_disp"][:] = 0.0
     model.blocks()["head.b_disp"][...] = -500.0
-    fc = forecast(panel.series[0], model, num_samples=40, seed=3)
+    fc = next(forecast_panel([panel.series[0]], model, num_samples=40, seed=3))
     spread = np.ptp(fc.samples, axis=0)
     assert spread.max() < 1e-3
     assert np.ptp(fc.samples[:, 0]) > 0.0  # still stochastic, not constant
@@ -431,7 +430,7 @@ def test_forecast_recovers_iid_count_distribution(monkeypatch):
     )
     model, _ = train(panel, cfg)
     pooled = np.concatenate(
-        [forecast(s, model, num_samples=100, seed=1).samples.ravel() for s in series]
+        [next(forecast_panel([s], model, num_samples=100, seed=1)).samples.ravel() for s in series]
     )
     mean = pooled.mean()
     var = pooled.var()

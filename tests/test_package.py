@@ -55,3 +55,45 @@ def test_cli_loads_every_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert sorted(set(MODULES) - set(out.split())) == []
+
+
+def _defined(stmt):
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _referenced(stmt):
+    """Names a statement reads, imports or looks up as an attribute."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_exports_used_by_engine():
+    # An exported name that no engine code refers to, apart from its own
+    # definition, is reached only from tests; it belongs in tests/ or goes.
+    exports, users = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _defined(stmt)
+            if "__all__" in own:
+                exports[path.stem] = ast.literal_eval(stmt.value)
+                continue
+            for name in _referenced(stmt):
+                users.setdefault(name, []).append((path.stem, own))
+    unused = [
+        f"{module}.{name}"
+        for module, names in sorted(exports.items())
+        for name in names
+        if all(user == module and name in own for user, own in users.get(name, []))
+    ]
+    assert unused == []

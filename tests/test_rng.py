@@ -7,17 +7,18 @@ import pytest
 from panelcast.errors import ConfigError
 from panelcast.likelihood import LikelihoodKind, draw
 from panelcast.rng import (
+    _GAMMA_LANE,
     _INVERSION_DEPTH,
+    _POISSON_LANE,
     RowKeys,
+    _gammas,
     _path_key,
     _poisson_inversion,
-    _seed_words,
+    _poissons,
     derive_seed,
-    gammas,
     neg_binomials,
     normals,
     philox4x32,
-    poissons,
 )
 
 from conftest import pcg64, permutation
@@ -26,6 +27,20 @@ from conftest import pcg64, permutation
 def keys(seed, tag, n, first_path=0):
     """n rows of one key, on paths first_path .. first_path + n - 1."""
     return RowKeys.for_series(seed, tag, [tag] * n, np.arange(first_path, first_path + n))
+
+
+def gammas(keys, step, shape, scale=1.0):
+    """One Gamma(shape, scale) per row from the Gamma stage of
+    neg_binomials: Marsaglia-Tsang rounds on lanes 0-1."""
+    if np.any(np.asarray(scale) <= 0.0):
+        raise ValueError("gamma requires scale > 0")
+    return _gammas(keys, step, shape, keys.rounds(step, 0, 1, 2, _GAMMA_LANE)) * scale
+
+
+def poissons(keys, step, lam):
+    """One Poisson(lam) count per row from the Poisson stage of
+    neg_binomials, on lane 2."""
+    return _poissons(keys, step, lam, keys.rounds(step, 0, 1, 1, _POISSON_LANE))
 
 
 def chunked(sampler, seed, tag, n, chunk=100_000):
@@ -57,15 +72,8 @@ class TestSubstreams:
             derive(-1)
 
 
-def numpy_words(seed, path):
-    """The two words numpy's own SeedSequence generates for (seed, path)."""
-    words = np.random.SeedSequence(seed, spawn_key=_path_key(path)).generate_state(2)
-    return [int(w) for w in words]
-
-
-# 2**130 + 5 has five 32-bit words: run entropy longer than the 4-word pool.
-PORT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5]
-PORT_PATHS = [
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5]
+KEY_PATHS = [
     (),
     ("impute",),
     ("path", "s1"),
@@ -73,18 +81,58 @@ PORT_PATHS = [
     ("rolling", 2**32 + 7, "série-β", 2**40),
     ("a", 0, "日本", 2**63 - 1, "z"),
 ]
+# derive_seed(seed, *path), one row per path of KEY_PATHS and one column
+# per seed of KEY_SEEDS. (0, ()) is a single fold of counter (0, 0, 0, 0)
+# under key (0, 0): the first two words of the Random123 zero vector.
+KNOWN_SEEDS = [
+    [0xE169C58D6627E8D5, 0x5CB200DBF8E4CCA4, 0x4434EC4EC5B20A9D,
+     0xEA2362496AD0C5EC, 0xDABB4A2762065AB2, 0x13E222DDD9291E67],
+    [0xB493BCD8D7B13A28, 0x76C28ABAD7B615B6, 0xDF87B2BAF67AF47C,
+     0x777F556C044BB440, 0x61B72A6300A4DCFB, 0x3966E9D0347AC50E],
+    [0x0A82706C21656C0B, 0xB9380D07497D1BDF, 0xE4FBAB5EED890677,
+     0xBEF503F040B1A392, 0x76BDF10CE1322D09, 0xD442AC4F8ACD4172],
+    [0xB3F731A4DD5619B9, 0x466C67641FDE169D, 0x612A081D4B10374F,
+     0x8D18E94D8B88FE34, 0x78BA04140AA29C18, 0xEB5602448C5CEFBF],
+    [0x3D91429A94E81E39, 0x4E3A85EE94CFE346, 0x4110E981907DB347,
+     0xEB93EA684FA83A56, 0xB12B397815F6FEE9, 0xA81BFB65DB0268A5],
+    [0x85287E834A7712B5, 0xB0CFCE8B62EC860B, 0xEB6ED53F8B4790D5,
+     0x46A68959181FE46A, 0x9DEB44E0CE8D2BCA, 0x3396CADB5ADD92C0],
+]
 
 
-class TestSeedSequencePort:
-    @pytest.mark.parametrize("seed", PORT_SEEDS)
-    @pytest.mark.parametrize("path", PORT_PATHS, ids=lambda p: f"{len(p)}-parts")
-    def test_words_equal_numpy(self, seed, path):
-        assert [int(w) for w in _seed_words(seed, path)] == numpy_words(seed, path)
-        lo, hi = numpy_words(seed, path)
-        assert derive_seed(seed, *path) == lo | (hi << 32)
+def words(seed, *path):
+    """The two key words derive_seed(seed, *path) is made of."""
+    s = derive_seed(seed, *path)
+    return [s & 0xFFFFFFFF, s >> 32]
 
-    @pytest.mark.parametrize("seed", PORT_SEEDS)
-    def test_for_series_equals_numpy_and_generic_path(self, seed):
+
+class TestKeyFold:
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("path", KEY_PATHS, ids=lambda p: f"{len(p)}-parts")
+    def test_derive_seed_known_answer(self, seed, path):
+        expected = KNOWN_SEEDS[KEY_PATHS.index(path)][KEY_SEEDS.index(seed)]
+        assert derive_seed(seed, *path) == expected
+
+    def test_fold_by_hand(self):
+        # Seed 2**64 + 3 is two 64-bit chunks, (3, 0) and (1, 0), folded at
+        # depths 0 and 1 of domain 0; the path parts fold at depths 0 and 1
+        # of domain 1.
+        a0, a1 = _path_key(("a",))
+        key = (0, 0)
+        for ctr in [(3, 0, 0, 0), (1, 0, 1, 0), (a0, a1, 0, 1), (7, 0, 1, 1)]:
+            key = philox4x32(ctr, key)[:2]
+        assert derive_seed(2**64 + 3, "a", 7) == int(key[0]) | int(key[1]) << 32
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [((3,), (2**64 + 3,)), ((1,), (1, 0)), ((1, "a", "b"), (1, "b", "a")), ((0, 5), (5,))],
+        ids=["seed-chunks", "empty-path", "part-order", "seed-vs-part"],
+    )
+    def test_domain_and_depth_separate_inputs(self, a, b):
+        assert derive_seed(*a) != derive_seed(*b)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_for_series_equals_generic_path(self, seed):
         # Duplicates, non-ASCII strings and int ids in one call; the shared
         # seed-and-tag prefix must give each row the generic derivation.
         ids = ["s0", "ß-7", 0, 2**32 + 1, "s0", "日本", 0, "s0"]
@@ -93,8 +141,7 @@ class TestSeedSequencePort:
         # The key in force at every Philox round is (k0, k1) plus a bump
         # that is zero in round 0.
         got = np.stack([keys._rk0[0], keys._rk1[0]], axis=1).tolist()
-        assert got == [numpy_words(seed, ("path", sid)) for sid in ids]
-        assert got == [[int(w) for w in _seed_words(seed, ("path", sid))] for sid in ids]
+        assert got == [words(seed, "path", sid) for sid in ids]
 
     def test_for_series_without_rows(self):
         assert len(RowKeys.for_series(3, "path", [], np.zeros(0))) == 0
@@ -389,7 +436,7 @@ class TestNegBinomial:
         # Paths of one key whose Poisson stage rejects its first seven
         # rounds (3 prefetched, 4 of the first retry pass) at mu = 10.5,
         # alpha = 1e-4, found by search, mixed with 300 random rows.
-        slow = np.array([1930, 18189, 22425, 53157, 86354])
+        slow = np.array([27996, 35626, 39610, 59277, 101855])
         paths = np.concatenate([slow, np.arange(300)])
         k = RowKeys.for_series(16, "nbretry", ["r"] * paths.size, paths)
         rng = np.random.default_rng(17)

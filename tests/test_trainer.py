@@ -13,7 +13,7 @@ from panelcast.dataset import (
     placement_bounds,
 )
 from panelcast.errors import ConfigError, DivergenceError
-from panelcast.forecaster import forecast, quantiles
+from panelcast.forecaster import forecast_panel, quantiles
 from panelcast.likelihood import LikelihoodKind
 from panelcast.network import init_model, model_to_bytes, unroll_batch
 from panelcast.rng import RowKeys, derive_seed
@@ -117,7 +117,7 @@ class TestTrain:
         model, log = train(panel, cfg)
         # NLL falls toward the all-zero entropy floor
         assert log.rows[-1][3] < log.rows[0][3]
-        fc = forecast(panel.get("z0"), model, num_samples=64, seed=1)
+        fc = next(forecast_panel([panel.get("z0")], model, num_samples=64, seed=1))
         p50 = quantiles(fc, [0.5]).values[0]
         assert np.all(p50 == 0.0)
 
