@@ -43,7 +43,7 @@ from .errors import ConfigError, DataError
 from .likelihood import draw
 from .lstm import StepSlab
 from .network import ModelParams, decode_step, encode
-from .rng import RowKeys
+from .rng import RowKeys, tag_key
 
 __all__ = [
     "ForecastSamples",
@@ -155,12 +155,13 @@ def _forecast_groups(series_list, params, num_samples, seed, h):
     if not series_list:
         return
     slab = StepSlab(params.layers, min(ROW_BUDGET, len(series_list) * num_samples))
+    path_key = tag_key(seed, "path")
     for g0 in range(0, len(series_list), ROW_BUDGET):
         group = series_list[g0 : g0 + ROW_BUDGET]
-        encoded = _encode_group(group, params, seed, h)
+        encoded = _encode_group(group, params, seed, h, path_key)
         pending = []  # path chunks of a series split over several blocks
         for block in _plan_blocks(len(group), num_samples):
-            chunks = _decode_block(encoded, block, params, seed, h, slab)
+            chunks = _decode_block(encoded, block, params, h, slab)
             for (i, _, p1), chunk in zip(block, chunks):
                 pending.append(chunk)
                 if p1 == num_samples:
@@ -174,7 +175,7 @@ def _forecast_groups(series_list, params, num_samples, seed, h):
 class _EncodedGroup:
     """A group's series after the first prediction step, one row each."""
 
-    ids: list
+    keys: RowKeys  # path keys, one row per series
     slab: StepSlab  # state after step 0, embedding columns written
     mu: np.ndarray  # (G,) step-0 distribution parameters
     disp: np.ndarray
@@ -182,7 +183,7 @@ class _EncodedGroup:
     covariates: np.ndarray  # (G, h - 1, d), steps 1 .. h - 1
 
 
-def _encode_group(group, params: ModelParams, seed: int, h: int) -> _EncodedGroup:
+def _encode_group(group, params: ModelParams, seed: int, h: int, path_key) -> _EncodedGroup:
     c = params.spec.conditioning_length
     target, mask, nu = map(np.stack, zip(*(cut_series(s, s.n - c, c, c) for s in group)))
     feats = np.stack([params.stats.standardize(raw_features(s, s.n - c, c + h)) for s in group])
@@ -197,20 +198,24 @@ def _encode_group(group, params: ModelParams, seed: int, h: int) -> _EncodedGrou
         RowKeys.for_series(seed, "impute", ids, np.zeros(len(ids))),
     )
     mu, disp = decode_step(params, slab, z_last, feats[:, c], nu)
-    return _EncodedGroup(ids, slab, mu, disp, nu, feats[:, c + 1 :])
+    keys = RowKeys.for_ids(path_key, ids, np.zeros(len(ids)))
+    return _EncodedGroup(keys, slab, mu, disp, nu, feats[:, c + 1 :])
 
 
-def _decode_block(enc: _EncodedGroup, block, params: ModelParams, seed: int, h: int,
-                  slab: StepSlab) -> list:
-    """Sample matrices (paths, h) for one block's segments, stepped on `slab`."""
+def _block_rows(enc: _EncodedGroup, block):
+    """(series of each row, as indices into the group, and the rows' keys)
+    of one block's segments: path p of series i reads its series' key on
+    counter path p."""
     counts = [p1 - p0 for _, p0, p1 in block]
     row_series = np.repeat([i for i, _, _ in block], counts)
-    keys = RowKeys.for_series(
-        seed,
-        "path",
-        [enc.ids[i] for i in row_series],
-        np.concatenate([np.arange(p0, p1) for _, p0, p1 in block]),
-    )
+    paths = np.concatenate([np.arange(p0, p1) for _, p0, p1 in block])
+    return row_series, enc.keys.take(row_series, paths)
+
+
+def _decode_block(enc: _EncodedGroup, block, params: ModelParams, h: int,
+                  slab: StepSlab) -> list:
+    """Sample matrices (paths, h) for one block's segments, stepped on `slab`."""
+    row_series, keys = _block_rows(enc, block)
     slab.reset(row_series.size)
     slab.load(enc.slab, row_series)
     nu = enc.nu[row_series]
@@ -220,7 +225,7 @@ def _decode_block(enc: _EncodedGroup, block, params: ModelParams, seed: int, h: 
     for t in range(1, h):
         mu, disp = decode_step(params, slab, out[:, t - 1], covariates[:, t - 1], nu)
         out[:, t] = draw(params.likelihood, mu, disp, keys, t)
-    return np.split(out, np.cumsum(counts)[:-1])
+    return np.split(out, np.cumsum([p1 - p0 for _, p0, p1 in block])[:-1])
 
 
 def _as_matrix(samples) -> np.ndarray:

@@ -109,12 +109,14 @@ class HeadParams:
 
 @dataclass
 class HeadCache:
-    o_mu: np.ndarray
-    o_disp: np.ndarray
-    mu_live: np.ndarray  # 1.0 where the floor is not binding
-    disp_live: np.ndarray
-    h: np.ndarray
+    o: np.ndarray  # (2, ..., B): the pre-activations o_mu and o_disp
+    h: np.ndarray  # (H, ..., columns), as apply_heads read it
     nu: np.ndarray
+
+
+def _head_weights(heads: HeadParams) -> np.ndarray:
+    """(2, H): w_mu above w_disp."""
+    return np.stack((heads.w_mu, heads.w_disp))
 
 
 def apply_heads(h, heads: HeadParams, nu, kind: LikelihoodKind):
@@ -122,56 +124,67 @@ def apply_heads(h, heads: HeadParams, nu, kind: LikelihoodKind):
 
     Negative binomial: mu = nu * softplus(o_mu), alpha = softplus(o_a)/sqrt(nu).
     Gaussian: mu = nu * o_mu, sigma = nu * softplus(o_s).
-    Returns (mu, disp, cache); h is (B, hidden), nu broadcasts over B.
-    The pre-activations are row-wise reductions, not matrix-vector
-    products, so a row's parameters do not depend on the other rows.
+
+    h is feature-major, (H, ..., columns): one column per row of the
+    batch, then any padding columns past the B = len(nu) rows; nu (B,)
+    broadcasts over the middle axes. Both pre-activations come from one
+    (2, H) @ (H, columns) product over every column of h, so on columns
+    padded as the LSTM pads them (lstm._padded) a row's parameters do not
+    depend on the other rows. The element-wise tail then runs once on the
+    (2, ..., B) result. Returns (mu, disp, cache), mu and disp (..., B).
     """
-    h = np.atleast_2d(h)
-    nu = np.broadcast_to(np.asarray(nu, dtype=np.float64), (h.shape[0],))
-    prod = np.multiply(h, heads.w_mu)
-    o_mu = prod.sum(axis=1)
-    o_mu += heads.b_mu
-    np.multiply(h, heads.w_disp, out=prod)
-    o_disp = prod.sum(axis=1)
-    o_disp += heads.b_disp
-    sp_disp = softplus(o_disp)
-    disp_live = (sp_disp > PARAM_FLOOR).astype(np.float64)
-    sp_disp = np.maximum(sp_disp, PARAM_FLOOR)
+    h = np.asarray(h, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64).reshape(-1)
+    prod = np.matmul(_head_weights(heads), h.reshape(h.shape[0], -1))
+    bias = np.array((heads.b_mu, heads.b_disp)).reshape((2,) + (1,) * (h.ndim - 1))
+    o = prod.reshape((2,) + h.shape[1:])[..., : nu.shape[0]] + bias
     if kind is LikelihoodKind.NEG_BINOMIAL:
-        sp_mu = softplus(o_mu)
-        mu_live = (sp_mu > PARAM_FLOOR).astype(np.float64)
-        mu = nu * np.maximum(sp_mu, PARAM_FLOOR)
-        disp = sp_disp / np.sqrt(nu)
+        sp = np.maximum(softplus(o), PARAM_FLOOR)
+        mu = nu * sp[0]
+        disp = sp[1] / np.sqrt(nu)
     else:
-        mu_live = np.ones_like(o_mu)
-        mu = nu * o_mu
-        disp = nu * sp_disp
-    return mu, disp, HeadCache(o_mu, o_disp, mu_live, disp_live, h, nu)
+        mu = nu * o[0]
+        disp = nu * np.maximum(softplus(o[1]), PARAM_FLOOR)
+    return mu, disp, HeadCache(o, h, nu)
 
 
-def heads_backward(d_mu, d_disp, cache: HeadCache, heads: HeadParams, kind: LikelihoodKind):
+def heads_backward(d_mu, d_disp, cache: HeadCache, heads: HeadParams, kind: LikelihoodKind,
+                   out=None):
     """Backprop through apply_heads.
 
-    Returns (d_h, grads) with grads keyed like the head blocks.
+    d_mu and d_disp are (..., B) like apply_heads' outputs. Returns (d_h,
+    grads): d_h in the layout of the h apply_heads read, (H, ..., columns),
+    zero in the padding columns, written into `out` if given; grads keyed
+    like the head blocks.
     """
     nu = cache.nu
+    o_mu, o_disp = cache.o
+    # 1.0 where the floor is not binding.
+    live = (softplus(cache.o) > PARAM_FLOOR).astype(np.float64)
     if kind is LikelihoodKind.NEG_BINOMIAL:
-        d_o_mu = d_mu * nu * sigmoid(cache.o_mu) * cache.mu_live
-        d_o_disp = d_disp * sigmoid(cache.o_disp) * cache.disp_live / np.sqrt(nu)
+        d_o_mu = d_mu * nu * sigmoid(o_mu) * live[0]
+        d_o_disp = d_disp * sigmoid(o_disp) * live[1] / np.sqrt(nu)
     else:
         d_o_mu = d_mu * nu
-        d_o_disp = d_disp * nu * sigmoid(cache.o_disp) * cache.disp_live
-    d_o = np.stack([d_o_mu, d_o_disp], axis=1)  # (B, 2)
-    d_h = d_o @ np.stack([heads.w_mu, heads.w_disp])
-    d_w = cache.h.T @ d_o
-    d_b = d_o.sum(axis=0)
+        d_o_disp = d_disp * nu * sigmoid(o_disp) * live[1]
+    h = cache.h
+    d_o = np.zeros((2,) + h.shape[1:])
+    d_o[0, ..., : nu.shape[0]] = d_o_mu
+    d_o[1, ..., : nu.shape[0]] = d_o_disp
+    d_o = d_o.reshape(2, -1)
+    flat_h = h.reshape(h.shape[0], -1)
+    if out is None:
+        out = np.empty(h.shape)
+    np.matmul(_head_weights(heads).T, d_o, out=out.reshape(flat_h.shape))
+    d_w = d_o @ flat_h.T
+    d_b = d_o.sum(axis=1)
     grads = {
-        "w_mu": d_w[:, 0].copy(),
+        "w_mu": d_w[0],
         "b_mu": np.asarray(d_b[0]),
-        "w_disp": d_w[:, 1].copy(),
+        "w_disp": d_w[1],
         "b_disp": np.asarray(d_b[1]),
     }
-    return d_h, grads
+    return out, grads
 
 
 def nll_and_grads(z, mu, disp, kind: LikelihoodKind):

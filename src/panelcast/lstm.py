@@ -2,26 +2,34 @@
 
 Arrays are float64. The four gates are packed along the last axis of one
 weight matrix in the order input | forget | candidate | output, with the
-input and recurrent paths stacked row-wise so each step is a single
-matmul of [x, h] against it.
+input and recurrent paths stacked row-wise and a bias per gate column.
 
 Every array is stored feature-major, one column per row of the batch,
 with the columns padded to a multiple of 8 (_padded). A step's inputs
-and hidden states form one column vector [x, h_0, ..., h_{L-1}], so
-layer l's [input, h_prev] is one row range and the h it writes is
-already the next layer's input, and each gate quarter is a block of
-rows. One cell, _step_layer, steps a layer on such (rows, columns)
-blocks: the product layer.w.T @ [x, h], then the gate arithmetic. Each
-row's result then depends only on that row, bit for bit, whatever the
-batch size: the tests pin it, and a scan of hidden sizes 1-24 with 3-46
-inputs at 1-400 rows found no exception.
+and hidden states form one column vector [1, x, h_0, 1, h_1, ...,
+1, h_{L-1}]: layer l's row range, [1, x, h_0] for layer 0 and
+[h_{l-1}, 1, h_l] above it, holds exactly one ones row, the h a layer
+writes is already the next layer's input, and each gate quarter is a
+block of rows. Each layer steps with a weight derived from layer.w and
+layer.b (_derive_weights): transposed and C-contiguous, with the bias as
+the column that meets the ones row and the i, f and o rows negated. So
+one product of it with the layer's rows yields the candidate's
+pre-activation, and minus the sigmoid gates', bias included, and the
+sigmoid is 1 / (1 + exp(product)). Negating a weight is exact, so the
+sign costs nothing. The derived weights are rebuilt from the model at
+every reset(), never per step. One cell, _step_layer, steps a layer
+on such (rows, columns) blocks. Each row's result then depends only on
+that row, bit for bit, whatever the batch size: the tests pin it, and
+a scan of hidden sizes 1-24 with 3-46 inputs at 1-400 rows found no
+exception (see _padded).
 
 Training records a whole sequence in a SequenceTape, whose arrays carry
 a time axis between the features and the columns. Its backward pass runs
-layer by layer and keeps only the recurrence inside the time loop, the
-product of the recurrent weights with each step's pre-activation
-gradient; each layer's input and weight gradients are single products
-over the columns of all T steps after it.
+layer by layer on the canonical layer.w and keeps only the recurrence
+inside the time loop, the product of the recurrent weights with each
+step's pre-activation gradient; each layer's input and weight gradients
+are single products over the columns of all T steps after it, and the
+weight gradient's product over the ones row is the bias gradient.
 
 Whatever runs forward only (validation, conditioning, decoding) steps a
 StepSlab: the tape collapsed to a single step and updated in place, so
@@ -68,40 +76,62 @@ class LstmLayerParams:
 
 
 def _slab_columns(layers):
-    """Layout of the vector [x, h_0, ..., h_{L-1}]: per layer the range
-    of its [input, h] and the position its h starts at, and the length.
-    It runs down the rows of a SequenceTape's and a StepSlab's arrays."""
-    cols, h_col = [], []
-    lo, hi = 0, layers[0].input_dim
+    """Layout of the vector [1, x, h_0, 1, h_1, ..., 1, h_{L-1}] that runs
+    down the rows of a SequenceTape's and a StepSlab's arrays: per layer
+    the range of the rows it multiplies, [1, x, h_0] for layer 0 and
+    [h_{l-1}, 1, h_l] above it; the rows of the ones; the rows each h
+    starts at; and the length."""
+    rows, ones, h_row = [], [], []
     for idx, layer in enumerate(layers):
         if idx and layer.input_dim != layers[idx - 1].hidden_dim:
             raise ConfigError(
                 f"LSTM layer {idx} input_dim {layer.input_dim} != hidden_dim "
                 f"{layers[idx - 1].hidden_dim} of the layer below"
             )
-        h_col.append(hi)
-        cols.append((lo, hi + layer.hidden_dim))
-        lo, hi = hi, hi + layer.hidden_dim
-    return cols, h_col, hi
+        if idx == 0:
+            lo = one = 0
+            h = 1 + layer.input_dim
+        else:
+            lo = h_row[-1]
+            one = lo + layer.input_dim
+            h = one + 1
+        rows.append((lo, h + layer.hidden_dim))
+        ones.append(one)
+        h_row.append(h)
+    return rows, ones, h_row, rows[-1][1]
 
 
-def _step_layer(layer: LstmLayerParams, xh, gates, c_prev, c, h, work) -> None:
+def _derive_weights(layers, rows, ones, out) -> None:
+    """Write into each out[l] (4H, K + 1) the weight layer l steps with:
+    layer.w with layer.b inserted as the row that meets the ones row of
+    its range, transposed, and with the i, f and o rows negated, so that
+    the product gives minus the pre-activation of each sigmoid gate."""
+    for layer, (lo, _), one, w in zip(layers, rows, ones, out):
+        hd, k = layer.hidden_dim, one - lo
+        w_t = w.T
+        w_t[:k] = layer.w[:k]
+        w_t[k] = layer.b
+        w_t[k + 1 :] = layer.w[k:]
+        np.negative(w[: 2 * hd], out=w[: 2 * hd])
+        np.negative(w[3 * hd :], out=w[3 * hd :])
+
+
+def _step_layer(w, xh, gates, c_prev, c, h, work) -> None:
     """One layer, one step, on blocks with one column per row of the batch.
 
-    Reads xh = [x, h_prev] (input_dim + hidden_dim, columns) and c_prev;
-    writes the activated gates i|f|g|o (4 * hidden_dim, columns), c and h;
-    work is a (hidden_dim, columns) scratch, which may be the gates' i block
-    when the caller does not keep them. c may be c_prev, and h may lie
-    inside xh: xh is read only by the product, before anything is written.
+    Reads xh, the layer's rows of the slab vector (its ones row among
+    them), and c_prev; writes the activated gates i|f|g|o (4H, columns),
+    c and h. w is the layer's derived weight (_derive_weights). work is
+    an (H, columns) scratch, which may be the gates' i block when the
+    caller does not keep them. c may be c_prev, and h may lie inside xh:
+    xh is read only by the product, before anything is written.
     """
-    hd = layer.hidden_dim
-    np.matmul(layer.w.T, xh, out=gates)
-    gates += layer.b[:, None]
-    # The sigmoid as 1 / (1 + exp(-x)) on the i|f and o blocks; exp
-    # overflows to inf for very negative x, which gives the exact limit 0
-    # (the callers silence the overflow warning).
+    hd = c.shape[0]
+    np.matmul(w, xh, out=gates)
+    # The i|f and o blocks hold -x, so the sigmoid is 1 / (1 + exp(.));
+    # exp overflows to inf for very negative x, which gives the exact
+    # limit 0 (the callers silence the overflow warning).
     for block in (gates[: 2 * hd], gates[3 * hd :]):
-        np.negative(block, out=block)
         np.exp(block, out=block)
         block += 1.0
         np.reciprocal(block, out=block)
@@ -125,7 +155,11 @@ def _padded(batch: int) -> int:
     161 or more columns on two threads, 193 or more on one. At multiples
     of 8 no shape in the scan rounded a row differently from the same row
     stepped alone, and a one-row batch never reaches gemv, which rounds
-    differently from gemm.
+    differently from gemm. The scan, rerun for the derived weights'
+    (4H, K + 1) products on contiguous and strided slab rows, with
+    hidden sizes 1-24, 3-46 inputs, 1-400 rows (8-400 columns, a row
+    also moved to other columns) and 1 and 2 threads, and for the heads'
+    (2, H) product, found no exception either.
     """
     return -(-batch // 8) * 8
 
@@ -134,37 +168,41 @@ class StepSlab:
     """The stack stepped one time step at a time over a batch of rows, on
     arrays allocated once: the SequenceTape collapsed to a single step.
 
-    xh (input_dim + sum of hidden dims, columns) holds
-    [x, h_0, ..., h_{L-1}] down its rows. Each layer keeps one cell
-    (H, columns), updated in place; the layers share one gate array
-    (4H, columns), whose spent i block is the cell's scratch. Columns
-    past the B rows in use are padding (see _padded), stepped and never
-    read. The caller writes the layer-0 inputs into `inputs` (values it
-    leaves alone are kept from step to step) and calls step(). A slab
-    starts from the zero state; storage is sized for `batch` rows, and
-    reset() starts over with fewer.
+    xh (width, columns) holds the slab vector [1, x, h_0, ..., 1, h_{L-1}]
+    down its rows. Each layer keeps one cell (H, columns), updated in
+    place; the layers share one gate array (4H, columns), whose spent i
+    block is the cell's scratch. Columns past the B rows in use are
+    padding (see _padded), stepped and never read. The caller writes the
+    layer-0 inputs into `inputs` (values it leaves alone are kept from
+    step to step) and calls step(). A slab starts from the zero state;
+    storage is sized for `batch` rows, and reset() starts over with
+    fewer, and with weights derived afresh from the layers.
     """
 
     def __init__(self, layers, batch: int):
         self.layers = layers
         self.capacity = batch
-        self._rows, self._h_row, self._width = _slab_columns(layers)
+        self._rows, self._ones, self._h_row, self._width = _slab_columns(layers)
         self._hidden = max(layer.hidden_dim for layer in layers)
         cols = _padded(batch)
         self._xh_store = np.empty(self._width * cols)
         self._c_stores = [np.empty(layer.hidden_dim * cols) for layer in layers]
         self._gate_store = np.empty(4 * self._hidden * cols)
+        self._weights = [np.empty((4 * layer.hidden_dim, hi - lo))
+                         for layer, (lo, hi) in zip(layers, self._rows)]
         self.reset(batch)
 
     def reset(self, batch: int) -> None:
         """Use the first `batch` rows (at most the capacity), with inputs
-        and state all zero."""
+        and state all zero, stepping with the layers' current weights."""
         if not 0 < batch <= self.capacity:
             raise ConfigError(f"slab holds at most {self.capacity} rows, not {batch}")
         self.batch = batch
         cols = _padded(batch)
+        _derive_weights(self.layers, self._rows, self._ones, self._weights)
         self._xh = self._xh_store[: self._width * cols].reshape(self._width, cols)
         self._xh[...] = 0.0
+        self._xh[self._ones] = 1.0
         self._c = [store[: layer.hidden_dim * cols].reshape(-1, cols)
                    for store, layer in zip(self._c_stores, self.layers)]
         for c in self._c:
@@ -173,9 +211,9 @@ class StepSlab:
         # Each layer's arguments to _step_layer, made once here: slicing
         # them afresh in every step() cost about 3 % of a 64-row step.
         self._step_args = []
-        for (lo, hi), row, c, layer in zip(self._rows, self._h_row, self._c, self.layers):
-            hd = layer.hidden_dim
-            self._step_args.append((layer, self._xh[lo:hi], gates[: 4 * hd], c, c,
+        for (lo, hi), row, c, w in zip(self._rows, self._h_row, self._c, self._weights):
+            hd = c.shape[0]
+            self._step_args.append((w, self._xh[lo:hi], gates[: 4 * hd], c, c,
                                     self._xh[row : row + hd], gates[:hd]))
         # (B, H) views of each layer's cell.
         self.c = [c[:, :batch].T for c in self._c]
@@ -190,7 +228,7 @@ class StepSlab:
     @property
     def inputs(self) -> np.ndarray:
         """(B, input_dim) view of the layer-0 inputs, for the caller to fill."""
-        return self._xh[: self.layers[0].input_dim, : self.batch].T
+        return self._xh[1 : 1 + self.layers[0].input_dim, : self.batch].T
 
     def h(self, idx: int) -> np.ndarray:
         """(B, H) view of layer idx's hidden state."""
@@ -198,12 +236,11 @@ class StepSlab:
         return self._xh[row : row + self.layers[idx].hidden_dim, : self.batch].T
 
     @property
-    def hidden(self) -> np.ndarray:
-        """(B, H) C-ordered copy of the top layer's hidden state. The heads
-        sum each row along its contiguous axis, which rounds differently
-        from a strided one, so the slab hands them the layout the tape's
-        hidden(t) and top_hidden do."""
-        return self.h(len(self.layers) - 1).copy()
+    def top(self) -> np.ndarray:
+        """(H, columns) view of the top layer's hidden state, padding
+        columns included: what the heads read."""
+        row = self._h_row[-1]
+        return self._xh[row : row + self.layers[-1].hidden_dim]
 
     def step(self) -> None:
         """Run every layer for one step on the inputs in place."""
@@ -222,10 +259,10 @@ class SequenceTape:
     one backward pass.
 
     The layers' inputs and hidden states share one skewed slab
-    xh (input_dim + sum of hidden dims, T+L, columns): time slot r holds
-    [x_r, h_0(r-1), h_1(r-2), ..., h_{L-1}(r-L)] down its rows, so layer
-    l's [input, h_prev] at step t is one row range of slot t+l, a strided
-    (K, columns) block, and the h a layer writes is already the next
+    xh (width, T+L, columns): time slot r holds
+    [1, x_r, h_0(r-1), 1, h_1(r-2), ..., 1, h_{L-1}(r-L)] down its rows,
+    so layer l's rows at step t are one row range of slot t+l, a strided
+    (K + 1, columns) block, and the h a layer writes is already the next
     layer's input. Per layer there are also gates (4H, T, columns), the
     activated gates of each step, and c (H, T+1, columns), whose slot 0 is
     the initial cell and slot t+1 step t's. Columns past the B rows are
@@ -238,8 +275,8 @@ class SequenceTape:
         self.layers = layers
         self.steps = steps
         self.capacity = batch
-        # Row range of layer l's [input, h] in xh, and where its h starts.
-        self._rows, self._h_row, self._width = _slab_columns(layers)
+        # Row ranges of the layers in xh, their ones rows and where each h starts.
+        self._rows, self._ones, self._h_row, self._width = _slab_columns(layers)
         self._hidden = max(layer.hidden_dim for layer in layers)
         cols = _padded(batch)
         # Flat storage for `capacity` rows; reset() carves the slabs for
@@ -249,21 +286,25 @@ class SequenceTape:
         self._gate_stores = [np.empty(4 * layer.hidden_dim * steps * cols) for layer in layers]
         # A step's gates, cell and scratch, contiguous blocks (see forward_step).
         self._step_store = np.empty(6 * self._hidden * cols)
-        self._grad_work = None  # backward's work arrays, made on first use
+        self._weights = [np.empty((4 * layer.hidden_dim, hi - lo))
+                         for layer, (lo, hi) in zip(layers, self._rows)]
+        self._grad_work = None  # see _work
         self.reset(batch)
 
     def reset(self, batch: int) -> None:
         """Start a new sequence of `batch` rows (at most the capacity) from
-        the zero state."""
+        the zero state, stepping with the layers' current weights."""
         if not 0 < batch <= self.capacity:
             raise ConfigError(f"tape holds at most {self.capacity} rows, not {batch}")
         T, L = self.steps, len(self.layers)
         cols = _padded(batch)
         self.batch = batch
+        _derive_weights(self.layers, self._rows, self._ones, self._weights)
         self.xh = self._xh_store[: self._width * (T + L) * cols].reshape(self._width, T + L, cols)
+        self.xh[self._ones] = 1.0
         # Padding columns step from zero inputs, so every value the backward
         # pass multiplies by their zero gradient is finite.
-        self.xh[: self.layers[0].input_dim, :, batch:] = 0.0
+        self.xh[1 : 1 + self.layers[0].input_dim, :, batch:] = 0.0
         step = self._step_store[: 6 * self._hidden * cols].reshape(-1, cols)
         self._step = (step[: 4 * self._hidden], step[4 * self._hidden : 5 * self._hidden],
                       step[5 * self._hidden :])
@@ -288,7 +329,15 @@ class SequenceTape:
     @property
     def inputs(self) -> np.ndarray:
         """(T, B, input_dim) view of the layer-0 inputs, for the caller to fill."""
-        return self.xh[: self.layers[0].input_dim, : self.steps, : self.batch].transpose(1, 2, 0)
+        x = self.xh[1 : 1 + self.layers[0].input_dim, : self.steps, : self.batch]
+        return x.transpose(1, 2, 0)
+
+    @property
+    def top(self) -> np.ndarray:
+        """(H, T, columns) view of the top layer's h at every step, padding
+        columns included: what the heads read."""
+        top = len(self.layers)
+        return self._h(top - 1, slice(top, top + self.steps))
 
     def forward_step(self, t: int) -> None:
         """Run every layer for step t, once its layer-0 inputs are written.
@@ -301,22 +350,27 @@ class SequenceTape:
         with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0
             for idx, layer in enumerate(self.layers):
                 hd = layer.hidden_dim
-                _step_layer(layer, self._xh(idx, t + idx), gates[: 4 * hd], self.c[idx][:, t],
-                            c[:hd], self._h(idx, t + idx + 1), work[:hd])
+                _step_layer(self._weights[idx], self._xh(idx, t + idx), gates[: 4 * hd],
+                            self.c[idx][:, t], c[:hd], self._h(idx, t + idx + 1), work[:hd])
                 self.gates[idx][:, t] = gates[: 4 * hd]
                 self.c[idx][:, t + 1] = c[:hd]
 
-    def hidden(self, t: int) -> np.ndarray:
-        """(B, H) C-ordered copy of the top layer's h at step t."""
-        return self._h(len(self.layers) - 1, t + len(self.layers))[:, : self.batch].T.copy()
+    def _work(self):
+        """backward's work arrays, made on first use: the local derivatives'
+        chunk, a_out, and the upstream gradient of each layer in turn."""
+        if self._grad_work is None:
+            size = self.steps * _padded(self.capacity)
+            self._grad_work = (np.empty(_DERIV_UNITS * size), np.empty(self._hidden * size),
+                               np.empty(self._hidden * size))
+        return self._grad_work
 
-    def top_hidden(self, steps: int = None) -> np.ndarray:
-        """(steps * B, H) C-ordered copy of the top layer's h over the first
-        `steps` steps, in (step, row) order."""
-        steps = self.steps if steps is None else steps
-        top = len(self.layers)
-        h = self._h(top - 1, slice(top, top + steps))[:, :, : self.batch]
-        return np.ascontiguousarray(h.transpose(1, 2, 0)).reshape(steps * self.batch, -1)
+    def upstream(self) -> np.ndarray:
+        """(H, T, columns) buffer for the gradient of the loss w.r.t. the
+        top layer's h at every step, for the caller to fill (padding
+        columns with zeros) and pass to backward()."""
+        cols = _padded(self.batch)
+        hd = self.layers[-1].hidden_dim
+        return self._work()[2][: hd * self.steps * cols].reshape(hd, self.steps, cols)
 
     def _local_derivatives(self, idx: int, work, a_out) -> None:
         """Overwrite layer idx's slabs with the factors of the cell backward
@@ -363,25 +417,20 @@ class SequenceTape:
 
     def backward(self, d_h):
         """Exact gradients of a loss whose gradient w.r.t. the top layer's h
-        at every step is d_h (T, B, H).
+        at every step is d_h (H, T, columns), feature-major like `top`,
+        zero in the padding columns; upstream() gives a buffer for it.
 
-        Overwrites the tape's gate and cell slabs (each step's gates end up
-        holding its pre-activation gradient), so it can run once. Returns
-        (d_x (T, B, input_dim), a view of a feature-major array, and
+        Overwrites d_h and the tape's gate and cell slabs (each step's gates
+        end up holding its pre-activation gradient), so it can run once.
+        Returns (d_x (T, B, input_dim), a view of a feature-major array, and
         per-layer [(d_w, d_b)]).
         """
         T, B = self.steps, self.batch
         cols = _padded(B)
-        if d_h.shape != (T, B, self.layers[-1].hidden_dim):
+        if d_h.shape != (self.layers[-1].hidden_dim, T, cols):
             raise ConfigError("upstream gradient shape does not match the tape")
-        if self._grad_work is None:
-            size = T * _padded(self.capacity)
-            self._grad_work = (np.empty(_DERIV_UNITS * size), np.empty(self._hidden * size),
-                               np.empty(self._hidden * size))
-        work, a_store, d_store = self._grad_work
-        d_up = d_store[: d_h.shape[-1] * T * cols].reshape(-1, T, cols)
-        d_up[:, :, :B] = d_h.transpose(2, 0, 1)
-        d_up[:, :, B:] = 0.0
+        work, a_store, d_store = self._work()
+        d_up = d_h
         d_param = [None] * len(self.layers)
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
@@ -411,7 +460,11 @@ class SequenceTape:
             # below's; layer 0's is returned, in an array of its own.
             d_x = (d_store[: ind * T * cols] if idx else np.empty(ind * T * cols)).reshape(ind, -1)
             np.matmul(layer.w[:ind], flat, out=d_x)
-            xh = self._xh(idx, slice(idx, idx + T)).reshape(ind + hd, T * cols)
-            d_param[idx] = (xh @ flat.T, flat.sum(axis=1))
+            # One product over the layer's rows, its ones row giving d_b.
+            lo, hi = self._rows[idx]
+            xh = self._xh(idx, slice(idx, idx + T)).reshape(hi - lo, T * cols)
+            d_wb = xh @ flat.T
+            one = self._ones[idx] - lo
+            d_param[idx] = (np.delete(d_wb, one, axis=0), d_wb[one])
             d_up = d_x.reshape(ind, T, cols)
         return d_up[:, :, :B].transpose(1, 2, 0), d_param

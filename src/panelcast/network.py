@@ -11,6 +11,14 @@ conditioning range, `forward_nll` scores every step of a batch of
 windows on the way, and `decode_step` advances an encoded slab (or one
 loaded from its rows) a step at a time in place.
 
+Both hold the step vector [1, x, h_0, 1, h_1, ...] feature-major and
+step each layer with a weight they derive from layer.w and layer.b at
+every reset (see lstm); the model file holds only layer.w and layer.b.
+The heads read the top layer's rows in place: one (2, H) product per
+decode step, per run of validation steps, or over all T steps of a
+training batch, whose gradient w.r.t. h goes straight into the tape's
+upstream buffer.
+
 The input at step t is [z_{t-1}/nu, covariates_t, embedding]; z before
 the window start is 0. The loss sums the negative log-likelihood over
 observed and padded steps; steps with a missing target are excluded, and
@@ -183,14 +191,19 @@ def _write_inputs(x, z_prev, nu, covariates, emb=None) -> None:
         x[..., 1 + d :] = emb
 
 
-def _impute(params: ModelParams, h, nu, keys: RowKeys, step: int):
-    """Values to feed forward from missing steps: one draw per row of h
-    (B, H) from its predictive distribution, at counter `step` of keys.
-    None when the heads are not finite."""
+def _impute(params: ModelParams, h, nu, keys: RowKeys, step: int, rows):
+    """Values to feed forward from the missing steps of rows `rows` of a
+    block whose top hidden state is h (H, columns), feature-major and
+    padded as a slab or tape holds it, and whose scales are nu (B,): one
+    draw per row from its predictive distribution, at counter `step` of
+    its row of keys. The heads run on the whole block and the rows are
+    gathered after: a gathered subset of columns could reach gemv, which
+    rounds differently. None when the rows' heads are not finite."""
     mu, disp, _ = apply_heads(h, params.heads, nu, params.likelihood)
+    mu, disp = mu[rows], disp[rows]
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
         return None
-    return draw(params.likelihood, mu, disp, keys, step)
+    return draw(params.likelihood, mu, disp, keys.take(rows), step)
 
 
 def _divergence(step: int, mu, disp) -> DivergenceError:
@@ -227,12 +240,12 @@ def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -
     on path b at step t.
 
     The batch runs as one (T, B) block: the recurrence fills a
-    SequenceTape, evaluating the heads inside the loop only for rows whose
-    next input must be imputed; the heads, the NLL and their gradients
-    then run once over all T*B rows. `tape`, a SequenceTape of
-    params.layers for T steps and at least B rows, is reused if given (a
-    training loop saves re-allocating, and page-faulting, the slabs every
-    batch); otherwise a new one is made.
+    SequenceTape, evaluating the heads inside the loop only at steps where
+    some row's next input must be imputed; the heads, the NLL and their
+    gradients then run once over the tape's top rows at all T steps.
+    `tape`, a SequenceTape of params.layers for T steps and at least B
+    rows, is reused if given (a training loop saves re-allocating, and
+    page-faulting, the slabs every batch); otherwise a new one is made.
     """
     kind = params.likelihood
     nu, cats, targets, counted = _batch_arrays(windows, params)
@@ -253,6 +266,7 @@ def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -
     )
     keys = None
     steps = T
+    top = tape.top
     for t in range(T):
         tape.forward_step(t)
         if t + 1 < T and impute[:, t].any():
@@ -261,15 +275,16 @@ def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -
                 keys = RowKeys.for_series(
                     impute_seed, "impute", [w.series_id for w in windows], np.arange(B)
                 )
-            z = _impute(params, tape.hidden(t)[miss], nu[miss], keys.take(miss), t)
+            z = _impute(params, top[:, t], nu, keys, t, miss)
             if z is None:
                 steps = t + 1  # the block check below reports the first bad step
                 break
             # The drawn value replaces the lagged slot of _write_inputs.
             x[t + 1, miss, 0] = z / nu[miss]
 
+    mu, disp, hcache = apply_heads(top[:, :steps], params.heads, nu, kind)
     # Rows of the block are in (step, window) order.
-    mu, disp, hcache = apply_heads(tape.top_hidden(steps), params.heads, np.tile(nu, steps), kind)
+    mu, disp = mu.ravel(), disp.ravel()
     finite = np.isfinite(mu) & np.isfinite(disp)
     limit = mu.size if finite.all() else int(np.argmin(finite)) // B * B
     sel = np.flatnonzero(counted.T[:steps].ravel()[:limit])
@@ -288,8 +303,9 @@ def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -
         total_nll = math.fsum(nll.tolist())
     if limit < mu.size:
         raise _divergence(limit // B, mu[limit : limit + B], disp[limit : limit + B])
-    d_h, head_grads = heads_backward(d_mu, d_disp, hcache, params.heads, kind)
-    d_x, layer_grads = tape.backward(d_h.reshape(T, B, -1))
+    d_h, head_grads = heads_backward(d_mu.reshape(T, B), d_disp.reshape(T, B), hcache,
+                                     params.heads, kind, out=tape.upstream())
+    d_x, layer_grads = tape.backward(d_h)
     d_emb = d_x[:, :, 1 + params.feature_dim :].sum(axis=0)
     grads = {"embedding": np.zeros_like(params.embedding)}  # keyed in blocks() order
     np.add.at(grads["embedding"], cats, d_emb)
@@ -323,7 +339,7 @@ def _run_slab(params: ModelParams, slab: StepSlab, target, missing, covariates, 
         if miss.size:
             if keys is None:
                 raise ConfigError("missing values require sampling keys")
-            z = _impute(params, slab.hidden[miss], nu[miss], keys.take(miss), t)
+            z = _impute(params, slab.top, nu, keys, t, miss)
             if z is None:
                 raise DivergenceError("non-finite distribution parameters during encoding")
             z_prev[miss] = z
@@ -371,7 +387,8 @@ def forward_nll(windows, params: ModelParams, keys: RowKeys = None):
 
     The whole batch steps one StepSlab through the recurrence encode
     uses; the heads and the NLL run once per _NLL_STEPS steps over the
-    top hidden states of all rows. Row b imputes its missing steps with
+    top hidden states of all rows, copied from the slab a step at a time
+    with their padding columns. Row b imputes its missing steps with
     keys row b (needed only when some window has missing values). Returns
     (nll, counted), each (B, T): counted marks the steps that contribute,
     and nll is 0 elsewhere. Raises DivergenceError at the first step where
@@ -388,21 +405,22 @@ def forward_nll(windows, params: ModelParams, keys: RowKeys = None):
     z = targets.T.ravel()
     live = counted.T.ravel()
     nll = np.zeros(T * B)
-    top = np.empty((min(_NLL_STEPS, T), B, params.hidden_dim))
     slab = StepSlab(params.layers, B)
     slab.inputs[:, 1 + params.feature_dim :] = params.embedding[cats]
+    run = min(_NLL_STEPS, T)
+    top = np.empty((params.hidden_dim, run, slab.top.shape[1]))
     first = 0  # the first step of the run being collected
 
     def observe(t):
         nonlocal first
-        top[t - first] = slab.h(len(params.layers) - 1)
+        top[:, t - first] = slab.top
         # A run also ends at a step with draws: the draws read that step's
         # heads, which the run's check must have found finite.
-        if t + 1 - first < len(top) and t + 1 < T and not draws[t]:
+        if t + 1 - first < run and t + 1 < T and not draws[t]:
             return
         lo, hi = first * B, (t + 1) * B
-        mu, disp, _ = apply_heads(top[: t + 1 - first].reshape(hi - lo, -1), params.heads,
-                                  np.tile(nu, t + 1 - first), kind)
+        mu, disp, _ = apply_heads(top[:, : t + 1 - first], params.heads, nu, kind)
+        mu, disp = mu.ravel(), disp.ravel()
         bad = ~(np.isfinite(mu) & np.isfinite(disp))
         sel = np.flatnonzero(live[lo:hi] & ~bad)
         if sel.size:
@@ -437,7 +455,7 @@ def decode_step(
     """
     _write_inputs(slab.inputs, z_prev, nu, covariates)
     slab.step()
-    mu, disp, _ = apply_heads(slab.hidden, params.heads, nu, params.likelihood)
+    mu, disp, _ = apply_heads(slab.top, params.heads, nu, params.likelihood)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
         raise DivergenceError("non-finite distribution parameters during decoding")
     return mu, disp
@@ -517,6 +535,10 @@ def _model_from_doc(doc: dict) -> ModelParams:
         arrays["head.w_disp"],
         arrays["head.b_disp"].reshape(()),
     )
+    for name in ("w_mu", "w_disp"):
+        shape = getattr(heads, name).shape
+        if shape != (hidden,):
+            raise ValueError(f"head.{name} shape {shape} does not match hidden_dim {hidden}")
     cardinality = int(doc["category_cardinality"])
     embedding = arrays["embedding"]
     if embedding.shape != (cardinality, int(doc["embedding_dim"])):

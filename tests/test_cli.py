@@ -2,6 +2,7 @@
 files (model, log, manifest, forecasts, reports), reproducibility, and
 worker-count independence. Commands run in-process through main()."""
 
+import base64
 import json
 import hashlib
 import os
@@ -144,6 +145,23 @@ def test_model_file_missing_key_exits_2(workdir, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "window" in err
+
+
+@pytest.mark.parametrize("block, shape", [("head.w_mu", (7,)), ("head.w_disp", (8, 1))])
+def test_model_file_malformed_head_weights_exit_2(workdir, tmp_path, capsys, block, shape):
+    # The trained model has 8 hidden units; a head weight of another shape
+    # would otherwise fail inside the heads' product.
+    doc = json.loads(open(workdir["model"], "rb").read())
+    data = base64.b64encode(np.zeros(shape).astype("<f8").tobytes()).decode("ascii")
+    doc["params"][block] = {"shape": list(shape), "data": data}
+    model = tmp_path / "badhead.bin"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "fc.jsonl"
+    rc = main(["predict", "--model", str(model), "--data", workdir["data"], "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and block in err
+    assert not out.exists()
 
 
 def test_missing_input_file_is_runtime_error(tmp_path, capsys):

@@ -16,6 +16,9 @@ from panelcast.forecaster import (
     ROW_BUDGET,
     ForecastRecord,
     ForecastSamples,
+    _block_rows,
+    _encode_group,
+    _plan_blocks,
     forecast_panel,
     nearest_rank,
     quantiles,
@@ -25,6 +28,7 @@ from panelcast.forecaster import (
     span_aggregate,
 )
 from panelcast.likelihood import LikelihoodKind
+from panelcast.rng import RowKeys, tag_key
 from panelcast.trainer import TrainConfig, train
 
 # ---------------------------------------------------------------------------
@@ -261,6 +265,24 @@ def test_series_alone_matches_series_in_blocked_panel(kind, num_samples):
         assert fc.samples.shape == (num_samples, model.spec.prediction_length)
         assert fc.start == alone.start and fc.seed == alone.seed
         np.testing.assert_array_equal(fc.samples, alone.samples)
+
+
+@pytest.mark.parametrize("num_samples", [ROW_BUDGET // 2 - 10, ROW_BUDGET + 50])
+def test_block_keys_equal_keys_of_its_rows(num_samples):
+    # A block gathers its rows' keys from the encoded group's, whose ids
+    # are folded once per group under a prefix folded once per forecast;
+    # they are the keys for_series makes for the block's rows, bit for bit.
+    _, model = tiny_model()
+    series = _block_test_panel()
+    enc = _encode_group(series, model, 11, model.spec.prediction_length, tag_key(11, "path"))
+    for block in _plan_blocks(len(series), num_samples):
+        row_series, keys = _block_rows(enc, block)
+        paths = np.concatenate([np.arange(p0, p1) for _, p0, p1 in block])
+        ref = RowKeys.for_series(11, "path", [series[i].id for i in row_series], paths)
+        np.testing.assert_array_equal(keys.path, ref.path)
+        for step, rnd in ((0, 0), (5, 3)):
+            np.testing.assert_array_equal(keys.uniforms(step, rnd, lanes=3),
+                                          ref.uniforms(step, rnd, lanes=3))
 
 
 def _gappy_series(sid, n, gaps, category=0, seed=0):

@@ -18,6 +18,7 @@ from panelcast.likelihood import (
     heads_backward,
     negbin_nll,
 )
+from panelcast.lstm import _padded
 from panelcast.rng import RowKeys
 
 from conftest import pcg64
@@ -142,29 +143,30 @@ def random_heads(hidden, gen):
 
 
 class TestApplyHeads:
+    # h is feature-major, (H, rows), as the LSTM stores it.
     def test_negbin_mu_is_scaled_softplus(self):
         heads = make_heads(3)
-        h = np.zeros((1, 3))
+        h = np.zeros((3, 1))
         mu, disp, _ = apply_heads(h, heads, np.array([1.0]), LikelihoodKind.NEG_BINOMIAL)
         assert mu[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_negbin_alpha_shrinks_with_sqrt_scale(self):
         heads = make_heads(3)
-        h = np.zeros((1, 3))
+        h = np.zeros((3, 1))
         mu, disp, _ = apply_heads(h, heads, np.array([4.0]), LikelihoodKind.NEG_BINOMIAL)
         assert disp[0] == pytest.approx(math.log(2.0) / 2.0, rel=1e-12)
         assert mu[0] == pytest.approx(4.0 * math.log(2.0), rel=1e-12)
 
     def test_gaussian_zero_heads(self):
         heads = make_heads(4)
-        h = np.ones((1, 4))
+        h = np.ones((4, 1))
         mu, disp, _ = apply_heads(h, heads, np.array([1.0]), LikelihoodKind.GAUSSIAN)
         assert mu[0] == pytest.approx(0.0, abs=1e-15)
         assert disp[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_gaussian_scale_multiplies_both(self):
         heads = make_heads(2, w_mu=[1.0, 0.0], b_mu=0.5)
-        h = np.array([[2.0, -1.0]])
+        h = np.array([[2.0], [-1.0]])
         nu = np.array([3.0])
         mu, disp, _ = apply_heads(h, heads, nu, LikelihoodKind.GAUSSIAN)
         assert mu[0] == pytest.approx(3.0 * 2.5, rel=1e-12)
@@ -172,7 +174,7 @@ class TestApplyHeads:
 
     def test_floor_keeps_parameters_positive(self):
         heads = make_heads(2, b_disp=-500.0)  # softplus underflows to 0
-        h = np.zeros((1, 2))
+        h = np.zeros((2, 1))
         _, disp_g, _ = apply_heads(h, heads, np.array([1.0]), LikelihoodKind.GAUSSIAN)
         mu_nb, disp_nb, _ = apply_heads(
             h, make_heads(2, b_mu=-500.0, b_disp=-500.0), np.array([1.0]),
@@ -186,18 +188,43 @@ class TestApplyHeads:
     def test_outputs_in_domain_random(self, kind):
         heads = random_heads(6, pcg64(5, "heads"))
         rng = np.random.default_rng(2)
-        h = rng.normal(size=(8, 6)) * 3
+        h = rng.normal(size=(8, 6)).T * 3
         nu = 1.0 + rng.uniform(0, 50, size=8)
         mu, disp, _ = apply_heads(h, heads, nu, kind)
         assert np.all(disp > 0)
         if kind is LikelihoodKind.NEG_BINOMIAL:
             assert np.all(mu > 0)
 
+    @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
+    def test_rows_independent_of_batch(self, kind):
+        # On columns padded as the LSTM pads them, a row's parameters have
+        # the same bits whatever the number of rows beside it: the (2, H)
+        # product, unlike a reduction along the features, does not round
+        # a one-column block differently.
+        gen = pcg64(13, "heads-rows", kind.value)
+        for hidden in (7, 40):
+            heads = random_heads(hidden, gen)
+            heads.b_mu[...], heads.b_disp[...] = 0.3, -0.2
+            rows = gen.normal(size=(hidden, 400))
+            nu = 1.0 + gen.random(400) * 50.0
+
+            def run(n):
+                h = np.zeros((hidden, _padded(n)))
+                h[:, :n] = rows[:, :n]
+                return apply_heads(h, heads, nu[:n], kind)[:2]
+
+            mu_full, disp_full = run(400)
+            for n in (1, 7, 8, 9, 64, 203):
+                mu, disp = run(n)
+                msg = f"{hidden} units, {n} rows"
+                np.testing.assert_array_equal(mu, mu_full[:n], err_msg=msg)
+                np.testing.assert_array_equal(disp, disp_full[:n], err_msg=msg)
+
     def test_heads_backward_vs_finite_differences(self):
         for kind in (LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL):
             heads = random_heads(4, pcg64(9, "hb", kind.value))
             rng = np.random.default_rng(3)
-            h = rng.normal(size=(3, 4))
+            h = rng.normal(size=(3, 4)).T.copy()
             nu = np.array([1.0, 2.5, 7.0])
             z = (
                 np.array([1.0, 4.0, 0.0])

@@ -74,6 +74,25 @@ def lstm_step(x, state, layers):
     return slab_state(slab)
 
 
+def top_rows(tape):
+    """(T, B, H) copy of the top layer's h at every step of a tape."""
+    return tape.top[:, :, : tape.batch].transpose(1, 2, 0).copy()
+
+
+def slab_top(slab):
+    """(B, H) copy of the top layer's h on a StepSlab."""
+    return slab.top[:, : slab.batch].T.copy()
+
+
+def upstream(tape, d_h):
+    """d_h (T, B, H) written into the tape's upstream buffer, feature-major,
+    zero in the padding columns."""
+    up = tape.upstream()
+    up[...] = 0.0
+    up[:, :, : tape.batch] = d_h.transpose(2, 0, 1)
+    return up
+
+
 def run_tape(layers, xs):
     """A SequenceTape over inputs xs (T, B, input_dim), run forward from
     the zero state."""
@@ -155,7 +174,7 @@ class TestForward:
                 slab.step()
                 for c, recorded in zip(slab.c, tape.c):
                     np.testing.assert_array_equal(c, recorded[:, t + 1, :batch].T)
-                np.testing.assert_array_equal(tape.hidden(t), slab.hidden)
+                np.testing.assert_array_equal(top_rows(tape)[t], slab_top(slab))
 
     def test_pool_slab_equals_chunked_tapes_bitwise(self):
         # Validation steps a 507-window pool on one slab; the loss it
@@ -168,7 +187,7 @@ class TestForward:
             slab.inputs[...] = xs[t]
             slab.step()
             np.testing.assert_array_equal(
-                slab.hidden, np.concatenate([tape.hidden(t) for tape in tapes])
+                slab_top(slab), np.concatenate([top_rows(tape)[t] for tape in tapes])
             )
 
     @staticmethod
@@ -220,7 +239,7 @@ class TestForward:
             for x in xs[:, :batch]:
                 slab.inputs[...] = x
                 slab.step()
-            return slab.hidden
+            return slab_top(slab)
 
         full = run(400)
         for batch in (1, 2, 7, 8, 161, 203, 399):
@@ -229,17 +248,17 @@ class TestForward:
     def test_rows_independent_of_batch(self):
         layers = [random_layer(3, 6, seed=15), random_layer(6, 6, seed=16)]
         xs = np.random.default_rng(8).normal(size=(5, 9, 3))
-        full = run_tape(layers, xs).top_hidden()
+        full = top_rows(run_tape(layers, xs))
         for r in (0, 4, 8):
-            alone = run_tape(layers, xs[:, r : r + 1]).top_hidden()
-            np.testing.assert_array_equal(alone, full.reshape(5, 9, -1)[:, r])
+            alone = top_rows(run_tape(layers, xs[:, r : r + 1]))
+            np.testing.assert_array_equal(alone[:, 0], full[:, r])
         # One 11-unit layer with 46 inputs: a 400-row tape once rounded
         # rows differently from smaller tapes of the same rows.
         layers = stack((46, 11), seed=26)
         xs = np.random.default_rng(14).normal(size=(3, 400, 46))
-        full = run_tape(layers, xs).top_hidden().reshape(3, 400, -1)
+        full = top_rows(run_tape(layers, xs))
         for batch in (1, 8, 64, 256):
-            part = run_tape(layers, xs[:, :batch]).top_hidden().reshape(3, batch, -1)
+            part = top_rows(run_tape(layers, xs[:, :batch]))
             np.testing.assert_array_equal(part, full[:, :batch], err_msg=f"batch {batch}")
 
 
@@ -276,7 +295,8 @@ def per_step_backward(tape, d_h):
     gradient inside the time loop, one (input + H, 4H) @ (4H, columns)
     product per step, and the local derivatives through a full-width
     copy. The reference for the single product after the loop and the
-    in-place local derivatives."""
+    in-place local derivatives; the weight gradient, bias row and all, is
+    the tape's one product over the layer's rows."""
     T, B = tape.steps, tape.batch
     cols = tape.xh.shape[-1]
     hidden = max(layer.hidden_dim for layer in tape.layers)
@@ -310,8 +330,11 @@ def per_step_backward(tape, d_h):
             np.matmul(layer.w, d_pre[:, t], out=d_xh)
             np.copyto(d_x[:, t], d_xh[:ind])
         flat = d_pre.reshape(4 * hd, T * cols)
-        xh = tape._xh(idx, slice(idx, idx + T)).reshape(ind + hd, T * cols)
-        d_param[idx] = (xh @ flat.T, flat.sum(axis=1))
+        lo, hi = tape._rows[idx]
+        xh = tape._xh(idx, slice(idx, idx + T)).reshape(hi - lo, T * cols)
+        d_wb = xh @ flat.T
+        one = tape._ones[idx] - lo
+        d_param[idx] = (np.delete(d_wb, one, axis=0), d_wb[one])
         d_up = d_x
     return d_up[:, :, :B].transpose(1, 2, 0), d_param
 
@@ -326,7 +349,8 @@ class TestBackward:
         rng = np.random.default_rng(12)
         xs = rng.normal(size=(steps, batch, 13))
         d_h = rng.normal(size=(steps, batch, 40))
-        d_x, d_params = run_tape(layers, xs).backward(d_h.copy())
+        tape = run_tape(layers, xs)
+        d_x, d_params = tape.backward(upstream(tape, d_h))
         ref_x, ref_params = per_step_backward(run_tape(layers, xs), d_h.copy())
         np.testing.assert_array_equal(d_x, ref_x)
         for (d_w, d_b), (ref_w, ref_b) in zip(d_params, ref_params):
@@ -337,7 +361,7 @@ class TestBackward:
         layer = random_layer(2, 3, seed=6)
         x = np.array([[[0.5, -1.0]]])
         tape = run_tape([layer], x)
-        d_x, d_params = tape.backward(np.zeros((1, 1, 3)))
+        d_x, d_params = tape.backward(upstream(tape, np.zeros((1, 1, 3))))
         assert np.allclose(d_x, 0.0)
         assert np.allclose(d_params[0][0], 0.0)
         assert np.allclose(d_params[0][1], 0.0)
@@ -347,12 +371,12 @@ class TestBackward:
 
         def loss_fn(blocks):
             tape = run_tape(layers, xs)
-            h_final = tape.hidden(xs.shape[0] - 1)
+            h_final = top_rows(tape)[-1]
             loss = 0.5 * float(np.sum(h_final ** 2))
             # backward: d loss / d h_final = h_final
             d_h = np.zeros((xs.shape[0], xs.shape[1], layers[-1].hidden_dim))
             d_h[-1] = h_final
-            _, d_params = tape.backward(d_h)
+            _, d_params = tape.backward(upstream(tape, d_h))
             grads = {}
             for i, (dw, db) in enumerate(d_params):
                 grads[f"l{i}.w"] = dw
@@ -388,9 +412,9 @@ class TestBackward:
 
         def loss_fn(blocks):
             tape = run_tape([layer], blocks["x"][None])
-            h = tape.hidden(0)
+            h = top_rows(tape)[0]
             loss = 0.5 * float(np.sum(h ** 2))
-            d_x, _ = tape.backward(h.copy()[None])
+            d_x, _ = tape.backward(upstream(tape, h[None]))
             return loss, {"x": d_x[0]}
 
         report = finite_diff_check(loss_fn, xbox, 1e-6)
@@ -408,9 +432,9 @@ class TestBackward:
 
         def loss_fn(blocks):
             tape = run_tape(layers, blocks["x"])
-            h = tape.top_hidden()
+            h = top_rows(tape)
             loss = 0.5 * float(np.sum(h ** 2))
-            d_x, d_params = tape.backward(h.reshape(5, 3, 4).copy())
+            d_x, d_params = tape.backward(upstream(tape, h))
             grads = {"x": d_x}
             for i, (dw, db) in enumerate(d_params):
                 grads[f"l{i}.w"] = dw

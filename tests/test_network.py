@@ -2,6 +2,7 @@
 causality, loss additivity, and bit-exact serialization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from panelcast.dataset import (
 )
 from panelcast.errors import ConfigError, DataError, DivergenceError
 from panelcast.likelihood import LikelihoodKind, gaussian_nll, nll_and_grads
-from panelcast.lstm import StepSlab
+from panelcast.lstm import SequenceTape, StepSlab, _padded
 from panelcast.network import (
+    _impute,
     _write_inputs,
     decode_step,
     encode,
     init_model,
+    load_model,
     model_from_bytes,
     model_to_bytes,
     unroll_batch,
@@ -123,7 +126,7 @@ class TestUnroll:
             lagged = 0.0 if t == 0 else z_prev / nu
             slab.inputs[0] = np.concatenate([[lagged], w.covariates[t], model.embedding[0]])
             slab.step()
-            mu, disp, _ = apply_heads(slab.hidden, model.heads, nu, model.likelihood)
+            mu, disp, _ = apply_heads(slab.top, model.heads, nu, model.likelihood)
             nll, _, _ = gaussian_nll(w.target[t], float(mu[0]), float(disp[0]))
             total += float(nll)
             z_prev = w.target[t]
@@ -220,6 +223,48 @@ class TestUnroll:
         with pytest.raises(DivergenceError) as exc:
             unroll_batch([w], model, impute_seed=2)
         assert exc.value.log["step"] == 0
+
+    def test_derived_weights_follow_the_model(self):
+        # Tape and slab derive their weights from the model at every reset:
+        # after an Adam step, the reused tape and slab compute what a
+        # fresh copy of the updated model computes.
+        from panelcast.optim import adam_step, init_adam
+
+        panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL, layers=2)
+        ws = [default_window(panel, model, sid) for sid in ("c0", "c1")]
+        tape = SequenceTape(model.layers, model.spec.total, len(ws))
+        slab = StepSlab(model.layers, len(ws))
+        first = unroll_batch(ws, model, tape=tape)
+        adam_step(model.blocks(), first.grads, init_adam(model.blocks(), learning_rate=1e-2))
+        after = unroll_batch(ws, model, tape=tape)
+        fresh_model = model_from_bytes(model_to_bytes(model))
+        fresh = unroll_batch(ws, fresh_model)
+        assert after.loss == fresh.loss != first.loss
+        for name, g in after.grads.items():
+            np.testing.assert_array_equal(g, fresh.grads[name], err_msg=name)
+        slab.reset(len(ws))
+        fresh_slab = StepSlab(fresh_model.layers, len(ws))
+        x = np.random.default_rng(3).normal(size=(len(ws), model.input_dim))
+        for s in (slab, fresh_slab):
+            s.inputs[...] = x
+            s.step()
+        np.testing.assert_array_equal(slab.top, fresh_slab.top)
+
+    @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
+    def test_imputed_row_independent_of_block(self, kind):
+        # The heads run on the whole block before the missing rows are
+        # gathered, so a missing row of 64 draws what it draws alone.
+        _, model = tiny_model(kind)
+        gen = np.random.default_rng(21)
+        h = gen.normal(size=(model.hidden_dim, 64))
+        nu = 1.0 + gen.random(64) * 20.0
+        keys = RowKeys.for_series(4, "impute", [f"s{i}" for i in range(64)], np.zeros(64))
+        row = np.array([37])
+        z = _impute(model, h, nu, keys, 5, row)
+        alone = np.zeros((model.hidden_dim, _padded(1)))
+        alone[:, 0] = h[:, 37]
+        z_alone = _impute(model, alone, nu[row], keys.take(row), 5, np.array([0]))
+        np.testing.assert_array_equal(z, z_alone)
 
     def test_mismatched_window_length_rejected(self):
         panel, model = tiny_model()
@@ -339,6 +384,13 @@ class TestSerialization:
         loss_a = unroll_batch([w], model).loss
         loss_b = unroll_batch([w], restored).loss
         assert loss_a == loss_b  # bitwise, not approximately
+
+    @pytest.mark.parametrize("name", ["gaussian", "negbin"])
+    def test_committed_fixtures_round_trip_bytewise(self, name):
+        # The file format is unchanged: the benchmark's committed models
+        # load and write back byte for byte.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / f"{name}.model"
+        assert model_to_bytes(load_model(path)) == path.read_bytes()
 
     def test_round_trip_preserves_every_block(self):
         panel, model = tiny_model(seed=11)
