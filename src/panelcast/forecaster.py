@@ -6,13 +6,14 @@ A panel is forecast in two phases, one group of up to ROW_BUDGET series
 at a time:
 
 1. Encode. The group's series run through their conditioning ranges and
-   the first prediction step together, one row per series. Every path of
-   a series starts from the same state and the same first predictive
-   distribution, so both are computed once per series.
+   the first prediction step together, one row per series, on the
+   forecast's one lstm.StepSlab (network.encode). Every path of a series
+   starts from the same state and first predictive distribution, so both
+   are computed once per series; the state is kept as arrays.
 2. Decode. The paths are packed into row blocks of whole series with all
    their paths, up to ROW_BUDGET rows; a series with more paths than that
    fills blocks of its own. Each block loads its series' rows of the
-   encoded step slab (lstm.StepSlab, feature-major: one column per path),
+   encoded state into the slab (feature-major: one column per path),
    draws step 0 from the encoded distribution and steps the slab in
    place from step 1 on, allocating nothing per step. Each step's draw
    judges the rejection rounds of all the block's paths at once.
@@ -158,7 +159,7 @@ def _forecast_groups(series_list, params, num_samples, seed, h):
     path_key = tag_key(seed, "path")
     for g0 in range(0, len(series_list), ROW_BUDGET):
         group = series_list[g0 : g0 + ROW_BUDGET]
-        encoded = _encode_group(group, params, seed, h, path_key)
+        encoded = _encode_group(group, params, seed, h, path_key, slab)
         pending = []  # path chunks of a series split over several blocks
         for block in _plan_blocks(len(group), num_samples):
             chunks = _decode_block(encoded, block, params, h, slab)
@@ -176,30 +177,31 @@ class _EncodedGroup:
     """A group's series after the first prediction step, one row each."""
 
     keys: RowKeys  # path keys, one row per series
-    slab: StepSlab  # state after step 0, embedding columns written
+    state: tuple  # StepSlab.state() after step 0, embedding columns written
     mu: np.ndarray  # (G,) step-0 distribution parameters
     disp: np.ndarray
     nu: np.ndarray  # (G,)
     covariates: np.ndarray  # (G, h - 1, d), steps 1 .. h - 1
 
 
-def _encode_group(group, params: ModelParams, seed: int, h: int, path_key) -> _EncodedGroup:
+def _encode_group(group, params: ModelParams, seed: int, h: int, path_key,
+                  slab: StepSlab) -> _EncodedGroup:
     c = params.spec.conditioning_length
     target, mask, nu = map(np.stack, zip(*(cut_series(s, s.n - c, c, c) for s in group)))
     feats = np.stack([params.stats.standardize(raw_features(s, s.n - c, c + h)) for s in group])
     ids = [s.id for s in group]
-    slab, z_last = encode(
+    mu, disp = encode(
         target,
         mask,
-        feats[:, :c],
+        feats[:, : c + 1],
         nu,
         np.array([s.category for s in group], dtype=np.intp),
         params,
+        slab,
         RowKeys.for_series(seed, "impute", ids, np.zeros(len(ids))),
     )
-    mu, disp = decode_step(params, slab, z_last, feats[:, c], nu)
     keys = RowKeys.for_ids(path_key, ids, np.zeros(len(ids)))
-    return _EncodedGroup(keys, slab, mu, disp, nu, feats[:, c + 1 :])
+    return _EncodedGroup(keys, slab.state(), mu, disp, nu, feats[:, c + 1 :])
 
 
 def _block_rows(enc: _EncodedGroup, block):
@@ -217,7 +219,7 @@ def _decode_block(enc: _EncodedGroup, block, params: ModelParams, h: int,
     """Sample matrices (paths, h) for one block's segments, stepped on `slab`."""
     row_series, keys = _block_rows(enc, block)
     slab.reset(row_series.size)
-    slab.load(enc.slab, row_series)
+    slab.load(enc.state, row_series)
     nu = enc.nu[row_series]
     covariates = enc.covariates[row_series]
     out = np.empty((row_series.size, h), dtype=np.float64)

@@ -34,7 +34,8 @@ weight gradient's product over the ones row is the bias gradient.
 Whatever runs forward only (validation, conditioning, decoding) steps a
 StepSlab: the tape collapsed to a single step and updated in place, so
 it allocates nothing per step. Both step through _step_layer on the same
-layout, so tape and slab agree bit for bit.
+layout, so tape and slab agree bit for bit. Both step through
+step_inputs(t) and forward_step(t), so one loop steps either (see network).
 """
 
 from __future__ import annotations
@@ -215,14 +216,19 @@ class StepSlab:
             hd = c.shape[0]
             self._step_args.append((w, self._xh[lo:hi], gates[: 4 * hd], c, c,
                                     self._xh[row : row + hd], gates[:hd]))
-        # (B, H) views of each layer's cell.
-        self.c = [c[:, :batch].T for c in self._c]
 
-    def load(self, source: "StepSlab", rows) -> None:
-        """Copy rows `rows` of `source` (inputs, states and all) into this
-        slab's rows, which reset() has sized to len(rows)."""
-        self._xh[:, : self.batch] = source._xh[:, rows]
-        for c, src in zip(self._c, source._c):
+    def state(self):
+        """Copies of the rows in use, inputs, states and all: the slab
+        vectors (width, B) and each layer's cell (H, B), for load()."""
+        return (self._xh[:, : self.batch].copy(),
+                [c[:, : self.batch].copy() for c in self._c])
+
+    def load(self, state, rows) -> None:
+        """Copy rows `rows` of a state() into this slab's rows, which
+        reset() has sized to len(rows)."""
+        xh, cells = state
+        self._xh[:, : self.batch] = xh[:, rows]
+        for c, src in zip(self._c, cells):
             c[:, : self.batch] = src[:, rows]
 
     @property
@@ -230,10 +236,9 @@ class StepSlab:
         """(B, input_dim) view of the layer-0 inputs, for the caller to fill."""
         return self._xh[1 : 1 + self.layers[0].input_dim, : self.batch].T
 
-    def h(self, idx: int) -> np.ndarray:
-        """(B, H) view of layer idx's hidden state."""
-        row = self._h_row[idx]
-        return self._xh[row : row + self.layers[idx].hidden_dim, : self.batch].T
+    def step_inputs(self, t: int) -> np.ndarray:
+        """`inputs`, the layer-0 inputs of the step to take, whatever t."""
+        return self.inputs
 
     @property
     def top(self) -> np.ndarray:
@@ -247,6 +252,11 @@ class StepSlab:
         with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0
             for args in self._step_args:
                 _step_layer(*args)
+
+    def forward_step(self, t: int) -> np.ndarray:
+        """step(), as step t of a sequence; returns `top`."""
+        self.step()
+        return self.top
 
 
 # Units per pass of SequenceTape._local_derivatives; its work array,
@@ -332,6 +342,10 @@ class SequenceTape:
         x = self.xh[1 : 1 + self.layers[0].input_dim, : self.steps, : self.batch]
         return x.transpose(1, 2, 0)
 
+    def step_inputs(self, t: int) -> np.ndarray:
+        """(B, input_dim) view of step t's layer-0 inputs."""
+        return self.inputs[t]
+
     @property
     def top(self) -> np.ndarray:
         """(H, T, columns) view of the top layer's h at every step, padding
@@ -339,8 +353,9 @@ class SequenceTape:
         top = len(self.layers)
         return self._h(top - 1, slice(top, top + self.steps))
 
-    def forward_step(self, t: int) -> None:
-        """Run every layer for step t, once its layer-0 inputs are written.
+    def forward_step(self, t: int) -> np.ndarray:
+        """Run every layer for step t, once its layer-0 inputs are written;
+        returns the (H, columns) view of `top` at step t.
 
         The cell steps contiguous gate and cell blocks, which numpy's
         element-wise loops run through about twice as fast as the slabs'
@@ -354,6 +369,7 @@ class SequenceTape:
                             self.c[idx][:, t], c[:hd], self._h(idx, t + idx + 1), work[:hd])
                 self.gates[idx][:, t] = gates[: 4 * hd]
                 self.c[idx][:, t + 1] = c[:hd]
+        return self._h(len(self.layers) - 1, t + len(self.layers))
 
     def _work(self):
         """backward's work arrays, made on first use: the local derivatives'

@@ -3,21 +3,23 @@ heads, with teacher-forced training unrolls, a forward-only validation
 pass, batched conditioning-range encoding, and batched single-step
 decoding for sampling.
 
-Training records its unroll on a lstm.SequenceTape for the backward
-pass. Everything that runs forward only steps a lstm.StepSlab, which
-runs the tape's LSTM cell on the tape's layout, through one recurrence
-(_run_slab): `encode` leaves the slab holding the state after the
-conditioning range, `forward_nll` scores every step of a batch of
-windows on the way, and `decode_step` advances an encoded slab (or one
-loaded from its rows) a step at a time in place.
+One loop, _teacher_forced, is the teacher-forced recurrence: at each
+step it writes the inputs, steps a stepper and draws the missing next
+inputs. Training (`unroll_batch`) steps a lstm.SequenceTape, recorded
+for the backward pass; validation (`forward_nll`) steps a lstm.StepSlab
+that also keeps each step's top h; and `encode` steps the forecast's
+StepSlab through the conditioning range and the first prediction step.
+One scorer, _score, runs the heads and the NLL over the top h of every
+step of a training or validation batch and names the first non-finite
+step. Decoding keeps its own loop: `decode_step` advances a slab loaded
+from encoded rows a step at a time in place.
 
-Both hold the step vector [1, x, h_0, 1, h_1, ...] feature-major and
-step each layer with a weight they derive from layer.w and layer.b at
-every reset (see lstm); the model file holds only layer.w and layer.b.
-The heads read the top layer's rows in place: one (2, H) product per
-decode step, per run of validation steps, or over all T steps of a
-training batch, whose gradient w.r.t. h goes straight into the tape's
-upstream buffer.
+Tape and slab hold the step vector [1, x, h_0, 1, h_1, ...]
+feature-major, step the same cell and derive each layer's weight from
+layer.w and layer.b at every reset (see lstm); the model file holds only
+layer.w and layer.b. The heads read the top layer's rows in place: one
+(2, H) product per decode step, or over all the steps of a batch, whose
+gradient w.r.t. h goes straight into the tape's upstream buffer.
 
 The input at step t is [z_{t-1}/nu, covariates_t, embedding]; z before
 the window start is 0. The loss sums the negative log-likelihood over
@@ -213,10 +215,73 @@ def _divergence(step: int, mu, disp) -> DivergenceError:
     )
 
 
+def _teacher_forced(params: ModelParams, stepper, targets, missing, covariates, nu, cats,
+                    keys) -> int:
+    """The recurrence of training, validation and encoding: step
+    `stepper` (a SequenceTape or a StepSlab of B rows, from the state it
+    holds) over the n steps of covariates (B, n, d), for scales nu and
+    categories cats (B,). Step t feeds z_{t-1}/nu: 0 at t = 0, then the
+    target (targets and missing are (B, >= n - 1)), or for a missing one a
+    draw from step t-1's predictive distribution at counter t-1 of the
+    row's keys. Returns the steps taken: n, or t + 1 when a draw after
+    step t would read non-finite distribution parameters.
+    """
+    n = covariates.shape[1]
+    emb = params.embedding[cats]
+    z_prev = np.zeros((n, nu.size))
+    z_prev[1:] = np.where(missing, 0.0, targets)[:, : n - 1].T
+    if keys is None and missing[:, : n - 1].any():
+        raise ConfigError("missing values require sampling keys")
+    for t in range(n):
+        _write_inputs(stepper.step_inputs(t), z_prev[t], nu, covariates[:, t], emb)
+        top = stepper.forward_step(t)
+        if t + 1 < n and missing[:, t].any():
+            miss = np.flatnonzero(missing[:, t])
+            z = _impute(params, top, nu, keys, t, miss)
+            if z is None:
+                return t + 1
+            z_prev[t + 1, miss] = z
+    return n
+
+
+def _score(params: ModelParams, top, nu, targets, counted):
+    """The heads and the NLL of a batch of B windows of T steps after the
+    recurrence: top (H, n, columns) holds the top h of the n steps taken,
+    targets and counted (B, T) the targets and the steps that count.
+
+    Returns (mu, disp, hcache, nll, d_mu, d_disp): the heads' outputs and
+    cache, and the NLL and its gradients w.r.t. mu and disp, 0 where a
+    step does not count; each array (T * B,) in (step, window) order.
+    Raises DivergenceError at the first step where some row's parameters,
+    or some counted row's NLL, are not finite; a recurrence stopped early
+    (n < T) has such a step.
+    """
+    kind = params.likelihood
+    B = nu.size
+    mu, disp, hcache = apply_heads(top, params.heads, nu, kind)
+    mu, disp = mu.ravel(), disp.ravel()
+    finite = np.isfinite(mu) & np.isfinite(disp)
+    limit = mu.size if finite.all() else int(np.argmin(finite)) // B * B
+    sel = np.flatnonzero(counted.T.ravel()[:limit])
+    nll, d_mu, d_disp = np.zeros_like(mu), np.zeros_like(mu), np.zeros_like(mu)
+    if sel.size:
+        nll[sel], d_mu[sel], d_disp[sel] = nll_and_grads(targets.T.ravel()[sel], mu[sel],
+                                                         disp[sel], kind)
+        bad = ~np.isfinite(nll)
+        if bad.any():
+            t = int(np.argmax(bad)) // B
+            rows = sel[sel // B == t]
+            raise _divergence(t, mu[rows], disp[rows])
+    if limit < mu.size:
+        raise _divergence(limit // B, mu[limit : limit + B], disp[limit : limit + B])
+    return mu, disp, hcache, nll, d_mu, d_disp
+
+
 def _batch_arrays(windows, params: ModelParams):
-    """(nu, categories, targets, counted) of a batch of windows checked
-    against the model: scales and categories (B,), targets and the mask
-    of steps that count toward the loss (B, T)."""
+    """(nu, cats, targets, counted, covariates) of a batch of windows
+    checked against the model: scales and categories (B,), targets and
+    the mask of steps that count toward the loss (B, T), covariates
+    (B, T, d)."""
     if not windows:
         raise ConfigError("a batch needs at least one window")
     if any(w.total != params.spec.total for w in windows):
@@ -227,7 +292,7 @@ def _batch_arrays(windows, params: ModelParams):
         raise DataError("category code outside the embedding table")
     targets = np.stack([w.target for w in windows])
     counted = np.stack([w.mask for w in windows]) != MASK_MISSING
-    return nu, cats, targets, counted
+    return nu, cats, targets, counted, np.stack([w.covariates for w in windows])
 
 
 def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -> UnrollResult:
@@ -239,72 +304,34 @@ def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -
     of window b is drawn with the key of (impute_seed, window series id)
     on path b at step t.
 
-    The batch runs as one (T, B) block: the recurrence fills a
+    The batch runs as one (T, B) block: _teacher_forced fills a
     SequenceTape, evaluating the heads inside the loop only at steps where
-    some row's next input must be imputed; the heads, the NLL and their
-    gradients then run once over the tape's top rows at all T steps.
+    some row's next input must be imputed; _score then runs the heads and
+    the NLL once over the tape's top rows at all T steps.
     `tape`, a SequenceTape of params.layers for T steps and at least B
     rows, is reused if given (a training loop saves re-allocating, and
     page-faulting, the slabs every batch); otherwise a new one is made.
     """
-    kind = params.likelihood
-    nu, cats, targets, counted = _batch_arrays(windows, params)
+    nu, cats, targets, counted, covariates = _batch_arrays(windows, params)
     B, T = targets.shape
-    impute = ~counted[:, :-1]  # rows whose next input is a draw
-    if impute_seed is None and impute.any():
-        raise ConfigError("windows with missing values require an imputation seed")
-
+    keys = None
+    if (~counted[:, :-1]).any():
+        if impute_seed is None:
+            raise ConfigError("windows with missing values require an imputation seed")
+        keys = RowKeys.for_series(impute_seed, "impute", [w.series_id for w in windows],
+                                  np.arange(B))
     if tape is None or tape.layers is not params.layers or tape.steps != T or tape.capacity < B:
         tape = SequenceTape(params.layers, T, B)
     else:
         tape.reset(B)
-    x = tape.inputs
-    z_prev = np.zeros((T, B))
-    z_prev[1:] = np.where(counted[:, :-1], targets[:, :-1], 0.0).T
-    _write_inputs(
-        x, z_prev, nu, np.stack([w.covariates for w in windows], axis=1), params.embedding[cats]
-    )
-    keys = None
-    steps = T
-    top = tape.top
-    for t in range(T):
-        tape.forward_step(t)
-        if t + 1 < T and impute[:, t].any():
-            miss = np.nonzero(impute[:, t])[0]
-            if keys is None:
-                keys = RowKeys.for_series(
-                    impute_seed, "impute", [w.series_id for w in windows], np.arange(B)
-                )
-            z = _impute(params, top[:, t], nu, keys, t, miss)
-            if z is None:
-                steps = t + 1  # the block check below reports the first bad step
-                break
-            # The drawn value replaces the lagged slot of _write_inputs.
-            x[t + 1, miss, 0] = z / nu[miss]
-
-    mu, disp, hcache = apply_heads(top[:, :steps], params.heads, nu, kind)
-    # Rows of the block are in (step, window) order.
-    mu, disp = mu.ravel(), disp.ravel()
-    finite = np.isfinite(mu) & np.isfinite(disp)
-    limit = mu.size if finite.all() else int(np.argmin(finite)) // B * B
-    sel = np.flatnonzero(counted.T[:steps].ravel()[:limit])
-    total_nll = 0.0
-    d_mu = np.zeros_like(mu)
-    d_disp = np.zeros_like(disp)
-    if sel.size:
-        nll, d_mu[sel], d_disp[sel] = nll_and_grads(targets.T.ravel()[sel], mu[sel], disp[sel], kind)
-        bad = ~np.isfinite(nll)
-        if bad.any():
-            t = int(sel[np.argmax(bad)]) // B
-            rows = sel[sel // B == t]
-            raise _divergence(t, mu[rows], disp[rows])
-        # Exact summation keeps the loss reproducible to the last ulp,
-        # which the finite-difference harness depends on.
-        total_nll = math.fsum(nll.tolist())
-    if limit < mu.size:
-        raise _divergence(limit // B, mu[limit : limit + B], disp[limit : limit + B])
+    steps = _teacher_forced(params, tape, targets, ~counted, covariates, nu, cats, keys)
+    mu, disp, hcache, nll, d_mu, d_disp = _score(params, tape.top[:, :steps], nu, targets,
+                                                 counted)
+    # Exact summation keeps the loss reproducible to the last ulp, which
+    # the finite-difference harness depends on.
+    total_nll = math.fsum(nll.tolist())
     d_h, head_grads = heads_backward(d_mu.reshape(T, B), d_disp.reshape(T, B), hcache,
-                                     params.heads, kind, out=tape.upstream())
+                                     params.heads, params.likelihood, out=tape.upstream())
     d_x, layer_grads = tape.backward(d_h)
     d_emb = d_x[:, :, 1 + params.feature_dim :].sum(axis=0)
     grads = {"embedding": np.zeros_like(params.embedding)}  # keyed in blocks() order
@@ -318,125 +345,74 @@ def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -
                         int(counted.sum()))
 
 
-def _run_slab(params: ModelParams, slab: StepSlab, target, missing, covariates, nu, keys,
-              observe=None):
-    """The forward-only recurrence: step the slab's rows, from the state
-    it holds and with their embedding columns written, over the
-    covariates.shape[1] steps of target and missing (B, n), covariates
-    (B, n, d) and nu (B,). Step t feeds z_{t-1}/nu: the target, or for a
-    missing one a draw from that step's predictive distribution at
-    counter step t of the row's key. observe(t), if given, runs after
-    step t and before its draws. Returns the values to feed next (B,).
+class _TopRecord(StepSlab):
+    """A StepSlab that also keeps the top h of each of `steps` steps,
+    (H, steps, columns) as a SequenceTape's `top`, for _score."""
+
+    def __init__(self, layers, batch: int, steps: int):
+        super().__init__(layers, batch)
+        self.tops = np.empty((layers[-1].hidden_dim, steps, self.top.shape[1]))
+
+    def forward_step(self, t: int) -> np.ndarray:
+        top = super().forward_step(t)
+        self.tops[:, t] = top
+        return top
+
+
+def forward_nll(windows, params: ModelParams, keys: RowKeys = None):
+    """The teacher-forced NLL of every step of a batch of windows, forward
+    only: unroll_batch's loss terms, bit for bit, from unroll_batch's loop
+    and scorer on a StepSlab instead of a tape (the slab steps the tape's
+    cell, and a row's bits do not depend on the rows beside it; see lstm).
+
+    Row b imputes its missing steps with keys row b (needed only when some
+    window has missing values). Returns (nll, counted), each (B, T):
+    counted marks the steps that contribute, and nll is 0 elsewhere.
+    Raises DivergenceError as unroll_batch does.
     """
-    z_prev = np.zeros(slab.batch)
-    for t in range(covariates.shape[1]):
-        _write_inputs(slab.inputs, z_prev, nu, covariates[:, t, :])
-        slab.step()
-        if observe is not None:
-            observe(t)
-        z_prev = target[:, t].copy()
-        miss = np.nonzero(missing[:, t])[0]
-        if miss.size:
-            if keys is None:
-                raise ConfigError("missing values require sampling keys")
-            z = _impute(params, slab.top, nu, keys, t, miss)
-            if z is None:
-                raise DivergenceError("non-finite distribution parameters during encoding")
-            z_prev[miss] = z
-    return z_prev
+    nu, cats, targets, counted, covariates = _batch_arrays(windows, params)
+    B, T = targets.shape
+    slab = _TopRecord(params.layers, B, T)
+    steps = _teacher_forced(params, slab, targets, ~counted, covariates, nu, cats, keys)
+    nll = _score(params, slab.tops[:, :steps], nu, targets, counted)[3]
+    return nll.reshape(T, B).T, counted
+
+
+def _heads(params: ModelParams, slab: StepSlab, nu):
+    """(mu, disp), each (B,), of the prediction step `slab` has just taken."""
+    mu, disp, _ = apply_heads(slab.top, params.heads, nu, params.likelihood)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
+        raise DivergenceError("non-finite distribution parameters during decoding")
+    return mu, disp
 
 
 def encode(
     target_cond: np.ndarray,
     mask_cond: np.ndarray,
-    covariates_cond: np.ndarray,
+    covariates: np.ndarray,
     nu: np.ndarray,
     categories: np.ndarray,
     params: ModelParams,
+    slab: StepSlab,
     keys: RowKeys = None,
 ):
     """Run the training recurrence over the conditioning ranges of a batch
-    of series, one row each.
+    of series, one row each, and the first prediction step.
 
-    target_cond and mask_cond are (B, c), covariates_cond (B, c, d), nu
-    and categories (B,). Returns (slab, z_last): a StepSlab holding the
-    LSTM state after the last conditioning step, with each row's
-    embedding written, ready for decode_step; and z_last (B,), the values
-    to feed the first decode step. A missing value at step t is replaced
-    by a draw from that step's predictive distribution at counter step t
-    of the row's key; padded steps feed zeros. A zero-length conditioning
-    range gives the zero state.
+    target_cond and mask_cond are (B, c), covariates (B, c + 1, d), nu and
+    categories (B,). `slab` is reset to B rows and left holding the state
+    after the first prediction step, embeddings written, ready for
+    decode_step. Returns that step's (mu, disp), each (B,). A missing value
+    at step t, the last one too, is replaced by a draw from step t's
+    predictive distribution at counter t of the row's key; padded steps
+    feed zeros. A zero-length conditioning range starts from zero state.
     """
-    slab = StepSlab(params.layers, target_cond.shape[0])
-    # The embedding columns of _write_inputs, written once for every step.
-    slab.inputs[:, 1 + params.feature_dim :] = params.embedding[categories]
-    z_last = _run_slab(params, slab, target_cond, mask_cond == MASK_MISSING, covariates_cond,
-                       nu, keys)
-    return slab, z_last
-
-
-# Steps whose heads and NLL forward_nll evaluates in one pass.
-_NLL_STEPS = 8
-
-
-def forward_nll(windows, params: ModelParams, keys: RowKeys = None):
-    """The teacher-forced NLL of every step of a batch of windows, forward
-    only: unroll_batch's loss terms without a tape, bit for bit, as the
-    slab steps the tape's cell and a row's bits do not depend on the rows
-    beside it (see lstm).
-
-    The whole batch steps one StepSlab through the recurrence encode
-    uses; the heads and the NLL run once per _NLL_STEPS steps over the
-    top hidden states of all rows, copied from the slab a step at a time
-    with their padding columns. Row b imputes its missing steps with
-    keys row b (needed only when some window has missing values). Returns
-    (nll, counted), each (B, T): counted marks the steps that contribute,
-    and nll is 0 elsewhere. Raises DivergenceError at the first step where
-    some row's distribution parameters or counted loss are not finite.
-    """
-    kind = params.likelihood
-    nu, cats, targets, counted = _batch_arrays(windows, params)
-    B, T = targets.shape
-    # A missing last step feeds nothing forward, so it needs no draw.
-    missing = ~counted
-    missing[:, -1] = False
-    draws = missing.any(axis=0)
-    # Rows of a run are in (step, window) order.
-    z = targets.T.ravel()
-    live = counted.T.ravel()
-    nll = np.zeros(T * B)
-    slab = StepSlab(params.layers, B)
-    slab.inputs[:, 1 + params.feature_dim :] = params.embedding[cats]
-    run = min(_NLL_STEPS, T)
-    top = np.empty((params.hidden_dim, run, slab.top.shape[1]))
-    first = 0  # the first step of the run being collected
-
-    def observe(t):
-        nonlocal first
-        top[:, t - first] = slab.top
-        # A run also ends at a step with draws: the draws read that step's
-        # heads, which the run's check must have found finite.
-        if t + 1 - first < run and t + 1 < T and not draws[t]:
-            return
-        lo, hi = first * B, (t + 1) * B
-        mu, disp, _ = apply_heads(top[:, : t + 1 - first], params.heads, nu, kind)
-        mu, disp = mu.ravel(), disp.ravel()
-        bad = ~(np.isfinite(mu) & np.isfinite(disp))
-        sel = np.flatnonzero(live[lo:hi] & ~bad)
-        if sel.size:
-            vals = nll_and_grads(z[lo:hi][sel], mu[sel], disp[sel], kind)[0]
-            nll[lo + sel] = vals
-            bad[sel] = ~np.isfinite(vals)
-        if bad.any():
-            row = int(np.argmax(bad)) // B * B
-            rows = bad[row : row + B]
-            raise _divergence(first + row // B, mu[row : row + B][rows],
-                              disp[row : row + B][rows])
-        first = t + 1
-
-    _run_slab(params, slab, targets, missing, np.stack([w.covariates for w in windows]), nu,
-              keys, observe)
-    return nll.reshape(T, B).T, counted
+    slab.reset(target_cond.shape[0])
+    steps = _teacher_forced(params, slab, target_cond, mask_cond == MASK_MISSING, covariates,
+                            nu, categories, keys)
+    if steps < covariates.shape[1]:
+        raise DivergenceError("non-finite distribution parameters during encoding")
+    return _heads(params, slab, nu)
 
 
 def decode_step(
@@ -455,10 +431,7 @@ def decode_step(
     """
     _write_inputs(slab.inputs, z_prev, nu, covariates)
     slab.step()
-    mu, disp, _ = apply_heads(slab.top, params.heads, nu, params.likelihood)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
-        raise DivergenceError("non-finite distribution parameters during decoding")
-    return mu, disp
+    return _heads(params, slab, nu)
 
 
 def _encode_array(a: np.ndarray) -> dict:

@@ -7,8 +7,9 @@ natural pass over the data. Validation NLL is the total NLL divided by
 the number of steps that contribute to the loss. It is defined over the
 pool cut into batch_size-window chunks, each summed exactly, but
 computed in one forward-only pass of the whole pool on a step slab
-(network.forward_nll), with no tape: the slab steps the tape's cell, so
-the bits are the same, in less time.
+(network.forward_nll), with no tape, through the loop and the scorer a
+training batch uses: the slab steps the tape's cell, so the bits are the
+same, in less time.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic panels and small trained models."""
 
+from collections import namedtuple
 from datetime import datetime
 
 import numpy as np
@@ -17,6 +18,7 @@ from panelcast.dataset import (
 from panelcast.errors import ConfigError, MetricError
 from panelcast.forecaster import ForecastSamples
 from panelcast.likelihood import LikelihoodKind
+from panelcast.lstm import _slab_columns
 from panelcast.network import init_model
 from panelcast.rng import _path_key
 from panelcast.trainer import TrainConfig, train
@@ -30,6 +32,27 @@ settings.register_profile(
     "panelcast", deadline=None, derandomize=True, max_examples=100, database=None
 )
 settings.load_profile("panelcast")
+
+
+# Per-layer hidden and cell vectors, each (B, hidden_dim).
+LstmState = namedtuple("LstmState", "h c")
+
+
+def slab_state(slab):
+    """Copies of every layer's h and c on a StepSlab, read from its state()."""
+    xh, cells = slab.state()
+    h_rows = _slab_columns(slab.layers)[2]
+    return LstmState([xh[row : row + layer.hidden_dim].T for row, layer in zip(h_rows, slab.layers)],
+                     [c.T for c in cells])
+
+
+def load_state(slab, state):
+    """Write an LstmState into a StepSlab's rows, through its load()."""
+    xh, cells = slab.state()
+    for row, h, c, cell in zip(_slab_columns(slab.layers)[2], state.h, state.c, cells):
+        xh[row : row + h.shape[1]] = h.T
+        cell[...] = c.T
+    slab.load((xh, cells), np.arange(slab.batch))
 
 
 def make_series(sid, values, start=START, granularity=Granularity.DAILY, category=0):

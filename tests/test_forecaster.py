@@ -28,6 +28,7 @@ from panelcast.forecaster import (
     span_aggregate,
 )
 from panelcast.likelihood import LikelihoodKind
+from panelcast.lstm import StepSlab
 from panelcast.rng import RowKeys, tag_key
 from panelcast.trainer import TrainConfig, train
 
@@ -274,7 +275,8 @@ def test_block_keys_equal_keys_of_its_rows(num_samples):
     # they are the keys for_series makes for the block's rows, bit for bit.
     _, model = tiny_model()
     series = _block_test_panel()
-    enc = _encode_group(series, model, 11, model.spec.prediction_length, tag_key(11, "path"))
+    enc = _encode_group(series, model, 11, model.spec.prediction_length, tag_key(11, "path"),
+                        StepSlab(model.layers, len(series)))
     for block in _plan_blocks(len(series), num_samples):
         row_series, keys = _block_rows(enc, block)
         paths = np.concatenate([np.arange(p0, p1) for _, p0, p1 in block])

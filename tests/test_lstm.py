@@ -1,7 +1,5 @@
 """LSTM cell and stack: hand oracles, brute-force gate equations, FD gradients."""
 
-from collections import namedtuple
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,8 @@ from panelcast.errors import ConfigError
 from panelcast.lstm import LstmLayerParams, SequenceTape, StepSlab
 from panelcast.special import sigmoid
 
-from conftest import pcg64, tiny_model
+from conftest import LstmState, load_state, pcg64, slab_state, tiny_model
 from gradcheck import finite_diff_check
-
-# Per-layer hidden and cell vectors, each (B, hidden_dim).
-LstmState = namedtuple("LstmState", "h c")
 
 
 def zero_layer(input_dim, hidden, forget_bias=1.0):
@@ -49,18 +44,6 @@ def brute_force_cell(x, h_prev, c_prev, layer):
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c
-
-
-def slab_state(slab):
-    """Copies of every layer's h and c on a StepSlab."""
-    return LstmState([slab.h(i).copy() for i in range(len(slab.layers))],
-                     [c.copy() for c in slab.c])
-
-
-def load_state(slab, state):
-    for i, (h, c) in enumerate(zip(state.h, state.c)):
-        slab.h(i)[...] = h
-        slab.c[i][...] = c
 
 
 def lstm_step(x, state, layers):
@@ -172,7 +155,7 @@ class TestForward:
             for t in range(xs.shape[0]):
                 slab.inputs[...] = xs[t]
                 slab.step()
-                for c, recorded in zip(slab.c, tape.c):
+                for c, recorded in zip(slab_state(slab).c, tape.c):
                     np.testing.assert_array_equal(c, recorded[:, t + 1, :batch].T)
                 np.testing.assert_array_equal(top_rows(tape)[t], slab_top(slab))
 
@@ -202,7 +185,7 @@ class TestForward:
             source.step()
         slab = StepSlab(layers, capacity)
         slab.reset(rows.size)
-        slab.load(source, rows)
+        slab.load(source.state(), rows)
         loaded, src = slab_state(slab), slab_state(source)
         for a, b in zip(loaded.h + loaded.c, src.h + src.c):
             np.testing.assert_array_equal(a, b[rows])

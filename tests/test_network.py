@@ -19,7 +19,7 @@ from panelcast.dataset import (
     fit_feature_stats,
 )
 from panelcast.errors import ConfigError, DataError, DivergenceError
-from panelcast.likelihood import LikelihoodKind, gaussian_nll, nll_and_grads
+from panelcast.likelihood import LikelihoodKind, apply_heads, draw, gaussian_nll, nll_and_grads
 from panelcast.lstm import SequenceTape, StepSlab, _padded
 from panelcast.network import (
     _impute,
@@ -40,6 +40,7 @@ from conftest import (
     make_series,
     pcg64_init_model,
     sinusoid_panel,
+    slab_state,
     tiny_model,
 )
 
@@ -116,8 +117,6 @@ class TestUnroll:
         result = unroll_batch([w], model)
 
         # Longhand: two steps of the shared recurrence with teacher forcing.
-        from panelcast.likelihood import apply_heads
-
         nu = w.scale
         slab = StepSlab(model.layers, 1)
         total = 0.0
@@ -276,54 +275,99 @@ class TestUnroll:
 
 
 def encode_one(w, model, target=None, mask=None, category=None, keys=None):
-    """Encode one window's conditioning range as a batch of one series."""
+    """Encode one window's conditioning range and first prediction step as
+    a batch of one series: (slab, mu, disp)."""
     c = model.spec.conditioning_length
     target = w.target[:c] if target is None else target
     mask = w.mask[:c] if mask is None else mask
     category = w.category if category is None else category
-    return encode(
-        target[None, :], mask[None, :], w.covariates[None, :c], np.array([w.scale]),
-        np.array([category]), model, keys,
+    slab = StepSlab(model.layers, 1)
+    mu, disp = encode(
+        target[None, :], mask[None, :], w.covariates[None, : c + 1], np.array([w.scale]),
+        np.array([category]), model, slab, keys,
     )
+    return slab, mu, disp
 
 
 def decode_one(model, slab, z_prev, w):
+    """The prediction step after encode's, for z_prev (n,) on n rows."""
     c = model.spec.conditioning_length
     n = z_prev.shape[0]
     return decode_step(
-        model, slab, z_prev, np.repeat(w.covariates[c][None, :], n, axis=0), np.full(n, w.scale)
+        model, slab, z_prev, np.repeat(w.covariates[c + 1][None, :], n, axis=0),
+        np.full(n, w.scale),
     )
 
 
 class TestEncodeDecode:
     def test_zero_length_conditioning_gives_zero_state(self):
+        # encode resets the slab: with no conditioning step, the first
+        # prediction step starts from the zero state, whatever the slab
+        # held, as a fresh slab steps it.
         panel, model = tiny_model()
-        slab, z_last = encode(
-            np.zeros((1, 0)), np.zeros((1, 0), dtype=np.int8),
-            np.zeros((1, 0, len(model.stats.names))), np.ones(1), np.zeros(1, dtype=int), model,
-        )
-        assert all(np.all(slab.h(i) == 0.0) for i in range(len(model.layers)))
-        assert all(np.all(c == 0.0) for c in slab.c)
-        assert z_last[0] == 0.0
+        w = default_window(panel, model)
+        d = len(model.stats.names)
+        slab = StepSlab(model.layers, 3)
+        slab.inputs[...] = np.random.default_rng(5).normal(size=(3, model.input_dim))
+        slab.step()
+        cov = w.covariates[None, :1]
+        mu, disp = encode(np.zeros((1, 0)), np.zeros((1, 0), dtype=np.int8), cov,
+                          np.array([w.scale]), np.array([w.category]), model, slab)
+        fresh = StepSlab(model.layers, 1)
+        fresh.inputs[0, 1 : 1 + d] = cov[0, 0]
+        fresh.inputs[0, 1 + d :] = model.embedding[w.category]
+        fresh.step()
+        for a, b in zip(slab_state(slab), slab_state(fresh)):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+        ref = apply_heads(fresh.top, model.heads, np.array([w.scale]), model.likelihood)
+        assert (mu[0], disp[0]) == (ref[0][0], ref[1][0])
 
     def test_encode_plus_decode_equals_direct_unroll(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
         c = model.spec.conditioning_length
-        slab, z_last = encode_one(w, model)
-        mu, disp = decode_one(model, slab, z_last, w)
+        slab, mu, disp = encode_one(w, model)
         result = unroll_batch([w], model)
         assert float(mu[0]) == result.mus[0, c]
         assert float(disp[0]) == result.disps[0, c]
+        mu, disp = decode_one(model, slab, w.target[c : c + 1], w)
+        assert float(mu[0]) == result.mus[0, c + 1]
+        assert float(disp[0]) == result.disps[0, c + 1]
+
+    @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
+    def test_missing_last_conditioning_value_drawn_at_its_step(self, kind):
+        # The value fed to the first prediction step c, for a missing value
+        # at step c - 1, is the draw at counter c - 1 from step c - 1's
+        # distribution, under the key unroll_batch uses for the window.
+        panel, model = tiny_model(kind)
+        w = default_window(panel, model)
+        c = model.spec.conditioning_length
+        w.mask[c - 1] = MASK_MISSING
+        w.target[c - 1] = np.nan
+        keys = RowKeys.for_series(6, "impute", [w.series_id], [0])
+        _, mu, disp = encode_one(w, model, keys=keys)
+        result = unroll_batch([w], model, impute_seed=6)
+        assert (float(mu[0]), float(disp[0])) == (result.mus[0, c], result.disps[0, c])
+        z = draw(kind, result.mus[0, c - 1 : c], result.disps[0, c - 1 : c], keys, c - 1)
+        target, mask = w.target[:c].copy(), w.mask[:c].copy()
+        target[c - 1], mask[c - 1] = z[0], MASK_OBSERVED
+        _, mu_z, disp_z = encode_one(w, model, target, mask)
+        assert (mu_z[0], disp_z[0]) == (mu[0], disp[0])
+        # A step that fed 0, or the draw of another counter, reads otherwise.
+        for other in (0.0, draw(kind, result.mus[0, c - 1 : c], result.disps[0, c - 1 : c],
+                                keys, c)[0]):
+            target[c - 1] = other
+            assert encode_one(w, model, target, mask)[1][0] != mu[0]
 
     def test_encode_ignores_prediction_range(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
         c = model.spec.conditioning_length
-        s1, z1 = encode_one(w, model, category=0)
-        s2, z2 = encode_one(w, model, w.target[:c].copy(), w.mask[:c].copy(), category=0)
-        assert z1[0] == z2[0]
-        for a, b in ((s1.h(i), s2.h(i)) for i in range(len(model.layers))):
+        s1, mu1, _ = encode_one(w, model, category=0)
+        s2, mu2, _ = encode_one(w, model, w.target[:c].copy(), w.mask[:c].copy(), category=0)
+        assert mu1[0] == mu2[0]
+        for a, b in zip(slab_state(s1).h, slab_state(s2).h):
             assert np.array_equal(a, b)
 
     def test_missing_conditioning_imputation_deterministic(self):
@@ -335,10 +379,10 @@ class TestEncodeDecode:
         mask[1] = MASK_MISSING
         target[1] = np.nan
         keys = RowKeys.for_series(4, "imp", [w.series_id], [0])
-        s1, z1 = encode_one(w, model, target, mask, category=0, keys=keys)
-        s2, z2 = encode_one(w, model, target, mask, category=0, keys=keys)
-        assert z1[0] == z2[0]
-        assert all(np.array_equal(s1.h(i), s2.h(i)) for i in range(len(model.layers)))
+        s1, mu1, _ = encode_one(w, model, target, mask, category=0, keys=keys)
+        s2, mu2, _ = encode_one(w, model, target, mask, category=0, keys=keys)
+        assert mu1[0] == mu2[0]
+        assert all(np.array_equal(a, b) for a, b in zip(slab_state(s1).h, slab_state(s2).h))
 
     def test_imputation_from_non_finite_parameters_diverges(self):
         panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL)
@@ -356,10 +400,12 @@ class TestEncodeDecode:
     def test_decode_step_batched_paths_independent(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        encoded, z_last = encode_one(w, model)
-        # Batch of three paths with different previous values: each row must
-        # match running the same step with batch size one.
-        z_prev = np.array([z_last[0], z_last[0] * 2.0, 0.0])
+        c = model.spec.conditioning_length
+        encoded = encode_one(w, model)[0].state()
+        # A block of three paths loaded from the encoded row, with different
+        # previous values: each row must match running the same step with
+        # batch size one.
+        z_prev = np.array([w.target[c], w.target[c] * 2.0, 0.0])
 
         def paths(n):
             slab = StepSlab(model.layers, n)
