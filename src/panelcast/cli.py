@@ -158,11 +158,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_targets(params, panel) -> None:
+    """A panel to condition a count model on must hold counts."""
+    if params.likelihood is LikelihoodKind.NEG_BINOMIAL:
+        panel.require_integer_targets()
+
+
 def cmd_predict(args) -> int:
     params = load_model(args.model)
     panel = load_jsonl(args.data)
-    if params.likelihood is LikelihoodKind.NEG_BINOMIAL:
-        panel.require_integer_targets()
+    _check_targets(params, panel)
     levels = _parse_levels(args.quantiles)
     if args.samples < 1:
         raise ConfigError("--samples must be at least 1")
@@ -202,6 +207,7 @@ def cmd_evaluate(args) -> int:
         except ValueError:
             raise ConfigError(f"bad --rolling {args.rolling!r}; expected COUNT:STRIDE") from None
         params = load_model(args.model)
+        _check_targets(params, panel)
         levels = _parse_levels(args.levels or "0.5,0.9")
         reports, pooled = rolling_backtest(
             panel, params, count, stride, spans, levels, args.samples, args.seed

@@ -86,6 +86,10 @@ def _add_months(ts: datetime, k: int) -> datetime:
     return ts.replace(year=year, month=month, day=min(ts.day, last))
 
 
+# Above 2**53 not every integer is a float64, so a count check cannot
+# hold there; near 1e308 counts overflow the samplers and lgamma.
+_MAX_EXACT_COUNT = 2.0**53
+
 _STEP_DELTA = {
     Granularity.HOURLY: timedelta(hours=1),
     Granularity.DAILY: timedelta(days=1),
@@ -188,14 +192,16 @@ class Panel:
         return max(s.category for s in self.series) + 1
 
     def require_integer_targets(self):
-        """Count likelihoods need integer observations."""
+        """Count likelihoods need integer observations that float64 holds
+        exactly: at most 2**53."""
         for s in self.series:
-            vals = s.target[~np.isnan(s.target)]
-            if np.any(vals != np.floor(vals)):
-                raise DataError(
-                    f"series {s.id!r}: non-integer targets are incompatible "
-                    "with a count likelihood"
-                )
+            t = s.target
+            bad = np.flatnonzero(~np.isnan(t) & ((t != np.floor(t)) | (t > _MAX_EXACT_COUNT)))
+            if bad.size:
+                j = int(bad[0])
+                why = "is above 2**53" if t[j] > _MAX_EXACT_COUNT else "is not an integer"
+                raise DataError(f"series {s.id!r}: target[{j}] = {float(t[j])!r} {why}; "
+                                "a count likelihood needs integers of at most 2**53")
 
 
 def _target_values(raw: list, where: str) -> np.ndarray:

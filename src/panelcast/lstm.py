@@ -4,9 +4,9 @@ Arrays are float64. The four gates are packed along the last axis of one
 weight matrix in the order input | forget | candidate | output, with the
 input and recurrent paths stacked row-wise and a bias per gate column.
 
-Every array is stored feature-major, one column per row of the batch,
-with the columns padded to a multiple of 8 (_padded). A step's inputs
-and hidden states form one column vector [1, x, h_0, 1, h_1, ...,
+Every step's block is stored feature-major, one column per row of the
+batch, with the columns padded to a multiple of 8 (_padded). A step's
+inputs and hidden states form one column vector [1, x, h_0, 1, h_1, ...,
 1, h_{L-1}]: layer l's row range, [1, x, h_0] for layer 0 and
 [h_{l-1}, 1, h_l] above it, holds exactly one ones row, the h a layer
 writes is already the next layer's input, and each gate quarter is a
@@ -23,13 +23,16 @@ that row, bit for bit, whatever the batch size: the tests pin it, and
 a scan of hidden sizes 1-24 with 3-46 inputs at 1-400 rows found no
 exception (see _padded).
 
-Training records a whole sequence in a SequenceTape, whose arrays carry
-a time axis between the features and the columns. Its backward pass runs
-layer by layer on the canonical layer.w and keeps only the recurrence
-inside the time loop, the product of the recurrent weights with each
-step's pre-activation gradient; each layer's input and weight gradients
-are single products over the columns of all T steps after it, and the
-weight gradient's product over the ones row is the bias gradient.
+Training records a whole sequence in a SequenceTape, whose slab of
+inputs and hidden states carries a time axis between the features and
+the columns, and whose gates and cells are step-major, so the cell
+writes each step in place. Its backward pass runs layer by layer on the
+canonical layer.w and keeps only the recurrence inside the time loop,
+the product of the recurrent weights with each step's contiguous
+pre-activation gradient; each layer's input and weight gradients are
+single products over one feature-major copy of all T steps after it,
+and the weight gradient's product over the ones row is the bias
+gradient.
 
 Whatever runs forward only (validation, conditioning, decoding) steps a
 StepSlab: the tape collapsed to a single step and updated in place, so
@@ -259,9 +262,9 @@ class StepSlab:
         return self.top
 
 
-# Units per pass of SequenceTape._local_derivatives; its work array,
-# (_DERIV_UNITS, T, columns), stays small.
-_DERIV_UNITS = 8
+# Steps per pass of SequenceTape._local_derivatives; its work array,
+# (_DERIV_STEPS, H, columns), stays small.
+_DERIV_STEPS = 8
 
 
 class SequenceTape:
@@ -273,12 +276,14 @@ class SequenceTape:
     [1, x_r, h_0(r-1), 1, h_1(r-2), ..., 1, h_{L-1}(r-L)] down its rows,
     so layer l's rows at step t are one row range of slot t+l, a strided
     (K + 1, columns) block, and the h a layer writes is already the next
-    layer's input. Per layer there are also gates (4H, T, columns), the
-    activated gates of each step, and c (H, T+1, columns), whose slot 0 is
-    the initial cell and slot t+1 step t's. Columns past the B rows are
-    padding (see _padded), stepped from zero inputs and never read. A
-    sequence starts from the zero state. The caller writes the layer-0
-    inputs into `inputs` and calls forward_step(t) for t = 0, 1, ...
+    layer's input. Per layer there are also gates (T, 4H, columns), the
+    activated gates of each step, and c (T+1, H, columns), whose slot 0 is
+    the initial cell and slot t+1 step t's. Both are step-major, so each
+    step's gates and cell are contiguous blocks: the cell writes them in
+    place, and the backward's time loop reads them so. Columns past the B
+    rows are padding (see _padded), stepped from zero inputs and never
+    read. A sequence starts from the zero state. The caller writes the
+    layer-0 inputs into `inputs` and calls forward_step(t) for t = 0, 1, ...
     """
 
     def __init__(self, layers, steps: int, batch: int):
@@ -293,12 +298,14 @@ class SequenceTape:
         # the rows in use, so a shorter batch reuses the same memory.
         self._xh_store = np.empty(self._width * (steps + len(layers)) * cols)
         self._c_stores = [np.empty(layer.hidden_dim * (steps + 1) * cols) for layer in layers]
-        self._gate_stores = [np.empty(4 * layer.hidden_dim * steps * cols) for layer in layers]
-        # A step's gates, cell and scratch, contiguous blocks (see forward_step).
-        self._step_store = np.empty(6 * self._hidden * cols)
+        # A gate store also takes the layer's input gradient once spent.
+        self._gate_stores = [np.empty(max(4 * layer.hidden_dim, layer.input_dim) * steps * cols)
+                             for layer in layers]
+        # Four quarters of H * T * columns: the cell's work array at the
+        # start of the first, upstream() the last, and backward's work.
+        self._scratch = np.empty(4 * self._hidden * steps * cols)
         self._weights = [np.empty((4 * layer.hidden_dim, hi - lo))
                          for layer, (lo, hi) in zip(layers, self._rows)]
-        self._grad_work = None  # see _work
         self.reset(batch)
 
     def reset(self, batch: int) -> None:
@@ -315,17 +322,15 @@ class SequenceTape:
         # Padding columns step from zero inputs, so every value the backward
         # pass multiplies by their zero gradient is finite.
         self.xh[1 : 1 + self.layers[0].input_dim, :, batch:] = 0.0
-        step = self._step_store[: 6 * self._hidden * cols].reshape(-1, cols)
-        self._step = (step[: 4 * self._hidden], step[4 * self._hidden : 5 * self._hidden],
-                      step[5 * self._hidden :])
+        self._cell_work = self._scratch[: self._hidden * cols].reshape(self._hidden, cols)
         self.c, self.gates = [], []
         for idx, layer in enumerate(self.layers):
             hd = layer.hidden_dim
-            c = self._c_stores[idx][: hd * (T + 1) * cols].reshape(hd, T + 1, cols)
+            c = self._c_stores[idx][: hd * (T + 1) * cols].reshape(T + 1, hd, cols)
             self._h(idx, idx)[...] = 0.0
-            c[:, 0] = 0.0
+            c[0] = 0.0
             self.c.append(c)
-            self.gates.append(self._gate_stores[idx][: 4 * hd * T * cols].reshape(4 * hd, T, cols))
+            self.gates.append(self._gate_stores[idx][: 4 * hd * T * cols].reshape(T, 4 * hd, cols))
 
     def _h(self, idx: int, slot):
         """Layer idx's h rows of time slot(s) `slot`; slot r holds h(r - idx - 1)."""
@@ -354,60 +359,43 @@ class SequenceTape:
         return self._h(top - 1, slice(top, top + self.steps))
 
     def forward_step(self, t: int) -> np.ndarray:
-        """Run every layer for step t, once its layer-0 inputs are written;
-        returns the (H, columns) view of `top` at step t.
-
-        The cell steps contiguous gate and cell blocks, which numpy's
-        element-wise loops run through about twice as fast as the slabs'
-        strided step views, and the tape records them after each layer.
-        """
-        gates, c, work = self._step
+        """Run every layer for step t, once its layer-0 inputs are written,
+        recording in place; returns the (H, columns) view of `top` at t."""
         with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0
             for idx, layer in enumerate(self.layers):
-                hd = layer.hidden_dim
-                _step_layer(self._weights[idx], self._xh(idx, t + idx), gates[: 4 * hd],
-                            self.c[idx][:, t], c[:hd], self._h(idx, t + idx + 1), work[:hd])
-                self.gates[idx][:, t] = gates[: 4 * hd]
-                self.c[idx][:, t + 1] = c[:hd]
+                c = self.c[idx]
+                _step_layer(self._weights[idx], self._xh(idx, t + idx), self.gates[idx][t], c[t],
+                            c[t + 1], self._h(idx, t + idx + 1), self._cell_work[: layer.hidden_dim])
         return self._h(len(self.layers) - 1, t + len(self.layers))
-
-    def _work(self):
-        """backward's work arrays, made on first use: the local derivatives'
-        chunk, a_out, and the upstream gradient of each layer in turn."""
-        if self._grad_work is None:
-            size = self.steps * _padded(self.capacity)
-            self._grad_work = (np.empty(_DERIV_UNITS * size), np.empty(self._hidden * size),
-                               np.empty(self._hidden * size))
-        return self._grad_work
 
     def upstream(self) -> np.ndarray:
         """(H, T, columns) buffer for the gradient of the loss w.r.t. the
         top layer's h at every step, for the caller to fill (padding
         columns with zeros) and pass to backward()."""
-        cols = _padded(self.batch)
+        size = self.steps * _padded(self.batch)
         hd = self.layers[-1].hidden_dim
-        return self._work()[2][: hd * self.steps * cols].reshape(hd, self.steps, cols)
+        return self._scratch[3 * self._hidden * size :][: hd * size].reshape(hd, self.steps, -1)
 
     def _local_derivatives(self, idx: int, work, a_out) -> None:
         """Overwrite layer idx's slabs with the factors of the cell backward
         that do not depend on the upstream gradient: gates i|f|g|o become
         g*i(1-i) | c_prev*f(1-f) | i(1-g^2) | tanh_c*o(1-o), a_out gets
-        o(1-tanh_c^2) and c[:, 1:] the forget gate f.
+        o(1-tanh_c^2) and c[1:] the forget gate f.
 
-        Works through the slabs _DERIV_UNITS units at a time, over every
-        step at once, so each operand is a contiguous block. Each quarter
-        is overwritten in place once nothing left reads it; `work` holds
-        one quarter of a chunk meanwhile.
+        Works through the slabs _DERIV_STEPS steps at a time, the last
+        chunk first: a chunk overwrites the cell slots after its steps with
+        f, and its last such slot is the first c_prev of the chunk after
+        it. Each quarter is overwritten in place once nothing left reads
+        it; `work` holds one quarter of a chunk meanwhile.
         """
         hd = self.layers[idx].hidden_dim
-        T, cols = self.steps, _padded(self.batch)
         gates, c = self.gates[idx], self.c[idx]
-        np.tanh(c[:, 1:], out=a_out)
-        for j0 in range(0, hd, _DERIV_UNITS):
-            j1 = min(hd, j0 + _DERIV_UNITS)
-            gi, gf, gg, go = (gates[k * hd + j0 : k * hd + j1] for k in range(4))
-            tmp = work[: (j1 - j0) * T * cols].reshape(j1 - j0, T, cols)
-            tc = a_out[j0:j1]
+        for t1 in range(self.steps, 0, -_DERIV_STEPS):
+            t0 = max(0, t1 - _DERIV_STEPS)
+            gi, gf, gg, go = (gates[t0:t1, k * hd : (k + 1) * hd] for k in range(4))
+            tmp = work[: go.size].reshape(go.shape)
+            tc = a_out[t0:t1]
+            np.tanh(c[t0 + 1 : t1 + 1], out=tc)
             # o and a_out both read o and tanh_c.
             np.subtract(1.0, go, out=tmp)
             tmp *= go
@@ -419,8 +407,8 @@ class SequenceTape:
             # f reads c_prev before the cells make way for f.
             np.subtract(1.0, gf, out=tmp)
             tmp *= gf
-            tmp *= c[j0:j1, :T]
-            np.copyto(c[j0:j1, 1:], gf)
+            tmp *= c[t0:t1]
+            np.copyto(c[t0 + 1 : t1 + 1], gf)
             np.copyto(gf, tmp)
             # i and g each read the other's activation.
             np.subtract(1.0, gi, out=tmp)
@@ -436,51 +424,62 @@ class SequenceTape:
         at every step is d_h (H, T, columns), feature-major like `top`,
         zero in the padding columns; upstream() gives a buffer for it.
 
-        Overwrites d_h and the tape's gate and cell slabs (each step's gates
-        end up holding its pre-activation gradient), so it can run once.
-        Returns (d_x (T, B, input_dim), a view of a feature-major array, and
+        Overwrites the tape's gate and cell slabs (each step's gates end
+        up holding its pre-activation gradient) and its scratch, so it can
+        run once. Returns (d_x (T, B, input_dim), a feature-major view of
+        layer 0's gate store, valid until the tape steps again, and
         per-layer [(d_w, d_b)]).
+
+        Each layer's time loop reads step-major blocks from the scratch:
+        the upstream gradient d_up in its first quarter, a_out in its
+        second; the third is _local_derivatives' work. Once they are spent,
+        the scratch takes a feature-major copy of the pre-activation
+        gradients, the operand of the input and weight gradient products,
+        and then the layer below's d_up.
         """
         T, B = self.steps, self.batch
         cols = _padded(B)
         if d_h.shape != (self.layers[-1].hidden_dim, T, cols):
             raise ConfigError("upstream gradient shape does not match the tape")
-        work, a_store, d_store = self._work()
-        d_up = d_h
+        size = T * cols
+        quarter = self._hidden * size
+        d_up = self._scratch[: d_h.size].reshape(T, -1, cols)
+        np.copyto(d_up, d_h.transpose(1, 0, 2))
         d_param = [None] * len(self.layers)
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
             hd, ind = layer.hidden_dim, layer.input_dim
-            a_out = a_store[: hd * T * cols].reshape(hd, T, cols)
-            self._local_derivatives(idx, work, a_out)
-            d_pre, forget = self.gates[idx], self.c[idx][:, 1:]
-            d_pre4 = d_pre.reshape(4, hd, T, cols)
+            a_out = self._scratch[quarter : quarter + hd * size].reshape(T, hd, cols)
+            self._local_derivatives(idx, self._scratch[2 * quarter :], a_out)
+            d_pre, forget = self.gates[idx], self.c[idx][1:]
+            d_pre4 = d_pre.reshape(T, 4, hd, cols)
             w_rec = layer.w[ind:]
             # Only the gradient w.r.t. h_prev feeds the next step back.
             d_rec = np.zeros((hd, cols))
             d_c = np.zeros((hd, cols))
             dc = np.empty((hd, cols))
             for t in range(T - 1, -1, -1):
-                dh = d_up[:, t]
+                dh = d_up[t]
                 dh += d_rec
-                np.multiply(dh, a_out[:, t], out=dc)
+                np.multiply(dh, a_out[t], out=dc)
                 dc += d_c
-                step = d_pre4[:, :, t]
+                step = d_pre4[t]
                 step[:3] *= dc
                 step[3] *= dh
-                np.multiply(dc, forget[:, t], out=d_c)
-                np.matmul(w_rec, d_pre[:, t], out=d_rec)
-            flat = d_pre.reshape(4 * hd, T * cols)
-            # The gradient w.r.t. this layer's input at every step, after
-            # the loop. d_up is spent, so it makes way for the layer
-            # below's; layer 0's is returned, in an array of its own.
-            d_x = (d_store[: ind * T * cols] if idx else np.empty(ind * T * cols)).reshape(ind, -1)
-            np.matmul(layer.w[:ind], flat, out=d_x)
-            # One product over the layer's rows, its ones row giving d_b.
+                np.multiply(dc, forget[t], out=d_c)
+                np.matmul(w_rec, d_pre[t], out=d_rec)
+            # The input gradient at every step, into the spent gate store,
+            # and d_w with d_b from the ones row: one product each, over
+            # all steps.
+            flat = self._scratch[: 4 * hd * size].reshape(4 * hd, size)
+            np.copyto(flat.reshape(4 * hd, T, cols), d_pre.transpose(1, 0, 2))
+            d_x = self._gate_stores[idx][: ind * size].reshape(ind, T, cols)
+            np.matmul(layer.w[:ind], flat, out=d_x.reshape(ind, size))
             lo, hi = self._rows[idx]
-            xh = self._xh(idx, slice(idx, idx + T)).reshape(hi - lo, T * cols)
-            d_wb = xh @ flat.T
+            d_wb = self._xh(idx, slice(idx, idx + T)).reshape(hi - lo, size) @ flat.T
             one = self._ones[idx] - lo
             d_param[idx] = (np.delete(d_wb, one, axis=0), d_wb[one])
-            d_up = d_x.reshape(ind, T, cols)
-        return d_up[:, :, :B].transpose(1, 2, 0), d_param
+            if idx:  # the layer below's upstream gradient, step-major
+                d_up = self._scratch[: ind * size].reshape(T, ind, cols)
+                np.copyto(d_up, d_x.transpose(1, 0, 2))
+        return d_x[:, :, :B].transpose(1, 2, 0), d_param

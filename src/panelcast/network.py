@@ -527,6 +527,11 @@ def _model_from_doc(doc: dict) -> ModelParams:
         raise ValueError(
             f"LSTM input width {layers[0].input_dim} does not match the features and embedding"
         )
+    for name, arr in [*arrays.items(), ("features.mean", stats.mean)]:
+        if not np.isfinite(arr).all():
+            raise DataError(f"model file: {name} holds a non-finite value")
+    if not (np.isfinite(stats.std) & (stats.std > 0.0)).all():
+        raise DataError("model file: features.std holds a value that is not finite and positive")
     return ModelParams(
         LikelihoodKind(doc["likelihood"]),
         spec,

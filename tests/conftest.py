@@ -1,7 +1,9 @@
 """Shared fixtures: synthetic panels and small trained models."""
 
+import base64
 from collections import namedtuple
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from panelcast.rng import _path_key
 from panelcast.trainer import TrainConfig, train
 
 START = datetime(2014, 1, 6)
+# The benchmark's committed models, read-only.
+NEGBIN_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "negbin.model"
 
 # Property and fuzz tests draw the same examples on every run, take as
 # long as they need per example, and stay few enough for the fast suite.
@@ -192,3 +196,32 @@ def write_jsonl(path, rows):
         for row in rows:
             f.write(json.dumps(row) + "\n")
     return path
+
+
+def count_rows(big=None):
+    """Three daily count series of 40 steps, categories 0-2, for the negbin
+    fixture; the middle one's target[20] set to `big` if given."""
+    rng = np.random.default_rng(4)
+    rows = [{"id": f"c{i}", "start": START.isoformat(), "freq": "D",
+             "target": rng.poisson(5.0 * (i + 1), 40).tolist(), "cat": i} for i in range(3)]
+    if big is not None:
+        rows[1]["target"][20] = big
+    return rows
+
+
+def set_model_number(doc, path, index, value):
+    """Put `value` into a model document at key path `path`: in place of
+    the number there (index None), or of entry `index` of the list there
+    or of a params block's decoded data."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    if index is None:
+        parent[path[-1]] = value
+    elif isinstance(node, dict):
+        data = np.frombuffer(base64.b64decode(node["data"]), dtype="<f8").copy()
+        data[index] = value
+        node["data"] = base64.b64encode(data.tobytes()).decode("ascii")
+    else:
+        node[index] = value

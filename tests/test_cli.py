@@ -17,6 +17,8 @@ from panelcast import cli, evaluator
 from panelcast.cli import _parse_spans, main
 from panelcast.errors import DataError
 
+from conftest import NEGBIN_FIXTURE, count_rows, set_model_number
+
 START = datetime(2014, 1, 6)
 N_STEPS = 60
 HORIZON = 4
@@ -161,6 +163,67 @@ def test_model_file_malformed_head_weights_exit_2(workdir, tmp_path, capsys, blo
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and block in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, index, value", [
+    (("features", "std"), 0, 0.0),
+    (("features", "std"), 1, float("nan")),
+    (("features", "std"), 0, -2.0),
+    (("features", "std"), 1, float("inf")),
+    (("features", "mean"), 0, float("-inf")),
+    (("params", "lstm0.w"), 5, float("nan")),
+    (("params", "embedding"), 1, float("inf")),
+    (("params", "head.b_disp"), 0, float("nan")),
+])
+def test_model_file_bad_number_exits_2_before_forecasting(workdir, tmp_path, capsys, monkeypatch,
+                                                          path, index, value):
+    # A feature std of 0 once forecast from infinite features, with a
+    # warning, and a NaN weight failed with exit 1 after the encode work.
+    doc = json.loads(open(workdir["model"], "rb").read())
+    set_model_number(doc, path, index, value)
+    model = tmp_path / "bad.bin"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(cli, "forecast_panel", None)  # reached only by a bug
+    out = tmp_path / "fc.jsonl"
+    rc = main(["predict", "--model", str(model), "--data", workdir["data"], "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: model file: ") and path[-1] in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", [2.0**53, 2.0**53 + 2, 1e308])
+def test_predict_counts_beyond_exact_integers_exit_2(tmp_path, capsys, count):
+    # Above 2**53 not every integer is a float64, so the count check cannot
+    # hold; a count of 1e308 once forecast medians near 1e306, with
+    # overflow warnings from the sampler and lgamma.
+    data = _write_rows(tmp_path / "counts.jsonl", count_rows(big=count))
+    out = tmp_path / "fc.jsonl"
+    rc = main(["predict", "--model", str(NEGBIN_FIXTURE), "--data", data, "--output", str(out),
+               "--samples", "5", "--horizon", "3"])
+    err = capsys.readouterr().err
+    if count <= 2.0**53:
+        assert rc == 0 and err == ""
+        assert all(np.isfinite(v).all() for line in out.read_text().splitlines()
+                   for v in json.loads(line)["quantiles"].values())
+    else:
+        assert rc == 2
+        assert err.count("\n") == 1 and "series 'c1': target[20]" in err and "2**53" in err
+        assert not out.exists()
+
+
+def test_rolling_evaluate_checks_counts_for_a_count_model(tmp_path, capsys):
+    # The rolling backtest conditions the model on the truth panel, which
+    # once went unchecked: a count of 2.5 was forecast from silently.
+    data = _write_rows(tmp_path / "counts.jsonl", count_rows(big=2.5))
+    out = tmp_path / "report.json"
+    rc = main(["evaluate", "--truth", data, "--rolling", "2:3", "--model", str(NEGBIN_FIXTURE),
+               "--samples", "5", "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "series 'c1': target[20] = 2.5 is not an integer" in err
     assert not out.exists()
 
 

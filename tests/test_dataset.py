@@ -545,7 +545,14 @@ class TestPanelValidation:
 
     def test_integer_requirement_for_counts(self):
         panel = Panel([make_series("f", [1.0, 2.5, 3.0])])
-        with pytest.raises(DataError, match="f"):
+        with pytest.raises(DataError, match=r"'f': target\[1\] = 2.5 is not an integer"):
+            panel.require_integer_targets()
+
+    def test_counts_above_2_53_rejected(self):
+        # 2**53 is the largest count float64 holds exactly.
+        Panel([make_series("edge", [np.nan, 2.0**53, 0.0])]).require_integer_targets()
+        panel = Panel([make_series("ok", [3.0]), make_series("big", [1.0, np.nan, 2.0**53 + 2])])
+        with pytest.raises(DataError, match=r"'big': target\[2\] = 9007199254740994.0 is above"):
             panel.require_integer_targets()
 
     def test_category_cardinality(self):

@@ -1,15 +1,23 @@
 """Fuzzing of the parsers that read outside input: the panel file, the
 model file and forecast records. Whatever the input, a parser either
-loads it or raises a PanelcastError, never another exception."""
+loads it or raises a PanelcastError, never another exception. A model
+file that loads must also forecast: predict on one with a number
+replaced writes finite forecasts or exits 2."""
 
+import base64
+import io
 import json
+import math
 import os
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_model
+from conftest import NEGBIN_FIXTURE, count_rows, set_model_number, tiny_model, write_jsonl
+from panelcast.cli import main
 from panelcast.dataset import load_jsonl
 from panelcast.errors import PanelcastError
 from panelcast.forecaster import ForecastRecord
@@ -123,6 +131,75 @@ def model_blobs(draw):
 @example(blob=_model_blob(("params", "lstm0.w"), {"shape": [], "data": "AAAAAAAA8D8="}))
 def test_model_from_bytes_loads_or_rejects(blob):
     loads_or_rejects(model_from_bytes, blob)
+
+
+# -- predict on a model file with one number replaced ----------------------------
+
+_NEGBIN_DOC = json.loads(NEGBIN_FIXTURE.read_bytes())
+
+
+def _number_lists(node, path=()):
+    """(key path, length) of every number in a model document, as lists:
+    a lone number has length None; a params block's numbers are its
+    decoded data."""
+    if isinstance(node, dict):
+        if "data" in node:
+            yield path, len(base64.b64decode(node["data"])) // 8
+        for key, value in node.items():
+            if key != "data":
+                yield from _number_lists(value, path + (key,))
+    elif isinstance(node, list):
+        if node and all(type(v) in (int, float) for v in node):
+            yield path, len(node)
+    elif type(node) in (int, float):
+        yield path, None
+
+
+_NUMBER_LISTS = list(_number_lists(_NEGBIN_DOC))
+
+
+@st.composite
+def number_edits(draw):
+    """(key path, index or None, value): one number of the negbin fixture
+    and NaN, an infinity, 0 or a negative value to put in its place."""
+    path, length = draw(st.sampled_from(_NUMBER_LISTS))
+    index = None if length is None else draw(st.integers(0, length - 1))
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]) | st.floats(-4.0, -1e-3))
+    return path, index, value
+
+
+@settings(max_examples=60)
+@given(number_edits())
+@example(edit=(("features", "std"), 0, 0.0))
+@example(edit=(("features", "std"), 1, math.nan))
+@example(edit=(("params", "lstm1.w"), 7, math.inf))
+@example(edit=(("window", "prediction_length"), None, -1.0))
+def test_predict_on_edited_model_forecasts_or_exits_2(edit):
+    # predict on the fixture with one number replaced either writes finite
+    # forecasts and nothing on stderr, or exits 2 with one line and writes
+    # no file. Warnings count as stderr lines.
+    with tempfile.TemporaryDirectory() as tmp:
+        model, data, out = (os.path.join(tmp, name) for name in ("model", "counts.jsonl", "fc"))
+        doc = json.loads(json.dumps(_NEGBIN_DOC))
+        set_model_number(doc, *edit)
+        with open(model, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        write_jsonl(data, count_rows())
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            rc = main(["predict", "--model", model, "--data", data, "--output", out,
+                       "--samples", "5", "--horizon", "3"])
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        if rc == 0:
+            assert lines == []
+            with open(out, encoding="utf-8") as fh:
+                values = [v for line in fh for q in json.loads(line)["quantiles"].values() for v in q]
+            assert len(values) == 3 * 2 * 3 and all(map(math.isfinite, values))
+        else:
+            assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert sorted(os.listdir(tmp)) == ["counts.jsonl", "model"]
 
 
 # -- forecast records ------------------------------------------------------------

@@ -156,8 +156,37 @@ class TestForward:
                 slab.inputs[...] = xs[t]
                 slab.step()
                 for c, recorded in zip(slab_state(slab).c, tape.c):
-                    np.testing.assert_array_equal(c, recorded[:, t + 1, :batch].T)
+                    np.testing.assert_array_equal(c, recorded[t + 1, :, :batch].T)
                 np.testing.assert_array_equal(top_rows(tape)[t], slab_top(slab))
+
+    def test_forward_step_records_in_place(self):
+        # The cell writes each step's gates and cell into the tape's
+        # step-major stores as contiguous blocks; no array stages a step
+        # to be copied in after it.
+        layers = stack((13, 40, 40, 40), seed=27)
+        steps, batch = 5, 9
+        tape = SequenceTape(layers, steps, batch)
+        for store in tape._gate_stores + tape._c_stores:
+            store[...] = np.nan
+        tape.reset(batch)
+        tape.inputs[...] = np.random.default_rng(15).normal(size=(steps, batch, 13))
+        for t in range(steps):
+            tape.forward_step(t)
+            for gates, c, g_store, c_store in zip(tape.gates, tape.c, tape._gate_stores,
+                                                  tape._c_stores):
+                for block, store in ((gates[t], g_store), (c[t + 1], c_store)):
+                    assert block.flags.c_contiguous and np.shares_memory(block, store)
+                assert np.isfinite(gates[: t + 1]).all() and np.isnan(gates[t + 1 :]).all()
+                assert np.isfinite(c[: t + 2]).all() and np.isnan(c[t + 2 :]).all()
+        owned = [tape._xh_store, tape._scratch, *tape._gate_stores, *tape._c_stores,
+                 *tape._weights]
+        held = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
+        held += [a for v in vars(tape).values() if isinstance(v, (list, tuple))
+                 for a in v if isinstance(a, np.ndarray)]
+        for a in held:
+            while a.base is not None:
+                a = a.base
+            assert any(a is store for store in owned)
 
     def test_pool_slab_equals_chunked_tapes_bitwise(self):
         # Validation steps a 507-window pool on one slab; the loss it
@@ -246,88 +275,84 @@ class TestForward:
 
 
 def full_width_local_derivatives(tape, idx, a_out):
-    """SequenceTape._local_derivatives as the tape once ran it, through a
-    full-width copy of each chunk's gates."""
+    """SequenceTape._local_derivatives as a full-width copy of the gates
+    over all steps at once."""
     hd = tape.layers[idx].hidden_dim
-    gates, c = tape.gates[idx], tape.c[idx]
-    np.tanh(c[:, 1:], out=a_out)
-    for t1 in range(tape.steps, 0, -8):
-        t0 = max(0, t1 - 8)
-        g = gates[:, t0:t1]
-        d = np.empty_like(g)
-        np.subtract(1.0, g, out=d)
-        d *= g
-        gi, gf, gg, go = (g[k * hd : (k + 1) * hd] for k in range(4))
-        di, df, dg, do = (d[k * hd : (k + 1) * hd] for k in range(4))
-        tc = a_out[:, t0:t1]
-        do *= tc
-        np.square(tc, out=tc)
-        np.subtract(1.0, tc, out=tc)
-        tc *= go
-        di *= gg
-        np.square(gg, out=dg)
-        np.subtract(1.0, dg, out=dg)
-        dg *= gi
-        df *= c[:, t0:t1]
-        np.copyto(c[:, t0 + 1 : t1 + 1], gf)
-        np.copyto(g, d)
+    g, c = tape.gates[idx], tape.c[idx]
+    np.tanh(c[1:], out=a_out)
+    d = np.empty_like(g)
+    np.subtract(1.0, g, out=d)
+    d *= g
+    gi, gf, gg, go = (g[:, k * hd : (k + 1) * hd] for k in range(4))
+    di, df, dg, do = (d[:, k * hd : (k + 1) * hd] for k in range(4))
+    do *= a_out
+    np.square(a_out, out=a_out)
+    np.subtract(1.0, a_out, out=a_out)
+    a_out *= go
+    di *= gg
+    np.square(gg, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= gi
+    df *= c[:-1]
+    np.copyto(c[1:], gf)
+    np.copyto(g, d)
 
 
 def per_step_backward(tape, d_h):
     """SequenceTape.backward as the tape once ran it: each layer's input
     gradient inside the time loop, one (input + H, 4H) @ (4H, columns)
     product per step, and the local derivatives through a full-width
-    copy. The reference for the single product after the loop and the
-    in-place local derivatives; the weight gradient, bias row and all, is
-    the tape's one product over the layer's rows."""
+    copy. The reference for the input-gradient product after the loop and
+    the in-place local derivatives; the weight gradient, bias row and
+    all, is the tape's one product over the layer's rows."""
     T, B = tape.steps, tape.batch
     cols = tape.xh.shape[-1]
     hidden = max(layer.hidden_dim for layer in tape.layers)
-    a_store = np.empty((hidden, T, cols))
-    d_up = np.zeros((d_h.shape[-1], T, cols))  # padded columns get no gradient
-    d_up[:, :, :B] = d_h.transpose(2, 0, 1)
+    a_store = np.empty((T, hidden, cols))
+    d_up = np.zeros((T, d_h.shape[-1], cols))  # padded columns get no gradient
+    d_up[:, :, :B] = d_h.transpose(0, 2, 1)
     d_param = [None] * len(tape.layers)
     for idx in range(len(tape.layers) - 1, -1, -1):
         layer = tape.layers[idx]
         hd, ind = layer.hidden_dim, layer.input_dim
-        a_out = a_store[:hd]
+        a_out = a_store[:, :hd]
         full_width_local_derivatives(tape, idx, a_out)
-        d_pre, forget = tape.gates[idx], tape.c[idx][:, 1:]
-        d_pre4 = d_pre.reshape(4, hd, T, cols)
-        d_x = np.empty((ind, T, cols))
+        d_pre, forget = tape.gates[idx], tape.c[idx][1:]
+        d_x = np.empty((T, ind, cols))
         d_xh = np.zeros((ind + hd, cols))
         d_rec = d_xh[ind:]
         d_c = np.zeros((hd, cols))
         dc = np.empty((hd, cols))
         for t in range(T - 1, -1, -1):
-            dh = d_up[:, t]
+            dh = d_up[t]
             dh += d_rec
-            np.multiply(dh, a_out[:, t], out=dc)
+            np.multiply(dh, a_out[t], out=dc)
             dc += d_c
-            step = d_pre4[:, :, t]
-            step[0] *= dc
-            step[1] *= dc
-            step[2] *= dc
-            step[3] *= dh
-            np.multiply(dc, forget[:, t], out=d_c)
-            np.matmul(layer.w, d_pre[:, t], out=d_xh)
-            np.copyto(d_x[:, t], d_xh[:ind])
-        flat = d_pre.reshape(4 * hd, T * cols)
+            step = d_pre[t]
+            step[:hd] *= dc
+            step[hd : 2 * hd] *= dc
+            step[2 * hd : 3 * hd] *= dc
+            step[3 * hd :] *= dh
+            np.multiply(dc, forget[t], out=d_c)
+            np.matmul(layer.w, d_pre[t], out=d_xh)
+            np.copyto(d_x[t], d_xh[:ind])
+        flat = np.ascontiguousarray(d_pre.transpose(1, 0, 2)).reshape(4 * hd, T * cols)
         lo, hi = tape._rows[idx]
         xh = tape._xh(idx, slice(idx, idx + T)).reshape(hi - lo, T * cols)
         d_wb = xh @ flat.T
         one = tape._ones[idx] - lo
         d_param[idx] = (np.delete(d_wb, one, axis=0), d_wb[one])
         d_up = d_x
-    return d_up[:, :, :B].transpose(1, 2, 0), d_param
+    return d_up[:, :, :B].transpose(0, 2, 1), d_param
 
 
 class TestBackward:
-    @pytest.mark.parametrize("batch, steps", [(64, 42), (9, 42)])
+    @pytest.mark.parametrize("batch, steps", [(64, 42), (9, 42), (1, 42), (203, 42)])
     def test_hoisted_input_gradient_equals_per_step_bitwise(self, batch, steps):
-        # The input gradient, taken in products over all steps after the
-        # time loop, has the bits of one product per step inside it, and
-        # the in-place local derivatives those of the full-width copy.
+        # The input gradient, taken in one product over all steps after
+        # the time loop, has the bits of one product per step inside it,
+        # and the local derivatives, in chunks of steps, those of one
+        # full-width pass.
         layers = stack((13, 40, 40, 40), seed=31)
         rng = np.random.default_rng(12)
         xs = rng.normal(size=(steps, batch, 13))
