@@ -217,7 +217,8 @@ def cmd_evaluate(args) -> int:
             "pooled": pooled.to_json_obj(),
         }
         if args.output:
-            _atomic_write(args.output, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+            _atomic_write(args.output, json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                                                  allow_nan=False) + "\n")
             _write_manifest(
                 args.output,
                 "evaluate",

@@ -6,6 +6,14 @@ a fixed total length; windows may start before the series does, in which
 case the prefix is zero-padded and masked. Series are drawn with
 probability proportional to their scale, placements uniformly within a
 series.
+
+Windows are cut from PanelArrays: the series laid end to end as flat
+ragged arrays of targets, masks and standardized covariates, with no
+padding to the longest series. Any set of windows (a training draw, the
+validation pool, a forecast group's conditioning ranges) is then one
+gather per array into a WindowBatch, the arrays the network reads.
+Set-up (feature statistics, the sampler's arrays and series weights) is
+whole-array work over the same flat layout.
 """
 
 from __future__ import annotations
@@ -30,18 +38,18 @@ __all__ = [
     "TimeSeries",
     "Panel",
     "WindowSpec",
-    "TrainingWindow",
+    "WindowBatch",
     "FeatureStats",
     "load_jsonl",
     "add_steps",
     "steps_between",
     "compute_scale",
-    "cut_series",
     "series_scale",
-    "raw_features",
+    "features",
     "feature_names",
     "fit_feature_stats",
-    "placement_bounds",
+    "PanelArrays",
+    "conditioning_windows",
     "WindowSampler",
     "velocity_histogram",
     "text_lines",
@@ -323,21 +331,6 @@ def compute_scale(values) -> float:
     return 1.0 + float(np.nansum(arr)) / arr.size
 
 
-def cut_series(series: TimeSeries, start_offset: int, length: int, conditioning_length: int):
-    """Steps [start_offset, start_offset + length) of a series, as the
-    network reads them: (target, mask, nu). target holds 0.0 at steps
-    before the series start and NaN at missing steps; nu is the scale of
-    the first conditioning_length steps. The steps must end by the series
-    end."""
-    target = np.zeros(length, dtype=np.float64)
-    mask = np.full(length, MASK_PADDED, dtype=np.int8)
-    first_real = max(0, -start_offset)
-    vals = series.target[start_offset + first_real : start_offset + length]
-    mask[first_real:] = np.where(np.isnan(vals), MASK_MISSING, MASK_OBSERVED)
-    target[first_real:] = vals
-    return target, mask, compute_scale(target[:conditioning_length])
-
-
 def series_scale(series: TimeSeries) -> float:
     """Whole-series scale used as the sampling weight for this series."""
     return compute_scale(series.target)
@@ -354,36 +347,6 @@ def feature_names(granularity: Granularity) -> list:
     return base + ["month_of_year"]
 
 
-def raw_features(series: TimeSeries, start_offset: int, length: int) -> np.ndarray:
-    """Unstandardized covariate rows for steps [start_offset, start_offset+length).
-
-    Steps may precede the series start (negative age) or run past its end
-    (future covariates are known). Hourly and daily calendar features are
-    integer arithmetic on the start's hour and weekday, which equals
-    reading them off each timestamp: steps are whole hours or days of
-    wall-clock time, as add_steps takes them.
-    """
-    gran = series.granularity
-    out = np.empty((length, len(feature_names(gran))), dtype=np.float64)
-    k = np.arange(start_offset, start_offset + length)
-    out[:, 0] = k
-    start = series.start
-    if gran is Granularity.HOURLY:
-        hours = start.hour + k
-        out[:, 1] = hours % 24
-        out[:, 2] = (start.weekday() + hours // 24) % 7
-        return out
-    if gran is Granularity.DAILY:
-        out[:, 1] = (start.weekday() + k) % 7
-        return out
-    stamps = [series.timestamp(j) for j in range(start_offset, start_offset + length)]
-    if gran is Granularity.WEEKLY:
-        out[:, 1] = [ts.isocalendar()[1] for ts in stamps]
-    else:
-        out[:, 1] = [ts.month for ts in stamps]
-    return out
-
-
 @dataclass
 class FeatureStats:
     """Per-feature mean and standard deviation from the training split."""
@@ -391,9 +354,6 @@ class FeatureStats:
     mean: np.ndarray
     std: np.ndarray
     names: list
-
-    def standardize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
 
     def to_dict(self) -> dict:
         return {
@@ -411,26 +371,68 @@ class FeatureStats:
         )
 
 
-def placement_bounds(n: int, spec: WindowSpec):
-    """Valid window start offsets for a series of length n.
+# Proleptic Gregorian ordinal of 1970-01-01, day 0 of datetime64[D].
+_EPOCH_ORDINAL = 719163
 
-    The earliest start pads the whole conditioning range; the latest ends
-    exactly at the series end, so the prediction range never runs past
-    recorded data. Returns (lo, hi) inclusive, or None when the series is
-    shorter than the prediction range.
+
+def _iso_week(ordinal: np.ndarray) -> np.ndarray:
+    """ISO week number of each proleptic Gregorian day ordinal: the week
+    of its Thursday, counted from the first Thursday of that year."""
+    thursday = ordinal - (ordinal + 6) % 7 + 3  # ordinal 1 was a Monday
+    day = (thursday - _EPOCH_ORDINAL).astype("datetime64[D]")
+    jan1 = day.astype("datetime64[Y]").astype("datetime64[D]")
+    return (day - jan1).astype(np.int64) // 7 + 1
+
+
+def features(series_list, first, lengths, stats: FeatureStats = None) -> np.ndarray:
+    """Covariate rows (sum(lengths), d) of steps first[i] .. first[i] +
+    lengths[i] - 1 of each series i in turn, all of one granularity;
+    standardized by `stats` when given.
+
+    Steps may precede the series start (negative age) or run past its end
+    (future covariates are known). Each feature of step k is a function
+    of u = phase + stride * k, with the phase read off the series start
+    (0 for age), so it is computed once for every u the series reach and
+    each series' rows are a slice of that table. Calendar features are
+    integer arithmetic on u, which equals reading them off each
+    timestamp: steps are whole hours, days or weeks of wall-clock time,
+    or calendar months, as add_steps takes them.
     """
-    lo = -spec.conditioning_length
-    hi = n - spec.total
-    if hi < lo:
-        return None
-    return lo, hi
+    gran = series_list[0].granularity
+    starts = [s.start for s in series_list]
+    columns = [([0] * len(starts), 1, lambda u: u)]  # (phases, stride, value of u)
+    if gran is Granularity.HOURLY:
+        phase = [t.hour + 24 * t.weekday() for t in starts]
+        columns += [(phase, 1, lambda u: u % 24), (phase, 1, lambda u: u // 24 % 7)]
+    elif gran is Granularity.DAILY:
+        columns.append(([t.weekday() for t in starts], 1, lambda u: u % 7))
+    elif gran is Granularity.WEEKLY:
+        columns.append(([t.toordinal() for t in starts], 7, _iso_week))
+    else:
+        columns.append(([t.month - 1 for t in starts], 1, lambda u: u % 12 + 1))
+    first, lengths = [int(f) for f in first], [int(n) for n in lengths]
+    out = np.empty((sum(lengths), len(columns)))
+    for j, (phase, stride, value) in enumerate(columns):
+        u0 = [p + stride * f for p, f in zip(phase, first)]
+        lo = min(u0)
+        table = value(np.arange(lo, max(u + stride * n for u, n in zip(u0, lengths))))
+        table = table.astype(np.float64)
+        if stats is not None:
+            table = (table - stats.mean[j]) / stats.std[j]
+        np.concatenate([table[u - lo : u - lo + stride * n : stride] for u, n in zip(u0, lengths)],
+                       out=out[:, j])
+    return out
 
 
-def _train_placement_count(n: int, spec: WindowSpec) -> int:
-    bounds = placement_bounds(n, spec)
-    if bounds is None:
-        return 0
-    total = bounds[1] - bounds[0] + 1
+def _train_placement_count(n, spec: WindowSpec):
+    """Training placements of series of length n (an int or an array).
+
+    A window may start from -c, padding the whole conditioning range, to
+    n - T, ending exactly at the series end, so the prediction range never
+    runs past recorded data; a series shorter than the prediction range
+    has no placement. The first ~90 % of the placements train.
+    """
+    total = np.maximum(n - spec.prediction_length + 1, 0)
     return total - total // 10
 
 
@@ -440,55 +442,133 @@ def fit_feature_stats(panel: Panel, spec: WindowSpec) -> FeatureStats:
     Each extended step of each series is weighted by the number of
     training windows that contain it, so the standardized feature mean
     over the training windows is exactly zero without enumerating them.
+    The sums run over the rows of all series at once, with the bits of
+    summing each series down its rows and the series in panel order.
     """
     gran = panel.granularity
-    d = len(feature_names(gran))
-    sum_w = 0.0
-    sum_x = np.zeros(d)
-    sum_x2 = np.zeros(d)
-    T = spec.total
-    for series in panel:
-        bounds = placement_bounds(series.n, spec)
-        if bounds is None:
-            continue
-        lo, _ = bounds
-        hi_train = lo + _train_placement_count(series.n, spec) - 1
-        ks = np.arange(lo, series.n)
-        low = np.maximum(lo, ks - T + 1)
-        high = np.minimum(hi_train, ks)
-        w = np.maximum(0, high - low + 1).astype(np.float64)
-        x = raw_features(series, lo, series.n - lo)
-        sum_w += w.sum()
-        sum_x += (x * w[:, None]).sum(axis=0)
-        sum_x2 += (x * x * w[:, None]).sum(axis=0)
-    if sum_w <= 0.0:
+    c, T = spec.conditioning_length, spec.total
+    n = np.array([s.n for s in panel], dtype=np.int64)
+    n_train = _train_placement_count(n, spec)
+    keep = np.flatnonzero(n_train > 0)
+    if keep.size == 0:
         raise DataError("no series admits a training window under this window spec")
-    mean = sum_x / sum_w
-    var = np.maximum(sum_x2 / sum_w - mean * mean, 0.0)
+    n, n_train = n[keep], n_train[keep]
+    lengths = n + c
+    x = features([panel.series[i] for i in keep], np.full(keep.size, -c), lengths)
+    age = x[:, 0]  # step k of its series
+    # Step k lies in the training windows that start in
+    # [max(-c, k - T + 1), min(last training start, k)].
+    last = np.repeat((n_train - c - 1).astype(np.float64), lengths)
+    w = np.maximum(0.0, np.minimum(last, age) - np.maximum(-c, age - (T - 1)) + 1.0)
+    d = x.shape[1]
+    sums = np.concatenate([w @ x, w @ (x * x)])  # sum(x * w), sum(x * x * w)
+    if sums[d:].max() > 2.0**52:
+        # Every feature is an integer, so below 2**52 every partial sum is
+        # exact and any order gives the same bits. Above it the order
+        # matters: each series' sums run down its own contiguous rows in
+        # order and add up in panel order. (np.add.reduceat, or a sum along
+        # a series' contiguous steps, adds in another order.)
+        weighted = np.concatenate([x * w[:, None], x * x * w[:, None]], axis=1)
+        ends = np.cumsum(lengths).tolist()
+        sums = np.zeros(2 * d)
+        for a, b in zip([0] + ends[:-1], ends):
+            sums += weighted[a:b].sum(axis=0)
+    # Every training window covers T steps: the weights sum to an integer.
+    sum_w = float(T * int(n_train.sum()))
+    mean = sums[:d] / sum_w
+    var = np.maximum(sums[d:] / sum_w - mean * mean, 0.0)
     std = np.sqrt(var)
     std[std < 1e-12] = 1.0
     return FeatureStats(mean, std, feature_names(gran))
 
 
 @dataclass
-class TrainingWindow:
-    """One fixed-length slice of a series, ready for the network.
+class WindowBatch:
+    """Windows cut from a panel, one row each, as the network reads them.
 
-    target holds 0.0 at padded steps and NaN at missing steps; mask says
-    which is which. covariates are standardized.
+    ids holds each row's series id and starts its first step, counted
+    from the series start (negative when the window starts before it).
+    target (B, L) holds 0.0 at padded steps and NaN at missing steps;
+    mask (B, L) says which is which. scale (B,) is nu of the first
+    conditioning-length steps. covariates (B, L', d), L' >= L, are
+    standardized and may run past the target into known future steps.
     """
 
-    series_id: str
-    start_offset: int
+    ids: np.ndarray  # (B,) object array of str
+    starts: np.ndarray  # (B,) int64
     target: np.ndarray
-    mask: np.ndarray
+    mask: np.ndarray  # int8
+    scale: np.ndarray
     covariates: np.ndarray
-    scale: float
-    category: int
+    category: np.ndarray  # (B,) intp
+
+    def __len__(self) -> int:
+        return int(self.target.shape[0])
 
     @property
-    def total(self) -> int:
+    def size(self) -> int:
+        """Window steps held, rows x target steps (as np.size reads it)."""
         return int(self.target.size)
+
+
+class PanelArrays:
+    """Series laid end to end as flat ragged arrays, so that any set of
+    windows is cut by one gather.
+
+    Series i holds its steps first[i] .. n_i + tail - 1 in rows
+    offsets[i] .. offsets[i + 1] of `target` (0.0 at steps outside the
+    series, NaN at missing ones), `mask` (int8) and `features`
+    (standardized covariates, (rows, d)). Nothing is padded to the
+    longest series: each array holds sum(n_i + tail - first[i]) rows.
+    """
+
+    def __init__(self, series_list, stats: FeatureStats, first, tail: int = 0):
+        n = np.array([s.n for s in series_list], dtype=np.int64)
+        self.first = np.broadcast_to(np.asarray(first, dtype=np.int64), n.shape).copy()
+        lengths = n + tail - self.first
+        self.offsets = np.zeros(n.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self.offsets[1:])
+        self.ids = np.array([s.id for s in series_list], dtype=object)
+        self.category = np.array([s.category for s in series_list], dtype=np.intp)
+        # Each series' steps before its start, then its steps from
+        # max(0, first), then its tail steps: one concatenation per array.
+        parts = [(max(0, -f), s.target[max(0, f):]) for s, f in zip(series_list,
+                                                                    self.first.tolist())]
+        zeros = np.zeros(max(-int(self.first.min()), tail, 0))
+        padded = np.full(zeros.size, MASK_PADDED, dtype=np.int8)
+        observed = np.full(int(n.max()), MASK_OBSERVED, dtype=np.int8)
+        self.target = np.concatenate([a for pad, values in parts
+                                      for a in (zeros[:pad], values, zeros[:tail])])
+        self.mask = np.concatenate([a for pad, values in parts for a in
+                                    (padded[:pad], observed[: values.size], padded[:tail])])
+        self.mask[np.isnan(self.target)] = MASK_MISSING
+        self.features = features(series_list, self.first, lengths, stats)
+
+    def cut(self, rows, starts, length: int, conditioning_length: int,
+            covariate_length: int = None) -> WindowBatch:
+        """Windows of series `rows` at steps starts .. starts + length - 1,
+        covariates through starts + covariate_length - 1 (default: length),
+        one gather per array. The steps must lie within each series' rows."""
+        cov_length = length if covariate_length is None else covariate_length
+        base = self.offsets[rows] - self.first[rows] + starts
+        pos = base[:, None] + np.arange(max(length, cov_length))
+        target = np.take(self.target, pos[:, :length])
+        scale = 1.0 + np.nansum(target[:, :conditioning_length], axis=1) / conditioning_length
+        return WindowBatch(self.ids[rows], np.asarray(starts, dtype=np.int64), target,
+                           np.take(self.mask, pos[:, :length]), scale,
+                           np.take(self.features, pos[:, :cov_length], axis=0),
+                           self.category[rows])
+
+
+def conditioning_windows(series_list, stats: FeatureStats, conditioning_length: int,
+                         horizon: int) -> WindowBatch:
+    """Each series' last conditioning_length steps, with the covariates of
+    the horizon steps after its end, one row each: the conditioning ranges
+    a forecast encodes, cut as a training window is."""
+    c = conditioning_length
+    starts = np.array([s.n for s in series_list], dtype=np.int64) - c
+    arrays = PanelArrays(series_list, stats, starts, tail=horizon)
+    return arrays.cut(np.arange(starts.size), starts, c, c, covariate_length=c + horizon)
 
 
 class WindowSampler:
@@ -496,80 +576,75 @@ class WindowSampler:
 
     Placements within a series split chronologically, roughly 90/10, into
     a training and a validation part. Series too short for any placement
-    are skipped with a warning and never drawn.
+    are skipped with a warning and never drawn. The drawable series are
+    held as PanelArrays from c steps before each series start, so every
+    draw and the validation pool are one gather.
     """
 
     def __init__(self, panel: Panel, spec: WindowSpec, stats: FeatureStats, uniform: bool = False):
         self.panel = panel
         self.spec = spec
         self.stats = stats
-        self._series = []
-        self._bounds = []
-        weights = []
-        for series in panel:
-            bounds = placement_bounds(series.n, spec)
-            if bounds is None:
-                warnings.warn(
-                    f"series {series.id!r} is shorter than the prediction range; skipped",
-                    stacklevel=2,
-                )
-                continue
-            self._series.append(series)
-            self._bounds.append(bounds)
-            weights.append(1.0 if uniform else series_scale(series))
-        if not self._series:
+        c = spec.conditioning_length
+        n = np.array([s.n for s in panel], dtype=np.int64)
+        keep = n >= spec.prediction_length
+        for i in np.flatnonzero(~keep).tolist():
+            warnings.warn(
+                f"series {panel.series[i].id!r} is shorter than the prediction range; skipped",
+                stacklevel=2,
+            )
+        if not keep.any():
             raise DataError("no series is long enough for the window spec")
-        self._cum_weights = np.cumsum(np.asarray(weights, dtype=np.float64))
-        self._lo = np.array([lo for lo, _ in self._bounds], dtype=np.int64)
-        self._n_train = np.array(
-            [_train_placement_count(s.n, spec) for s in self._series], dtype=np.int64
-        )
-        # Extended standardized features per series, sliced on each draw.
-        self._features = [
-            stats.standardize(raw_features(s, -spec.conditioning_length, s.n + spec.conditioning_length))
-            for s in self._series
-        ]
+        n = n[keep]
+        self._arrays = PanelArrays([s for s, k in zip(panel, keep.tolist()) if k], stats, -c)
+        self._hi = n - spec.total
+        self._n_train = _train_placement_count(n, spec)
+        if uniform:
+            weights = np.ones(n.size)
+        else:
+            # series_scale of each series, summed over its own contiguous
+            # rows in the order np.nansum sums a series.
+            ends = self._arrays.offsets[1:]
+            zeroed = np.where(np.isnan(self._arrays.target), 0.0, self._arrays.target)
+            sums = [np.add.reduce(zeroed[a:b]) for a, b in zip((ends - n).tolist(), ends.tolist())]
+            weights = 1.0 + np.array(sums) / n
+        self._cum_weights = np.cumsum(weights)
 
-    def draw(self, u) -> list:
+    def windows(self, rows, starts) -> WindowBatch:
+        """The windows of the drawable series `rows` (indices in panel
+        order, skipped series left out) placed at offsets `starts`."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = np.asarray(starts, dtype=np.int64)
+        outside = (starts < -self.spec.conditioning_length) | (starts > self._hi[rows])
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ConfigError(
+                f"series {self._arrays.ids[rows[j]]!r}: start offset {int(starts[j])} is "
+                f"outside the valid placement range"
+            )
+        return self._arrays.cut(rows, starts, self.spec.total, self.spec.conditioning_length)
+
+    def draw(self, u) -> WindowBatch:
         """One window per row of the (n, 2) uniforms u in [0, 1): column 0
         picks the series by cumulative weight, column 1 its training
         placement."""
         idx = np.searchsorted(self._cum_weights, u[:, 0] * self._cum_weights[-1], side="right")
         n_train = self._n_train[idx]
         offsets = np.minimum(np.floor(u[:, 1] * n_train).astype(np.int64), n_train - 1)
-        starts = self._lo[idx] + offsets
-        return [self._window(i, s) for i, s in zip(idx.tolist(), starts.tolist())]
+        return self.windows(idx, offsets - self.spec.conditioning_length)
 
-    def _window(self, i: int, start_offset: int) -> TrainingWindow:
-        series = self._series[i]
-        spec = self.spec
-        lo, hi = self._bounds[i]
-        if not lo <= start_offset <= hi:
-            raise ConfigError(
-                f"series {series.id!r}: start offset {start_offset} is outside "
-                f"the valid placement range"
-            )
-        target, mask, scale = cut_series(series, start_offset, spec.total, spec.conditioning_length)
-        # Slice the precomputed slab; identical to standardizing fresh rows.
-        row0 = start_offset + spec.conditioning_length
-        covariates = self._features[i][row0 : row0 + spec.total]
-        return TrainingWindow(
-            series.id, start_offset, target, mask, covariates, scale, series.category
-        )
-
-    def validation_windows(self, cap: int = 512) -> list:
+    def validation_windows(self, cap: int = 512) -> WindowBatch:
         """Deterministic held-out pool: the last ~10% of placements per
         series, strided down to at most cap windows."""
-        slots = []
-        for i, series in enumerate(self._series):
-            lo, hi = self._bounds[i]
-            first_val = lo + int(self._n_train[i])
-            for s in range(first_val, hi + 1):
-                slots.append((i, s))
-        if len(slots) > cap:
-            stride = -(-len(slots) // cap)
-            slots = slots[::stride]
-        return [self._window(i, s) for i, s in slots]
+        n_val = self._hi + self.spec.conditioning_length + 1 - self._n_train
+        rows = np.repeat(np.arange(n_val.size), n_val)
+        begin = np.cumsum(n_val) - n_val
+        starts = (np.arange(rows.size) - begin[rows] + self._n_train[rows]
+                  - self.spec.conditioning_length)
+        if rows.size > cap:
+            stride = -(-rows.size // cap)
+            rows, starts = rows[::stride], starts[::stride]
+        return self.windows(rows, starts)
 
 
 def velocity_histogram(panel: Panel, bucket_width: float = 0.25):

@@ -206,7 +206,8 @@ class MetricReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         lines = [f"series\t{self.n_series}", f"ND\t{self.nd:.6f}", f"RMSE\t{self.rmse:.6f}"]
@@ -221,9 +222,13 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
+# Finite values can still overflow a metric (a residual past 1e154 squares
+# to inf): evaluate names such a metric in a DataError instead.
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(pairs, spans, levels) -> MetricReport:
     """Full report over aligned pairs: risks and coverage per requested
-    span and level, all(horizon) marginal averages, ND and RMSE."""
+    span and level, all(horizon) marginal averages, ND and RMSE. A metric
+    that is not finite is a DataError naming it."""
     if not pairs:
         raise MetricError("nothing to evaluate: no aligned pairs")
     horizon = pairs[0].truth.shape[0]
@@ -242,6 +247,11 @@ def evaluate(pairs, spans, levels) -> MetricReport:
             risks[f"{lead}:{span}@{rho}"] = rho_risk(pairs, lead, span, rho)
     all_k = {f"all({horizon})@{rho}": all_k_risk(pairs, horizon, rho) for rho in levels}
     nd, rmse = _pairs_nd_rmse(pairs)
+    named = {"ND": nd, "RMSE": rmse, **{f"risk[{key}]": v for key, v in risks.items()}, **all_k}
+    for name, value in named.items():
+        if not np.isfinite(value):
+            raise DataError(
+                f"{name} is {value}: the truth or forecast values are too large to score")
     return MetricReport(list(spans), levels, risks, all_k, nd, rmse, cov, len(pairs))
 
 

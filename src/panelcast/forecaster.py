@@ -39,7 +39,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .dataset import cut_series, raw_features, text_lines
+from .dataset import conditioning_windows, text_lines
 from .errors import ConfigError, DataError
 from .likelihood import draw
 from .lstm import StepSlab
@@ -187,21 +187,11 @@ class _EncodedGroup:
 def _encode_group(group, params: ModelParams, seed: int, h: int, path_key,
                   slab: StepSlab) -> _EncodedGroup:
     c = params.spec.conditioning_length
-    target, mask, nu = map(np.stack, zip(*(cut_series(s, s.n - c, c, c) for s in group)))
-    feats = np.stack([params.stats.standardize(raw_features(s, s.n - c, c + h)) for s in group])
-    ids = [s.id for s in group]
-    mu, disp = encode(
-        target,
-        mask,
-        feats[:, : c + 1],
-        nu,
-        np.array([s.category for s in group], dtype=np.intp),
-        params,
-        slab,
-        RowKeys.for_series(seed, "impute", ids, np.zeros(len(ids))),
-    )
-    keys = RowKeys.for_ids(path_key, ids, np.zeros(len(ids)))
-    return _EncodedGroup(keys, slab.state(), mu, disp, nu, feats[:, c + 1 :])
+    cut = conditioning_windows(group, params.stats, c, h)
+    mu, disp = encode(cut, params, slab,
+                      RowKeys.for_series(seed, "impute", cut.ids, np.zeros(len(group))))
+    keys = RowKeys.for_ids(path_key, cut.ids, np.zeros(len(group)))
+    return _EncodedGroup(keys, slab.state(), mu, disp, cut.scale, cut.covariates[:, c + 1 :])
 
 
 def _block_rows(enc: _EncodedGroup, block):

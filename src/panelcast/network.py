@@ -9,6 +9,8 @@ inputs. Training (`unroll_batch`) steps a lstm.SequenceTape, recorded
 for the backward pass; validation (`forward_nll`) steps a lstm.StepSlab
 that also keeps each step's top h; and `encode` steps the forecast's
 StepSlab through the conditioning range and the first prediction step.
+All three read a dataset.WindowBatch, the (B, T) arrays one gather cuts
+from a panel's flat arrays, as they are: nothing is restacked per batch.
 One scorer, _score, runs the heads and the NLL over the top h of every
 step of a training or validation batch and names the first non-finite
 step. Decoding keeps its own loop: `decode_step` advances a slab loaded
@@ -41,6 +43,7 @@ from .dataset import (
     MASK_MISSING,
     FeatureStats,
     Granularity,
+    WindowBatch,
     WindowSpec,
     feature_names,
 )
@@ -277,25 +280,23 @@ def _score(params: ModelParams, top, nu, targets, counted):
     return mu, disp, hcache, nll, d_mu, d_disp
 
 
-def _batch_arrays(windows, params: ModelParams):
+def _batch_arrays(batch: WindowBatch, params: ModelParams):
     """(nu, cats, targets, counted, covariates) of a batch of windows
     checked against the model: scales and categories (B,), targets and
     the mask of steps that count toward the loss (B, T), covariates
     (B, T, d)."""
-    if not windows:
+    if not len(batch):
         raise ConfigError("a batch needs at least one window")
-    if any(w.total != params.spec.total for w in windows):
+    if batch.target.shape[1] != params.spec.total:
         raise ConfigError("window length does not match the model's window spec")
-    nu = np.array([w.scale for w in windows], dtype=np.float64)
-    cats = np.array([w.category for w in windows], dtype=np.intp)
+    cats = batch.category
     if np.any(cats >= params.category_cardinality):
         raise DataError("category code outside the embedding table")
-    targets = np.stack([w.target for w in windows])
-    counted = np.stack([w.mask for w in windows]) != MASK_MISSING
-    return nu, cats, targets, counted, np.stack([w.covariates for w in windows])
+    return batch.scale, cats, batch.target, batch.mask != MASK_MISSING, batch.covariates
 
 
-def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -> UnrollResult:
+def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
+                 tape=None) -> UnrollResult:
     """Teacher-forced forward and backward over a batch of windows.
 
     Returns the summed NLL over all counted steps of all windows, with
@@ -312,14 +313,13 @@ def unroll_batch(windows, params: ModelParams, impute_seed=None, *, tape=None) -
     rows, is reused if given (a training loop saves re-allocating, and
     page-faulting, the slabs every batch); otherwise a new one is made.
     """
-    nu, cats, targets, counted, covariates = _batch_arrays(windows, params)
+    nu, cats, targets, counted, covariates = _batch_arrays(batch, params)
     B, T = targets.shape
     keys = None
     if (~counted[:, :-1]).any():
         if impute_seed is None:
             raise ConfigError("windows with missing values require an imputation seed")
-        keys = RowKeys.for_series(impute_seed, "impute", [w.series_id for w in windows],
-                                  np.arange(B))
+        keys = RowKeys.for_series(impute_seed, "impute", batch.ids, np.arange(B))
     if tape is None or tape.layers is not params.layers or tape.steps != T or tape.capacity < B:
         tape = SequenceTape(params.layers, T, B)
     else:
@@ -359,7 +359,7 @@ class _TopRecord(StepSlab):
         return top
 
 
-def forward_nll(windows, params: ModelParams, keys: RowKeys = None):
+def forward_nll(batch: WindowBatch, params: ModelParams, keys: RowKeys = None):
     """The teacher-forced NLL of every step of a batch of windows, forward
     only: unroll_batch's loss terms, bit for bit, from unroll_batch's loop
     and scorer on a StepSlab instead of a tape (the slab steps the tape's
@@ -370,7 +370,7 @@ def forward_nll(windows, params: ModelParams, keys: RowKeys = None):
     counted marks the steps that contribute, and nll is 0 elsewhere.
     Raises DivergenceError as unroll_batch does.
     """
-    nu, cats, targets, counted, covariates = _batch_arrays(windows, params)
+    nu, cats, targets, counted, covariates = _batch_arrays(batch, params)
     B, T = targets.shape
     slab = _TopRecord(params.layers, B, T)
     steps = _teacher_forced(params, slab, targets, ~counted, covariates, nu, cats, keys)
@@ -386,33 +386,26 @@ def _heads(params: ModelParams, slab: StepSlab, nu):
     return mu, disp
 
 
-def encode(
-    target_cond: np.ndarray,
-    mask_cond: np.ndarray,
-    covariates: np.ndarray,
-    nu: np.ndarray,
-    categories: np.ndarray,
-    params: ModelParams,
-    slab: StepSlab,
-    keys: RowKeys = None,
-):
+def encode(batch: WindowBatch, params: ModelParams, slab: StepSlab, keys: RowKeys = None):
     """Run the training recurrence over the conditioning ranges of a batch
     of series, one row each, and the first prediction step.
 
-    target_cond and mask_cond are (B, c), covariates (B, c + 1, d), nu and
-    categories (B,). `slab` is reset to B rows and left holding the state
-    after the first prediction step, embeddings written, ready for
-    decode_step. Returns that step's (mu, disp), each (B,). A missing value
-    at step t, the last one too, is replaced by a draw from step t's
-    predictive distribution at counter t of the row's key; padded steps
-    feed zeros. A zero-length conditioning range starts from zero state.
+    The batch's target and mask are (B, c), its covariates (B, >= c + 1,
+    d): those of the conditioning range and the first prediction step
+    are read. `slab` is reset to B rows and left holding the state after
+    the first prediction step, embeddings written, ready for decode_step.
+    Returns that step's (mu, disp), each (B,). A missing value at step t,
+    the last one too, is replaced by a draw from step t's predictive
+    distribution at counter t of the row's key; padded steps feed zeros.
+    A zero-length conditioning range starts from zero state.
     """
-    slab.reset(target_cond.shape[0])
-    steps = _teacher_forced(params, slab, target_cond, mask_cond == MASK_MISSING, covariates,
-                            nu, categories, keys)
-    if steps < covariates.shape[1]:
+    slab.reset(len(batch))
+    c = batch.target.shape[1]
+    steps = _teacher_forced(params, slab, batch.target, batch.mask == MASK_MISSING,
+                            batch.covariates[:, : c + 1], batch.scale, batch.category, keys)
+    if steps < c + 1:
         raise DivergenceError("non-finite distribution parameters during encoding")
-    return _heads(params, slab, nu)
+    return _heads(params, slab, batch.scale)
 
 
 def decode_step(

@@ -198,11 +198,10 @@ def _pool_nll(pool, params: ModelParams, batch_size: int, impute_seed: int) -> f
     whole pool runs forward in one pass (network.forward_nll)."""
     chunks = range(0, len(pool), batch_size)
     keys = None
-    if np.any(np.stack([w.mask[:-1] for w in pool]) == MASK_MISSING):
+    if np.any(pool.mask[:, :-1] == MASK_MISSING):
         keys = RowKeys.concat([
-            RowKeys.for_series(derive_seed(impute_seed, i), "impute",
-                               [w.series_id for w in pool[i : i + batch_size]],
-                               np.arange(len(pool[i : i + batch_size])))
+            RowKeys.for_series(derive_seed(impute_seed, i), "impute", pool.ids[i : i + batch_size],
+                               np.arange(len(pool.ids[i : i + batch_size])))
             for i in chunks
         ])
     nll, counted = forward_nll(pool, params, keys)
@@ -214,11 +213,6 @@ def _pool_nll(pool, params: ModelParams, batch_size: int, impute_seed: int) -> f
     if steps == 0:
         raise ConfigError("validation pool has no contributing steps")
     return total / steps
-
-
-def _force_unit_scale(window):
-    window.scale = 1.0
-    return window
 
 
 def train(panel: Panel, config: TrainConfig):
@@ -252,7 +246,7 @@ def train(panel: Panel, config: TrainConfig):
         fallback = RowKeys.for_series(config.seed, "train", ["valpool"] * size, np.arange(size))
         pool = sampler.draw(fallback.uniforms(0, 0).T)
     if config.no_scaling:
-        pool = [_force_unit_scale(w) for w in pool]
+        pool.scale[:] = 1.0
 
     log = TrainLog()
     best_val = float("inf")
@@ -281,7 +275,7 @@ def train(panel: Panel, config: TrainConfig):
                 break
             windows = sampler.draw(draws.uniforms(batches_done, 0).T)
             if config.no_scaling:
-                windows = [_force_unit_scale(w) for w in windows]
+                windows.scale[:] = 1.0
             batches_done += 1
             epoch_windows += len(windows)
             try:

@@ -10,11 +10,17 @@ import pytest
 from hypothesis import settings
 
 from panelcast.dataset import (
+    MASK_MISSING,
+    MASK_OBSERVED,
+    MASK_PADDED,
     Granularity,
     Panel,
     TimeSeries,
+    WindowBatch,
     WindowSampler,
     WindowSpec,
+    compute_scale,
+    feature_names,
     fit_feature_stats,
 )
 from panelcast.errors import ConfigError, MetricError
@@ -114,10 +120,82 @@ def pcg64_init_model(likelihood, spec, stats, granularity, cardinality, num_laye
     return model
 
 
+def placement_bounds(n, spec):
+    """(lo, hi), the first and last window start offsets of a series of
+    length n, or None when it is shorter than the prediction range."""
+    lo = -spec.conditioning_length
+    hi = n - spec.total
+    return None if hi < lo else (lo, hi)
+
+
 def cut_window(series, spec, start_offset, stats):
-    """The training window of `series` placed at `start_offset`, cut the
-    way WindowSampler cuts every window it draws."""
-    return WindowSampler(Panel([series]), spec, stats)._window(0, start_offset)
+    """The training window of `series` placed at `start_offset`, as a
+    one-row WindowBatch cut the way WindowSampler cuts every window."""
+    return WindowSampler(Panel([series]), spec, stats).windows([0], [start_offset])
+
+
+def window_rows(batch, rows):
+    """The WindowBatch of rows `rows` (a slice or indices) of `batch`."""
+    return WindowBatch(*(getattr(batch, name)[rows] for name in WindowBatch.__dataclass_fields__))
+
+
+def stack_windows(batches):
+    """One WindowBatch of the rows of `batches`, in order."""
+    return WindowBatch(*(np.concatenate([getattr(b, name) for b in batches])
+                         for name in WindowBatch.__dataclass_fields__))
+
+
+# The scalar window cut, one series and one window at a time: the
+# reference the flat gathers of panelcast.dataset must equal bit for bit.
+
+def cut_series(series, start_offset, length, conditioning_length):
+    """Steps [start_offset, start_offset + length) of a series, as the
+    network reads them: (target, mask, nu). target holds 0.0 at steps
+    before the series start and NaN at missing steps; nu is the scale of
+    the first conditioning_length steps. The steps must end by the series
+    end."""
+    target = np.zeros(length, dtype=np.float64)
+    mask = np.full(length, MASK_PADDED, dtype=np.int8)
+    first_real = max(0, -start_offset)
+    vals = series.target[start_offset + first_real : start_offset + length]
+    mask[first_real:] = np.where(np.isnan(vals), MASK_MISSING, MASK_OBSERVED)
+    target[first_real:] = vals
+    return target, mask, compute_scale(target[:conditioning_length])
+
+
+def series_features(series, start_offset, length):
+    """Unstandardized covariate rows for steps [start_offset,
+    start_offset + length) of one series, hourly and daily calendars by
+    integer arithmetic on the start, weekly and monthly ones read off
+    each timestamp."""
+    gran = series.granularity
+    out = np.empty((length, len(feature_names(gran))), dtype=np.float64)
+    k = np.arange(start_offset, start_offset + length)
+    out[:, 0] = k
+    start = series.start
+    if gran is Granularity.HOURLY:
+        hours = start.hour + k
+        out[:, 1] = hours % 24
+        out[:, 2] = (start.weekday() + hours // 24) % 7
+        return out
+    if gran is Granularity.DAILY:
+        out[:, 1] = (start.weekday() + k) % 7
+        return out
+    stamps = [series.timestamp(j) for j in range(start_offset, start_offset + length)]
+    if gran is Granularity.WEEKLY:
+        out[:, 1] = [ts.isocalendar()[1] for ts in stamps]
+    else:
+        out[:, 1] = [ts.month for ts in stamps]
+    return out
+
+
+def reference_window(series, start_offset, length, conditioning_length, stats,
+                     covariate_length=None):
+    """(target, mask, nu, covariates) of one window by the scalar cut, its
+    covariates standardized a whole array at a time."""
+    target, mask, nu = cut_series(series, start_offset, length, conditioning_length)
+    x = series_features(series, start_offset, covariate_length or length)
+    return target, mask, nu, (x - stats.mean) / stats.std
 
 
 def permutation(gen, n):

@@ -42,7 +42,14 @@ from panelcast.network import unroll_batch
 from panelcast.rng import RowKeys, neg_binomials
 from panelcast.trainer import TrainConfig, train
 
-from conftest import cut_window, pcg64, pcg64_init_model, seasonal_naive, shuffle_paths
+from conftest import (
+    cut_window,
+    pcg64,
+    pcg64_init_model,
+    seasonal_naive,
+    shuffle_paths,
+    stack_windows,
+)
 from gradcheck import finite_diff_check
 
 START = datetime(2014, 1, 6)
@@ -90,7 +97,7 @@ def test_gradient_suite():
     panel = Panel(series)
     spec = WindowSpec(6, 6)  # 12-step unroll
     stats = fit_feature_stats(panel, spec)
-    windows = [cut_window(s, spec, 8, stats) for s in panel]
+    windows = stack_windows([cut_window(s, spec, 8, stats) for s in panel])
 
     errors = {}
     for kind in (LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL):
@@ -430,8 +437,8 @@ def test_weighted_selection_frequencies():
     sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
     draws = 100_000
     counts = {s.id: 0 for s in series}
-    for w in sampler.draw(pcg64(77, "acceptance", "selection").random((draws, 2))):
-        counts[w.series_id] += 1
+    for sid in sampler.draw(pcg64(77, "acceptance", "selection").random((draws, 2))).ids:
+        counts[sid] += 1
 
     weights = np.array([series_scale(s) for s in series])
     expected = weights / weights.sum()

@@ -839,3 +839,34 @@ def test_stats_bucket_counts_sum_to_series(workdir, tmp_path, capsys):
     assert open(out).read() == "\n".join(lines) + "\n"
     manifest = json.load(open(str(out) + ".manifest.json"))
     assert manifest["command"] == "stats"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [None, 1e200])
+def test_evaluate_metric_overflow_exits_2(tmp_path, capsys, big):
+    # A truth value of 1e200 is finite, but its squared residual is not:
+    # RMSE once read inf, and report.json held "rmse":Infinity, which is
+    # not JSON. A metric that is not finite is now a one-line error.
+    history = count_rows()
+    for row in history:
+        row["target"] = row["target"][:37]
+    data = _write_rows(tmp_path / "history.jsonl", history)
+    fc = tmp_path / "fc.jsonl"
+    assert main(["predict", "--model", str(NEGBIN_FIXTURE), "--data", data, "--output", str(fc),
+                 "--samples", "5", "--horizon", "3"]) == 0
+    capsys.readouterr()
+    truth = count_rows()
+    if big is not None:
+        truth[1]["target"][37] = big
+    report = tmp_path / "report.json"
+    truth_path = _write_rows(tmp_path / "truth.jsonl", truth)
+    rc = main(["evaluate", "--forecasts", str(fc), "--truth", truth_path, "--spans", "0:1",
+               "--output", str(report)])
+    err = capsys.readouterr().err
+    if big is None:
+        assert rc == 0 and err == ""
+        json.loads(report.read_text(), parse_constant=pytest.fail)  # strict JSON
+    else:
+        assert rc == 2
+        assert err == "error: RMSE is inf: the truth or forecast values are too large to score\n"
+        assert not report.exists()

@@ -20,17 +20,29 @@ from panelcast.dataset import (
     add_steps,
     compute_scale,
     feature_names,
+    features,
     fit_feature_stats,
     load_jsonl,
-    placement_bounds,
-    raw_features,
     series_scale,
     steps_between,
     velocity_histogram,
 )
 from panelcast.errors import ConfigError, DataError
 
-from conftest import START, cut_window, make_series, pcg64, sinusoid_panel, write_jsonl
+from conftest import (
+    START,
+    cut_window,
+    make_series,
+    pcg64,
+    placement_bounds,
+    sinusoid_panel,
+    write_jsonl,
+)
+
+
+def series_features(series, start_offset, length, stats=None):
+    """features of steps [start_offset, start_offset + length) of one series."""
+    return features([series], [start_offset], [length], stats)
 
 
 class TestGranularity:
@@ -190,7 +202,7 @@ class TestCovariates:
         # 2014-01-06 is the Monday of ISO week 2 of 2014.
         s = make_series("w", [1.0] * 4, start=datetime(2014, 1, 6),
                         granularity=Granularity.WEEKLY)
-        x = raw_features(s, 0, 3)
+        x = series_features(s, 0, 3)
         names = feature_names(Granularity.WEEKLY)
         assert names == ["age", "week_of_year"]
         assert x[0, 0] == 0.0
@@ -199,19 +211,19 @@ class TestCovariates:
 
     def test_age_increments_by_step(self):
         s = make_series("d", [1.0] * 10)
-        x = raw_features(s, -3, 8)
+        x = series_features(s, -3, 8)
         assert np.array_equal(x[:, 0], np.arange(-3, 5, dtype=float))
 
     def test_daily_day_of_week(self):
         s = make_series("d", [1.0] * 10, start=datetime(2014, 1, 6))  # a Monday
-        x = raw_features(s, 0, 8)
+        x = series_features(s, 0, 8)
         assert np.array_equal(x[:7, 1], np.arange(7, dtype=float))
         assert x[7, 1] == 0.0
 
     def test_hourly_two_calendar_features(self):
         s = make_series("h", [1.0] * 30, start=datetime(2014, 1, 1, 22),
                         granularity=Granularity.HOURLY)
-        x = raw_features(s, 0, 4)
+        x = series_features(s, 0, 4)
         assert feature_names(Granularity.HOURLY) == ["age", "hour_of_day", "day_of_week"]
         assert list(x[:, 1][:4]) == [22.0, 23.0, 0.0, 1.0]
 
@@ -237,12 +249,12 @@ class TestCovariates:
             ts = s.timestamp(k)
             ref[j, 0] = k
             ref[j, 1:] = [ts.hour, ts.weekday()] if granularity is Granularity.HOURLY else [ts.weekday()]
-        np.testing.assert_array_equal(raw_features(s, lo, length), ref)
+        np.testing.assert_array_equal(series_features(s, lo, length), ref)
 
     def test_monthly_month_of_year(self):
         s = make_series("m", [1.0] * 15, start=datetime(2014, 11, 1),
                         granularity=Granularity.MONTHLY)
-        x = raw_features(s, 0, 4)
+        x = series_features(s, 0, 4)
         assert list(x[:, 1]) == [11.0, 12.0, 1.0, 2.0]
 
     def test_standardized_training_mean_is_zero(self):
@@ -257,26 +269,34 @@ class TestCovariates:
             hi_train = lo + _train_placement_count(s.n, spec) - 1
             for start in range(lo, hi_train + 1):
                 w = cut_window(s, spec, start, stats)
-                acc += w.covariates.sum(axis=0)
-                count += w.covariates.shape[0]
+                acc += w.covariates[0].sum(axis=0)
+                count += w.covariates.shape[1]
         assert np.all(np.abs(acc / count) < 1e-6)
 
     def test_standardize_unit_variance_shape(self):
         panel = sinusoid_panel(num_series=4, n=60, seed=2)
         spec = WindowSpec(14, 7)
         stats = fit_feature_stats(panel, spec)
-        x = raw_features(panel.get("s0"), 0, 21)
-        z = stats.standardize(x)
+        x = series_features(panel.get("s0"), 0, 21)
+        z = series_features(panel.get("s0"), 0, 21, stats)
         assert z.shape == x.shape
         assert np.allclose(x, z * stats.std + stats.mean)
 
 
 class TestWindows:
     def test_placement_bounds(self):
+        # Under (4, 3) a series of 10 steps admits starts -4 .. 3, one of 3
+        # steps only -4, and one of 2 none.
         spec = WindowSpec(4, 3)
-        assert placement_bounds(10, spec) == (-4, 3)
-        assert placement_bounds(3, spec) == (-4, -4)
-        assert placement_bounds(2, spec) is None
+        stats = FeatureStats(np.zeros(2), np.ones(2), feature_names(Granularity.DAILY))
+        for n, lo, hi in ((10, -4, 3), (3, -4, -4)):
+            sampler = WindowSampler(Panel([make_series("x", [1.0] * n)]), spec, stats)
+            assert sampler.windows([0, 0], [lo, hi]).starts.tolist() == [lo, hi]
+            for start in (lo - 1, hi + 1):
+                with pytest.raises(ConfigError, match="outside the valid placement range"):
+                    sampler.windows([0], [start])
+        with pytest.warns(UserWarning, match="shorter"), pytest.raises(DataError):
+            WindowSampler(Panel([make_series("x", [1.0, 1.0])]), spec, stats)
 
     def test_window_shape_mask_and_scale(self):
         panel = sinusoid_panel(num_series=3, n=30, seed=3)
@@ -286,14 +306,14 @@ class TestWindows:
         lo, hi = placement_bounds(s.n, spec)
         for start in range(lo, hi + 1):
             w = cut_window(s, spec, start, stats)
-            assert w.total == spec.total
-            assert w.covariates.shape == (spec.total, len(stats.names))
-            assert w.scale >= 1.0
-            padded = np.flatnonzero(w.mask == MASK_PADDED)
+            assert w.target.shape == w.mask.shape == (1, spec.total)
+            assert w.covariates.shape == (1, spec.total, len(stats.names))
+            assert w.scale[0] >= 1.0
+            padded = np.flatnonzero(w.mask[0] == MASK_PADDED)
             if padded.size:
                 # padding is a prefix: indices 0..k-1 exactly
                 assert padded[-1] == padded.size - 1
-                assert np.all(w.target[padded] == 0.0)
+                assert np.all(w.target[0, padded] == 0.0)
             # the prediction range never runs past recorded data
             assert start + spec.total <= s.n
 
@@ -302,18 +322,18 @@ class TestWindows:
         spec = WindowSpec(4, 3)
         stats = FeatureStats(np.zeros(2), np.ones(2), feature_names(Granularity.DAILY))
         w = cut_window(s, spec, -4, stats)
-        assert np.all(w.mask[:4] == MASK_PADDED)
-        assert np.all(w.mask[4:] == MASK_OBSERVED)
-        assert np.array_equal(w.target[4:], [5.0, 7.0, 9.0])
-        assert w.scale == pytest.approx(1.0)  # all-padded conditioning range
+        assert np.all(w.mask[0, :4] == MASK_PADDED)
+        assert np.all(w.mask[0, 4:] == MASK_OBSERVED)
+        assert np.array_equal(w.target[0, 4:], [5.0, 7.0, 9.0])
+        assert w.scale[0] == pytest.approx(1.0)  # all-padded conditioning range
 
     def test_missing_steps_masked(self):
         s = make_series("m", [1.0, np.nan, 3.0, 4.0, 5.0, 6.0])
         spec = WindowSpec(3, 3)
         stats = FeatureStats(np.zeros(2), np.ones(2), feature_names(Granularity.DAILY))
         w = cut_window(s, spec, 0, stats)
-        assert w.mask[1] == MASK_MISSING
-        assert w.scale == pytest.approx(1.0 + (1.0 + 0.0 + 3.0) / 3)
+        assert w.mask[0, 1] == MASK_MISSING
+        assert w.scale[0] == pytest.approx(1.0 + (1.0 + 0.0 + 3.0) / 3)
 
     def test_out_of_range_placement_rejected(self):
         s = make_series("x", [1.0] * 10)
@@ -333,7 +353,7 @@ class TestSampler:
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
         n = 100_000
-        picks = sum(w.series_id == "b" for w in sampler.draw(pcg64(0, "draw").random((n, 2))))
+        picks = np.count_nonzero(sampler.draw(pcg64(0, "draw").random((n, 2))).ids == "b")
         assert abs(picks / n - 0.75) < 0.01
 
     def test_ten_series_chi_square(self):
@@ -350,8 +370,8 @@ class TestSampler:
         probs = weights / weights.sum()
         n = 100_000
         counts = np.zeros(10)
-        for w in sampler.draw(pcg64(1, "chi").random((n, 2))):
-            counts[int(w.series_id[1:])] += 1
+        for sid in sampler.draw(pcg64(1, "chi").random((n, 2))).ids:
+            counts[int(sid[1:])] += 1
         chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
         # 9 degrees of freedom; 99.9th percentile is 27.88
         assert chi2 < 27.88
@@ -364,7 +384,7 @@ class TestSampler:
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats, uniform=True)
         n = 40_000
-        picks = sum(w.series_id == "b" for w in sampler.draw(pcg64(2, "uni").random((n, 2))))
+        picks = np.count_nonzero(sampler.draw(pcg64(2, "uni").random((n, 2))).ids == "b")
         assert abs(picks / n - 0.5) < 0.02
 
     def test_fixed_seed_identical_sequence(self):
@@ -376,11 +396,10 @@ class TestSampler:
         sampler2 = WindowSampler(panel, spec, stats)
         seq2 = sampler2.draw(pcg64(9, "s").random((20, 2)))
         assert len(seq1) == len(seq2) == 20
-        for w1, w2 in zip(seq1, seq2):
-            assert w1.series_id == w2.series_id
-            assert w1.start_offset == w2.start_offset
-            assert np.array_equal(w1.target, w2.target)
-            assert np.array_equal(w1.covariates, w2.covariates)
+        assert np.array_equal(seq1.ids, seq2.ids)
+        assert np.array_equal(seq1.starts, seq2.starts)
+        assert np.array_equal(seq1.target, seq2.target)
+        assert np.array_equal(seq1.covariates, seq2.covariates)
 
     def test_short_series_skipped_with_warning(self):
         long = make_series("long", [1.0] * 30)
@@ -391,7 +410,7 @@ class TestSampler:
         with pytest.warns(UserWarning, match="short"):
             sampler = WindowSampler(panel, spec, stats)
         windows = sampler.draw(pcg64(3, "skip").random((50, 2)))
-        assert all(w.series_id == "long" for w in windows)
+        assert all(sid == "long" for sid in windows.ids)
 
     def test_single_series_covering_all_placements(self):
         s = make_series("only", [3.0, 1.0, 4.0, 1.0, 5.0])
@@ -399,11 +418,11 @@ class TestSampler:
         spec = WindowSpec(2, 5)  # prediction range = series length
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
-        starts = {w.start_offset for w in sampler.draw(pcg64(4, "all").random((300, 2)))}
+        starts = set(sampler.draw(pcg64(4, "all").random((300, 2))).starts.tolist())
         assert starts == {-2}  # only one valid placement
         w = cut_window(s, spec, -2, stats)
-        assert np.all(w.mask[:2] == MASK_PADDED)
-        assert np.all(w.target[:2] == 0.0)
+        assert np.all(w.mask[0, :2] == MASK_PADDED)
+        assert np.all(w.target[0, :2] == 0.0)
 
     def test_draw_matches_scalar_reference(self):
         # Uneven lengths, and a series too short to draw from. The scales
@@ -435,7 +454,8 @@ class TestSampler:
             np.random.default_rng(11).random((2000, 2)),
             [[0.0, 0.0], [0.0, top], [top, 0.0], [top, top], [3 / 64, 0.5], [0.5, 0.5]],
         ])
-        got = [(w.series_id, w.start_offset) for w in sampler.draw(u)]
+        drawn = sampler.draw(u)
+        got = list(zip(drawn.ids, drawn.starts.tolist()))
         assert got == [reference(u0, u1) for u0, u1 in u.tolist()]
 
     def test_placements_cover_training_range(self):
@@ -444,8 +464,9 @@ class TestSampler:
         spec = WindowSpec(2, 3)
         sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
         starts = {s.id: set() for s in series}
-        for w in sampler.draw(pcg64(1, "ints").random((5000, 2))):
-            starts[w.series_id].add(w.start_offset)
+        drawn = sampler.draw(pcg64(1, "ints").random((5000, 2)))
+        for sid, start in zip(drawn.ids, drawn.starts.tolist()):
+            starts[sid].add(start)
         for s in series:
             lo = placement_bounds(s.n, spec)[0]
             assert starts[s.id] == set(range(lo, lo + _train_placement_count(s.n, spec)))
@@ -456,13 +477,13 @@ class TestSampler:
         stats = fit_feature_stats(panel, spec)
         sampler = WindowSampler(panel, spec, stats)
         val = sampler.validation_windows()
-        assert val
+        assert len(val)
 
-        for w in val:
-            s = panel.get(w.series_id)
+        for sid, start in zip(val.ids, val.starts):
+            s = panel.get(sid)
             lo, hi = placement_bounds(s.n, spec)
             hi_train = lo + _train_placement_count(s.n, spec) - 1
-            assert w.start_offset > hi_train  # strictly after every training placement
+            assert start > hi_train  # strictly after every training placement
 
 
 class TestVelocityHistogram:
@@ -512,7 +533,7 @@ class TestShiftInvariance:
                 wb = cut_window(shifted.get(s.id), spec, start, stats_b)
                 assert np.array_equal(wa.target, wb.target)
                 assert np.array_equal(wa.covariates, wb.covariates)
-                assert wa.scale == wb.scale
+                assert np.array_equal(wa.scale, wb.scale)
 
     def test_shifted_panel_identical_training_loss(self):
         from panelcast.trainer import TrainConfig, train

@@ -14,6 +14,7 @@ from panelcast.dataset import (
     Granularity,
     Panel,
     TimeSeries,
+    WindowBatch,
     WindowSpec,
     feature_names,
     fit_feature_stats,
@@ -41,11 +42,13 @@ from conftest import (
     pcg64_init_model,
     sinusoid_panel,
     slab_state,
+    stack_windows,
     tiny_model,
 )
 
 
 def default_window(panel, model, sid=None, start=0):
+    """A one-row WindowBatch of one of the panel's series."""
     series = panel.get(sid) if sid else next(iter(panel))
     return cut_window(series, model.spec, start, model.stats)
 
@@ -54,8 +57,7 @@ def window_input(w, model, t, z_prev):
     """One window's step-t input row, built the way the recurrence builds it."""
     x = np.full((1, model.input_dim), np.nan)
     _write_inputs(
-        x, np.array([z_prev]), np.array([w.scale]), w.covariates[t : t + 1],
-        model.embedding[[w.category]],
+        x, np.array([z_prev]), w.scale, w.covariates[0, t : t + 1], model.embedding[w.category],
     )
     return x[0]
 
@@ -65,14 +67,14 @@ class TestStepInput:
         # The recurrence starts from z = 0 before the window start.
         panel, model = tiny_model()
         w = default_window(panel, model)
-        w.scale = 7.0
+        w.scale[:] = 7.0
         u = window_input(w, model, 0, 0.0)
         assert u[0] == 0.0
 
     def test_lagged_slot_divided_by_scale(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        w.scale = 5.0
+        w.scale[:] = 5.0
         u = window_input(w, model, 3, 10.0)
         assert u[0] == pytest.approx(2.0)
 
@@ -86,7 +88,7 @@ class TestStepInput:
     def test_embedding_row_selected_by_category(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        w.category = 1
+        w.category[:] = 1
         u = window_input(w, model, 0, 0.0)
         assert np.array_equal(u[-model.embedding_dim:], model.embedding[1])
 
@@ -97,7 +99,7 @@ class TestUnroll:
         w = default_window(panel, model)
         w.mask[:] = MASK_MISSING
         w.target[:] = np.nan
-        result = unroll_batch([w], model, impute_seed=0)
+        result = unroll_batch(w, model, impute_seed=0)
         assert result.loss == 0.0
         assert result.counted_steps == 0
         assert all(np.allclose(g, 0.0) for g in result.grads.values())
@@ -114,33 +116,33 @@ class TestUnroll:
             1, 1, 4, 2, seed=5,
         )
         w = cut_window(series, spec, 0, stats)
-        result = unroll_batch([w], model)
+        result = unroll_batch(w, model)
 
         # Longhand: two steps of the shared recurrence with teacher forcing.
-        nu = w.scale
+        nu = w.scale[0]
         slab = StepSlab(model.layers, 1)
         total = 0.0
         z_prev = 0.0
         for t in range(2):
             lagged = 0.0 if t == 0 else z_prev / nu
-            slab.inputs[0] = np.concatenate([[lagged], w.covariates[t], model.embedding[0]])
+            slab.inputs[0] = np.concatenate([[lagged], w.covariates[0, t], model.embedding[0]])
             slab.step()
             mu, disp, _ = apply_heads(slab.top, model.heads, nu, model.likelihood)
-            nll, _, _ = gaussian_nll(w.target[t], float(mu[0]), float(disp[0]))
+            nll, _, _ = gaussian_nll(w.target[0, t], float(mu[0]), float(disp[0]))
             total += float(nll)
-            z_prev = w.target[t]
+            z_prev = w.target[0, t]
         assert result.loss == pytest.approx(total, abs=1e-12)
 
     def test_loss_additivity_from_recorded_parameters(self):
         panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL)
         w = default_window(panel, model)
-        result = unroll_batch([w], model)
+        result = unroll_batch(w, model)
         total = 0.0
-        for t in range(w.total):
-            if w.mask[t] == MASK_MISSING:
+        for t in range(w.target.shape[1]):
+            if w.mask[0, t] == MASK_MISSING:
                 continue
             nll, _, _ = nll_and_grads(
-                w.target[t], result.mus[0, t], result.disps[0, t], model.likelihood
+                w.target[0, t], result.mus[0, t], result.disps[0, t], model.likelihood
             )
             total += float(nll)
         assert result.loss == pytest.approx(total, abs=1e-10)
@@ -148,8 +150,8 @@ class TestUnroll:
     def test_batched_equals_sum_of_singles(self):
         panel, model = tiny_model()
         ws = [default_window(panel, model, sid, start) for sid in ("c0", "c1") for start in (0, 4)]
-        batched = unroll_batch(ws, model)
-        singles = [unroll_batch([w], model) for w in ws]
+        batched = unroll_batch(stack_windows(ws), model)
+        singles = [unroll_batch(w, model) for w in ws]
         assert batched.loss == pytest.approx(math.fsum(s.loss for s in singles), rel=1e-13)
         for name, g in batched.grads.items():
             acc = np.zeros_like(g)
@@ -160,11 +162,11 @@ class TestUnroll:
     def test_causality_future_perturbation(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        base = unroll_batch([w], model)
+        base = unroll_batch(w, model)
         t_cut = 7
         w2 = default_window(panel, model)
-        w2.target[t_cut + 1:] = w2.target[t_cut + 1:] * 3.0 + 1.0
-        other = unroll_batch([w2], model)
+        w2.target[0, t_cut + 1:] = w2.target[0, t_cut + 1:] * 3.0 + 1.0
+        other = unroll_batch(w2, model)
         # distribution parameters at steps <= t_cut depend only on z_{<t}, x_{<=t}
         assert np.array_equal(base.mus[0, : t_cut + 1], other.mus[0, : t_cut + 1])
         assert np.array_equal(base.disps[0, : t_cut + 1], other.disps[0, : t_cut + 1])
@@ -172,26 +174,26 @@ class TestUnroll:
     def test_missing_steps_excluded_from_loss_but_fed_forward(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        w.mask[2] = MASK_MISSING
-        w.target[2] = np.nan
-        result = unroll_batch([w], model, impute_seed=1)
-        assert result.counted_steps == w.total - 1
+        w.mask[0, 2] = MASK_MISSING
+        w.target[0, 2] = np.nan
+        result = unroll_batch(w, model, impute_seed=1)
+        assert result.counted_steps == w.target.shape[1] - 1
         assert np.isfinite(result.loss)
 
     def test_missing_without_stream_rejected(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
-        w.mask[2] = MASK_MISSING
-        w.target[2] = np.nan
+        w.mask[0, 2] = MASK_MISSING
+        w.target[0, 2] = np.nan
         with pytest.raises(ConfigError):
-            unroll_batch([w], model)
+            unroll_batch(w, model)
 
     def test_divergence_error_carries_step(self):
         panel, model = tiny_model()
         w = default_window(panel, model)
         model.heads.b_mu.fill(np.inf)
         with pytest.raises(DivergenceError) as exc:
-            unroll_batch([w], model)
+            unroll_batch(w, model)
         assert exc.value.log is not None
         assert "step" in exc.value.log
 
@@ -201,11 +203,10 @@ class TestUnroll:
         # comes before window 0 at step 9, so step 7 is named, with the
         # parameters of the rows counted there.
         panel, model = tiny_model()
-        ws = [default_window(panel, model, "c0"), default_window(panel, model, "c1")]
-        ws[0].target[9] = 1e300
-        ws[1].target[7] = 1e300
-        ref = unroll_batch([default_window(panel, model, "c0"), default_window(panel, model, "c1")],
-                           model)
+        ws = stack_windows([default_window(panel, model, "c0"), default_window(panel, model, "c1")])
+        ref = unroll_batch(ws, model)
+        ws.target[0, 9] = 1e300
+        ws.target[1, 7] = 1e300
         with pytest.raises(DivergenceError, match="step 7") as exc:
             unroll_batch(ws, model)
         assert exc.value.log["step"] == 7
@@ -216,11 +217,11 @@ class TestUnroll:
         # Non-finite parameters stop the unroll before any draw from them.
         panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL)
         w = default_window(panel, model)
-        w.mask[3] = MASK_MISSING
-        w.target[3] = np.nan
+        w.mask[0, 3] = MASK_MISSING
+        w.target[0, 3] = np.nan
         model.heads.b_disp.fill(np.nan)
         with pytest.raises(DivergenceError) as exc:
-            unroll_batch([w], model, impute_seed=2)
+            unroll_batch(w, model, impute_seed=2)
         assert exc.value.log["step"] == 0
 
     def test_derived_weights_follow_the_model(self):
@@ -230,7 +231,7 @@ class TestUnroll:
         from panelcast.optim import adam_step, init_adam
 
         panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL, layers=2)
-        ws = [default_window(panel, model, sid) for sid in ("c0", "c1")]
+        ws = stack_windows([default_window(panel, model, sid) for sid in ("c0", "c1")])
         tape = SequenceTape(model.layers, model.spec.total, len(ws))
         slab = StepSlab(model.layers, len(ws))
         first = unroll_batch(ws, model, tape=tape)
@@ -271,21 +272,20 @@ class TestUnroll:
         stats = fit_feature_stats(panel, other_spec)
         w = cut_window(next(iter(panel)), other_spec, 0, stats)
         with pytest.raises(ConfigError):
-            unroll_batch([w], model)
+            unroll_batch(w, model)
 
 
 def encode_one(w, model, target=None, mask=None, category=None, keys=None):
     """Encode one window's conditioning range and first prediction step as
     a batch of one series: (slab, mu, disp)."""
     c = model.spec.conditioning_length
-    target = w.target[:c] if target is None else target
-    mask = w.mask[:c] if mask is None else mask
-    category = w.category if category is None else category
+    target = w.target[0, :c] if target is None else target
+    mask = w.mask[0, :c] if mask is None else mask
+    category = w.category if category is None else np.array([category])
     slab = StepSlab(model.layers, 1)
-    mu, disp = encode(
-        target[None, :], mask[None, :], w.covariates[None, : c + 1], np.array([w.scale]),
-        np.array([category]), model, slab, keys,
-    )
+    batch = WindowBatch(w.ids, w.starts, target[None, :], mask[None, :], w.scale, w.covariates,
+                        category)
+    mu, disp = encode(batch, model, slab, keys)
     return slab, mu, disp
 
 
@@ -294,8 +294,8 @@ def decode_one(model, slab, z_prev, w):
     c = model.spec.conditioning_length
     n = z_prev.shape[0]
     return decode_step(
-        model, slab, z_prev, np.repeat(w.covariates[c + 1][None, :], n, axis=0),
-        np.full(n, w.scale),
+        model, slab, z_prev, np.repeat(w.covariates[0, c + 1][None, :], n, axis=0),
+        np.full(n, w.scale[0]),
     )
 
 
@@ -310,17 +310,18 @@ class TestEncodeDecode:
         slab = StepSlab(model.layers, 3)
         slab.inputs[...] = np.random.default_rng(5).normal(size=(3, model.input_dim))
         slab.step()
-        cov = w.covariates[None, :1]
-        mu, disp = encode(np.zeros((1, 0)), np.zeros((1, 0), dtype=np.int8), cov,
-                          np.array([w.scale]), np.array([w.category]), model, slab)
+        cov = w.covariates[:, :1]
+        empty = WindowBatch(w.ids, w.starts, np.zeros((1, 0)), np.zeros((1, 0), dtype=np.int8),
+                            w.scale, cov, w.category)
+        mu, disp = encode(empty, model, slab)
         fresh = StepSlab(model.layers, 1)
         fresh.inputs[0, 1 : 1 + d] = cov[0, 0]
-        fresh.inputs[0, 1 + d :] = model.embedding[w.category]
+        fresh.inputs[0, 1 + d :] = model.embedding[w.category[0]]
         fresh.step()
         for a, b in zip(slab_state(slab), slab_state(fresh)):
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
-        ref = apply_heads(fresh.top, model.heads, np.array([w.scale]), model.likelihood)
+        ref = apply_heads(fresh.top, model.heads, w.scale, model.likelihood)
         assert (mu[0], disp[0]) == (ref[0][0], ref[1][0])
 
     def test_encode_plus_decode_equals_direct_unroll(self):
@@ -328,10 +329,10 @@ class TestEncodeDecode:
         w = default_window(panel, model)
         c = model.spec.conditioning_length
         slab, mu, disp = encode_one(w, model)
-        result = unroll_batch([w], model)
+        result = unroll_batch(w, model)
         assert float(mu[0]) == result.mus[0, c]
         assert float(disp[0]) == result.disps[0, c]
-        mu, disp = decode_one(model, slab, w.target[c : c + 1], w)
+        mu, disp = decode_one(model, slab, w.target[0, c : c + 1], w)
         assert float(mu[0]) == result.mus[0, c + 1]
         assert float(disp[0]) == result.disps[0, c + 1]
 
@@ -343,14 +344,14 @@ class TestEncodeDecode:
         panel, model = tiny_model(kind)
         w = default_window(panel, model)
         c = model.spec.conditioning_length
-        w.mask[c - 1] = MASK_MISSING
-        w.target[c - 1] = np.nan
-        keys = RowKeys.for_series(6, "impute", [w.series_id], [0])
+        w.mask[0, c - 1] = MASK_MISSING
+        w.target[0, c - 1] = np.nan
+        keys = RowKeys.for_series(6, "impute", w.ids, [0])
         _, mu, disp = encode_one(w, model, keys=keys)
-        result = unroll_batch([w], model, impute_seed=6)
+        result = unroll_batch(w, model, impute_seed=6)
         assert (float(mu[0]), float(disp[0])) == (result.mus[0, c], result.disps[0, c])
         z = draw(kind, result.mus[0, c - 1 : c], result.disps[0, c - 1 : c], keys, c - 1)
-        target, mask = w.target[:c].copy(), w.mask[:c].copy()
+        target, mask = w.target[0, :c].copy(), w.mask[0, :c].copy()
         target[c - 1], mask[c - 1] = z[0], MASK_OBSERVED
         _, mu_z, disp_z = encode_one(w, model, target, mask)
         assert (mu_z[0], disp_z[0]) == (mu[0], disp[0])
@@ -365,7 +366,7 @@ class TestEncodeDecode:
         w = default_window(panel, model)
         c = model.spec.conditioning_length
         s1, mu1, _ = encode_one(w, model, category=0)
-        s2, mu2, _ = encode_one(w, model, w.target[:c].copy(), w.mask[:c].copy(), category=0)
+        s2, mu2, _ = encode_one(w, model, w.target[0, :c].copy(), w.mask[0, :c].copy(), category=0)
         assert mu1[0] == mu2[0]
         for a, b in zip(slab_state(s1).h, slab_state(s2).h):
             assert np.array_equal(a, b)
@@ -374,11 +375,11 @@ class TestEncodeDecode:
         panel, model = tiny_model()
         w = default_window(panel, model)
         c = model.spec.conditioning_length
-        mask = w.mask[:c].copy()
-        target = w.target[:c].copy()
+        mask = w.mask[0, :c].copy()
+        target = w.target[0, :c].copy()
         mask[1] = MASK_MISSING
         target[1] = np.nan
-        keys = RowKeys.for_series(4, "imp", [w.series_id], [0])
+        keys = RowKeys.for_series(4, "imp", w.ids, [0])
         s1, mu1, _ = encode_one(w, model, target, mask, category=0, keys=keys)
         s2, mu2, _ = encode_one(w, model, target, mask, category=0, keys=keys)
         assert mu1[0] == mu2[0]
@@ -388,12 +389,12 @@ class TestEncodeDecode:
         panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL)
         w = default_window(panel, model)
         c = model.spec.conditioning_length
-        mask = w.mask[:c].copy()
-        target = w.target[:c].copy()
+        mask = w.mask[0, :c].copy()
+        target = w.target[0, :c].copy()
         mask[1] = MASK_MISSING
         target[1] = np.nan
         model.heads.b_disp.fill(np.nan)
-        keys = RowKeys.for_series(4, "imp", [w.series_id], [0])
+        keys = RowKeys.for_series(4, "imp", w.ids, [0])
         with pytest.raises(DivergenceError):
             encode_one(w, model, target, mask, keys=keys)
 
@@ -405,7 +406,7 @@ class TestEncodeDecode:
         # A block of three paths loaded from the encoded row, with different
         # previous values: each row must match running the same step with
         # batch size one.
-        z_prev = np.array([w.target[c], w.target[c] * 2.0, 0.0])
+        z_prev = np.array([w.target[0, c], w.target[0, c] * 2.0, 0.0])
 
         def paths(n):
             slab = StepSlab(model.layers, n)
@@ -427,8 +428,8 @@ class TestSerialization:
         restored = model_from_bytes(blob)
         assert model_to_bytes(restored) == blob
         w = default_window(panel, model)
-        loss_a = unroll_batch([w], model).loss
-        loss_b = unroll_batch([w], restored).loss
+        loss_a = unroll_batch(w, model).loss
+        loss_b = unroll_batch(w, restored).loss
         assert loss_a == loss_b  # bitwise, not approximately
 
     @pytest.mark.parametrize("name", ["gaussian", "negbin"])
@@ -528,7 +529,7 @@ class TestSigmaShrinksOnConstantData:
         opt = init_adam(model.blocks(), learning_rate=5e-3)
         sigmas = []
         for step in range(60):
-            result = unroll_batch([w], model)
+            result = unroll_batch(w, model)
             sigmas.append(float(result.disps[0].mean()))
             grads = dict(result.grads)
             clip_global_norm(grads, 10.0)

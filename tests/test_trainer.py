@@ -10,7 +10,6 @@ from panelcast.dataset import (
     WindowSampler,
     _train_placement_count,
     fit_feature_stats,
-    placement_bounds,
 )
 from panelcast.errors import ConfigError, DivergenceError
 from panelcast.forecaster import forecast_panel, quantiles
@@ -19,7 +18,14 @@ from panelcast.network import init_model, model_to_bytes, unroll_batch
 from panelcast.rng import RowKeys, derive_seed
 from panelcast.trainer import TrainConfig, _pool_nll, grid_search, parse_config, train
 
-from conftest import count_panel, make_series, pcg64, sinusoid_panel
+from conftest import (
+    count_panel,
+    make_series,
+    pcg64,
+    placement_bounds,
+    sinusoid_panel,
+    window_rows,
+)
 
 
 def small_config(**overrides):
@@ -181,7 +187,8 @@ class TestTrain:
         ])
         cfg = small_config(max_batches=16)
         spec = cfg.window_spec
-        assert WindowSampler(panel, spec, fit_feature_stats(panel, spec)).validation_windows() == []
+        sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
+        assert len(sampler.validation_windows()) == 0
         pools = []
 
         def recording_pool_nll(pool, *args, **kwargs):
@@ -196,21 +203,19 @@ class TestTrain:
         assert log_a.stopping_reason == log_b.stopping_reason
         pool = pools[0]
         assert len(pool) == 64
-        assert [(w.series_id, w.start_offset) for w in pool] == [
-            (w.series_id, w.start_offset) for w in pools[-1]
-        ]
+        assert list(pool.ids) == list(pools[-1].ids)
+        assert list(pool.starts) == list(pools[-1].starts)
         # Window i reads path i of the key of (seed, "train", "valpool").
         keys = RowKeys.for_series(cfg.seed, "train", ["valpool"] * 64, np.arange(64))
         expected = WindowSampler(panel, spec, fit_feature_stats(panel, spec)).draw(
             keys.uniforms(0, 0).T
         )
-        assert [(w.series_id, w.start_offset) for w in pool] == [
-            (w.series_id, w.start_offset) for w in expected
-        ]
-        for w in pool:
-            n = panel.get(w.series_id).n
+        assert list(pool.ids) == list(expected.ids)
+        assert list(pool.starts) == list(expected.starts)
+        for sid, start in zip(pool.ids, pool.starts):
+            n = panel.get(sid).n
             lo, _ = placement_bounds(n, spec)
-            assert lo <= w.start_offset < lo + _train_placement_count(n, spec)
+            assert lo <= start < lo + _train_placement_count(n, spec)
 
     def test_window_draws_read_step_k_of_one_key(self, monkeypatch):
         # Batch k's window b reads step k, path b of the key of
@@ -222,7 +227,7 @@ class TestTrain:
         batches = []
 
         def recording_unroll(windows, *args, **kwargs):
-            batches.append([(w.series_id, w.start_offset) for w in windows])
+            batches.append(list(zip(windows.ids, windows.starts)))
             return unroll_batch(windows, *args, **kwargs)
 
         monkeypatch.setattr(trainer_mod, "unroll_batch", recording_unroll)
@@ -232,7 +237,7 @@ class TestTrain:
         assert len(batches) == 12
         for k, batch in enumerate(batches):
             expected = sampler.draw(keys.uniforms(k, 0).T)
-            assert batch == [(w.series_id, w.start_offset) for w in expected]
+            assert batch == list(zip(expected.ids, expected.starts))
 
     def test_ablation_flags_produce_different_models(self):
         panel = count_panel(num_series=6, n=50, seed=8)
@@ -250,7 +255,7 @@ def per_chunk_nll(pool, model, batch_size, seed):
     chunk losses added in order over the counted steps."""
     total, steps = 0.0, 0
     for i in range(0, len(pool), batch_size):
-        res = unroll_batch(pool[i : i + batch_size], model, derive_seed(seed, i))
+        res = unroll_batch(window_rows(pool, slice(i, i + batch_size)), model, derive_seed(seed, i))
         total += res.loss
         steps += res.counted_steps
     return total / steps
@@ -283,7 +288,7 @@ class TestPoolNll:
     @pytest.mark.parametrize("kind", list(LikelihoodKind))
     def test_equals_per_chunk_unrolls_with_missing_values(self, kind):
         pool, model = gappy_pool(kind, 203, seed=21)
-        assert any(np.any(w.mask == MASK_MISSING) for w in pool[64:])
+        assert np.any(pool.mask[64:] == MASK_MISSING)
         seed = derive_seed(3, "val", 2)
         assert _pool_nll(pool, model, 64, seed) == per_chunk_nll(pool, model, 64, seed)
 
@@ -326,10 +331,9 @@ class TestPoolNll:
         # is named as non-finite, as unroll_batch names it, rather than
         # failing the draw of the missing value.
         pool, model = gappy_pool(LikelihoodKind.NEG_BINOMIAL, 20, seed=24)
-        w = pool[3]
-        w.covariates[4] = np.nan
-        w.mask[4] = MASK_MISSING
-        w.target[4] = np.nan
+        pool.covariates[3, 4] = np.nan
+        pool.mask[3, 4] = MASK_MISSING
+        pool.target[3, 4] = np.nan
         with pytest.raises(DivergenceError, match="non-finite loss at step 4") as exc:
             _pool_nll(pool, model, 64, 5)
         assert exc.value.log["step"] == 4
