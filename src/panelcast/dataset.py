@@ -12,8 +12,9 @@ ragged arrays of targets, masks and standardized covariates, with no
 padding to the longest series. Any set of windows (a training draw, the
 validation pool, a forecast group's conditioning ranges) is then one
 gather per array into a WindowBatch, the arrays the network reads.
-Set-up (feature statistics, the sampler's arrays and series weights) is
-whole-array work over the same flat layout.
+Set-up is whole-array work: the sampler's arrays and series weights over
+the flat layout, the feature statistics over all series of one length at
+once.
 """
 
 from __future__ import annotations
@@ -375,13 +376,34 @@ class FeatureStats:
 _EPOCH_ORDINAL = 719163
 
 
-def _iso_week(ordinal: np.ndarray) -> np.ndarray:
-    """ISO week number of each proleptic Gregorian day ordinal: the week
-    of its Thursday, counted from the first Thursday of that year."""
-    thursday = ordinal - (ordinal + 6) % 7 + 3  # ordinal 1 was a Monday
-    day = (thursday - _EPOCH_ORDINAL).astype("datetime64[D]")
+def _iso_week(week: np.ndarray) -> np.ndarray:
+    """ISO week number of each week counted from the one of ordinal 1 (a
+    Monday): the week of its Thursday, counted from the first Thursday of
+    that year."""
+    day = (7 * week + 4 - _EPOCH_ORDINAL).astype("datetime64[D]")
     jan1 = day.astype("datetime64[Y]").astype("datetime64[D]")
     return (day - jan1).astype(np.int64) // 7 + 1
+
+
+def _feature_columns(series_list) -> list:
+    """Each covariate as (phase of each series, value of u): at step k of
+    series i the feature is value(phase[i] + k). Calendar features are
+    integer arithmetic on u, which equals reading them off each
+    timestamp: steps are whole hours, days or weeks of wall-clock time,
+    or calendar months, as add_steps takes them."""
+    gran = series_list[0].granularity
+    starts = [s.start for s in series_list]
+    columns = [([0] * len(starts), lambda u: u)]  # age
+    if gran is Granularity.HOURLY:
+        phase = [t.hour + 24 * t.weekday() for t in starts]
+        columns += [(phase, lambda u: u % 24), (phase, lambda u: u // 24 % 7)]
+    elif gran is Granularity.DAILY:
+        columns.append(([t.weekday() for t in starts], lambda u: u % 7))
+    elif gran is Granularity.WEEKLY:
+        columns.append(([(t.toordinal() - 1) // 7 for t in starts], _iso_week))
+    else:
+        columns.append(([t.month - 1 for t in starts], lambda u: u % 12 + 1))
+    return columns
 
 
 def features(series_list, first, lengths, stats: FeatureStats = None) -> np.ndarray:
@@ -390,37 +412,23 @@ def features(series_list, first, lengths, stats: FeatureStats = None) -> np.ndar
     standardized by `stats` when given.
 
     Steps may precede the series start (negative age) or run past its end
-    (future covariates are known). Each feature of step k is a function
-    of u = phase + stride * k, with the phase read off the series start
-    (0 for age), so it is computed once for every u the series reach and
-    each series' rows are a slice of that table. Calendar features are
-    integer arithmetic on u, which equals reading them off each
-    timestamp: steps are whole hours, days or weeks of wall-clock time,
-    or calendar months, as add_steps takes them.
+    (future covariates are known). Every row is computed from its step,
+    all rows at once.
     """
-    gran = series_list[0].granularity
-    starts = [s.start for s in series_list]
-    columns = [([0] * len(starts), 1, lambda u: u)]  # (phases, stride, value of u)
-    if gran is Granularity.HOURLY:
-        phase = [t.hour + 24 * t.weekday() for t in starts]
-        columns += [(phase, 1, lambda u: u % 24), (phase, 1, lambda u: u // 24 % 7)]
-    elif gran is Granularity.DAILY:
-        columns.append(([t.weekday() for t in starts], 1, lambda u: u % 7))
-    elif gran is Granularity.WEEKLY:
-        columns.append(([t.toordinal() for t in starts], 7, _iso_week))
-    else:
-        columns.append(([t.month - 1 for t in starts], 1, lambda u: u % 12 + 1))
-    first, lengths = [int(f) for f in first], [int(n) for n in lengths]
-    out = np.empty((sum(lengths), len(columns)))
-    for j, (phase, stride, value) in enumerate(columns):
-        u0 = [p + stride * f for p, f in zip(phase, first)]
-        lo = min(u0)
-        table = value(np.arange(lo, max(u + stride * n for u, n in zip(u0, lengths))))
-        table = table.astype(np.float64)
-        if stats is not None:
-            table = (table - stats.mean[j]) / stats.std[j]
-        np.concatenate([table[u - lo : u - lo + stride * n : stride] for u, n in zip(u0, lengths)],
-                       out=out[:, j])
+    lengths = np.asarray(lengths, dtype=np.int64)
+    # u at the first row of series i is phase[i] + first[i], then it rises
+    # by one a row; built a column at a time to hold one int array.
+    u0 = np.asarray(first, dtype=np.int64) - (np.cumsum(lengths) - lengths)
+    columns = _feature_columns(series_list)
+    out = np.empty((int(lengths.sum()), len(columns)))
+    for j, (phase, value) in enumerate(columns):
+        u = np.repeat(np.array(phase, dtype=np.int64) + u0, lengths)
+        u += np.arange(u.size)
+        out[:, j] = value(u)
+        del u
+        if stats is not None:  # column by column: a (rows, d) broadcast is slow
+            out[:, j] -= stats.mean[j]
+            out[:, j] /= stats.std[j]
     return out
 
 
@@ -442,8 +450,7 @@ def fit_feature_stats(panel: Panel, spec: WindowSpec) -> FeatureStats:
     Each extended step of each series is weighted by the number of
     training windows that contain it, so the standardized feature mean
     over the training windows is exactly zero without enumerating them.
-    The sums run over the rows of all series at once, with the bits of
-    summing each series down its rows and the series in panel order.
+    The series of one length are computed together.
     """
     gran = panel.granularity
     c, T = spec.conditioning_length, spec.total
@@ -453,26 +460,32 @@ def fit_feature_stats(panel: Panel, spec: WindowSpec) -> FeatureStats:
     if keep.size == 0:
         raise DataError("no series admits a training window under this window spec")
     n, n_train = n[keep], n_train[keep]
-    lengths = n + c
-    x = features([panel.series[i] for i in keep], np.full(keep.size, -c), lengths)
-    age = x[:, 0]  # step k of its series
-    # Step k lies in the training windows that start in
-    # [max(-c, k - T + 1), min(last training start, k)].
-    last = np.repeat((n_train - c - 1).astype(np.float64), lengths)
-    w = np.maximum(0.0, np.minimum(last, age) - np.maximum(-c, age - (T - 1)) + 1.0)
-    d = x.shape[1]
-    sums = np.concatenate([w @ x, w @ (x * x)])  # sum(x * w), sum(x * x * w)
-    if sums[d:].max() > 2.0**52:
-        # Every feature is an integer, so below 2**52 every partial sum is
-        # exact and any order gives the same bits. Above it the order
-        # matters: each series' sums run down its own contiguous rows in
-        # order and add up in panel order. (np.add.reduceat, or a sum along
-        # a series' contiguous steps, adds in another order.)
-        weighted = np.concatenate([x * w[:, None], x * x * w[:, None]], axis=1)
-        ends = np.cumsum(lengths).tolist()
-        sums = np.zeros(2 * d)
-        for a, b in zip([0] + ends[:-1], ends):
-            sums += weighted[a:b].sum(axis=0)
+    columns = _feature_columns([panel.series[i] for i in keep])
+    d = len(columns)
+    # sum(x * w) and sum(x * x * w) in the order of summing one series at
+    # a time: each series down its steps, one after the next, then the
+    # series in panel order. Series of one length are laid out step-major,
+    # (steps, series, 2), so one reduction over the steps sums them all in
+    # that order. (np.add.reduceat, or a sum along a series' contiguous
+    # steps, adds in another order, which shows once the sums pass 2**53.)
+    per_series = np.empty((keep.size, 2 * d))
+    for length in sorted(set(n.tolist())):  # np.unique would import numpy.ma: +1 MiB RSS
+        group = np.flatnonzero(n == length)
+        k = np.arange(-c, length)[:, None]
+        # Step k lies in the training windows that start in
+        # [max(-c, k - T + 1), min(last training start, k)], the same for
+        # every series of this length.
+        last = int(_train_placement_count(length, spec)) - c - 1
+        w = (np.minimum(last, k) - np.maximum(-c, k - (T - 1)) + 1).clip(0).astype(np.float64)
+        weighted = np.empty((k.size, group.size, 2))
+        for j, (phase, value) in enumerate(columns):
+            x = weighted[:, :, 0]  # the feature, then x * w in place
+            x[...] = value(np.array(phase, dtype=np.int64)[group] + k)
+            np.multiply(x, x, out=weighted[:, :, 1])
+            weighted[:, :, 1] *= w
+            x *= w
+            per_series[group, j], per_series[group, d + j] = weighted.sum(axis=0).T
+    sums = per_series.sum(axis=0)
     # Every training window covers T steps: the weights sum to an integer.
     sum_w = float(T * int(n_train.sum()))
     mean = sums[:d] / sum_w
@@ -536,7 +549,8 @@ class PanelArrays:
                                                                     self.first.tolist())]
         zeros = np.zeros(max(-int(self.first.min()), tail, 0))
         padded = np.full(zeros.size, MASK_PADDED, dtype=np.int8)
-        observed = np.full(int(n.max()), MASK_OBSERVED, dtype=np.int8)
+        longest = max(values.size for _, values in parts)
+        observed = np.full(longest, MASK_OBSERVED, dtype=np.int8)
         self.target = np.concatenate([a for pad, values in parts
                                       for a in (zeros[:pad], values, zeros[:tail])])
         self.mask = np.concatenate([a for pad, values in parts for a in

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from panelcast.dataset import (
+    FeatureStats,
     Granularity,
     Panel,
     TimeSeries,
@@ -59,7 +60,9 @@ def ragged_panels(draw):
     """A panel of 1-6 series of 1 to 3c steps, some too short to draw
     from, with NaN runs and several categories; and its window spec."""
     gran = draw(st.sampled_from(list(Granularity)))
-    c = draw(st.integers(1, 6))
+    # Up to 12 conditioning steps: from 8 on numpy sums a row in unrolled
+    # blocks, and each row's scale must still be compute_scale's.
+    c = draw(st.integers(1, 12))
     spec = WindowSpec(c, draw(st.integers(1, 5)))
     start = datetime(1995, 1, 1) + draw(st.integers(0, 20_000)) * STEP[gran]
     if gran is Granularity.HOURLY:
@@ -202,3 +205,20 @@ def test_arrays_grow_with_the_panel_not_its_longest_series():
     assert batch.ids[0] == "long"
     window_bytes = 16 * spec.total * (d + 2) * 8
     assert peak < 4 * window_bytes < steps * 8
+
+    # A forecast's conditioning cut reads c + h steps per series, so its
+    # work is O(B * (c + h)), however long the longest series is.
+    h = 7
+    panel = Panel(series[1:101] + [TimeSeries("longer", datetime(1990, 1, 1),
+                                              Granularity.DAILY, np.ones(1_000_000))])
+    stats = FeatureStats(np.zeros(d), np.ones(d), feature_names(Granularity.DAILY))
+    conditioning_windows(panel.series, stats, spec.conditioning_length, h)
+    tracemalloc.start()
+    try:
+        cut = conditioning_windows(panel.series, stats, spec.conditioning_length, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut.ids[-1] == "longer"
+    window_bytes = len(panel) * (spec.conditioning_length + h) * (d + 2) * 8
+    assert peak < 4 * window_bytes < 1_000_000
