@@ -151,9 +151,15 @@ class TimeSeries:
         observed = self.target[~np.isnan(self.target)]
         if observed.size == 0:
             raise DataError(f"series {self.id!r}: no observed points")
-        if np.any(observed < 0.0):
+        if observed.min() < 0.0:
             j = int(np.nanargmin(self.target))
             raise DataError(f"series {self.id!r}: negative target at index {j}")
+        # Scales, sampling weights and the velocity histogram sum a
+        # series' observed targets, which must stay finite.
+        with np.errstate(over="ignore"):
+            total = observed.sum()
+        if not math.isfinite(total):
+            raise DataError(f"series {self.id!r}: observed targets sum past the float range")
         if self.category < 0:
             raise DataError(f"series {self.id!r}: category must be non-negative")
 
@@ -338,14 +344,7 @@ def series_scale(series: TimeSeries) -> float:
 
 
 def feature_names(granularity: Granularity) -> list:
-    base = ["age"]
-    if granularity is Granularity.HOURLY:
-        return base + ["hour_of_day", "day_of_week"]
-    if granularity is Granularity.DAILY:
-        return base + ["day_of_week"]
-    if granularity is Granularity.WEEKLY:
-        return base + ["week_of_year"]
-    return base + ["month_of_year"]
+    return [name for name, _, _ in _COVARIATES[granularity]]
 
 
 @dataclass
@@ -385,25 +384,32 @@ def _iso_week(week: np.ndarray) -> np.ndarray:
     return (day - jan1).astype(np.int64) // 7 + 1
 
 
+def _hour_of_week(t: datetime) -> int:
+    return t.hour + 24 * t.weekday()
+
+
+# Each granularity's covariates as (name, phase of a series that starts
+# at t, value of u): at step k of the series the covariate is
+# value(phase + k). Calendar covariates are integer arithmetic on u,
+# which equals reading them off each timestamp: steps are whole hours,
+# days or weeks of wall-clock time, or calendar months, as add_steps
+# takes them.
+_AGE = ("age", lambda t: 0, lambda u: u)
+_COVARIATES = {
+    Granularity.HOURLY: (_AGE, ("hour_of_day", _hour_of_week, lambda u: u % 24),
+                         ("day_of_week", _hour_of_week, lambda u: u // 24 % 7)),
+    Granularity.DAILY: (_AGE, ("day_of_week", lambda t: t.weekday(), lambda u: u % 7)),
+    Granularity.WEEKLY: (_AGE, ("week_of_year", lambda t: (t.toordinal() - 1) // 7, _iso_week)),
+    Granularity.MONTHLY: (_AGE, ("month_of_year", lambda t: t.month - 1, lambda u: u % 12 + 1)),
+}
+
+
 def _feature_columns(series_list) -> list:
-    """Each covariate as (phase of each series, value of u): at step k of
-    series i the feature is value(phase[i] + k). Calendar features are
-    integer arithmetic on u, which equals reading them off each
-    timestamp: steps are whole hours, days or weeks of wall-clock time,
-    or calendar months, as add_steps takes them."""
-    gran = series_list[0].granularity
+    """Each covariate as (phase of each series, value of u), from
+    _COVARIATES."""
     starts = [s.start for s in series_list]
-    columns = [([0] * len(starts), lambda u: u)]  # age
-    if gran is Granularity.HOURLY:
-        phase = [t.hour + 24 * t.weekday() for t in starts]
-        columns += [(phase, lambda u: u % 24), (phase, lambda u: u // 24 % 7)]
-    elif gran is Granularity.DAILY:
-        columns.append(([t.weekday() for t in starts], lambda u: u % 7))
-    elif gran is Granularity.WEEKLY:
-        columns.append(([(t.toordinal() - 1) // 7 for t in starts], _iso_week))
-    else:
-        columns.append(([t.month - 1 for t in starts], lambda u: u % 12 + 1))
-    return columns
+    return [([phase(t) for t in starts], value)
+            for _, phase, value in _COVARIATES[series_list[0].granularity]]
 
 
 def features(series_list, first, lengths, stats: FeatureStats = None) -> np.ndarray:

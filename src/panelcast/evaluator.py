@@ -58,7 +58,7 @@ class EvalPair:
     truth: np.ndarray  # (horizon,), NaN where the observation is missing
 
 
-def align(panel: Panel, records, horizon: int = 0) -> list:
+def align(panel: Panel, records) -> list:
     """Match forecast records to ground truth by id and start timestamp."""
     pairs = []
     for rec in records:
@@ -67,11 +67,7 @@ def align(panel: Panel, records, horizon: int = 0) -> list:
         except DataError:
             raise MetricError(f"forecast id {rec.series_id!r} has no series in the truth panel") from None
         offset = steps_between(series.granularity, series.start, rec.start)
-        h = horizon if horizon else rec.horizon
-        if h > rec.horizon:
-            raise MetricError(
-                f"series {rec.series_id!r}: need {h} forecast steps, record has {rec.horizon}"
-            )
+        h = rec.horizon
         if offset < 0 or offset + h > series.n:
             raise MetricError(
                 f"series {rec.series_id!r}: truth covers steps [0, {series.n}) but the "

@@ -10,13 +10,15 @@ at a time:
    forecast's one lstm.StepSlab (network.encode). Every path of a series
    starts from the same state and first predictive distribution, so both
    are computed once per series; the state is kept as arrays.
-2. Decode. The paths are packed into row blocks of whole series with all
-   their paths, up to ROW_BUDGET rows; a series with more paths than that
-   fills blocks of its own. Each block loads its series' rows of the
-   encoded state into the slab (feature-major: one column per path),
-   draws step 0 from the encoded distribution and steps the slab in
-   place from step 1 on, allocating nothing per step. Each step's draw
-   judges the rejection rounds of all the block's paths at once.
+2. Decode. Row r of a group of series with P paths each is path r % P
+   of series r // P, and each run of ROW_BUDGET consecutive rows is one
+   block, so a series' paths may span two or more blocks and every
+   block but a group's last is full. Each block loads the encoded state
+   of each row's series into the slab (feature-major: one column per
+   path), draws step 0 from the encoded distribution and steps the slab
+   in place from step 1 on, allocating nothing per step. Each step's
+   draw judges the rejection rounds of all the block's paths at once.
+   A series is yielded once its last row is drawn.
 
 Draws come from the keyed generator in `rng`: path p of series s at
 step t reads the uniforms H(seed, s, p, t, round), and imputation of a
@@ -131,27 +133,6 @@ def forecast_panel(
     return _forecast_groups(series_list, params, num_samples, seed, h)
 
 
-def _plan_blocks(num_series: int, num_samples: int) -> list:
-    """Blocks of (series index, first path, end path) segments."""
-    blocks, current, rows = [], [], 0
-    for i in range(num_series):
-        if num_samples > ROW_BUDGET:
-            if current:
-                blocks.append(current)
-                current, rows = [], 0
-            for p0 in range(0, num_samples, ROW_BUDGET):
-                blocks.append([(i, p0, min(p0 + ROW_BUDGET, num_samples))])
-            continue
-        if rows + num_samples > ROW_BUDGET:
-            blocks.append(current)
-            current, rows = [], 0
-        current.append((i, 0, num_samples))
-        rows += num_samples
-    if current:
-        blocks.append(current)
-    return blocks
-
-
 def _forecast_groups(series_list, params, num_samples, seed, h):
     if not series_list:
         return
@@ -160,16 +141,25 @@ def _forecast_groups(series_list, params, num_samples, seed, h):
     for g0 in range(0, len(series_list), ROW_BUDGET):
         group = series_list[g0 : g0 + ROW_BUDGET]
         encoded = _encode_group(group, params, seed, h, path_key, slab)
-        pending = []  # path chunks of a series split over several blocks
-        for block in _plan_blocks(len(group), num_samples):
-            chunks = _decode_block(encoded, block, params, h, slab)
-            for (i, _, p1), chunk in zip(block, chunks):
-                pending.append(chunk)
-                if p1 == num_samples:
-                    series = group[i]
-                    samples = pending[0] if len(pending) == 1 else np.concatenate(pending)
-                    pending = []
-                    yield ForecastSamples(series.id, series.timestamp(series.n), samples, seed)
+        # Row r of the group is path r % P of series r // P, and each run
+        # of ROW_BUDGET rows is one block, which may start or end inside a
+        # series.
+        rows = len(group) * num_samples
+        pending = []  # drawn chunks of the series the last block ended in
+        for r0 in range(0, rows, ROW_BUDGET):
+            r = np.arange(r0, min(r0 + ROW_BUDGET, rows))
+            out = _decode_block(encoded, r // num_samples, r % num_samples, params, h, slab)
+            lo = 0
+            # The series whose last row this block draws, in order.
+            for i in range(r0 // num_samples, (r0 + r.size) // num_samples):
+                hi = (i + 1) * num_samples - r0
+                pending.append(out[lo:hi])
+                samples = pending[0] if len(pending) == 1 else np.concatenate(pending)
+                pending, lo = [], hi
+                series = group[i]
+                yield ForecastSamples(series.id, series.timestamp(series.n), samples, seed)
+            if lo < r.size:
+                pending.append(out[lo:])
 
 
 @dataclass
@@ -194,20 +184,12 @@ def _encode_group(group, params: ModelParams, seed: int, h: int, path_key,
     return _EncodedGroup(keys, slab.state(), mu, disp, cut.scale, cut.covariates[:, c + 1 :])
 
 
-def _block_rows(enc: _EncodedGroup, block):
-    """(series of each row, as indices into the group, and the rows' keys)
-    of one block's segments: path p of series i reads its series' key on
-    counter path p."""
-    counts = [p1 - p0 for _, p0, p1 in block]
-    row_series = np.repeat([i for i, _, _ in block], counts)
-    paths = np.concatenate([np.arange(p0, p1) for _, p0, p1 in block])
-    return row_series, enc.keys.take(row_series, paths)
-
-
-def _decode_block(enc: _EncodedGroup, block, params: ModelParams, h: int,
-                  slab: StepSlab) -> list:
-    """Sample matrices (paths, h) for one block's segments, stepped on `slab`."""
-    row_series, keys = _block_rows(enc, block)
+def _decode_block(enc: _EncodedGroup, row_series, paths, params: ModelParams, h: int,
+                  slab: StepSlab) -> np.ndarray:
+    """Sample paths (rows, h), stepped on `slab`, of the rows path paths[k]
+    of series row_series[k] (an index into the group): path p of a series
+    reads its series' key on counter path p."""
+    keys = enc.keys.take(row_series, paths)
     slab.reset(row_series.size)
     slab.load(enc.state, row_series)
     nu = enc.nu[row_series]
@@ -217,7 +199,7 @@ def _decode_block(enc: _EncodedGroup, block, params: ModelParams, h: int,
     for t in range(1, h):
         mu, disp = decode_step(params, slab, out[:, t - 1], covariates[:, t - 1], nu)
         out[:, t] = draw(params.likelihood, mu, disp, keys, t)
-    return np.split(out, np.cumsum([p1 - p0 for _, p0, p1 in block])[:-1])
+    return out
 
 
 def _as_matrix(samples) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,64 +54,42 @@ class TrainConfig:
 
     def __post_init__(self):
         self.likelihood = LikelihoodKind(self.likelihood)
-        for name in (
-            "conditioning_length",
-            "prediction_length",
-            "num_layers",
-            "hidden_units",
-            "embedding_dim",
-            "batch_size",
-            "max_batches",
-            "patience",
-            "windows_per_epoch",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"config {name} must be at least 1")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("config learning_rate must be positive")
+        for f in fields(self):
+            if type(f.default) is int and f.name != "seed" and getattr(self, f.name) < 1:
+                raise ConfigError(f"config {f.name} must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError("config learning_rate must be finite and positive")
 
     @property
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.conditioning_length, self.prediction_length)
 
     def to_dict(self) -> dict:
-        return {
-            "likelihood": self.likelihood.value,
-            "conditioning_length": self.conditioning_length,
-            "prediction_length": self.prediction_length,
-            "num_layers": self.num_layers,
-            "hidden_units": self.hidden_units,
-            "embedding_dim": self.embedding_dim,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "max_batches": self.max_batches,
-            "patience": self.patience,
-            "windows_per_epoch": self.windows_per_epoch,
-            "seed": self.seed,
-            "uniform_sampling": self.uniform_sampling,
-            "no_scaling": self.no_scaling,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["likelihood"] = self.likelihood.value
+        return out
 
 
-_BOOL_KEYS = {"uniform_sampling", "no_scaling"}
-_INT_KEYS = {
-    "conditioning_length",
-    "prediction_length",
-    "num_layers",
-    "hidden_units",
-    "embedding_dim",
-    "batch_size",
-    "max_batches",
-    "patience",
-    "windows_per_epoch",
-    "seed",
+def _read_bool(val: str) -> bool:
+    if val.lower() not in ("true", "false"):
+        raise ValueError(val)
+    return val.lower() == "true"
+
+
+# How a config value is read, by the type of its TrainConfig field's
+# default, and the reason given for a value that does not read.
+_READERS = {
+    bool: (_read_bool, "{key} must be true or false"),
+    int: (int, "{key} must be an integer"),
+    float: (float, "{key} must be a number"),
+    LikelihoodKind: (LikelihoodKind, "unknown likelihood {val!r}"),
 }
-_FLOAT_KEYS = {"learning_rate"}
 
 
 def parse_config(text: str) -> TrainConfig:
-    """Flat key=value config; blank lines and # comments allowed; unknown
-    keys rejected."""
+    """Flat key=value config, a key per TrainConfig field; blank lines and
+    # comments allowed; unknown keys rejected."""
+    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,27 +100,13 @@ def parse_config(text: str) -> TrainConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key in _BOOL_KEYS:
-            if val.lower() not in ("true", "false"):
-                raise ConfigError(f"config line {lineno}: {key} must be true or false")
-            values[key] = val.lower() == "true"
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"config line {lineno}: {key} must be an integer") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"config line {lineno}: {key} must be a number") from None
-        elif key == "likelihood":
-            try:
-                values[key] = LikelihoodKind(val)
-            except ValueError:
-                raise ConfigError(f"config line {lineno}: unknown likelihood {val!r}") from None
-        else:
+        if key not in kinds:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        read, reason = _READERS[kinds[key]]
+        try:
+            values[key] = read(val)
+        except ValueError:
+            raise ConfigError(f"config line {lineno}: {reason.format(key=key, val=val)}") from None
     return TrainConfig(**values)
 
 

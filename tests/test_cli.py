@@ -545,6 +545,47 @@ def test_negative_seed_exits_2(workdir, tmp_path, capsys, command):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_exits_2(workdir, tmp_path, capsys, value):
+    config = tmp_path / "lr.cfg"
+    config.write_text(CONFIG_TEXT.replace("learning_rate = 0.01", f"learning_rate = {value}"),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--data", workdir["data"], "--config", str(config),
+               "--output", str(out / "m.bin")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "learning_rate must be finite and positive" in err
+    assert list(out.iterdir()) == []
+
+
+def _overflow_argv(workdir, tmp_path, out, command):
+    # Finite targets whose sum is past the float range, in one series of
+    # a small panel.
+    rows = workdir["rows"][:3] + [dict(workdir["rows"][3], target=[1e308, 1e308, 3.0])]
+    data = _write_rows(tmp_path / "overflow.jsonl", rows)
+    if command == "stats":
+        return ["stats", "--data", data, "--output", str(out / "stats.tsv")]
+    if command == "train":
+        return ["train", "--data", data, "--config", workdir["config"],
+                "--output", str(out / "m.bin")]
+    return ["predict", "--model", workdir["model"], "--data", data,
+            "--output", str(out / "fc.jsonl")]
+
+
+@pytest.mark.parametrize("command", ["stats", "train", "predict"])
+def test_targets_summing_past_float_range_exit_2(workdir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(_overflow_argv(workdir, tmp_path, out, command))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "series 's3': observed targets sum past the float range" in err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------

@@ -288,13 +288,6 @@ def test_align_unknown_series():
         align(panel, [rec])
 
 
-def test_align_horizon_shortfall():
-    panel = Panel([make_series("a", [1.0] * 10)])
-    rec = _record("a", START, {0.5: [1.0, 1.0]})
-    with pytest.raises(MetricError, match="need 4 forecast steps"):
-        align(panel, [rec], horizon=4)
-
-
 def test_align_truth_out_of_range():
     panel = Panel([make_series("a", [1.0] * 10)])
     # forecast extends two steps past the recorded truth

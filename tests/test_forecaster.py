@@ -9,16 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import START, count_panel, make_series, pcg64_init_model, shuffle_paths, tiny_model
-from panelcast import trainer
+from panelcast import forecaster, trainer
 from panelcast.dataset import Granularity, Panel
 from panelcast.errors import ConfigError, DataError
 from panelcast.forecaster import (
     ROW_BUDGET,
     ForecastRecord,
     ForecastSamples,
-    _block_rows,
-    _encode_group,
-    _plan_blocks,
     forecast_panel,
     nearest_rank,
     quantiles,
@@ -28,8 +25,7 @@ from panelcast.forecaster import (
     span_aggregate,
 )
 from panelcast.likelihood import LikelihoodKind
-from panelcast.lstm import StepSlab
-from panelcast.rng import RowKeys, tag_key
+from panelcast.rng import RowKeys
 from panelcast.trainer import TrainConfig, train
 
 # ---------------------------------------------------------------------------
@@ -268,23 +264,57 @@ def test_series_alone_matches_series_in_blocked_panel(kind, num_samples):
         np.testing.assert_array_equal(fc.samples, alone.samples)
 
 
+def _decoded_blocks(monkeypatch, series, model, num_samples, **kwargs):
+    """(encoded group, row series, paths) of every _decode_block call of
+    forecasting `series`, and the forecasts."""
+    calls = []
+
+    def recording(enc, row_series, paths, *args):
+        calls.append((enc, row_series.copy(), paths.copy()))
+        return decode_block(enc, row_series, paths, *args)
+
+    decode_block = forecaster._decode_block
+    monkeypatch.setattr(forecaster, "_decode_block", recording)
+    forecasts = list(forecast_panel(series, model, num_samples, **kwargs))
+    return calls, forecasts
+
+
 @pytest.mark.parametrize("num_samples", [ROW_BUDGET // 2 - 10, ROW_BUDGET + 50])
-def test_block_keys_equal_keys_of_its_rows(num_samples):
+def test_block_keys_equal_keys_of_its_rows(monkeypatch, num_samples):
     # A block gathers its rows' keys from the encoded group's, whose ids
     # are folded once per group under a prefix folded once per forecast;
-    # they are the keys for_series makes for the block's rows, bit for bit.
+    # they are the keys for_series makes for the block's rows, bit for
+    # bit, also for a block that starts inside a series.
     _, model = tiny_model()
     series = _block_test_panel()
-    enc = _encode_group(series, model, 11, model.spec.prediction_length, tag_key(11, "path"),
-                        StepSlab(model.layers, len(series)))
-    for block in _plan_blocks(len(series), num_samples):
-        row_series, keys = _block_rows(enc, block)
-        paths = np.concatenate([np.arange(p0, p1) for _, p0, p1 in block])
+    calls, _ = _decoded_blocks(monkeypatch, series, model, num_samples, seed=11, horizon=2)
+    assert any(paths[0] != 0 for _, _, paths in calls)
+    for enc, row_series, paths in calls:
+        keys = enc.keys.take(row_series, paths)
         ref = RowKeys.for_series(11, "path", [series[i].id for i in row_series], paths)
         np.testing.assert_array_equal(keys.path, ref.path)
         for step, rnd in ((0, 0), (5, 3)):
             np.testing.assert_array_equal(keys.uniforms(step, rnd, lanes=3),
                                           ref.uniforms(step, rnd, lanes=3))
+
+
+@pytest.mark.parametrize("num_series, num_samples", [(10, 150), (6, ROW_BUDGET + 50), (3, 7)])
+def test_group_decodes_in_full_blocks_of_consecutive_rows(monkeypatch, num_series,
+                                                          num_samples):
+    # G series x P paths are the rows (series r // P, path r % P), decoded
+    # as runs of ROW_BUDGET consecutive rows: ceil(G * P / ROW_BUDGET)
+    # blocks, each but the last full.
+    _, model = tiny_model()
+    series = list(count_panel(num_series=num_series, n=20).series)
+    calls, forecasts = _decoded_blocks(monkeypatch, series, model, num_samples, seed=4,
+                                       horizon=2)
+    rows = num_series * num_samples
+    assert len(calls) == -(-rows // ROW_BUDGET)
+    assert [row_series.size for _, row_series, _ in calls[:-1]] == [ROW_BUDGET] * (len(calls) - 1)
+    r = np.arange(rows)
+    np.testing.assert_array_equal(np.concatenate([s for _, s, _ in calls]), r // num_samples)
+    np.testing.assert_array_equal(np.concatenate([p for _, _, p in calls]), r % num_samples)
+    assert [fc.samples.shape for fc in forecasts] == [(num_samples, 2)] * num_series
 
 
 def _gappy_series(sid, n, gaps, category=0, seed=0):

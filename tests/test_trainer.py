@@ -67,6 +67,9 @@ class TestParseConfig:
             TrainConfig(hidden_units=0)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="learning_rate must be finite and positive"):
+                TrainConfig(learning_rate=value)
 
     def test_defaults(self):
         cfg = TrainConfig()
