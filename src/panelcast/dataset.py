@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
@@ -99,6 +101,10 @@ def _add_months(ts: datetime, k: int) -> datetime:
 # hold there; near 1e308 counts overflow the samplers and lgamma.
 _MAX_EXACT_COUNT = 2.0**53
 
+# Half the largest float: a sum of n values of at most this / n, each
+# rounding adding at most a relative 2**-53, stays finite.
+_SUM_BOUND = sys.float_info.max / 2.0
+
 _STEP_DELTA = {
     Granularity.HOURLY: timedelta(hours=1),
     Granularity.DAILY: timedelta(days=1),
@@ -136,7 +142,15 @@ def steps_between(granularity: Granularity, a: datetime, b: datetime) -> int:
 
 @dataclass
 class TimeSeries:
-    """One series; target holds NaN where the observation is missing."""
+    """One series; target holds NaN where the observation is missing.
+
+    The target must be a non-empty 1-D sequence with at least one
+    observed point, no negative observation, and observations whose sum
+    stays in the float range (scales, sampling weights and the velocity
+    histogram sum them). A non-negative series far from the float range,
+    the common case with or without missing values, is checked by two
+    reductions that skip the missing values.
+    """
 
     id: str
     start: datetime
@@ -145,23 +159,27 @@ class TimeSeries:
     category: int = 0
 
     def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=np.float64)
-        if self.target.ndim != 1 or self.target.size == 0:
+        self.target = t = np.asarray(self.target, dtype=np.float64)
+        if t.ndim != 1 or t.size == 0:
             raise DataError(f"series {self.id!r}: target must be a non-empty sequence")
+        # fmin and fmax skip NaN (a missing value) unless all are NaN; n
+        # values of at most _SUM_BOUND / n sum inside the float range.
+        if not (np.fmin.reduce(t) >= 0.0 and np.fmax.reduce(t) <= _SUM_BOUND / t.size):
+            self._check_observed()
+        if self.category < 0:
+            raise DataError(f"series {self.id!r}: category must be non-negative")
+
+    def _check_observed(self):
         observed = self.target[~np.isnan(self.target)]
         if observed.size == 0:
             raise DataError(f"series {self.id!r}: no observed points")
         if observed.min() < 0.0:
             j = int(np.nanargmin(self.target))
             raise DataError(f"series {self.id!r}: negative target at index {j}")
-        # Scales, sampling weights and the velocity histogram sum a
-        # series' observed targets, which must stay finite.
         with np.errstate(over="ignore"):
             total = observed.sum()
         if not math.isfinite(total):
             raise DataError(f"series {self.id!r}: observed targets sum past the float range")
-        if self.category < 0:
-            raise DataError(f"series {self.id!r}: category must be non-negative")
 
     @property
     def n(self) -> int:
@@ -219,19 +237,52 @@ class Panel:
                                 "a count likelihood needs integers of at most 2**53")
 
 
-def _target_values(raw: list, where: str) -> np.ndarray:
+def _target_values(raw: list, line: str) -> np.ndarray:
     """A JSON target list as float64, NaN for null. Any other entry than a
     finite number or null (bools and strings included) is a DataError
     naming the first such entry."""
-    if set(map(type, raw)) <= {int, float, type(None)}:
-        try:
-            values = np.array(raw, dtype=np.float64)
-        except OverflowError:  # an integer beyond float range
-            values = None
-        if values is not None and np.count_nonzero(~np.isfinite(values)) == raw.count(None):
-            return values
-    j = next(j for j, v in enumerate(raw) if not _finite_or_null(v))
-    raise DataError(f"{where}: target[{j}] must be a finite number or null")
+    values = _numbers(raw, line)
+    if values is None:
+        j = next(j for j, v in enumerate(raw) if not _finite_or_null(v))
+        raise DataError(f"target[{j}] must be a finite number or null")
+    return values
+
+
+def _numbers(raw: list, line: str):
+    """raw as float64 if its entries are finite numbers or nulls, else None.
+
+    A list of numbers only converts in one C call. array.array("q") takes
+    the ints of a count series without making a float object of each (a
+    third faster than "d" on count panels); "d" takes floats and ints up
+    to the float range, correctly rounded as np.array rounds them. Both
+    refuse null, strings and containers but take a bool as an int, so a
+    converted list is kept only when the line's text holds neither
+    `true` nor `false`. Such text anywhere in the line, an id's included,
+    sends the list to the path of lists with nulls: a scan of the
+    entries' types, then np.array.
+    """
+    values = _array_of(raw, "q")
+    if values is None:
+        values = _array_of(raw, "d")
+    if values is not None and "true" not in line and "false" not in line:
+        values = values.astype(np.float64, copy=False)
+        return values if np.isfinite(values).all() else None
+    if not set(map(type, raw)) <= {int, float, type(None)}:
+        return None
+    try:
+        values = np.array(raw, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
+        return None
+    return values if np.count_nonzero(~np.isfinite(values)) == raw.count(None) else None
+
+
+def _array_of(raw: list, code: str):
+    """raw as an array of the array.array type code, or None if an entry
+    does not convert to it."""
+    try:
+        return np.frombuffer(array(code, raw), dtype=code)
+    except (TypeError, OverflowError):
+        return None
 
 
 def _finite_or_null(v) -> bool:
@@ -259,55 +310,69 @@ def load_jsonl(path) -> Panel:
     """Parse a JSON-lines panel file.
 
     Each line: {"id": str, "start": ISO-8601, "freq": H|D|W|M,
-    "target": [num|null, ...], "cat": int (optional, default 0)}.
+    "target": [num|null, ...], "cat": int (optional, default 0)}. A
+    target entry is a finite number (an integer of any size that a
+    float holds, or a float) or null for a missing observation; the
+    observations must be non-negative and sum inside the float range.
+    Blank lines are skipped.
+
+    The file is read one line at a time, so memory beyond the returned
+    panel holds one line's objects. The first bad line in file order is
+    a one-line DataError naming it (path:line), and a bad target entry
+    by its index.
     """
     series = []
     seen_ids = set()
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
-        where = f"{path}:{lineno}"
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{where}: invalid JSON: {e}") from None
-        if not isinstance(obj, dict):
-            raise DataError(f"{where}: expected a JSON object")
-        for key in ("id", "start", "freq", "target"):
-            if key not in obj:
-                raise DataError(f"{where}: missing key {key!r}")
-        sid = obj["id"]
-        if not isinstance(sid, str) or not sid:
-            raise DataError(f"{where}: id must be a non-empty string")
-        if sid in seen_ids:
-            raise DataError(f"{where}: duplicate series id {sid!r}")
-        try:
-            start = datetime.fromisoformat(obj["start"])
-        except (TypeError, ValueError):
-            raise DataError(f"{where}: start is not an ISO-8601 timestamp") from None
-        gran = Granularity.from_code(obj["freq"]) if isinstance(obj["freq"], str) else None
-        if gran is None:
-            raise DataError(f"{where}: freq must be a string code")
-        raw = obj["target"]
-        if not isinstance(raw, list) or not raw:
-            raise DataError(f"{where}: target must be a non-empty array")
-        values = _target_values(raw, where)
-        cat = obj.get("cat", 0)
-        if not isinstance(cat, int) or isinstance(cat, bool):
-            raise DataError(f"{where}: cat must be an integer")
-        if cat >= CATEGORY_LIMIT:
-            raise DataError(f"{where}: cat {cat} is not below the limit {CATEGORY_LIMIT}")
-        try:
-            series.append(TimeSeries(sid, start, gran, values, cat))
+            series.append(_line_series(line, seen_ids))
         except DataError as e:
-            raise DataError(f"{where}: {e}") from None
-        seen_ids.add(sid)
+            raise DataError(f"{path}:{lineno}: {e}") from None
+        seen_ids.add(series[-1].id)
     if not series:
         raise DataError(f"{path}: empty panel: no series")
     try:
         return Panel(series)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
+
+
+def _line_series(line: str, seen_ids) -> TimeSeries:
+    """The series of one panel line; its faults as DataErrors that the
+    caller prefixes with the line's place."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DataError(f"invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object")
+    for key in ("id", "start", "freq", "target"):
+        if key not in obj:
+            raise DataError(f"missing key {key!r}")
+    sid = obj["id"]
+    if not isinstance(sid, str) or not sid:
+        raise DataError("id must be a non-empty string")
+    if sid in seen_ids:
+        raise DataError(f"duplicate series id {sid!r}")
+    try:
+        start = datetime.fromisoformat(obj["start"])
+    except (TypeError, ValueError):
+        raise DataError("start is not an ISO-8601 timestamp") from None
+    if not isinstance(obj["freq"], str):
+        raise DataError("freq must be a string code")
+    gran = Granularity.from_code(obj["freq"])
+    raw = obj["target"]
+    if not isinstance(raw, list) or not raw:
+        raise DataError("target must be a non-empty array")
+    values = _target_values(raw, line)
+    cat = obj.get("cat", 0)
+    if not isinstance(cat, int) or isinstance(cat, bool):
+        raise DataError("cat must be an integer")
+    if cat >= CATEGORY_LIMIT:
+        raise DataError(f"cat {cat} is not below the limit {CATEGORY_LIMIT}")
+    return TimeSeries(sid, start, gran, values, cat)
 
 
 @dataclass(frozen=True)
@@ -456,7 +521,8 @@ def fit_feature_stats(panel: Panel, spec: WindowSpec) -> FeatureStats:
     Each extended step of each series is weighted by the number of
     training windows that contain it, so the standardized feature mean
     over the training windows is exactly zero without enumerating them.
-    The series of one length are computed together.
+    A series' sums depend on it only through its length and the phase of
+    each covariate, so each distinct (length, phase) is summed once.
     """
     gran = panel.granularity
     c, T = spec.conditioning_length, spec.total
@@ -470,11 +536,13 @@ def fit_feature_stats(panel: Panel, spec: WindowSpec) -> FeatureStats:
     d = len(columns)
     # sum(x * w) and sum(x * x * w) in the order of summing one series at
     # a time: each series down its steps, one after the next, then the
-    # series in panel order. Series of one length are laid out step-major,
-    # (steps, series, 2), so one reduction over the steps sums them all in
-    # that order. (np.add.reduceat, or a sum along a series' contiguous
-    # steps, adds in another order, which shows once the sums pass 2**53.)
+    # series in panel order. The distinct phases of one length are laid
+    # out step-major, (steps, phases, 2), so one reduction over the steps
+    # sums them all in that order. (np.add.reduceat, or a sum along a
+    # series' contiguous steps, adds in another order, which shows once
+    # the sums pass 2**53.)
     per_series = np.empty((keep.size, 2 * d))
+    phases = [np.array(phase, dtype=np.int64) for phase, _ in columns]
     for length in sorted(set(n.tolist())):  # np.unique would import numpy.ma: +1 MiB RSS
         group = np.flatnonzero(n == length)
         k = np.arange(-c, length)[:, None]
@@ -483,14 +551,16 @@ def fit_feature_stats(panel: Panel, spec: WindowSpec) -> FeatureStats:
         # every series of this length.
         last = int(_train_placement_count(length, spec)) - c - 1
         w = (np.minimum(last, k) - np.maximum(-c, k - (T - 1)) + 1).clip(0).astype(np.float64)
-        weighted = np.empty((k.size, group.size, 2))
-        for j, (phase, value) in enumerate(columns):
+        for j, (_, value) in enumerate(columns):
+            distinct = np.array(sorted(set(phases[j][group].tolist())), dtype=np.int64)
+            weighted = np.empty((k.size, distinct.size, 2))
             x = weighted[:, :, 0]  # the feature, then x * w in place
-            x[...] = value(np.array(phase, dtype=np.int64)[group] + k)
+            x[...] = value(distinct + k)
             np.multiply(x, x, out=weighted[:, :, 1])
             weighted[:, :, 1] *= w
             x *= w
-            per_series[group, j], per_series[group, d + j] = weighted.sum(axis=0).T
+            sums = weighted.sum(axis=0)[np.searchsorted(distinct, phases[j][group])]
+            per_series[group, j], per_series[group, d + j] = sums.T
     sums = per_series.sum(axis=0)
     # Every training window covers T steps: the weights sum to an integer.
     sum_w = float(T * int(n_train.sum()))
@@ -550,17 +620,16 @@ class PanelArrays:
         self.ids = np.array([s.id for s in series_list], dtype=object)
         self.category = np.array([s.category for s in series_list], dtype=np.intp)
         # Each series' steps before its start, then its steps from
-        # max(0, first), then its tail steps: one concatenation per array.
-        parts = [(max(0, -f), s.target[max(0, f):]) for s, f in zip(series_list,
-                                                                    self.first.tolist())]
-        zeros = np.zeros(max(-int(self.first.min()), tail, 0))
-        padded = np.full(zeros.size, MASK_PADDED, dtype=np.int8)
-        longest = max(values.size for _, values in parts)
-        observed = np.full(longest, MASK_OBSERVED, dtype=np.int8)
-        self.target = np.concatenate([a for pad, values in parts
-                                      for a in (zeros[:pad], values, zeros[:tail])])
-        self.mask = np.concatenate([a for pad, values in parts for a in
-                                    (padded[:pad], observed[: values.size], padded[:tail])])
+        # max(0, first), then its tail steps: one concatenation of the
+        # targets, one run-length expansion of the mask.
+        pad = np.maximum(-self.first, 0)
+        zeros = np.zeros(max(int(pad.max()), tail))
+        self.target = np.concatenate([a for s, f, p in zip(series_list, self.first.tolist(),
+                                                           pad.tolist())
+                                      for a in (zeros[:p], s.target[max(0, f):], zeros[:tail])])
+        runs = np.column_stack([pad, lengths - pad - tail, np.full(n.size, tail)])
+        self.mask = np.repeat(np.tile(np.array([MASK_PADDED, MASK_OBSERVED, MASK_PADDED],
+                                               dtype=np.int8), n.size), runs.ravel())
         self.mask[np.isnan(self.target)] = MASK_MISSING
         self.features = features(series_list, self.first, lengths, stats)
 

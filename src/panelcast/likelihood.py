@@ -75,7 +75,9 @@ def negbin_nll(z, mu, alpha):
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(z < 0.0) or np.any(z != np.floor(z)):
         raise ConfigError("negbin_nll requires non-negative integer targets")
-    if np.any(mu <= 0.0) or np.any(alpha <= 0.0):
+    # fmin passes NaN over, as the comparisons would.
+    if min(np.fmin.reduce(mu, axis=None, initial=np.inf),
+           np.fmin.reduce(alpha, axis=None, initial=np.inf)) <= 0.0:
         raise ConfigError("negbin_nll requires mu > 0 and alpha > 0")
     r = 1.0 / alpha
     log1am = np.log1p(alpha * mu)

@@ -206,7 +206,7 @@ def _impute(params: ModelParams, h, nu, keys: RowKeys, step: int, rows):
     rounds differently. None when the rows' heads are not finite."""
     mu, disp, _ = apply_heads(h, params.heads, nu, params.likelihood)
     mu, disp = mu[rows], disp[rows]
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
+    if not (np.isfinite(mu).all() and np.isfinite(disp).all()):
         return None
     return draw(params.likelihood, mu, disp, keys.take(rows), step)
 
@@ -381,7 +381,7 @@ def forward_nll(batch: WindowBatch, params: ModelParams, keys: RowKeys = None):
 def _heads(params: ModelParams, slab: StepSlab, nu):
     """(mu, disp), each (B,), of the prediction step `slab` has just taken."""
     mu, disp, _ = apply_heads(slab.top, params.heads, nu, params.likelihood)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
+    if not (np.isfinite(mu).all() and np.isfinite(disp).all()):
         raise DivergenceError("non-finite distribution parameters during decoding")
     return mu, disp
 

@@ -38,7 +38,7 @@ def adam_step(blocks: dict, grads: dict, state: AdamState) -> None:
     uses t = 1. Raises on non-finite gradients without touching anything.
     """
     for name, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             bad = int(np.size(grad) - np.sum(np.isfinite(grad)))
             raise ConfigError(f"non-finite gradient in block '{name}' ({bad} entries); step aborted")
         if grad.shape != blocks[name].shape:

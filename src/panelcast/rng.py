@@ -328,7 +328,8 @@ def normals(keys: RowKeys, step: int) -> np.ndarray:
 
 def _gammas(keys: RowKeys, step: int, shape, pre) -> np.ndarray:
     shape = np.broadcast_to(np.asarray(shape, dtype=np.float64), (len(keys),))
-    if not np.all(np.isfinite(shape) & (shape > 0.0)):
+    # min is NaN when an entry is; initial= keeps an empty batch valid.
+    if not (shape.min(initial=np.inf) > 0.0 and shape.max(initial=0.0) < np.inf):
         raise ValueError("gamma requires finite shape > 0")
     boosted = shape < 1.0
     d = np.where(boosted, shape + 1.0, shape) - 1.0 / 3.0
@@ -357,7 +358,7 @@ def _gammas(keys: RowKeys, step: int, shape, pre) -> np.ndarray:
 
 def _poissons(keys: RowKeys, step: int, lam, pre) -> np.ndarray:
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (len(keys),))
-    if not np.all(np.isfinite(lam) & (lam >= 0.0)):
+    if not (lam.min(initial=np.inf) >= 0.0 and lam.max(initial=0.0) < np.inf):
         raise ValueError("poisson requires finite lambda >= 0")
     out = np.zeros(len(keys))
     small = np.nonzero((lam > 0.0) & (lam < 10.0))[0]
@@ -428,7 +429,9 @@ def neg_binomials(keys: RowKeys, step: int, mu, alpha) -> np.ndarray:
     one count per row, as float64."""
     mu = np.asarray(mu, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    if np.any(mu <= 0.0) or np.any(alpha <= 0.0):
+    # fmin passes NaN over, as the comparisons would.
+    if min(np.fmin.reduce(mu, axis=None, initial=np.inf),
+           np.fmin.reduce(alpha, axis=None, initial=np.inf)) <= 0.0:
         raise ValueError("neg_binomial requires mu > 0 and alpha > 0")
     # The first rounds of both stages in one pass: Gamma lanes 0-1,
     # Poisson lane 2. Few rows need a retry pass after them.

@@ -1,6 +1,8 @@
 """Shared fixtures: synthetic panels and small trained models."""
 
 import base64
+import json
+import math
 from collections import namedtuple
 from datetime import datetime
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import settings
 
 from panelcast.dataset import (
+    CATEGORY_LIMIT,
     MASK_MISSING,
     MASK_OBSERVED,
     MASK_PADDED,
@@ -22,8 +25,9 @@ from panelcast.dataset import (
     compute_scale,
     feature_names,
     fit_feature_stats,
+    text_lines,
 )
-from panelcast.errors import ConfigError, MetricError
+from panelcast.errors import ConfigError, DataError, MetricError
 from panelcast.forecaster import ForecastSamples
 from panelcast.likelihood import LikelihoodKind
 from panelcast.lstm import _slab_columns
@@ -41,6 +45,9 @@ NEGBIN_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" 
 settings.register_profile(
     "panelcast", deadline=None, derandomize=True, max_examples=100, database=None
 )
+# A larger budget of the same fixed examples, for CI's fuzz step:
+# pytest --hypothesis-profile=panelcast-deep tests/test_fuzz.py ...
+settings.register_profile("panelcast-deep", settings.get_profile("panelcast"), max_examples=1000)
 settings.load_profile("panelcast")
 
 
@@ -303,3 +310,104 @@ def set_model_number(doc, path, index, value):
         node["data"] = base64.b64encode(data.tobytes()).decode("ascii")
     else:
         node[index] = value
+
+
+# The panel loader as it was before targets were converted and checked as
+# whole arrays: one json.loads per line, a per-entry type scan of each
+# target list, then the series checks. The reference the engine's
+# load_jsonl must equal, in the panel it returns or the DataError it
+# raises. It returns (id, start, granularity, target, category) tuples and
+# checks series and panel as TimeSeries and Panel did. One deliberate
+# difference from its original: an unknown freq code names its line, as
+# every other fault of a line does.
+
+def reference_target_values(raw: list, where: str) -> np.ndarray:
+    if set(map(type, raw)) <= {int, float, type(None)}:
+        try:
+            values = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer beyond float range
+            values = None
+        if values is not None and np.count_nonzero(~np.isfinite(values)) == raw.count(None):
+            return values
+    j = next(j for j, v in enumerate(raw) if not _finite_or_null(v))
+    raise DataError(f"{where}: target[{j}] must be a finite number or null")
+
+
+def _finite_or_null(v) -> bool:
+    if v is None:
+        return True
+    if type(v) not in (int, float):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _reference_series(sid, start, gran, target, category):
+    observed = target[~np.isnan(target)]
+    if observed.size == 0:
+        raise DataError(f"series {sid!r}: no observed points")
+    if observed.min() < 0.0:
+        j = int(np.nanargmin(target))
+        raise DataError(f"series {sid!r}: negative target at index {j}")
+    with np.errstate(over="ignore"):
+        total = observed.sum()
+    if not math.isfinite(total):
+        raise DataError(f"series {sid!r}: observed targets sum past the float range")
+    if category < 0:
+        raise DataError(f"series {sid!r}: category must be non-negative")
+    return sid, start, gran, target, category
+
+
+def reference_load_jsonl(path) -> list:
+    series = []
+    seen_ids = set()
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{where}: invalid JSON: {e}") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{where}: expected a JSON object")
+        for key in ("id", "start", "freq", "target"):
+            if key not in obj:
+                raise DataError(f"{where}: missing key {key!r}")
+        sid = obj["id"]
+        if not isinstance(sid, str) or not sid:
+            raise DataError(f"{where}: id must be a non-empty string")
+        if sid in seen_ids:
+            raise DataError(f"{where}: duplicate series id {sid!r}")
+        try:
+            start = datetime.fromisoformat(obj["start"])
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: start is not an ISO-8601 timestamp") from None
+        try:
+            gran = Granularity.from_code(obj["freq"]) if isinstance(obj["freq"], str) else None
+        except DataError as e:
+            raise DataError(f"{where}: {e}") from None
+        if gran is None:
+            raise DataError(f"{where}: freq must be a string code")
+        raw = obj["target"]
+        if not isinstance(raw, list) or not raw:
+            raise DataError(f"{where}: target must be a non-empty array")
+        values = reference_target_values(raw, where)
+        cat = obj.get("cat", 0)
+        if not isinstance(cat, int) or isinstance(cat, bool):
+            raise DataError(f"{where}: cat must be an integer")
+        if cat >= CATEGORY_LIMIT:
+            raise DataError(f"{where}: cat {cat} is not below the limit {CATEGORY_LIMIT}")
+        try:
+            series.append(_reference_series(sid, start, gran, values, cat))
+        except DataError as e:
+            raise DataError(f"{where}: {e}") from None
+        seen_ids.add(sid)
+    if not series:
+        raise DataError(f"{path}: empty panel: no series")
+    grans = {gran for _, _, gran, _, _ in series}
+    if len(grans) > 1:
+        raise DataError(f"{path}: mixed granularities in panel: {sorted(g.value for g in grans)}")
+    return series

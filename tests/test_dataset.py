@@ -143,6 +143,12 @@ class TestLoadJsonl:
         with pytest.raises(DataError, match=r"bad\.jsonl:1: target\[2\] must be a finite number"):
             load_jsonl(path)
 
+    def test_unknown_freq_code_names_its_line(self, tmp_path):
+        path = tmp_path / "freq.jsonl"
+        path.write_text('\n{"id":"a","start":"2014-01-01T00:00:00","freq":"Q","target":[1]}\n')
+        with pytest.raises(DataError, match=r"freq\.jsonl:2: unknown freq code 'Q'"):
+            load_jsonl(path)
+
     def test_target_must_be_a_non_empty_array(self, tmp_path):
         for target in ('"abc"', "[]", "5", "null"):
             path = tmp_path / "t.jsonl"

@@ -153,8 +153,19 @@ def gaussian_panel():
     return panel
 
 
+def staggered_daily_panel():
+    # Series of two lengths that start on every weekday: each length's
+    # series hold several day-of-week phases, whose sums differ under a
+    # window length (26) that is no whole number of weeks.
+    rng = np.random.default_rng(23)
+    return Panel([TimeSeries(f"d{i}", datetime(2015, 3, 2) + timedelta(days=3 * i),
+                             Granularity.DAILY, rng.poisson(4.0, (90, 120)[i % 2]).astype(float))
+                  for i in range(24)])
+
+
 @pytest.mark.parametrize("make_panel, spec", [(long_hourly_panel, WindowSpec(167, 24)),
-                                               (gaussian_panel, WindowSpec(14, 7))])
+                                               (gaussian_panel, WindowSpec(14, 7)),
+                                               (staggered_daily_panel, WindowSpec(19, 7))])
 def test_set_up_sums_keep_the_per_series_order(make_panel, spec):
     # On the benchmark's panels every feature sum is an exact integer, so
     # any summation order gives the same bits. Here the hourly ages' x*x*w
