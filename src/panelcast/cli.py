@@ -17,11 +17,12 @@ import sys
 import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import chain
 
 from . import __version__
 from .dataset import load_jsonl, velocity_histogram
 from .errors import ConfigError, DataError, PanelcastError
-from .evaluator import align, evaluate, rolling_backtest
+from .evaluator import align, evaluate, report_json, rolling_backtest
 from .forecaster import (
     DEFAULT_NUM_SAMPLES,
     forecast_panel,
@@ -212,13 +213,9 @@ def cmd_evaluate(args) -> int:
         reports, pooled = rolling_backtest(
             panel, params, count, stride, spans, levels, args.samples, args.seed
         )
-        doc = {
-            "windows": [r.to_json_obj() for r in reports],
-            "pooled": pooled.to_json_obj(),
-        }
         if args.output:
-            _atomic_write(args.output, json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                                                  allow_nan=False) + "\n")
+            doc = {"windows": [r.to_json_obj() for r in reports], "pooled": pooled.to_json_obj()}
+            _atomic_write(args.output, report_json(doc))
             _write_manifest(
                 args.output,
                 "evaluate",
@@ -235,8 +232,8 @@ def cmd_evaluate(args) -> int:
         return 0
     if not args.forecasts:
         raise ConfigError("evaluate needs --forecasts (or --rolling with --model)")
-    records = read_forecasts(args.forecasts)  # at least one
-    first = records[0]
+    records = read_forecasts(args.forecasts)
+    first = next(records)  # a file without a record is a DataError
     levels = _parse_levels(args.levels) if args.levels else sorted(first.quantile_values)
     # Every record is checked against the first one later; an option the
     # first one cannot serve is rejected before any alignment.
@@ -257,8 +254,9 @@ def cmd_evaluate(args) -> int:
                 raise ConfigError(
                     f"forecasts have no {rho} quantile (available: {sorted(first.quantile_values)})"
                 )
-    pairs = align(panel, records)
-    report = evaluate(pairs, spans, levels)
+    # One record at a time from file to running sums: memory is set by
+    # series x horizon, not by the sample paths.
+    report = evaluate(align(panel, chain([first], records)), spans, levels)
     if args.output:
         _atomic_write(args.output, report.to_json())
         _write_manifest(

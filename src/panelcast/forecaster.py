@@ -50,13 +50,11 @@ from .rng import RowKeys, tag_key
 
 __all__ = [
     "ForecastSamples",
-    "QuantileForecast",
     "ForecastRecord",
     "ROW_BUDGET",
     "forecast_panel",
     "nearest_rank",
     "quantiles",
-    "span_aggregate",
     "record_from_samples",
     "render_forecasts",
     "read_forecasts",
@@ -85,12 +83,6 @@ class ForecastSamples:
     @property
     def horizon(self) -> int:
         return int(self.samples.shape[1])
-
-
-@dataclass
-class QuantileForecast:
-    levels: list
-    values: np.ndarray  # (len(levels), horizon)
 
 
 def forecast_panel(
@@ -202,14 +194,6 @@ def _decode_block(enc: _EncodedGroup, row_series, paths, params: ModelParams, h:
     return out
 
 
-def _as_matrix(samples) -> np.ndarray:
-    mat = samples.samples if isinstance(samples, ForecastSamples) else np.asarray(samples)
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ConfigError("sample matrix must be non-empty and 2-d")
-    return mat
-
-
 def nearest_rank(sorted_values: np.ndarray, rho: float):
     """Empirical rho-quantile of an ascending array: index ceil(rho*n)-1.
 
@@ -222,27 +206,18 @@ def nearest_rank(sorted_values: np.ndarray, rho: float):
     return sorted_values[idx]
 
 
-def quantiles(samples, levels) -> QuantileForecast:
-    """Per-step nearest-rank quantiles at each requested level."""
-    mat = _as_matrix(samples)
+def quantiles(samples, levels) -> np.ndarray:
+    """Per-step nearest-rank quantiles of a (paths, horizon) matrix or a
+    ForecastSamples, (len(levels), horizon): one row per level."""
+    mat = samples.samples if isinstance(samples, ForecastSamples) else samples
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ConfigError("sample matrix must be non-empty and 2-d")
     levels = [float(v) for v in levels]
     if not levels:
         raise ConfigError("at least one quantile level is required")
     sorted_cols = np.sort(mat, axis=0)
-    values = np.stack([nearest_rank(sorted_cols, rho) for rho in levels])
-    return QuantileForecast(levels, values)
-
-
-def span_aggregate(samples, lead: int, span: int, rho: float) -> float:
-    """rho-quantile of per-path sums over the span [lead, lead+span)."""
-    mat = _as_matrix(samples)
-    h = mat.shape[1]
-    if lead < 0 or span < 1 or lead + span > h:
-        raise ConfigError(
-            f"span [{lead}, {lead + span}) does not fit a horizon of {h} steps"
-        )
-    sums = mat[:, lead : lead + span].sum(axis=1)
-    return float(nearest_rank(np.sort(sums), rho))
+    return np.stack([nearest_rank(sorted_cols, rho) for rho in levels])
 
 
 @dataclass
@@ -289,9 +264,19 @@ class ForecastRecord:
                     "malformed forecast record: quantiles must map levels to "
                     "arrays of one common length of at least 1"
                 )
+            if not all(np.isfinite(v).all() for v in quant.values()):
+                raise DataError("malformed forecast record: quantile values must be finite")
             samples = None
             if "samples" in obj:
                 samples = np.asarray(obj["samples"], dtype=np.float64)
+                h = lengths.pop()
+                if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] != h:
+                    raise DataError(
+                        f"malformed forecast record: samples must be a matrix of at least "
+                        f"one row and {h} columns, one per forecast step"
+                    )
+                if not np.isfinite(samples).all():
+                    raise DataError("malformed forecast record: samples must be finite")
             return cls(
                 obj["id"],
                 datetime.fromisoformat(obj["start"]),
@@ -305,11 +290,11 @@ class ForecastRecord:
 
 
 def record_from_samples(fc: ForecastSamples, levels, emit_samples: bool = False) -> ForecastRecord:
-    q = quantiles(fc, levels)
+    levels = [float(v) for v in levels]
     return ForecastRecord(
         fc.series_id,
         fc.start,
-        {level: q.values[i] for i, level in enumerate(q.levels)},
+        dict(zip(levels, quantiles(fc, levels))),
         fc.num_samples,
         fc.seed,
         fc.samples if emit_samples else None,
@@ -324,7 +309,9 @@ def render_forecasts(records):
 
 
 def read_forecasts(path):
-    records = []
+    """The records of a forecast file, parsed and yielded one line at a
+    time. A file without a record is a DataError once it is read through."""
+    empty = True
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
@@ -332,7 +319,7 @@ def read_forecasts(path):
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
-        records.append(ForecastRecord.from_json_obj(obj))
-    if not records:
+        yield ForecastRecord.from_json_obj(obj)
+        empty = False
+    if empty:
         raise DataError(f"{path}: no forecast records")
-    return records

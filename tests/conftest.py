@@ -28,7 +28,8 @@ from panelcast.dataset import (
     text_lines,
 )
 from panelcast.errors import ConfigError, DataError, MetricError
-from panelcast.forecaster import ForecastSamples
+from panelcast.evaluator import MetricReport, _level_array, nd_rmse
+from panelcast.forecaster import ForecastSamples, nearest_rank
 from panelcast.likelihood import LikelihoodKind
 from panelcast.lstm import _slab_columns
 from panelcast.network import init_model
@@ -411,3 +412,99 @@ def reference_load_jsonl(path) -> list:
     if len(grans) > 1:
         raise DataError(f"{path}: mixed granularities in panel: {sorted(g.value for g in grans)}")
     return series
+
+
+# The list-based metrics the evaluator computed before it folded each pair
+# into running sums: every metric and level derives each pair's span
+# values again. The reference evaluate's report must equal bit for bit,
+# and the metrics the acceptance gates compute. A pair is (record, truth).
+
+def span_aggregate(samples, lead: int, span: int, rho: float) -> float:
+    """rho-quantile of per-path sums over the span [lead, lead+span)."""
+    mat = np.asarray(samples, dtype=np.float64)
+    h = mat.shape[1]
+    if lead < 0 or span < 1 or lead + span > h:
+        raise ConfigError(f"span [{lead}, {lead + span}) does not fit a horizon of {h} steps")
+    return float(nearest_rank(np.sort(mat[:, lead : lead + span].sum(axis=1)), rho))
+
+
+def _truth_span(pair, lead: int, span: int) -> float:
+    rec, truth = pair
+    vals = truth[lead : lead + span]
+    if vals.shape[0] != span:
+        raise MetricError(f"series {rec.series_id!r}: span [{lead}, {lead + span}) exceeds the horizon")
+    if np.any(np.isnan(vals)):
+        raise MetricError(
+            f"series {rec.series_id!r}: missing ground truth inside span [{lead}, {lead + span})")
+    return float(vals.sum())
+
+
+def _forecast_span(pair, lead: int, span: int, rho: float) -> float:
+    rec = pair[0]
+    if span == 1 and rec.samples is None:
+        return float(_level_array(rec, rho)[lead])
+    if rec.samples is None:
+        raise MetricError(
+            f"series {rec.series_id!r}: spans longer than one step need the "
+            "sample matrix; re-run prediction with --emit-samples")
+    return span_aggregate(rec.samples, lead, span, rho)
+
+
+def rho_risk(pairs, lead: int, span: int, rho: float) -> float:
+    """Sum of span quantile losses normalized by the summed span truth."""
+    if not 0.0 < rho < 1.0:
+        raise MetricError(f"quantile level must be in (0, 1), got {rho}")
+    denom = 0.0
+    num = 0.0
+    for pair in pairs:
+        z = _truth_span(pair, lead, span)
+        z_hat = _forecast_span(pair, lead, span, rho)
+        num += 2.0 * (z_hat - z) * rho if z_hat > z else -2.0 * (z_hat - z) * (1.0 - rho)
+        denom += z
+    if denom == 0.0:
+        raise MetricError(f"rho-risk undefined: span truth sums to 0 over [{lead}, {lead + span})")
+    return num / denom
+
+
+def all_k_risk(pairs, k: int, rho: float) -> float:
+    """Mean of the K single-step marginal risks [L, L+1), L < K."""
+    if k < 1:
+        raise MetricError("all(K) requires K >= 1")
+    return float(np.mean([rho_risk(pairs, lead, 1, rho) for lead in range(k)]))
+
+
+def coverage(pairs, levels, lead: int = 0, span: int = 1) -> dict:
+    """Fraction of series whose span-aggregated p-quantile strictly
+    exceeds the span-aggregated truth; ties count as not covered."""
+    out = {}
+    for rho in levels:
+        hits = 0
+        for pair in pairs:
+            if _forecast_span(pair, lead, span, rho) > _truth_span(pair, lead, span):
+                hits += 1
+        out[float(rho)] = hits / len(pairs)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_report(pairs, spans, levels) -> MetricReport:
+    """evaluate's report from the list-based metrics: ND and RMSE from the
+    samples' nearest-rank median when a record carries them, else from
+    its 0.5 track. A metric that is not finite is a DataError naming it."""
+    horizon = pairs[0][1].shape[0]
+    levels = [float(v) for v in levels]
+    risks, cov = {}, {}
+    for lead, span in spans:
+        span_cov = coverage(pairs, levels, lead, span)
+        cov[f"{lead}:{span}"] = {repr(rho): span_cov[rho] for rho in levels}
+        for rho in levels:
+            risks[f"{lead}:{span}@{rho}"] = rho_risk(pairs, lead, span, rho)
+    all_k = {f"all({horizon})@{rho}": all_k_risk(pairs, horizon, rho) for rho in levels}
+    medians = [_level_array(rec, 0.5) if rec.samples is None
+               else nearest_rank(np.sort(rec.samples, axis=0), 0.5) for rec, _ in pairs]
+    nd, rmse = nd_rmse(np.stack([truth for _, truth in pairs]), np.stack(medians))
+    named = {"ND": nd, "RMSE": rmse, **{f"risk[{key}]": v for key, v in risks.items()}, **all_k}
+    for name, value in named.items():
+        if not np.isfinite(value):
+            raise DataError(f"{name} is {value}: the truth or forecast values are too large to score")
+    return MetricReport(list(spans), levels, risks, all_k, nd, rmse, cov, len(pairs))

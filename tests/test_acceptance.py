@@ -35,7 +35,7 @@ from panelcast.dataset import (
     series_scale,
 )
 from panelcast.errors import DivergenceError
-from panelcast.evaluator import EvalPair, all_k_risk, coverage, nd_rmse, rolling_backtest
+from panelcast.evaluator import nd_rmse, rolling_backtest
 from panelcast.forecaster import ForecastRecord, forecast_panel, record_from_samples
 from panelcast.likelihood import LikelihoodKind, negbin_nll
 from panelcast.network import unroll_batch
@@ -43,6 +43,8 @@ from panelcast.rng import RowKeys, neg_binomials
 from panelcast.trainer import TrainConfig, train
 
 from conftest import (
+    all_k_risk,
+    coverage,
     cut_window,
     pcg64,
     pcg64_init_model,
@@ -223,9 +225,7 @@ def seasonal_experiment():
             truth = s.target[cut : cut + SEASONAL_H].copy()
             fc = next(forecast_panel([_truncated(s, SEASONAL_H)], model,
                                      num_samples=200, seed=90 + seed))
-            model_pairs.append(
-                EvalPair(record_from_samples(fc, list(LEVELS_34)), truth)
-            )
+            model_pairs.append((record_from_samples(fc, list(LEVELS_34)), truth))
             m = mus[idx][cut : cut + SEASONAL_H]
             r_param = 1.0 / SEASONAL_ALPHA
             p_param = 1.0 / (1.0 + SEASONAL_ALPHA * m)
@@ -233,9 +233,7 @@ def seasonal_experiment():
                 rho: sps.nbinom.ppf(rho, r_param, p_param).astype(float)
                 for rho in LEVELS_34
             }
-            oracle_pairs.append(
-                EvalPair(ForecastRecord(s.id, s.timestamp(cut), true_q, 0, 0), truth)
-            )
+            oracle_pairs.append((ForecastRecord(s.id, s.timestamp(cut), true_q, 0, 0), truth))
         covs = {
             p: float(
                 np.mean(
@@ -326,7 +324,7 @@ def test_scaling_sampling_ablation():
             fc = next(forecast_panel([_truncated(s, horizon)], model,
                                      num_samples=200, seed=900 + seed))
             pairs.append(
-                EvalPair(record_from_samples(fc, [0.5]), s.target[cut : cut + horizon].copy())
+                (record_from_samples(fc, [0.5]), s.target[cut : cut + horizon].copy())
             )
         return all_k_risk(pairs, horizon, 0.5)
 
@@ -393,9 +391,9 @@ def test_shuffle_miscalibration():
         cut = s.n - horizon
         truth = s.target[cut : cut + horizon].copy()
         fc = next(forecast_panel([_truncated(s, horizon)], model, num_samples=200, seed=777))
-        orig_pairs.append(EvalPair(record_from_samples(fc, [0.5], emit_samples=True), truth))
+        orig_pairs.append((record_from_samples(fc, [0.5], emit_samples=True), truth))
         shuffled = shuffle_paths(fc, seed=31 + i)
-        shuf_pairs.append(EvalPair(record_from_samples(shuffled, [0.5], emit_samples=True), truth))
+        shuf_pairs.append((record_from_samples(shuffled, [0.5], emit_samples=True), truth))
 
     def mean_abs_dev(pairs):
         cov = coverage(pairs, p_grid, 0, horizon)

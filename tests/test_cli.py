@@ -646,6 +646,31 @@ def _empty_quantiles(obj):
     obj["quantiles"] = {}
 
 
+def _nan_quantile(obj):
+    obj["quantiles"]["0.9"][1] = float("nan")
+
+
+def _extra_sample_column(obj):
+    obj["samples"] = [obj["quantiles"]["0.5"] + [1.0]] * 3
+
+
+def _missing_sample_column(obj):
+    obj["samples"] = [obj["quantiles"]["0.5"][:-1]] * 3
+
+
+def _nan_sample(obj):
+    obj["samples"] = [obj["quantiles"]["0.5"]] * 3
+    obj["samples"][1] = [float("nan")] * len(obj["samples"][1])
+
+
+def _no_sample_rows(obj):
+    obj["samples"] = []
+
+
+def _flat_samples(obj):
+    obj["samples"] = obj["quantiles"]["0.5"]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -653,6 +678,12 @@ def _empty_quantiles(obj):
         (_unequal_lengths, "one common length"),
         (_scalar_quantile, "one common length"),
         (_empty_quantiles, "one common length"),
+        (_nan_quantile, "quantile values must be finite"),
+        (_extra_sample_column, f"samples must be a matrix of at least one row and {HORIZON} columns"),
+        (_missing_sample_column, f"samples must be a matrix of at least one row and {HORIZON} columns"),
+        (_nan_sample, "samples must be finite"),
+        (_no_sample_rows, "samples must be a matrix"),
+        (_flat_samples, "samples must be a matrix"),
     ],
 )
 def test_evaluate_malformed_forecast_exits_2(workdir, tmp_path, capsys, corrupt, message):
@@ -666,6 +697,19 @@ def test_evaluate_malformed_forecast_exits_2(workdir, tmp_path, capsys, corrupt,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_evaluate_repeated_record_exits_1(workdir, tmp_path, capsys):
+    lines = open(_perfect_forecasts(workdir, tmp_path)).read().splitlines()
+    fc = tmp_path / "repeated.jsonl"
+    fc.write_text("\n".join(lines + lines[1:2]) + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    rc = main(["evaluate", "--truth", workdir["data"], "--forecasts", str(fc), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    sid = json.loads(lines[1])["id"]
+    assert err.count("\n") == 1 and f"series {sid!r}: the forecasts repeat the record" in err
+    assert not out.exists()
 
 
 def test_spans_string_parses_into_pairs():

@@ -8,7 +8,15 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from conftest import START, count_panel, make_series, pcg64_init_model, shuffle_paths, tiny_model
+from conftest import (
+    START,
+    count_panel,
+    make_series,
+    pcg64_init_model,
+    shuffle_paths,
+    span_aggregate,
+    tiny_model,
+)
 from panelcast import forecaster, trainer
 from panelcast.dataset import Granularity, Panel
 from panelcast.errors import ConfigError, DataError
@@ -22,7 +30,6 @@ from panelcast.forecaster import (
     read_forecasts,
     record_from_samples,
     render_forecasts,
-    span_aggregate,
 )
 from panelcast.likelihood import LikelihoodKind
 from panelcast.rng import RowKeys
@@ -57,8 +64,8 @@ def test_nearest_rank_level_validation():
 def test_quantiles_of_constant_samples():
     mat = np.full((64, 5), 3.5)
     q = quantiles(mat, [0.1, 0.5, 0.9])
-    assert q.values.shape == (3, 5)
-    assert np.all(q.values == 3.5)
+    assert q.shape == (3, 5)
+    assert np.all(q == 3.5)
 
 
 def test_quantiles_monotone_in_level():
@@ -66,8 +73,8 @@ def test_quantiles_monotone_in_level():
     mat = rng.normal(0.0, 2.0, size=(257, 8))
     levels = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95]
     q = quantiles(mat, levels)
-    assert q.levels == levels
-    diffs = np.diff(q.values, axis=0)
+    assert q.shape == (len(levels), 8)
+    diffs = np.diff(q, axis=0)
     assert np.all(diffs >= 0.0)
 
 
@@ -77,7 +84,7 @@ def test_quantiles_match_per_column_nearest_rank():
     q = quantiles(mat, [0.3])
     for t in range(3):
         col = np.sort(mat[:, t])
-        assert q.values[0, t] == nearest_rank(col, 0.3)
+        assert q[0, t] == nearest_rank(col, 0.3)
 
 
 def test_quantiles_rejects_bad_input():
@@ -108,7 +115,7 @@ def test_span_of_one_equals_per_step_quantile():
     for rho in (0.1, 0.5, 0.9):
         q = quantiles(mat, [rho])
         for t in range(6):
-            assert span_aggregate(mat, t, 1, rho) == q.values[0, t]
+            assert span_aggregate(mat, t, 1, rho) == q[0, t]
 
 
 def test_span_aggregate_identical_paths():
@@ -549,7 +556,7 @@ def test_write_read_forecasts(tmp_path):
     records[1].series_id = "widget-8"
     path = tmp_path / "fc.jsonl"
     path.write_text("".join(render_forecasts(records)), encoding="utf-8")
-    back = read_forecasts(path)
+    back = list(read_forecasts(path))
     assert [r.series_id for r in back] == ["widget-7", "widget-8"]
     np.testing.assert_array_equal(
         back[0].quantile_values[0.9], records[0].quantile_values[0.9]
@@ -564,25 +571,34 @@ def test_read_forecasts_reports_bad_line(tmp_path):
 
     path.write_text(json.dumps(good) + "\n{oops\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"bad\.jsonl:2:"):
-        read_forecasts(path)
+        list(read_forecasts(path))
+
+
+def test_read_forecasts_yields_one_record_at_a_time(tmp_path):
+    path = tmp_path / "stream.jsonl"
+    path.write_text("".join(render_forecasts([_sample_record()])) + "{oops\n", encoding="utf-8")
+    records = read_forecasts(path)
+    assert next(records).series_id == "widget-7"  # read before the bad line is
+    with pytest.raises(DataError, match=r"stream\.jsonl:2:"):
+        next(records)
 
 
 def test_read_forecasts_rejects_missing_fields(tmp_path):
     path = tmp_path / "missing.jsonl"
     path.write_text('{"id": "x"}\n', encoding="utf-8")
     with pytest.raises(DataError, match="malformed forecast record"):
-        read_forecasts(path)
+        list(read_forecasts(path))
 
 
 def test_read_forecasts_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
     with pytest.raises(DataError, match="no forecast records"):
-        read_forecasts(path)
+        list(read_forecasts(path))
 
 
 def test_read_forecasts_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b'{"id": "caf\xe9"}\n')
     with pytest.raises(DataError, match="not UTF-8 text"):
-        read_forecasts(path)
+        list(read_forecasts(path))

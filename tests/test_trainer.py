@@ -127,7 +127,7 @@ class TestTrain:
         # NLL falls toward the all-zero entropy floor
         assert log.rows[-1][3] < log.rows[0][3]
         fc = next(forecast_panel([panel.get("z0")], model, num_samples=64, seed=1))
-        p50 = quantiles(fc, [0.5]).values[0]
+        p50 = quantiles(fc, [0.5])[0]
         assert np.all(p50 == 0.0)
 
     def test_sinusoid_nll_improves_over_initialization(self):
