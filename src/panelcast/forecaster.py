@@ -7,9 +7,10 @@ at a time:
 
 1. Encode. The group's series run through their conditioning ranges and
    the first prediction step together, one row per series, on the
-   forecast's one lstm.StepSlab (network.encode). Every path of a series
-   starts from the same state and first predictive distribution, so both
-   are computed once per series; the state is kept as arrays.
+   forecast's one float32 lstm.StepSlab (network.encode). Every path of
+   a series starts from the same state and first predictive
+   distribution, so both are computed once per series; the state is kept
+   as arrays.
 2. Decode. Row r of a group of series with P paths each is path r % P
    of series r // P, and each run of ROW_BUDGET consecutive rows is one
    block, so a series' paths may span two or more blocks and every
@@ -26,8 +27,13 @@ missing conditioning value at step t reads H(seed, s, 0, t, round)
 under a separate tag. So path p is the same no matter how many paths
 are drawn, which series share its group or block, or how the panel is
 split, bit for bit: the network computes each row independently of the
-other rows of its batch (the slab pads its columns to a multiple of 8
-so that BLAS rounds a row the same at every block size).
+other rows of its batch (the float32 slab pads its columns to a multiple
+of 16 so that BLAS rounds a row the same at every block size and in
+every column).
+
+The LSTM steps in float32 here only: the heads read the slab's top h
+upcast to float64, so the distribution parameters, the samplers and the
+quantiles are float64, and training and validation step in float64.
 
 Quantiles are empirical nearest-rank: sorted column index ceil(rho*n)-1.
 """
@@ -67,6 +73,11 @@ DEFAULT_NUM_SAMPLES = 200
 # a block's arrays, not the panel size, set the peak memory of a
 # forecast.
 ROW_BUDGET = 400
+
+# The precision encode and decode step the LSTM in. float32 halves the
+# cost of the step's products and transcendentals, and the float64 heads
+# and samplers downstream gain nothing from more.
+SLAB_DTYPE = np.float32
 
 
 @dataclass
@@ -128,7 +139,7 @@ def forecast_panel(
 def _forecast_groups(series_list, params, num_samples, seed, h):
     if not series_list:
         return
-    slab = StepSlab(params.layers, min(ROW_BUDGET, len(series_list) * num_samples))
+    slab = StepSlab(params.layers, min(ROW_BUDGET, len(series_list) * num_samples), SLAB_DTYPE)
     path_key = tag_key(seed, "path")
     for g0 in range(0, len(series_list), ROW_BUDGET):
         group = series_list[g0 : g0 + ROW_BUDGET]

@@ -1,27 +1,27 @@
 """Stacked LSTM cell with hand-derived backward pass.
 
-Arrays are float64. The four gates are packed along the last axis of one
-weight matrix in the order input | forget | candidate | output, with the
-input and recurrent paths stacked row-wise and a bias per gate column.
+The four gates are packed along the last axis of one weight matrix in
+the order input | forget | candidate | output, with the input and
+recurrent paths stacked row-wise and a bias per gate column.
 
 Every step's block is stored feature-major, one column per row of the
-batch, with the columns padded to a multiple of 8 (_padded). A step's
-inputs and hidden states form one column vector [1, x, h_0, 1, h_1, ...,
-1, h_{L-1}]: layer l's row range, [1, x, h_0] for layer 0 and
-[h_{l-1}, 1, h_l] above it, holds exactly one ones row, the h a layer
-writes is already the next layer's input, and each gate quarter is a
-block of rows. Each layer steps with a weight derived from layer.w and
-layer.b (_derive_weights): transposed and C-contiguous, with the bias as
-the column that meets the ones row and the i, f and o rows negated. So
-one product of it with the layer's rows yields the candidate's
-pre-activation, and minus the sigmoid gates', bias included, and the
-sigmoid is 1 / (1 + exp(product)). Negating a weight is exact, so the
-sign costs nothing. The derived weights are rebuilt from the model at
-every reset(), never per step. One cell, _step_layer, steps a layer
-on such (rows, columns) blocks. Each row's result then depends only on
-that row, bit for bit, whatever the batch size: the tests pin it, and
-a scan of hidden sizes 1-24 with 3-46 inputs at 1-400 rows found no
-exception (see _padded).
+batch, with the columns padded to a multiple of 8, or of 16 for a
+float32 StepSlab (_padded). A step's inputs and hidden states form one
+column vector [1, x, h_0, 1, h_1, ..., 1, h_{L-1}]: layer l's row range,
+[1, x, h_0] for layer 0 and [h_{l-1}, 1, h_l] above it, holds exactly
+one ones row, the h a layer writes is already the next layer's input,
+and each gate quarter is a block of rows. Each layer steps with a weight
+derived from layer.w and layer.b (_derive_weights): transposed and
+C-contiguous, with the bias as the column that meets the ones row and
+the i, f and o rows negated. So one product of it with the layer's rows
+yields the candidate's pre-activation, and minus the sigmoid gates',
+bias included, and the sigmoid is 1 / (1 + exp(product)). Negating a
+weight is exact, so the sign costs nothing. The derived weights are
+rebuilt from the model at every reset(), never per step. One cell,
+_step_layer, steps a layer on such (rows, columns) blocks. Each row's
+result then depends only on that row, bit for bit, whatever the batch
+size and the row's column: the tests pin it, and scans at both
+precisions found no exception (see _padded).
 
 Training records a whole sequence in a SequenceTape, whose slab of
 inputs and hidden states carries a time axis between the features and
@@ -37,8 +37,12 @@ gradient.
 Whatever runs forward only (validation, conditioning, decoding) steps a
 StepSlab: the tape collapsed to a single step and updated in place, so
 it allocates nothing per step. Both step through _step_layer on the same
-layout, so tape and slab agree bit for bit. Both step through
-step_inputs(t) and forward_step(t), so one loop steps either (see network).
+layout, so a float64 slab and the tape agree bit for bit. The tape, and
+so training, is float64; a slab steps in the dtype it is made with, its
+stores and derived weights alike: validation's in float64, a forecast's
+in float32 (see forecaster), whose products and transcendentals cost
+about half as much. Both step through step_inputs(t) and
+forward_step(t), so one loop steps either (see network).
 """
 
 from __future__ import annotations
@@ -148,24 +152,36 @@ def _step_layer(w, xh, gates, c_prev, c, h, work) -> None:
     np.multiply(o, work, out=h)
 
 
-def _padded(batch: int) -> int:
-    """Columns a tape or slab steps for `batch` rows: the next multiple of
-    8, the columns past the batch being padding.
+def _padded(batch: int, dtype=np.float64) -> int:
+    """Columns a tape or slab of `dtype` steps for `batch` rows: the next
+    multiple of 8 for float64, of 16 for float32 (64 bytes either way),
+    the columns past the batch being padding.
 
     The gate product puts the batch on the axis that OpenBLAS blocks and
-    splits between threads. Unless the column count is a multiple of 8,
+    splits between threads. Unless the column count is such a multiple,
     those splits move with it, and a row's gates round differently with
-    different batch sizes: a scan of a 40-unit layer found such rows at
-    161 or more columns on two threads, 193 or more on one. At multiples
-    of 8 no shape in the scan rounded a row differently from the same row
-    stepped alone, and a one-row batch never reaches gemv, which rounds
-    differently from gemm. The scan, rerun for the derived weights'
-    (4H, K + 1) products on contiguous and strided slab rows, with
-    hidden sizes 1-24, 3-46 inputs, 1-400 rows (8-400 columns, a row
+    different batch sizes: a scan of a 40-unit float64 layer found such
+    rows at 161 or more columns on two threads, 193 or more on one. At
+    multiples of 8 no shape in the scan rounded a row differently from
+    the same row stepped alone, and a one-row batch never reaches gemv,
+    which rounds differently from gemm. The scan, rerun for the derived
+    weights' (4H, K + 1) products on contiguous and strided slab rows,
+    with hidden sizes 1-24, 3-46 inputs, 1-400 rows (8-400 columns, a row
     also moved to other columns) and 1 and 2 threads, and for the heads'
     (2, H) product, found no exception either.
+
+    float32 products padded to multiples of 8 are not row-independent:
+    in a scan of the gate product at two threads, 704 of 896 (4H, K + 1)
+    shapes rounded some column differently inside a wider product. At
+    multiples of 16 none did: hidden sizes 1-64 with 5-130 inputs (8,064
+    shapes), the first n columns for n = 16-512 and the 512 columns
+    shifted by seven offsets of 1-255, on contiguous and strided slab
+    rows: 628,992 products at each of 1 and 2 OpenBLAS threads. Nor did
+    the heads' float64 (2, H) product over an upcast float32 top (H
+    1-64).
     """
-    return -(-batch // 8) * 8
+    step = 64 // np.dtype(dtype).itemsize
+    return -(-batch // step) * step
 
 
 class StepSlab:
@@ -180,19 +196,22 @@ class StepSlab:
     layer-0 inputs into `inputs` (values it leaves alone are kept from
     step to step) and calls step(). A slab starts from the zero state;
     storage is sized for `batch` rows, and reset() starts over with
-    fewer, and with weights derived afresh from the layers.
+    fewer, and with weights derived afresh from the layers. Stores and
+    derived weights are of `dtype`, float64 or float32; the layers stay
+    float64, and a float32 slab rounds each derived weight once.
     """
 
-    def __init__(self, layers, batch: int):
+    def __init__(self, layers, batch: int, dtype=np.float64):
         self.layers = layers
         self.capacity = batch
+        self.dtype = np.dtype(dtype)
         self._rows, self._ones, self._h_row, self._width = _slab_columns(layers)
         self._hidden = max(layer.hidden_dim for layer in layers)
-        cols = _padded(batch)
-        self._xh_store = np.empty(self._width * cols)
-        self._c_stores = [np.empty(layer.hidden_dim * cols) for layer in layers]
-        self._gate_store = np.empty(4 * self._hidden * cols)
-        self._weights = [np.empty((4 * layer.hidden_dim, hi - lo))
+        cols = _padded(batch, dtype)
+        self._xh_store = np.empty(self._width * cols, dtype)
+        self._c_stores = [np.empty(layer.hidden_dim * cols, dtype) for layer in layers]
+        self._gate_store = np.empty(4 * self._hidden * cols, dtype)
+        self._weights = [np.empty((4 * layer.hidden_dim, hi - lo), dtype)
                          for layer, (lo, hi) in zip(layers, self._rows)]
         self.reset(batch)
 
@@ -202,7 +221,7 @@ class StepSlab:
         if not 0 < batch <= self.capacity:
             raise ConfigError(f"slab holds at most {self.capacity} rows, not {batch}")
         self.batch = batch
-        cols = _padded(batch)
+        cols = _padded(batch, self.dtype)
         _derive_weights(self.layers, self._rows, self._ones, self._weights)
         self._xh = self._xh_store[: self._width * cols].reshape(self._width, cols)
         self._xh[...] = 0.0
@@ -252,7 +271,10 @@ class StepSlab:
 
     def step(self) -> None:
         """Run every layer for one step on the inputs in place."""
-        with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0
+        # exp(-x) -> inf gives sigmoid 0. An input past a float32 slab's
+        # range is inf and can turn the rows that read it into NaN, which
+        # the callers' checks on the heads report.
+        with np.errstate(over="ignore", invalid="ignore"):
             for args in self._step_args:
                 _step_layer(*args)
 

@@ -188,12 +188,14 @@ def _write_inputs(x, z_prev, nu, covariates, emb=None) -> None:
     """Write the per-row step inputs [z_{t-1}/nu, x_t, embedding] into x
     (..., B, input_dim) in place, for z_prev (..., B), nu (B,), covariates
     (..., B, d) and emb (B, e). emb=None leaves the embedding columns as
-    they are."""
-    np.divide(z_prev, nu, out=x[..., 0])
-    d = covariates.shape[-1]
-    x[..., 1 : 1 + d] = covariates
-    if emb is not None:
-        x[..., 1 + d :] = emb
+    they are. A value past the range of x's dtype (a float32 slab's) is
+    written as inf, for the stepper to carry to the heads' checks."""
+    with np.errstate(over="ignore"):
+        np.divide(z_prev, nu, out=x[..., 0])
+        d = covariates.shape[-1]
+        x[..., 1 : 1 + d] = covariates
+        if emb is not None:
+            x[..., 1 + d :] = emb
 
 
 def _impute(params: ModelParams, h, nu, keys: RowKeys, step: int, rows):
@@ -328,8 +330,12 @@ def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
     mu, disp, hcache, nll, d_mu, d_disp = _score(params, tape.top[:, :steps], nu, targets,
                                                  counted)
     # Exact summation keeps the loss reproducible to the last ulp, which
-    # the finite-difference harness depends on.
-    total_nll = math.fsum(nll.tolist())
+    # the finite-difference harness depends on. Terms that are each
+    # finite can still sum past the float range.
+    try:
+        total_nll = math.fsum(nll.tolist())
+    except OverflowError:
+        raise DivergenceError("the summed NLL overflows") from None
     d_h, head_grads = heads_backward(d_mu.reshape(T, B), d_disp.reshape(T, B), hcache,
                                      params.heads, params.likelihood, out=tape.upstream())
     d_x, layer_grads = tape.backward(d_h)

@@ -57,10 +57,13 @@ def adam_step(blocks: dict, grads: dict, state: AdamState) -> None:
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all blocks by min(1, max_norm/||g||) in place; returns the norm."""
+    """Scale all blocks by min(1, max_norm/||g||) in place; returns the
+    norm, inf when its square overflows (the caller treats a norm that
+    is not finite as divergence)."""
     total = 0.0
-    for arr in grads.values():
-        total += float(np.sum(arr * arr))
+    with np.errstate(over="ignore"):
+        for arr in grads.values():
+            total += float(np.sum(arr * arr))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

@@ -159,7 +159,8 @@ def _pool_nll(pool, params: ModelParams, batch_size: int, impute_seed: int) -> f
     chunks: chunk i (its first window's offset in the pool) imputes row b
     with the key of (derive_seed(impute_seed, i), window series id) on
     path b, and sums its losses exactly; the chunk sums add in order. The
-    whole pool runs forward in one pass (network.forward_nll)."""
+    whole pool runs forward in one pass (network.forward_nll). A total
+    past the float range is a DivergenceError."""
     chunks = range(0, len(pool), batch_size)
     keys = None
     if np.any(pool.mask[:, :-1] == MASK_MISSING):
@@ -170,9 +171,14 @@ def _pool_nll(pool, params: ModelParams, batch_size: int, impute_seed: int) -> f
         ])
     nll, counted = forward_nll(pool, params, keys)
     total = 0.0
-    for i in chunks:
-        # Exact per chunk, as unroll_batch sums a batch's loss.
-        total += math.fsum(nll[i : i + batch_size][counted[i : i + batch_size]].tolist())
+    try:
+        for i in chunks:
+            # Exact per chunk, as unroll_batch sums a batch's loss.
+            total += math.fsum(nll[i : i + batch_size][counted[i : i + batch_size]].tolist())
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DivergenceError("the validation NLL overflows")
     steps = int(counted.sum())
     if steps == 0:
         raise ConfigError("validation pool has no contributing steps")
@@ -288,6 +294,12 @@ def train(panel: Panel, config: TrainConfig):
             if stale >= config.patience:
                 log.stopping_reason = f"no validation improvement for {config.patience} epochs"
                 break
+    if adam.step == 0:
+        # Nothing was learned: the best blocks are the initial ones.
+        log.stopping_reason = f"diverged: all {batches_done} batches skipped"
+        raise DivergenceError(
+            f"training diverged: all {batches_done} batches were skipped as divergent", log=log
+        )
     if not log.stopping_reason:
         log.stopping_reason = f"reached max_batches={config.max_batches}"
     model.load_blocks(best_blocks)

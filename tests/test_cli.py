@@ -586,6 +586,40 @@ def test_targets_summing_past_float_range_exit_2(workdir, tmp_path, capsys, comm
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("factor", [1e100, 1e150])
+def test_unscaled_gaussian_train_on_huge_targets_fails_in_one_line(tmp_path, factor):
+    # Counts of levels 1 to 1000, times 1e100 or 1e150, trained without
+    # scaling: every batch's gradient norm (1e100) or summed NLL (1e150)
+    # overflows, so both batches are skipped as divergent. The run ends
+    # with one line on stderr, no warning, and writes no model: the
+    # untrained init is not a trained model. A fresh process, so that
+    # stderr holds everything the command prints.
+    import panelcast
+
+    rng = np.random.default_rng(5)
+    rows = [{"id": f"s{i}", "start": START.isoformat(), "freq": "D",
+             "target": (rng.poisson(10.0 ** (i / 3), 120) * factor).tolist(), "cat": i % 2}
+            for i in range(10)]
+    data = _write_rows(tmp_path / "huge.jsonl", rows)
+    config = tmp_path / "unscaled.cfg"
+    config.write_text("likelihood = gaussian\nno_scaling = true\nmax_batches = 2\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(panelcast.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "panelcast.cli", "train", "--data", data,
+         "--config", str(config), "--output", str(out / "m.bin")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert "diverge" in proc.stderr or "overflows" in proc.stderr
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------

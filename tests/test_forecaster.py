@@ -241,6 +241,15 @@ def test_forecast_paths_stable_under_extra_samples():
     )
 
 
+def slab_dtypes(monkeypatch):
+    """Loop over the precisions a forecast slab steps in: float32, the
+    forecaster's, then float64; each pass forecasts on a slab of that
+    dtype."""
+    for dtype in (np.float32, np.float64):
+        monkeypatch.setattr(forecaster, "SLAB_DTYPE", dtype)
+        yield dtype
+
+
 def _block_test_panel():
     series = list(count_panel(num_series=5, n=26).series)
     gappy = [3.0, 4.0, float("nan"), 5.0, 2.0, float("nan"), 4.0, 3.0, 2.0, 6.0]
@@ -254,21 +263,23 @@ def _block_test_panel():
     [ROW_BUDGET // 2 - 10, ROW_BUDGET + 50],
     ids=["packed-blocks", "split-series"],
 )
-def test_series_alone_matches_series_in_blocked_panel(kind, num_samples):
+def test_series_alone_matches_series_in_blocked_panel(monkeypatch, kind, num_samples):
     # A path's draws depend only on (seed, series id, path, step), so a
     # series forecast alone equals the same series inside a panel that is
     # split into several row blocks, whether blocks pack two series each
     # or a series has more paths than the budget. The network arithmetic
-    # of a row does not depend on the other rows, so the match is exact.
+    # of a row does not depend on the other rows, so the match is exact,
+    # on a float32 slab as on a float64 one.
     _, model = tiny_model(kind)
     series = _block_test_panel()
-    blocked = list(forecast_panel(series, model, num_samples, seed=11))
-    assert [fc.series_id for fc in blocked] == [s.id for s in series]
-    for s, fc in zip(series, blocked):
-        alone = next(forecast_panel([s], model, num_samples=num_samples, seed=11))
-        assert fc.samples.shape == (num_samples, model.spec.prediction_length)
-        assert fc.start == alone.start and fc.seed == alone.seed
-        np.testing.assert_array_equal(fc.samples, alone.samples)
+    for _ in slab_dtypes(monkeypatch):
+        blocked = list(forecast_panel(series, model, num_samples, seed=11))
+        assert [fc.series_id for fc in blocked] == [s.id for s in series]
+        for s, fc in zip(series, blocked):
+            alone = next(forecast_panel([s], model, num_samples=num_samples, seed=11))
+            assert fc.samples.shape == (num_samples, model.spec.prediction_length)
+            assert fc.start == alone.start and fc.seed == alone.seed
+            np.testing.assert_array_equal(fc.samples, alone.samples)
 
 
 def _decoded_blocks(monkeypatch, series, model, num_samples, **kwargs):
@@ -332,23 +343,24 @@ def _gappy_series(sid, n, gaps, category=0, seed=0):
 
 
 @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
-def test_horizon_one_paths_equal_series_alone(kind):
+def test_horizon_one_paths_equal_series_alone(monkeypatch, kind):
     # With one step there is no decode step at all: every path is a draw
     # from the distribution the encode phase left, the same whatever the
     # horizon.
     _, model = tiny_model(kind)
     series = _block_test_panel()
-    panel = list(forecast_panel(series, model, 30, seed=5, horizon=1))
-    for s, fc in zip(series, panel):
-        alone = next(forecast_panel([s], model, num_samples=30, seed=5, horizon=1))
-        assert fc.samples.shape == (30, 1)
-        np.testing.assert_array_equal(fc.samples, alone.samples)
-        longer = next(forecast_panel([s], model, num_samples=30, seed=5, horizon=4))
-        np.testing.assert_array_equal(fc.samples[:, 0], longer.samples[:, 0])
+    for _ in slab_dtypes(monkeypatch):
+        panel = list(forecast_panel(series, model, 30, seed=5, horizon=1))
+        for s, fc in zip(series, panel):
+            alone = next(forecast_panel([s], model, num_samples=30, seed=5, horizon=1))
+            assert fc.samples.shape == (30, 1)
+            np.testing.assert_array_equal(fc.samples, alone.samples)
+            longer = next(forecast_panel([s], model, num_samples=30, seed=5, horizon=4))
+            np.testing.assert_array_equal(fc.samples[:, 0], longer.samples[:, 0])
 
 
 @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
-def test_paths_over_budget_with_missing_history_equal_series_alone(kind):
+def test_paths_over_budget_with_missing_history_equal_series_alone(monkeypatch, kind):
     # More paths than ROW_BUDGET, and missing values in every conditioning
     # range: each series' paths span two decode blocks loaded from one
     # encoded row, and equal the series forecast alone, also under a
@@ -357,26 +369,28 @@ def test_paths_over_budget_with_missing_history_equal_series_alone(kind):
     series = [_gappy_series(f"g{i}", 14, gaps, i % 2, seed=i)
               for i, gaps in enumerate([(0,), (2, 3), (5,)])]
     num_samples = ROW_BUDGET + 50
-    panel = list(forecast_panel(series, model, num_samples, seed=9, horizon=3))
-    for s, fc in zip(series, panel):
-        alone = next(forecast_panel([s], model, num_samples=num_samples, seed=9, horizon=3))
-        np.testing.assert_array_equal(fc.samples, alone.samples)
-        few = next(forecast_panel([s], model, num_samples=37, seed=9, horizon=3))
-        np.testing.assert_array_equal(fc.samples[:37], few.samples)
+    for _ in slab_dtypes(monkeypatch):
+        panel = list(forecast_panel(series, model, num_samples, seed=9, horizon=3))
+        for s, fc in zip(series, panel):
+            alone = next(forecast_panel([s], model, num_samples=num_samples, seed=9, horizon=3))
+            np.testing.assert_array_equal(fc.samples, alone.samples)
+            few = next(forecast_panel([s], model, num_samples=37, seed=9, horizon=3))
+            np.testing.assert_array_equal(fc.samples[:37], few.samples)
 
 
 @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
-def test_two_encode_groups_equal_series_alone(kind):
+def test_two_encode_groups_equal_series_alone(monkeypatch, kind):
     # More series than ROW_BUDGET are encoded in two groups; every path of
     # every series equals the series forecast alone.
     _, model = tiny_model(kind)
     series = [_gappy_series(f"w{i}", 12, (i % 6,) if i % 3 == 0 else (), i % 2, seed=i)
               for i in range(ROW_BUDGET + 5)]
-    panel = list(forecast_panel(series, model, 3, seed=2, horizon=2))
-    assert [fc.series_id for fc in panel] == [s.id for s in series]
-    for s, fc in zip(series, panel):
-        alone = next(forecast_panel([s], model, num_samples=3, seed=2, horizon=2))
-        np.testing.assert_array_equal(fc.samples, alone.samples)
+    for _ in slab_dtypes(monkeypatch):
+        panel = list(forecast_panel(series, model, 3, seed=2, horizon=2))
+        assert [fc.series_id for fc in panel] == [s.id for s in series]
+        for s, fc in zip(series, panel):
+            alone = next(forecast_panel([s], model, num_samples=3, seed=2, horizon=2))
+            np.testing.assert_array_equal(fc.samples, alone.samples)
 
 
 def test_forecast_panel_of_no_series_yields_nothing():

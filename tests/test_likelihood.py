@@ -200,23 +200,25 @@ class TestApplyHeads:
         # On columns padded as the LSTM pads them, a row's parameters have
         # the same bits whatever the number of rows beside it: the (2, H)
         # product, unlike a reduction along the features, does not round
-        # a one-column block differently.
+        # a one-column block differently. So too over a float32 top, as a
+        # forecast's slab holds it, which the heads read upcast.
         gen = pcg64(13, "heads-rows", kind.value)
-        for hidden in (7, 40):
+        for hidden, dtype in ((7, np.float64), (40, np.float64), (7, np.float32),
+                              (40, np.float32)):
             heads = random_heads(hidden, gen)
             heads.b_mu[...], heads.b_disp[...] = 0.3, -0.2
             rows = gen.normal(size=(hidden, 400))
             nu = 1.0 + gen.random(400) * 50.0
 
             def run(n):
-                h = np.zeros((hidden, _padded(n)))
+                h = np.zeros((hidden, _padded(n, dtype)), dtype)
                 h[:, :n] = rows[:, :n]
                 return apply_heads(h, heads, nu[:n], kind)[:2]
 
             mu_full, disp_full = run(400)
-            for n in (1, 7, 8, 9, 64, 203):
+            for n in (1, 7, 8, 9, 16, 17, 64, 203):
                 mu, disp = run(n)
-                msg = f"{hidden} units, {n} rows"
+                msg = f"{hidden} units, {n} rows, {np.dtype(dtype)} top"
                 np.testing.assert_array_equal(mu, mu_full[:n], err_msg=msg)
                 np.testing.assert_array_equal(disp, disp_full[:n], err_msg=msg)
 

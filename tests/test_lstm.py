@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from panelcast.errors import ConfigError
-from panelcast.lstm import LstmLayerParams, SequenceTape, StepSlab
+from panelcast.lstm import LstmLayerParams, SequenceTape, StepSlab, _padded
 from panelcast.special import sigmoid
 
 from conftest import LstmState, load_state, pcg64, slab_state, tiny_model
@@ -240,22 +240,58 @@ class TestForward:
         rows = np.repeat(rng.permutation(57)[:23], 9)[:203]
         self._check_load(stack((13, 40, 40, 40), seed=22), 57, rows, 400, rng)
 
-    def test_slab_rows_independent_of_batch(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_slab_rows_independent_of_batch(self, dtype):
         # A row steps to the same bits whatever the number of rows beside
-        # it, at batch sizes up to the decode block's 400.
+        # it and whichever column it takes, at batch sizes up to the
+        # decode block's 400, in either precision a slab steps in.
         layers = stack((13, 40, 40, 40), seed=23)
         xs = np.random.default_rng(11).normal(size=(3, 400, 13))
 
-        def run(batch):
-            slab = StepSlab(layers, batch)
-            for x in xs[:, :batch]:
+        def run(rows):
+            slab = StepSlab(layers, rows.size, dtype)
+            for x in xs[:, rows]:
                 slab.inputs[...] = x
                 slab.step()
             return slab_top(slab)
 
-        full = run(400)
-        for batch in (1, 2, 7, 8, 161, 203, 399):
-            np.testing.assert_array_equal(run(batch), full[:batch], err_msg=f"batch {batch}")
+        full = run(np.arange(400))
+        assert full.dtype == dtype
+        for batch in (1, 2, 7, 8, 15, 16, 17, 161, 203, 399):
+            np.testing.assert_array_equal(run(np.arange(batch)), full[:batch],
+                                          err_msg=f"batch {batch}")
+        moved = np.random.default_rng(3).permutation(400)[:203]
+        np.testing.assert_array_equal(run(moved), full[moved])
+
+    def test_padded_columns(self):
+        # 64 bytes of columns: a multiple of 8 float64 or of 16 float32
+        # columns, one-row batches included, which would otherwise reach
+        # gemv. A tape pads as a float64 slab does.
+        for batch, f64, f32 in ((1, 8, 16), (8, 8, 16), (9, 16, 16), (16, 16, 16),
+                                (17, 24, 32), (400, 400, 400), (401, 408, 416)):
+            assert _padded(batch) == _padded(batch, np.float64) == f64
+            assert _padded(batch, np.float32) == f32
+        layers = stack((3, 5, 4), seed=1)
+        for batch, cols in ((1, 16), (17, 32)):
+            slab = StepSlab(layers, batch, np.float32)
+            assert slab.top.shape == (4, cols) and slab.top.dtype == np.float32
+            assert all(w.dtype == np.float32 for w in slab._weights)
+            assert SequenceTape(layers, 2, batch).top.shape == (4, 2, _padded(batch))
+
+    def test_float32_slab_tracks_float64(self):
+        # The single-precision slab steps the float64 arithmetic, rounded:
+        # over 20 steps of the 3 x 40 stack its top h stays within 1e-6.
+        layers = stack((13, 40, 40, 40), seed=28)
+        xs = np.random.default_rng(16).normal(size=(20, 64, 13))
+        tops = []
+        for dtype in (np.float64, np.float32):
+            slab = StepSlab(layers, 64, dtype)
+            for x in xs:
+                slab.inputs[...] = x
+                slab.step()
+            tops.append(slab_top(slab))
+        np.testing.assert_allclose(tops[1], tops[0], rtol=0, atol=1e-6)
+        assert not np.array_equal(tops[1], tops[0])
 
     def test_rows_independent_of_batch(self):
         layers = [random_layer(3, 6, seed=15), random_layer(6, 6, seed=16)]
