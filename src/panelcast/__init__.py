@@ -6,4 +6,4 @@ sampling, with Gaussian and negative-binomial noise models, magnitude
 scaling for heavy-tailed panels, and span-based evaluation metrics.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

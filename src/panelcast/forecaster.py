@@ -31,9 +31,10 @@ other rows of its batch (the float32 slab pads its columns to a multiple
 of 16 so that BLAS rounds a row the same at every block size and in
 every column).
 
-The LSTM steps in float32 here only: the heads read the slab's top h
-upcast to float64, so the distribution parameters, the samplers and the
-quantiles are float64, and training and validation step in float64.
+The LSTM steps in float32 here (lstm.SLAB_DTYPE), as in validation: the
+heads read the slab's top h upcast to float64, so the distribution
+parameters, the samplers and the quantiles are float64, and training
+steps in float64.
 
 Quantiles are empirical nearest-rank: sorted column index ceil(rho*n)-1.
 """
@@ -50,7 +51,7 @@ import numpy as np
 from .dataset import conditioning_windows, text_lines
 from .errors import ConfigError, DataError
 from .likelihood import draw
-from .lstm import StepSlab
+from .lstm import SLAB_DTYPE, StepSlab
 from .network import ModelParams, decode_step, encode
 from .rng import RowKeys, tag_key
 
@@ -73,11 +74,6 @@ DEFAULT_NUM_SAMPLES = 200
 # a block's arrays, not the panel size, set the peak memory of a
 # forecast.
 ROW_BUDGET = 400
-
-# The precision encode and decode step the LSTM in. float32 halves the
-# cost of the step's products and transcendentals, and the float64 heads
-# and samplers downstream gain nothing from more.
-SLAB_DTYPE = np.float32
 
 
 @dataclass

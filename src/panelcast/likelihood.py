@@ -29,6 +29,7 @@ __all__ = [
     "apply_heads",
     "heads_backward",
     "nll_and_grads",
+    "nll_only",
     "draw",
 ]
 
@@ -44,8 +45,9 @@ class LikelihoodKind(str, Enum):
     NEG_BINOMIAL = "negbin"
 
 
-def gaussian_nll(z, mu, sigma):
-    """Negative log density and its gradients w.r.t. mu and sigma.
+def gaussian_nll(z, mu, sigma, grads=True):
+    """Negative log density and its gradients w.r.t. mu and sigma, or with
+    grads=False the negative log density alone, from the same expression.
 
     nll = 0.5*log(2*pi*sigma^2) + (z - mu)^2 / (2*sigma^2)
     """
@@ -57,6 +59,8 @@ def gaussian_nll(z, mu, sigma):
     resid = z - mu
     var = sigma * sigma
     nll = 0.5 * _LOG_2PI + np.log(sigma) + resid * resid / (2.0 * var)
+    if not grads:
+        return float(nll) if nll.ndim == 0 else nll
     d_mu = -resid / var
     d_sigma = 1.0 / sigma - resid * resid / (var * sigma)
     if nll.ndim == 0:
@@ -64,8 +68,10 @@ def gaussian_nll(z, mu, sigma):
     return nll, d_mu, d_sigma
 
 
-def negbin_nll(z, mu, alpha):
-    """Negative log mass and gradients for the mean/shape negative binomial.
+def negbin_nll(z, mu, alpha, grads=True):
+    """Negative log mass and gradients for the mean/shape negative binomial,
+    or with grads=False the negative log mass alone, from the same
+    expression.
 
     log mass = lgamma(z + 1/a) - lgamma(z + 1) - lgamma(1/a)
                - (1/a) * log(1 + a*mu) + z * (log(a*mu) - log(1 + a*mu))
@@ -82,6 +88,9 @@ def negbin_nll(z, mu, alpha):
     r = 1.0 / alpha
     log1am = np.log1p(alpha * mu)
     ll = lgamma(z + r) - lgamma(z + 1.0) - lgamma(r) - r * log1am + z * (np.log(alpha * mu) - log1am)
+    nll = -ll
+    if not grads:
+        return float(nll) if nll.ndim == 0 else nll
     d_mu = (mu - z) / (mu * (1.0 + alpha * mu))
     # d(nll)/d(alpha), derived from the mass above; psi is the digamma.
     d_alpha = (
@@ -89,7 +98,6 @@ def negbin_nll(z, mu, alpha):
         + mu * (r + z) / (1.0 + alpha * mu)
         - z * r
     )
-    nll = -ll
     if nll.ndim == 0:
         return float(nll), float(d_mu), float(d_alpha)
     return nll, d_mu, d_alpha
@@ -190,9 +198,18 @@ def heads_backward(d_mu, d_disp, cache: HeadCache, heads: HeadParams, kind: Like
 
 
 def nll_and_grads(z, mu, disp, kind: LikelihoodKind):
+    """(nll, d_mu, d_disp): what training scores a batch with."""
     if kind is LikelihoodKind.NEG_BINOMIAL:
         return negbin_nll(z, mu, disp)
     return gaussian_nll(z, mu, disp)
+
+
+def nll_only(z, mu, disp, kind: LikelihoodKind):
+    """nll_and_grads' nll, bit for bit, without the gradients: what
+    validation scores a pool with."""
+    if kind is LikelihoodKind.NEG_BINOMIAL:
+        return negbin_nll(z, mu, disp, grads=False)
+    return gaussian_nll(z, mu, disp, grads=False)
 
 
 def draw(kind: LikelihoodKind, mu, disp, keys: RowKeys, step: int) -> np.ndarray:

@@ -39,10 +39,11 @@ StepSlab: the tape collapsed to a single step and updated in place, so
 it allocates nothing per step. Both step through _step_layer on the same
 layout, so a float64 slab and the tape agree bit for bit. The tape, and
 so training, is float64; a slab steps in the dtype it is made with, its
-stores and derived weights alike: validation's in float64, a forecast's
-in float32 (see forecaster), whose products and transcendentals cost
-about half as much. Both step through step_inputs(t) and
-forward_step(t), so one loop steps either (see network).
+stores and derived weights alike. The forward-only passes, validation
+and a forecast, make theirs in SLAB_DTYPE, float32, whose products and
+transcendentals cost about half as much. Both step through
+step_inputs(t) and forward_step(t), so one loop steps either (see
+network).
 """
 
 from __future__ import annotations
@@ -55,9 +56,15 @@ from .errors import ConfigError
 
 __all__ = [
     "LstmLayerParams",
+    "SLAB_DTYPE",
     "SequenceTape",
     "StepSlab",
 ]
+
+# The precision validation, encode and decode step the LSTM in. float32
+# halves the cost of the step's products and transcendentals, and the
+# float64 heads, NLL and samplers downstream gain nothing from more.
+SLAB_DTYPE = np.float32
 
 
 @dataclass

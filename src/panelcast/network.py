@@ -5,16 +5,18 @@ decoding for sampling.
 
 One loop, _teacher_forced, is the teacher-forced recurrence: at each
 step it writes the inputs, steps a stepper and draws the missing next
-inputs. Training (`unroll_batch`) steps a lstm.SequenceTape, recorded
-for the backward pass; validation (`forward_nll`) steps a lstm.StepSlab
-that also keeps each step's top h; and `encode` steps the forecast's
-StepSlab through the conditioning range and the first prediction step.
-All three read a dataset.WindowBatch, the (B, T) arrays one gather cuts
-from a panel's flat arrays, as they are: nothing is restacked per batch.
-One scorer, _score, runs the heads and the NLL over the top h of every
-step of a training or validation batch and names the first non-finite
-step. Decoding keeps its own loop: `decode_step` advances a slab loaded
-from encoded rows a step at a time in place.
+inputs. Training (`unroll_batch`) steps a float64 lstm.SequenceTape,
+recorded for the backward pass; validation (`forward_nll`) steps a
+float32 lstm.StepSlab that also keeps each step's top h, upcast; and
+`encode` steps the forecast's float32 StepSlab through the conditioning
+range and the first prediction step. All three read a
+dataset.WindowBatch, the (B, T) arrays one gather cuts from a panel's
+flat arrays, as they are: nothing is restacked per batch. One scorer,
+_score, runs the float64 heads and the NLL over the top h of every step
+of a training or validation batch (validation's without the NLL's
+gradients) and names the first non-finite step. Decoding keeps its own
+loop: `decode_step` advances a slab loaded from encoded rows a step at
+a time in place.
 
 Tape and slab hold the step vector [1, x, h_0, 1, h_1, ...]
 feature-major, step the same cell and derive each layer's weight from
@@ -55,8 +57,9 @@ from .likelihood import (
     draw,
     heads_backward,
     nll_and_grads,
+    nll_only,
 )
-from .lstm import LstmLayerParams, SequenceTape, StepSlab
+from .lstm import SLAB_DTYPE, LstmLayerParams, SequenceTape, StepSlab
 from .rng import RowKeys
 
 __all__ = [
@@ -249,7 +252,7 @@ def _teacher_forced(params: ModelParams, stepper, targets, missing, covariates, 
     return n
 
 
-def _score(params: ModelParams, top, nu, targets, counted):
+def _score(params: ModelParams, top, nu, targets, counted, grads=True):
     """The heads and the NLL of a batch of B windows of T steps after the
     recurrence: top (H, n, columns) holds the top h of the n steps taken,
     targets and counted (B, T) the targets and the steps that count.
@@ -257,9 +260,12 @@ def _score(params: ModelParams, top, nu, targets, counted):
     Returns (mu, disp, hcache, nll, d_mu, d_disp): the heads' outputs and
     cache, and the NLL and its gradients w.r.t. mu and disp, 0 where a
     step does not count; each array (T * B,) in (step, window) order.
+    With grads=False the gradients are not computed and are None.
     Raises DivergenceError at the first step where some row's parameters,
     or some counted row's NLL, are not finite; a recurrence stopped early
-    (n < T) has such a step.
+    (n < T) has such a step. The NLL terms are computed with numpy's
+    floating-point warnings off: the NLL is checked here, and the
+    gradients by the caller's norm (trainer).
     """
     kind = params.likelihood
     B = nu.size
@@ -268,10 +274,17 @@ def _score(params: ModelParams, top, nu, targets, counted):
     finite = np.isfinite(mu) & np.isfinite(disp)
     limit = mu.size if finite.all() else int(np.argmin(finite)) // B * B
     sel = np.flatnonzero(counted.T.ravel()[:limit])
-    nll, d_mu, d_disp = np.zeros_like(mu), np.zeros_like(mu), np.zeros_like(mu)
+    nll = np.zeros_like(mu)
+    d_mu = d_disp = None
+    if grads:
+        d_mu, d_disp = np.zeros_like(mu), np.zeros_like(mu)
     if sel.size:
-        nll[sel], d_mu[sel], d_disp[sel] = nll_and_grads(targets.T.ravel()[sel], mu[sel],
-                                                         disp[sel], kind)
+        args = (targets.T.ravel()[sel], mu[sel], disp[sel], kind)
+        with np.errstate(all="ignore"):
+            if grads:
+                nll[sel], d_mu[sel], d_disp[sel] = nll_and_grads(*args)
+            else:
+                nll[sel] = nll_only(*args)
         bad = ~np.isfinite(nll)
         if bad.any():
             t = int(np.argmax(bad)) // B
@@ -352,11 +365,12 @@ def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
 
 
 class _TopRecord(StepSlab):
-    """A StepSlab that also keeps the top h of each of `steps` steps,
-    (H, steps, columns) as a SequenceTape's `top`, for _score."""
+    """A SLAB_DTYPE StepSlab that also keeps the top h of each of `steps`
+    steps, (H, steps, columns) as a SequenceTape's `top`, for _score: in
+    float64, so each step's copy is the upcast the heads would make."""
 
     def __init__(self, layers, batch: int, steps: int):
-        super().__init__(layers, batch)
+        super().__init__(layers, batch, SLAB_DTYPE)
         self.tops = np.empty((layers[-1].hidden_dim, steps, self.top.shape[1]))
 
     def forward_step(self, t: int) -> np.ndarray:
@@ -365,22 +379,44 @@ class _TopRecord(StepSlab):
         return top
 
 
+def _past_slab_range(params: ModelParams):
+    """The name of the first LSTM or embedding block holding a value past
+    SLAB_DTYPE's range, which a forward-only pass cannot step; else None.
+    The heads stay float64 and hold any finite value."""
+    limit = np.finfo(SLAB_DTYPE).max
+    for name, arr in params.blocks().items():
+        if not name.startswith("head.") and np.abs(arr).max() > limit:
+            return name
+    return None
+
+
 def forward_nll(batch: WindowBatch, params: ModelParams, keys: RowKeys = None):
     """The teacher-forced NLL of every step of a batch of windows, forward
-    only: unroll_batch's loss terms, bit for bit, from unroll_batch's loop
-    and scorer on a StepSlab instead of a tape (the slab steps the tape's
-    cell, and a row's bits do not depend on the rows beside it; see lstm).
+    only: unroll_batch's loop and scorer on a float32 StepSlab instead of
+    a tape, and the NLL without its gradients. So the terms are
+    unroll_batch's loss terms at single-precision LSTM arithmetic (about
+    1e-9 relative on a pool's total in the tests), and a row's bits do
+    not depend on the rows beside it (see lstm._padded).
 
     Row b imputes its missing steps with keys row b (needed only when some
     window has missing values). Returns (nll, counted), each (B, T):
     counted marks the steps that contribute, and nll is 0 elsewhere.
-    Raises DivergenceError as unroll_batch does.
+    Raises DivergenceError as unroll_batch does, and when an LSTM or
+    embedding value is past the float32 range, which the model loader
+    would reject.
     """
+    past = _past_slab_range(params)
+    if past:
+        raise DivergenceError(f"the model's {past} holds a value past the float32 range")
     nu, cats, targets, counted, covariates = _batch_arrays(batch, params)
     B, T = targets.shape
     slab = _TopRecord(params.layers, B, T)
     steps = _teacher_forced(params, slab, targets, ~counted, covariates, nu, cats, keys)
-    nll = _score(params, slab.tops[:, :steps], nu, targets, counted)[3]
+    tops = slab.tops[:, :steps]
+    # Released before scoring, so that the scorer's arrays reuse the
+    # slab's memory instead of growing the heap of a training run.
+    del slab
+    nll = _score(params, tops, nu, targets, counted, grads=False)[3]
     return nll.reshape(T, B).T, counted
 
 
@@ -531,7 +567,7 @@ def _model_from_doc(doc: dict) -> ModelParams:
             raise DataError(f"model file: {name} holds a non-finite value")
     if not (np.isfinite(stats.std) & (stats.std > 0.0)).all():
         raise DataError("model file: features.std holds a value that is not finite and positive")
-    return ModelParams(
+    params = ModelParams(
         LikelihoodKind(doc["likelihood"]),
         spec,
         stats,
@@ -541,6 +577,10 @@ def _model_from_doc(doc: dict) -> ModelParams:
         layers,
         heads,
     )
+    past = _past_slab_range(params)
+    if past:
+        raise DataError(f"model file: {past} holds a value past the float32 range")
+    return params
 
 
 def load_model(path) -> ModelParams:

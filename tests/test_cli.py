@@ -194,6 +194,31 @@ def test_model_file_bad_number_exits_2_before_forecasting(workdir, tmp_path, cap
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block, index, value", [
+    ("embedding", slice(None), 1e39),
+    ("lstm0.w", 7, -1e39),
+    ("lstm2.b", 0, 4e38),
+])
+def test_model_value_past_float32_range_exits_2(tmp_path, capsys, block, index, value):
+    # Validation, encode and decode step the LSTM and its embedding inputs
+    # in float32, where these values are infinite. The benchmark's count
+    # model with every embedding value 1e39 once failed only in decoding,
+    # with "non-finite distribution parameters during decoding".
+    doc = json.loads(NEGBIN_FIXTURE.read_bytes())
+    set_model_number(doc, ("params", block), index, value)
+    model = tmp_path / "big.model"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    data = _write_rows(tmp_path / "counts.jsonl", count_rows())
+    out = tmp_path / "fc.jsonl"
+    rc = main(["predict", "--model", str(model), "--data", data, "--output", str(out),
+               "--samples", "5", "--horizon", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: model file: {block} holds a value past the float32 range\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("count", [2.0**53, 2.0**53 + 2, 1e308])
 def test_predict_counts_beyond_exact_integers_exit_2(tmp_path, capsys, count):
     # Above 2**53 not every integer is a float64, so the count check cannot
@@ -560,6 +585,24 @@ def test_non_finite_learning_rate_exits_2(workdir, tmp_path, capsys, value):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")
+def test_learning_rate_past_float32_weights_fails_in_one_line(workdir, tmp_path, capsys):
+    # One Adam step moves every weight by about the learning rate, past the
+    # float32 range that validation and predict step the LSTM in: a model
+    # predict would reject is not written.
+    config = tmp_path / "lr.cfg"
+    config.write_text(CONFIG_TEXT.replace("learning_rate = 0.01", "learning_rate = 1e40"),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--data", workdir["data"], "--config", str(config),
+               "--output", str(out / "m.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("holds a value past the float32 range\n"), err
+    assert list(out.iterdir()) == []
+
+
 def _overflow_argv(workdir, tmp_path, out, command):
     # Finite targets whose sum is past the float range, in one series of
     # a small panel.
@@ -618,6 +661,36 @@ def test_unscaled_gaussian_train_on_huge_targets_fails_in_one_line(tmp_path, fac
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "diverge" in proc.stderr or "overflows" in proc.stderr
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", [0, 20, 40, 50, 100, 150, 200, 300])
+@pytest.mark.parametrize("scaling", [True, False], ids=["scaled", "unscaled"])
+@pytest.mark.parametrize("likelihood", ["gaussian", "negbin"])
+def test_train_on_targets_of_any_magnitude_succeeds_or_fails_in_one_line(
+        tmp_path, capsys, likelihood, scaling, exponent):
+    # Counts of levels 1 to 1000 times 10**exponent, two batches. Unscaled
+    # inputs from 1e40 on are past the float32 range of the validation
+    # slab. Each run either succeeds silently or fails with one line and
+    # writes nothing; a floating-point warning fails the test.
+    rng = np.random.default_rng(5)
+    rows = [{"id": f"s{i}", "start": START.isoformat(), "freq": "D",
+             "target": (rng.poisson(10.0 ** (i / 3), 120) * 10.0**exponent).tolist(),
+             "cat": i % 2} for i in range(10)]
+    data = _write_rows(tmp_path / "scaled.jsonl", rows)
+    config = tmp_path / "train.cfg"
+    config.write_text(f"likelihood = {likelihood}\nno_scaling = {str(not scaling).lower()}\n"
+                      "max_batches = 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["train", "--data", data, "--config", str(config), "--output", str(out / "m.bin")])
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert err == "" and (out / "m.bin").exists()
+    else:
+        assert rc in (1, 2)
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

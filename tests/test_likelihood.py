@@ -17,6 +17,8 @@ from panelcast.likelihood import (
     gaussian_nll,
     heads_backward,
     negbin_nll,
+    nll_and_grads,
+    nll_only,
 )
 from panelcast.lstm import _padded
 from panelcast.rng import RowKeys
@@ -125,6 +127,32 @@ class TestNegBinNll:
         nll, dmu, dalpha = negbin_nll(float(z), mu, alpha)
         assert math.isfinite(nll) and math.isfinite(dmu) and math.isfinite(dalpha)
         assert nll >= -1e-12  # a single probability mass never exceeds 1
+
+
+class TestNllOnly:
+    # Validation scores with nll_only, training with nll_and_grads: both
+    # evaluate one expression, so their NLL terms agree bit for bit.
+
+    @pytest.mark.parametrize("kind", list(LikelihoodKind))
+    def test_equals_nll_and_grads_nll_bitwise(self, kind):
+        gen = pcg64(31, kind.value)
+        n = 4000
+        z = np.floor(gen.lognormal(1.0, 2.0, n))
+        mu = gen.lognormal(0.0, 3.0, n)
+        disp = gen.lognormal(-1.0, 2.0, n)
+        # extremes whose terms overflow or lose all precision
+        z[:3], mu[:3], disp[:3] = (0.0, 1e300, 2.0**53), (1e-300, 1e300, 1.0), (1e300, 1e-6, 1e-300)
+        with np.errstate(all="ignore"):
+            want = nll_and_grads(z, mu, disp, kind)[0]
+            got = nll_only(z, mu, disp, kind)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert nll_only(3.0, 2.5, 0.7, kind) == nll_and_grads(3.0, 2.5, 0.7, kind)[0]
+
+    @pytest.mark.parametrize("kind", list(LikelihoodKind))
+    def test_domain_checked_as_with_grads(self, kind):
+        with pytest.raises(ConfigError):
+            nll_only(1.0, 1.0, 0.0, kind)
 
 
 def make_heads(hidden, w_mu=None, b_mu=0.0, w_disp=None, b_disp=0.0):
