@@ -169,7 +169,7 @@ class _EncodedGroup:
     state: tuple  # StepSlab.state() after step 0, embedding columns written
     mu: np.ndarray  # (G,) step-0 distribution parameters
     disp: np.ndarray
-    nu: np.ndarray  # (G,)
+    nu: np.ndarray  # (G,) params.nu of the group
     covariates: np.ndarray  # (G, h - 1, d), steps 1 .. h - 1
 
 
@@ -180,7 +180,7 @@ def _encode_group(group, params: ModelParams, seed: int, h: int, path_key,
     mu, disp = encode(cut, params, slab,
                       RowKeys.for_series(seed, "impute", cut.ids, np.zeros(len(group))))
     keys = RowKeys.for_ids(path_key, cut.ids, np.zeros(len(group)))
-    return _EncodedGroup(keys, slab.state(), mu, disp, cut.scale, cut.covariates[:, c + 1 :])
+    return _EncodedGroup(keys, slab.state(), mu, disp, params.nu(cut), cut.covariates[:, c + 1 :])
 
 
 def _decode_block(enc: _EncodedGroup, row_series, paths, params: ModelParams, h: int,

@@ -41,9 +41,11 @@ layout, so a float64 slab and the tape agree bit for bit. The tape, and
 so training, is float64; a slab steps in the dtype it is made with, its
 stores and derived weights alike. The forward-only passes, validation
 and a forecast, make theirs in SLAB_DTYPE, float32, whose products and
-transcendentals cost about half as much. Both step through
-step_inputs(t) and forward_step(t), so one loop steps either (see
-network).
+transcendentals cost about half as much. Tape and slab share one
+stepping API: step_inputs(t) is the view of step t's layer-0 inputs to
+write, and forward_step(t) takes the step and returns its top h. So one
+loop steps either (see network), and decoding steps its slab the same
+way.
 """
 
 from __future__ import annotations
@@ -200,8 +202,10 @@ class StepSlab:
     place; the layers share one gate array (4H, columns), whose spent i
     block is the cell's scratch. Columns past the B rows in use are
     padding (see _padded), stepped and never read. The caller writes the
-    layer-0 inputs into `inputs` (values it leaves alone are kept from
-    step to step) and calls step(). A slab starts from the zero state;
+    layer-0 inputs into step_inputs(t) (values it leaves alone are kept
+    from step to step) and calls forward_step(t), as it steps a
+    SequenceTape; a slab holds one step, so t is only the step's name. A
+    slab starts from the zero state;
     storage is sized for `batch` rows, and reset() starts over with
     fewer, and with weights derived afresh from the layers. Stores and
     derived weights are of `dtype`, float64 or float32; the layers stay
@@ -239,7 +243,7 @@ class StepSlab:
             c[...] = 0.0
         gates = self._gate_store[: 4 * self._hidden * cols].reshape(-1, cols)
         # Each layer's arguments to _step_layer, made once here: slicing
-        # them afresh in every step() cost about 3 % of a 64-row step.
+        # them afresh in every step cost about 3 % of a 64-row step.
         self._step_args = []
         for (lo, hi), row, c, w in zip(self._rows, self._h_row, self._c, self._weights):
             hd = c.shape[0]
@@ -260,14 +264,10 @@ class StepSlab:
         for c, src in zip(self._c, cells):
             c[:, : self.batch] = src[:, rows]
 
-    @property
-    def inputs(self) -> np.ndarray:
-        """(B, input_dim) view of the layer-0 inputs, for the caller to fill."""
-        return self._xh[1 : 1 + self.layers[0].input_dim, : self.batch].T
-
     def step_inputs(self, t: int) -> np.ndarray:
-        """`inputs`, the layer-0 inputs of the step to take, whatever t."""
-        return self.inputs
+        """(B, input_dim) view of the layer-0 inputs of the step to take,
+        whatever t, for the caller to fill."""
+        return self._xh[1 : 1 + self.layers[0].input_dim, : self.batch].T
 
     @property
     def top(self) -> np.ndarray:
@@ -276,18 +276,15 @@ class StepSlab:
         row = self._h_row[-1]
         return self._xh[row : row + self.layers[-1].hidden_dim]
 
-    def step(self) -> None:
-        """Run every layer for one step on the inputs in place."""
+    def forward_step(self, t: int) -> np.ndarray:
+        """Run every layer for one step on the inputs, in place; returns
+        `top`."""
         # exp(-x) -> inf gives sigmoid 0. An input past a float32 slab's
         # range is inf and can turn the rows that read it into NaN, which
         # the callers' checks on the heads report.
         with np.errstate(over="ignore", invalid="ignore"):
             for args in self._step_args:
                 _step_layer(*args)
-
-    def forward_step(self, t: int) -> np.ndarray:
-        """step(), as step t of a sequence; returns `top`."""
-        self.step()
         return self.top
 
 

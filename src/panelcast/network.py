@@ -11,7 +11,10 @@ float32 lstm.StepSlab that also keeps each step's top h, upcast; and
 `encode` steps the forecast's float32 StepSlab through the conditioning
 range and the first prediction step. All three read a
 dataset.WindowBatch, the (B, T) arrays one gather cuts from a panel's
-flat arrays, as they are: nothing is restacked per batch. One scorer,
+flat arrays, as they are: nothing is restacked per batch. Training and
+validation derive their imputation keys by one rule (_batch_arrays):
+window b draws with the key of (impute_seed, its series id) on path b,
+so validation scores its whole pool as one batch. One scorer,
 _score, runs the float64 heads and the NLL over the top h of every step
 of a training or validation batch (validation's without the NLL's
 gradients) and names the first non-finite step. Decoding keeps its own
@@ -89,6 +92,12 @@ class ModelParams:
     embedding: np.ndarray  # (cardinality, embedding_dim)
     layers: list
     heads: HeadParams
+    scaling: bool = True  # False: trained (no_scaling) and served at nu = 1
+
+    def nu(self, batch: WindowBatch) -> np.ndarray:
+        """The scales (B,) the model reads a batch's windows at: each
+        window's scale, or 1 when the model was trained without scaling."""
+        return batch.scale if self.scaling else np.ones_like(batch.scale)
 
     @property
     def feature_dim(self) -> int:
@@ -139,6 +148,7 @@ def init_model(
     hidden_dim: int,
     embedding_dim: int,
     seed: int,
+    scaling: bool = True,
 ) -> ModelParams:
     """Every weight block uniform within +-1/sqrt(fan-in), read from the
     key of (seed, "init", block); biases zero except the LSTM forget
@@ -173,6 +183,7 @@ def init_model(
         embedding,
         layers,
         heads,
+        scaling,
     )
 
 
@@ -295,11 +306,14 @@ def _score(params: ModelParams, top, nu, targets, counted, grads=True):
     return mu, disp, hcache, nll, d_mu, d_disp
 
 
-def _batch_arrays(batch: WindowBatch, params: ModelParams):
-    """(nu, cats, targets, counted, covariates) of a batch of windows
-    checked against the model: scales and categories (B,), targets and
-    the mask of steps that count toward the loss (B, T), covariates
-    (B, T, d)."""
+def _batch_arrays(batch: WindowBatch, params: ModelParams, impute_seed):
+    """(nu, cats, targets, counted, covariates, keys) of a batch of
+    windows checked against the model: scales and categories (B,),
+    targets and the mask of steps that count toward the loss (B, T),
+    covariates (B, T, d), and the imputation keys: window b draws with the
+    key of (impute_seed, its series id) on path b. keys is None when no
+    step that feeds a next one is missing; otherwise impute_seed is
+    required."""
     if not len(batch):
         raise ConfigError("a batch needs at least one window")
     if batch.target.shape[1] != params.spec.total:
@@ -307,7 +321,13 @@ def _batch_arrays(batch: WindowBatch, params: ModelParams):
     cats = batch.category
     if np.any(cats >= params.category_cardinality):
         raise DataError("category code outside the embedding table")
-    return batch.scale, cats, batch.target, batch.mask != MASK_MISSING, batch.covariates
+    counted = batch.mask != MASK_MISSING
+    keys = None
+    if not counted[:, :-1].all():
+        if impute_seed is None:
+            raise ConfigError("windows with missing values require an imputation seed")
+        keys = RowKeys.for_series(impute_seed, "impute", batch.ids, np.arange(len(batch)))
+    return params.nu(batch), cats, batch.target, counted, batch.covariates, keys
 
 
 def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
@@ -317,8 +337,7 @@ def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
     Returns the summed NLL over all counted steps of all windows, with
     gradients for that sum. impute_seed is required only when some window
     has missing observations: the value fed forward from a missing step t
-    of window b is drawn with the key of (impute_seed, window series id)
-    on path b at step t.
+    of window b is drawn at counter t of its key (_batch_arrays).
 
     The batch runs as one (T, B) block: _teacher_forced fills a
     SequenceTape, evaluating the heads inside the loop only at steps where
@@ -328,13 +347,8 @@ def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
     rows, is reused if given (a training loop saves re-allocating, and
     page-faulting, the slabs every batch); otherwise a new one is made.
     """
-    nu, cats, targets, counted, covariates = _batch_arrays(batch, params)
+    nu, cats, targets, counted, covariates, keys = _batch_arrays(batch, params, impute_seed)
     B, T = targets.shape
-    keys = None
-    if (~counted[:, :-1]).any():
-        if impute_seed is None:
-            raise ConfigError("windows with missing values require an imputation seed")
-        keys = RowKeys.for_series(impute_seed, "impute", batch.ids, np.arange(B))
     if tape is None or tape.layers is not params.layers or tape.steps != T or tape.capacity < B:
         tape = SequenceTape(params.layers, T, B)
     else:
@@ -390,16 +404,16 @@ def _past_slab_range(params: ModelParams):
     return None
 
 
-def forward_nll(batch: WindowBatch, params: ModelParams, keys: RowKeys = None):
+def forward_nll(batch: WindowBatch, params: ModelParams, impute_seed=None):
     """The teacher-forced NLL of every step of a batch of windows, forward
     only: unroll_batch's loop and scorer on a float32 StepSlab instead of
     a tape, and the NLL without its gradients. So the terms are
     unroll_batch's loss terms at single-precision LSTM arithmetic (about
-    1e-9 relative on a pool's total in the tests), and a row's bits do
-    not depend on the rows beside it (see lstm._padded).
+    1e-9 relative on a pool's total in the tests), with the imputation
+    keys unroll_batch derives from impute_seed, and a row's bits do not
+    depend on the rows beside it (see lstm._padded).
 
-    Row b imputes its missing steps with keys row b (needed only when some
-    window has missing values). Returns (nll, counted), each (B, T):
+    Returns (nll, counted), each (B, T):
     counted marks the steps that contribute, and nll is 0 elsewhere.
     Raises DivergenceError as unroll_batch does, and when an LSTM or
     embedding value is past the float32 range, which the model loader
@@ -408,7 +422,7 @@ def forward_nll(batch: WindowBatch, params: ModelParams, keys: RowKeys = None):
     past = _past_slab_range(params)
     if past:
         raise DivergenceError(f"the model's {past} holds a value past the float32 range")
-    nu, cats, targets, counted, covariates = _batch_arrays(batch, params)
+    nu, cats, targets, counted, covariates, keys = _batch_arrays(batch, params, impute_seed)
     B, T = targets.shape
     slab = _TopRecord(params.layers, B, T)
     steps = _teacher_forced(params, slab, targets, ~counted, covariates, nu, cats, keys)
@@ -435,19 +449,21 @@ def encode(batch: WindowBatch, params: ModelParams, slab: StepSlab, keys: RowKey
     The batch's target and mask are (B, c), its covariates (B, >= c + 1,
     d): those of the conditioning range and the first prediction step
     are read. `slab` is reset to B rows and left holding the state after
-    the first prediction step, embeddings written, ready for decode_step.
-    Returns that step's (mu, disp), each (B,). A missing value at step t,
+    the first prediction step, embeddings written, ready for decode_step,
+    which reads the same scales, params.nu(batch). Returns that step's
+    (mu, disp), each (B,). A missing value at step t,
     the last one too, is replaced by a draw from step t's predictive
     distribution at counter t of the row's key; padded steps feed zeros.
     A zero-length conditioning range starts from zero state.
     """
     slab.reset(len(batch))
     c = batch.target.shape[1]
+    nu = params.nu(batch)
     steps = _teacher_forced(params, slab, batch.target, batch.mask == MASK_MISSING,
-                            batch.covariates[:, : c + 1], batch.scale, batch.category, keys)
+                            batch.covariates[:, : c + 1], nu, batch.category, keys)
     if steps < c + 1:
         raise DivergenceError("non-finite distribution parameters during encoding")
-    return _heads(params, slab, batch.scale)
+    return _heads(params, slab, nu)
 
 
 def decode_step(
@@ -460,12 +476,12 @@ def decode_step(
     """One prediction step for a batch of rows (sample paths of one or
     more series), advancing `slab` in place; its embedding columns must
     already hold each row's embedding, as encode leaves them. z_prev and
-    nu are (B,), covariates (B, d).
+    nu (the rows' params.nu) are (B,), covariates (B, d).
 
     Returns (mu, disp), each (B,), for the step just taken.
     """
-    _write_inputs(slab.inputs, z_prev, nu, covariates)
-    slab.step()
+    _write_inputs(slab.step_inputs(0), z_prev, nu, covariates)
+    slab.forward_step(0)
     return _heads(params, slab, nu)
 
 
@@ -500,6 +516,10 @@ def model_to_bytes(params: ModelParams) -> bytes:
         "embedding_dim": params.embedding_dim,
         "params": {name: _encode_array(arr) for name, arr in params.blocks().items()},
     }
+    if not params.scaling:
+        # Written only when off, so that the files of scaled models keep
+        # their bytes; an absent key means on.
+        doc["scaling"] = False
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -567,6 +587,9 @@ def _model_from_doc(doc: dict) -> ModelParams:
             raise DataError(f"model file: {name} holds a non-finite value")
     if not (np.isfinite(stats.std) & (stats.std > 0.0)).all():
         raise DataError("model file: features.std holds a value that is not finite and positive")
+    scaling = doc.get("scaling", True)
+    if not isinstance(scaling, bool):
+        raise ValueError(f"scaling must be true or false, got {scaling!r}")
     params = ModelParams(
         LikelihoodKind(doc["likelihood"]),
         spec,
@@ -576,6 +599,7 @@ def _model_from_doc(doc: dict) -> ModelParams:
         embedding,
         layers,
         heads,
+        scaling,
     )
     past = _past_slab_range(params)
     if past:

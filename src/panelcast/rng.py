@@ -226,15 +226,6 @@ class RowKeys:
         k0, k1 = _fold(prefix, words[:, 0], words[:, 1], 1, _PATH_DOMAIN)
         return cls(k0[rows], k1[rows], paths)
 
-    @classmethod
-    def concat(cls, parts) -> "RowKeys":
-        """The rows of every RowKeys in `parts`, in order."""
-        out = cls.__new__(cls)
-        out.path = np.concatenate([p.path for p in parts])
-        out._rk0 = np.concatenate([p._rk0 for p in parts], axis=1)
-        out._rk1 = np.concatenate([p._rk1 for p in parts], axis=1)
-        return out
-
     def __len__(self) -> int:
         return int(self.path.shape[0])
 

@@ -4,13 +4,16 @@ validation NLL, and a small grid search.
 
 An epoch is a fixed number of drawn windows; weighted sampling has no
 natural pass over the data. Validation NLL is the total NLL divided by
-the number of steps that contribute to the loss. It is defined over the
-pool cut into batch_size-window chunks, each summed exactly, but
-computed in one forward-only pass of the whole pool on a float32 step
+the number of steps that contribute to the loss, over the pool scored
+as one batch: window b imputes its missing values with the key of (the
+epoch's validation seed, its series id) on path b, as in a training
+batch, and the losses are summed exactly. It depends on the model, the
+pool and the seed only. The pass runs forward only, on a float32 step
 slab (network.forward_nll), with no tape and no NLL gradients, through
-the loop and the scorer a training batch uses. The bits are those of
-each chunk run alone on such a slab, and within about 1e-9 relative of
-the chunks unrolled as float64 training batches, in less time.
+the loop and the scorer a training batch uses. Its total is within
+about 1e-9 relative of the pool unrolled as one float64 training batch,
+in less time, and each window's terms keep their bits when it is run
+alone with the same key.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import MASK_MISSING, Panel, WindowSampler, WindowSpec, fit_feature_stats
+from .dataset import Panel, WindowSampler, WindowSpec, fit_feature_stats
 from .errors import ConfigError, DivergenceError
 from .likelihood import LikelihoodKind
 from .lstm import SequenceTape
@@ -155,35 +158,21 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _pool_nll(pool, params: ModelParams, batch_size: int, impute_seed: int) -> float:
-    """Validation NLL of a pool of windows, taken as batch_size-window
-    chunks: chunk i (its first window's offset in the pool) imputes row b
-    with the key of (derive_seed(impute_seed, i), window series id) on
-    path b, and sums its losses exactly; the chunk sums add in order. The
-    whole pool runs forward in one float32 pass (network.forward_nll). A
-    total past the float range is a DivergenceError."""
-    chunks = range(0, len(pool), batch_size)
-    keys = None
-    if np.any(pool.mask[:, :-1] == MASK_MISSING):
-        keys = RowKeys.concat([
-            RowKeys.for_series(derive_seed(impute_seed, i), "impute", pool.ids[i : i + batch_size],
-                               np.arange(len(pool.ids[i : i + batch_size])))
-            for i in chunks
-        ])
-    nll, counted = forward_nll(pool, params, keys)
-    total = 0.0
-    try:
-        for i in chunks:
-            # Exact per chunk, as unroll_batch sums a batch's loss.
-            total += math.fsum(nll[i : i + batch_size][counted[i : i + batch_size]].tolist())
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise DivergenceError("the validation NLL overflows")
+def _pool_nll(pool, params: ModelParams, impute_seed: int) -> float:
+    """Validation NLL of a pool of windows, scored as one batch in one
+    float32 forward pass (network.forward_nll) and summed exactly, as
+    unroll_batch sums a batch's loss. A total past the float range is a
+    DivergenceError."""
+    nll, counted = forward_nll(pool, params, impute_seed)
     steps = int(counted.sum())
     if steps == 0:
         raise ConfigError("validation pool has no contributing steps")
-    return total / steps
+    try:
+        # A memoryview yields the terms one at a time: no list of the
+        # pool's terms is held, which would add to the run's peak RSS.
+        return math.fsum(memoryview(nll[counted])) / steps
+    except OverflowError:
+        raise DivergenceError("the validation NLL overflows") from None
 
 
 def train(panel: Panel, config: TrainConfig):
@@ -203,6 +192,7 @@ def train(panel: Panel, config: TrainConfig):
         config.hidden_units,
         config.embedding_dim,
         config.seed,
+        scaling=not config.no_scaling,
     )
     adam = init_adam(model.blocks(), learning_rate=config.learning_rate)
     # Batch k's (B, 2) draw uniforms: step k of one key, a path per window.
@@ -216,8 +206,6 @@ def train(panel: Panel, config: TrainConfig):
         size = min(VALIDATION_CAP, 64)
         fallback = RowKeys.for_series(config.seed, "train", ["valpool"] * size, np.arange(size))
         pool = sampler.draw(fallback.uniforms(0, 0).T)
-    if config.no_scaling:
-        pool.scale[:] = 1.0
 
     log = TrainLog()
     best_val = float("inf")
@@ -245,8 +233,6 @@ def train(panel: Panel, config: TrainConfig):
             if batches_done >= config.max_batches:
                 break
             windows = sampler.draw(draws.uniforms(batches_done, 0).T)
-            if config.no_scaling:
-                windows.scale[:] = 1.0
             batches_done += 1
             epoch_windows += len(windows)
             try:
@@ -278,7 +264,7 @@ def train(panel: Panel, config: TrainConfig):
         del tape
         train_nll = epoch_nll / epoch_steps if epoch_steps else float("nan")
         val_start = time.perf_counter()
-        val_nll = _pool_nll(pool, model, config.batch_size, derive_seed(config.seed, "val", epoch))
+        val_nll = _pool_nll(pool, model, derive_seed(config.seed, "val", epoch))
         val_s = time.perf_counter() - val_start
         log.add(
             epoch, batches_done, train_nll, val_nll, max(norms, default=float("nan")),

@@ -109,13 +109,13 @@ def pcg64(seed, *path):
 
 
 def pcg64_init_model(likelihood, spec, stats, granularity, cardinality, num_layers,
-                     hidden_dim, embedding_dim, seed):
+                     hidden_dim, embedding_dim, seed, scaling=True):
     """init_model's model at the engine's former PCG64 weights: each
     block uniform within +-1/sqrt(fan-in) from pcg64(seed, "init",
     block), the heads' w_mu then w_disp from one stream. Biases are
     init_model's."""
     model = init_model(likelihood, spec, stats, granularity, cardinality, num_layers,
-                       hidden_dim, embedding_dim, seed)
+                       hidden_dim, embedding_dim, seed, scaling)
 
     def uniform(block, shape, fan_in):
         return (pcg64(seed, "init", block).random(shape) * 2.0 - 1.0) * (1.0 / np.sqrt(fan_in))

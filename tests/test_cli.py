@@ -149,6 +149,20 @@ def test_model_file_missing_key_exits_2(workdir, tmp_path, capsys):
     assert err.count("\n") == 1 and "window" in err
 
 
+def test_model_file_non_bool_scaling_exits_2(workdir, tmp_path, capsys):
+    doc = json.loads(open(workdir["model"], "rb").read())
+    assert "scaling" not in doc  # a scaled model's file does not name it
+    doc["scaling"] = "false"
+    model = tmp_path / "badscaling.bin"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "fc.jsonl"
+    rc = main(["predict", "--model", str(model), "--data", workdir["data"], "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "scaling must be true or false" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("block, shape", [("head.w_mu", (7,)), ("head.w_disp", (8, 1))])
 def test_model_file_malformed_head_weights_exit_2(workdir, tmp_path, capsys, block, shape):
     # The trained model has 8 hidden units; a head weight of another shape
@@ -663,34 +677,66 @@ def test_unscaled_gaussian_train_on_huge_targets_fails_in_one_line(tmp_path, fac
     assert list(out.iterdir()) == []
 
 
+def _succeeds_or_fails_in_one_line(argv, output, capsys) -> int:
+    """Run one command: it either exits 0 with empty stderr and writes
+    `output`, or exits 1 or 2 with one stderr line and writes nothing.
+    Returns the exit code."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert err == "" and output.exists(), err
+    else:
+        assert rc in (1, 2)
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert not output.exists()
+    return rc
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("exponent", [0, 20, 40, 50, 100, 150, 200, 300])
+@pytest.mark.parametrize("exponent", [0, 20, 40, 50, 100, 150, 200, 250, 300, 305, 307])
 @pytest.mark.parametrize("scaling", [True, False], ids=["scaled", "unscaled"])
 @pytest.mark.parametrize("likelihood", ["gaussian", "negbin"])
 def test_train_on_targets_of_any_magnitude_succeeds_or_fails_in_one_line(
         tmp_path, capsys, likelihood, scaling, exponent):
-    # Counts of levels 1 to 1000 times 10**exponent, two batches. Unscaled
-    # inputs from 1e40 on are past the float32 range of the validation
-    # slab. Each run either succeeds silently or fails with one line and
-    # writes nothing; a floating-point warning fails the test.
+    # Counts of levels 1 to 1000 times 10**exponent, two batches; at 307
+    # the larger counts are past the float range, which the loader
+    # rejects. Unscaled inputs from 1e40 on are past the float32 range of
+    # the validation slab. A model that trains forecasts the panel's history without its
+    # last 12 steps, and is scored on the whole panel from those forecasts
+    # and by a rolling backtest. Each command either succeeds silently or
+    # fails with one line and writes nothing; a floating-point warning
+    # fails the test.
     rng = np.random.default_rng(5)
-    rows = [{"id": f"s{i}", "start": START.isoformat(), "freq": "D",
-             "target": (rng.poisson(10.0 ** (i / 3), 120) * 10.0**exponent).tolist(),
-             "cat": i % 2} for i in range(10)]
+    with np.errstate(over="ignore"):
+        rows = [{"id": f"s{i}", "start": START.isoformat(), "freq": "D",
+                 "target": (rng.poisson(10.0 ** (i / 3), 120) * 10.0**exponent).tolist(),
+                 "cat": i % 2} for i in range(10)]
     data = _write_rows(tmp_path / "scaled.jsonl", rows)
+    history = _write_rows(tmp_path / "history.jsonl",
+                          [dict(row, target=row["target"][:-12]) for row in rows])
     config = tmp_path / "train.cfg"
     config.write_text(f"likelihood = {likelihood}\nno_scaling = {str(not scaling).lower()}\n"
                       "max_batches = 2\n", encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
-    rc = main(["train", "--data", data, "--config", str(config), "--output", str(out / "m.bin")])
-    err = capsys.readouterr().err
-    if rc == 0:
-        assert err == "" and (out / "m.bin").exists()
-    else:
-        assert rc in (1, 2)
-        assert err.count("\n") == 1 and err.startswith("error: "), err
+    model = out / "m.bin"
+    if _succeeds_or_fails_in_one_line(
+            ["train", "--data", data, "--config", str(config), "--output", str(model)],
+            model, capsys):
         assert list(out.iterdir()) == []
+        return
+    forecasts = out / "fc.jsonl"
+    if not _succeeds_or_fails_in_one_line(
+            ["predict", "--model", str(model), "--data", history, "--samples", "20",
+             "--output", str(forecasts)], forecasts, capsys):
+        report = out / "report.json"
+        _succeeds_or_fails_in_one_line(
+            ["evaluate", "--truth", data, "--forecasts", str(forecasts), "--output", str(report)],
+            report, capsys)
+    rolling = out / "rolling.json"
+    _succeeds_or_fails_in_one_line(
+        ["evaluate", "--truth", data, "--model", str(model), "--rolling", "2:3",
+         "--samples", "20", "--output", str(rolling)], rolling, capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ span aggregation, the marginal-preserving path shuffle, and forecast-record
 serialization."""
 
 import math
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -461,6 +462,31 @@ def test_count_forecasts_are_non_negative_integers():
     fc = next(forecast_panel([panel.series[0]], model, num_samples=64, seed=2))
     assert np.all(fc.samples >= 0)
     np.testing.assert_array_equal(fc.samples, np.round(fc.samples))
+
+
+def test_unscaled_model_is_served_at_unit_scale(monkeypatch):
+    # A model trained without scaling (nu = 1) is conditioned and decoded
+    # at nu = 1 as well, not at 1 + its conditioning range's mean.
+    panel, scaled = tiny_model(kind=LikelihoodKind.NEG_BINOMIAL)
+    series = list(panel)
+
+    def samples(model):
+        return [fc.samples for fc in forecast_panel(series, model, num_samples=16, seed=3)]
+
+    got = samples(replace(scaled, scaling=False))
+    at_scale = samples(scaled)
+    real_cut = forecaster.conditioning_windows
+
+    def unit_scale_cut(*args):
+        cut = real_cut(*args)
+        assert (cut.scale != 1.0).all()
+        cut.scale[:] = 1.0
+        return cut
+
+    monkeypatch.setattr(forecaster, "conditioning_windows", unit_scale_cut)
+    for a, b, c in zip(got, samples(scaled), at_scale):
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 def test_tiny_spread_collapses_paths():

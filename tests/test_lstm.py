@@ -52,8 +52,8 @@ def lstm_step(x, state, layers):
     slab = StepSlab(layers, x.shape[0])
     if state is not None:
         load_state(slab, state)
-    slab.inputs[...] = x
-    slab.step()
+    slab.step_inputs(0)[...] = x
+    slab.forward_step(0)
     return slab_state(slab)
 
 
@@ -125,7 +125,7 @@ class TestForward:
         layer = random_layer(3, 4, seed=3)
         # A slab's input columns are as wide as the first layer's input.
         with pytest.raises(ValueError):
-            StepSlab([layer], 1).inputs[...] = np.zeros((1, 5))
+            StepSlab([layer], 1).step_inputs(0)[...] = np.zeros((1, 5))
         with pytest.raises(ConfigError):
             StepSlab([layer, random_layer(3, 4, seed=4)], 1)
         with pytest.raises(ConfigError):
@@ -153,8 +153,8 @@ class TestForward:
             tape = run_tape(layers, xs)
             slab = StepSlab(layers, batch)  # stepped in place throughout
             for t in range(xs.shape[0]):
-                slab.inputs[...] = xs[t]
-                slab.step()
+                slab.step_inputs(t)[...] = xs[t]
+                slab.forward_step(t)
                 for c, recorded in zip(slab_state(slab).c, tape.c):
                     np.testing.assert_array_equal(c, recorded[t + 1, :, :batch].T)
                 np.testing.assert_array_equal(top_rows(tape)[t], slab_top(slab))
@@ -189,15 +189,15 @@ class TestForward:
             assert any(a is store for store in owned)
 
     def test_pool_slab_equals_chunked_tapes_bitwise(self):
-        # Validation steps a 507-window pool on one slab; the loss it
-        # reproduces is defined by 64-row training tapes.
+        # A 507-row float64 slab steps each row to the bits 64-row
+        # training tapes record for it.
         layers = stack((13, 40, 40, 40), seed=24)
         xs = np.random.default_rng(13).normal(size=(6, 507, 13))
         tapes = [run_tape(layers, xs[:, lo : lo + 64]) for lo in range(0, 507, 64)]
         slab = StepSlab(layers, 507)
         for t in range(xs.shape[0]):
-            slab.inputs[...] = xs[t]
-            slab.step()
+            slab.step_inputs(t)[...] = xs[t]
+            slab.forward_step(t)
             np.testing.assert_array_equal(
                 slab_top(slab), np.concatenate([top_rows(tape)[t] for tape in tapes])
             )
@@ -210,18 +210,18 @@ class TestForward:
         width = layers[0].input_dim
         source = StepSlab(layers, size)
         for _ in range(3):
-            source.inputs[...] = rng.normal(size=(size, width))
-            source.step()
+            source.step_inputs(0)[...] = rng.normal(size=(size, width))
+            source.forward_step(0)
         slab = StepSlab(layers, capacity)
         slab.reset(rows.size)
         slab.load(source.state(), rows)
         loaded, src = slab_state(slab), slab_state(source)
         for a, b in zip(loaded.h + loaded.c, src.h + src.c):
             np.testing.assert_array_equal(a, b[rows])
-        np.testing.assert_array_equal(slab.inputs, source.inputs[rows])
+        np.testing.assert_array_equal(slab.step_inputs(0), source.step_inputs(0)[rows])
         x = rng.normal(size=(rows.size, width))
-        slab.inputs[...] = x
-        slab.step()
+        slab.step_inputs(0)[...] = x
+        slab.forward_step(0)
         expected = lstm_step(x, LstmState([h[rows] for h in src.h], [c[rows] for c in src.c]), layers)
         stepped = slab_state(slab)
         for a, b in zip(stepped.h + stepped.c, expected.h + expected.c):
@@ -251,8 +251,8 @@ class TestForward:
         def run(rows):
             slab = StepSlab(layers, rows.size, dtype)
             for x in xs[:, rows]:
-                slab.inputs[...] = x
-                slab.step()
+                slab.step_inputs(0)[...] = x
+                slab.forward_step(0)
             return slab_top(slab)
 
         full = run(np.arange(400))
@@ -287,8 +287,8 @@ class TestForward:
         for dtype in (np.float64, np.float32):
             slab = StepSlab(layers, 64, dtype)
             for x in xs:
-                slab.inputs[...] = x
-                slab.step()
+                slab.step_inputs(0)[...] = x
+                slab.forward_step(0)
             tops.append(slab_top(slab))
         np.testing.assert_allclose(tops[1], tops[0], rtol=0, atol=1e-6)
         assert not np.array_equal(tops[1], tops[0])

@@ -2,6 +2,7 @@
 causality, loss additivity, and bit-exact serialization."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from panelcast.network import (
     _write_inputs,
     decode_step,
     encode,
+    forward_nll,
     init_model,
     load_model,
     model_from_bytes,
@@ -125,8 +127,9 @@ class TestUnroll:
         z_prev = 0.0
         for t in range(2):
             lagged = 0.0 if t == 0 else z_prev / nu
-            slab.inputs[0] = np.concatenate([[lagged], w.covariates[0, t], model.embedding[0]])
-            slab.step()
+            slab.step_inputs(t)[0] = np.concatenate([[lagged], w.covariates[0, t],
+                                                     model.embedding[0]])
+            slab.forward_step(t)
             mu, disp, _ = apply_heads(slab.top, model.heads, nu, model.likelihood)
             nll, _, _ = gaussian_nll(w.target[0, t], float(mu[0]), float(disp[0]))
             total += float(nll)
@@ -246,8 +249,8 @@ class TestUnroll:
         fresh_slab = StepSlab(fresh_model.layers, len(ws))
         x = np.random.default_rng(3).normal(size=(len(ws), model.input_dim))
         for s in (slab, fresh_slab):
-            s.inputs[...] = x
-            s.step()
+            s.step_inputs(0)[...] = x
+            s.forward_step(0)
         np.testing.assert_array_equal(slab.top, fresh_slab.top)
 
     @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
@@ -265,6 +268,20 @@ class TestUnroll:
         alone[:, 0] = h[:, 37]
         z_alone = _impute(model, alone, nu[row], keys.take(row), 5, np.array([0]))
         np.testing.assert_array_equal(z, z_alone)
+
+    def test_unscaled_model_reads_unit_scales(self):
+        # A model trained without scaling reads every window at nu = 1,
+        # in training, validation and encoding alike.
+        panel, model = tiny_model(LikelihoodKind.NEG_BINOMIAL, seed=3)
+        unscaled = replace(model, scaling=False)
+        w = default_window(panel, model)
+        assert w.scale[0] != 1.0
+        unit = replace(w, scale=np.ones_like(w.scale))
+        assert unroll_batch(w, unscaled).loss == unroll_batch(unit, model).loss
+        np.testing.assert_array_equal(forward_nll(w, unscaled)[0], forward_nll(unit, model)[0])
+        for got, want in zip(encode_one(w, unscaled)[1:], encode_one(unit, model)[1:]):
+            np.testing.assert_array_equal(got, want)
+        assert unroll_batch(w, model).loss != unroll_batch(unit, model).loss
 
     def test_mismatched_window_length_rejected(self):
         panel, model = tiny_model()
@@ -308,16 +325,16 @@ class TestEncodeDecode:
         w = default_window(panel, model)
         d = len(model.stats.names)
         slab = StepSlab(model.layers, 3)
-        slab.inputs[...] = np.random.default_rng(5).normal(size=(3, model.input_dim))
-        slab.step()
+        slab.step_inputs(0)[...] = np.random.default_rng(5).normal(size=(3, model.input_dim))
+        slab.forward_step(0)
         cov = w.covariates[:, :1]
         empty = WindowBatch(w.ids, w.starts, np.zeros((1, 0)), np.zeros((1, 0), dtype=np.int8),
                             w.scale, cov, w.category)
         mu, disp = encode(empty, model, slab)
         fresh = StepSlab(model.layers, 1)
-        fresh.inputs[0, 1 : 1 + d] = cov[0, 0]
-        fresh.inputs[0, 1 + d :] = model.embedding[w.category[0]]
-        fresh.step()
+        fresh.step_inputs(0)[0, 1 : 1 + d] = cov[0, 0]
+        fresh.step_inputs(0)[0, 1 + d :] = model.embedding[w.category[0]]
+        fresh.forward_step(0)
         for a, b in zip(slab_state(slab), slab_state(fresh)):
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
@@ -483,6 +500,23 @@ class TestSerialization:
                       mean=[0.0, 0.0, 0.0], std=[1.0, 1.0, 1.0])
         with pytest.raises(DataError, match="LSTM input width"):
             model_from_bytes(json.dumps(dict(doc, granularity="H", features=hourly)).encode("utf-8"))
+
+    def test_scaling_off_is_recorded_and_read(self):
+        # Only a model trained without scaling writes the key, so that the
+        # files of scaled models keep their bytes.
+        import json
+
+        panel, model = tiny_model(seed=9)
+        assert "scaling" not in json.loads(model_to_bytes(model))
+        model.scaling = False
+        blob = model_to_bytes(model)
+        doc = json.loads(blob)
+        assert doc["scaling"] is False
+        restored = model_from_bytes(blob)
+        assert restored.scaling is False and model_to_bytes(restored) == blob
+        for bad in (0, 1, "false", None):
+            with pytest.raises(DataError, match="scaling must be true or false"):
+                model_from_bytes(json.dumps(dict(doc, scaling=bad)).encode("utf-8"))
 
     def test_corrupt_payload_rejected(self):
         with pytest.raises(Exception):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from panelcast import network
 from panelcast.dataset import (
     MASK_MISSING,
     Panel,
@@ -102,9 +103,23 @@ class TestTrain:
         sampler = WindowSampler(panel, spec, stats)
         pool = sampler.validation_windows(cap=512)
         best_epoch = min(log.rows, key=lambda r: r[3])[0]
-        recomputed = _pool_nll(pool, model, cfg.batch_size,
-                               derive_seed(cfg.seed, "val", best_epoch))
+        recomputed = _pool_nll(pool, model, derive_seed(cfg.seed, "val", best_epoch))
         assert recomputed == pytest.approx(log.best_val_nll, rel=1e-12)
+
+    def test_unscaled_model_reproduces_its_best_validation_nll(self):
+        # A model trained without scaling records it, and reads a freshly
+        # drawn pool at nu = 1, as training read its pool.
+        panel = count_panel(num_series=6, n=50, seed=8)
+        cfg = small_config(likelihood="negbin", max_batches=24, no_scaling=True)
+        model, log = train(panel, cfg)
+        assert model.scaling is False
+        spec = cfg.window_spec
+        sampler = WindowSampler(panel, spec, fit_feature_stats(panel, spec))
+        pool = sampler.validation_windows(cap=512)
+        assert (pool.scale != 1.0).any()
+        best_epoch = min(log.rows, key=lambda r: r[3])[0]
+        recomputed = _pool_nll(pool, model, derive_seed(cfg.seed, "val", best_epoch))
+        assert recomputed == log.best_val_nll
 
     def test_max_batches_bound(self):
         panel = sinusoid_panel(num_series=4, n=50, seed=3)
@@ -150,7 +165,7 @@ class TestTrain:
             panel.category_cardinality, cfg.num_layers, cfg.hidden_units,
             cfg.embedding_dim, cfg.seed,
         )
-        init_nll = _pool_nll(pool, init, cfg.batch_size, derive_seed(cfg.seed, "val", 1))
+        init_nll = _pool_nll(pool, init, derive_seed(cfg.seed, "val", 1))
         assert log.best_val_nll < 0.8 * init_nll
 
     def test_integer_requirement_enforced_for_negbin(self):
@@ -254,37 +269,33 @@ class TestTrain:
         assert model_to_bytes(full) != model_to_bytes(ablated)
 
 
-def per_chunk_nll(pool, model, batch_size, seed):
-    """The validation NLL by definition, in float64: each batch_size-window
-    chunk unrolled alone as a training batch, imputing with the seed
-    derived from its offset, the chunk losses added in order over the
-    counted steps."""
-    total, steps = 0.0, 0
-    for i in range(0, len(pool), batch_size):
-        res = unroll_batch(window_rows(pool, slice(i, i + batch_size)), model, derive_seed(seed, i))
-        total += res.loss
-        steps += res.counted_steps
-    return total / steps
+def pool_unroll_nll(pool, model, seed):
+    """The validation NLL by definition, in float64: the whole pool
+    unrolled as one training batch, its loss over its counted steps."""
+    res = unroll_batch(pool, model, seed)
+    return res.loss / res.counted_steps
 
 
-def per_chunk_forward_nll(pool, model, batch_size, seed):
-    """The same definition at the validation pass's precision: each chunk
-    run alone through forward_nll on its own float32 slab, with the keys
-    unroll_batch would derive for it, and summed exactly."""
-    total, steps = 0.0, 0
-    for i in range(0, len(pool), batch_size):
-        chunk = window_rows(pool, slice(i, i + batch_size))
-        keys = RowKeys.for_series(derive_seed(seed, i), "impute", chunk.ids,
-                                  np.arange(len(chunk)))
-        nll, counted = forward_nll(chunk, model, keys)
-        total += math.fsum(nll[counted].tolist())
-        steps += int(counted.sum())
-    return total / steps
+def rows_alone_nll(pool, model, seed):
+    """forward_nll's (B, T) terms with each window of the pool run alone
+    on a float32 slab of its own, imputing with the key the pool gives it:
+    (seed, its series id) on path b, its row of the pool."""
+    rows = []
+    for b in range(len(pool)):
+        w = window_rows(pool, slice(b, b + 1))
+        nu, cats, targets, counted, covariates, _ = network._batch_arrays(w, model, seed)
+        keys = RowKeys.for_series(seed, "impute", w.ids, [b])
+        slab = network._TopRecord(model.layers, 1, targets.shape[1])
+        steps = network._teacher_forced(model, slab, targets, ~counted, covariates, nu, cats,
+                                        keys)
+        rows.append(network._score(model, slab.tops[:, :steps], nu, targets, counted,
+                                   grads=False)[3])
+    return np.stack(rows)
 
 
-# _pool_nll against per_chunk_nll, relative: the largest error over 120
-# gappy pools (seeds 20-39; 203, 40 and 100 windows in chunks of 64 and
-# 16) was 2.8e-9 for the Gaussian and 1.1e-9 for the negative binomial.
+# _pool_nll against pool_unroll_nll, relative: the largest error over 120
+# gappy pools (seeds 20-39; 203, 40 and 100 windows) was 2.8e-9 for the
+# Gaussian and 1.1e-9 for the negative binomial.
 FLOAT32_POOL_RTOL = 1e-6
 
 
@@ -309,36 +320,43 @@ def gappy_pool(kind, size, seed):
 
 
 class TestPoolNll:
-    # The whole pool runs forward in one pass on one float32 slab; its NLL
-    # must keep the bits of each chunk run alone on a slab of its own (a
-    # row's float32 arithmetic does not depend on the rows beside it at
-    # 16-column padding), and stay within FLOAT32_POOL_RTOL of the float64
-    # per-chunk definition.
+    # The pool is scored as one batch on one float32 slab. Each window's
+    # terms must keep the bits of that window run alone on a slab of its
+    # own with the same key (a row's float32 arithmetic does not depend on
+    # the rows beside it at 16-column padding), and the total must stay
+    # within FLOAT32_POOL_RTOL of the pool unrolled as one float64 batch.
 
     @pytest.mark.parametrize("kind", list(LikelihoodKind))
-    def test_equals_per_chunk_unrolls_with_missing_values(self, kind):
+    def test_rows_equal_rows_run_alone_with_missing_values(self, kind):
         pool, model = gappy_pool(kind, 203, seed=21)
         assert np.any(pool.mask[64:] == MASK_MISSING)
         seed = derive_seed(3, "val", 2)
-        assert _pool_nll(pool, model, 64, seed) == per_chunk_forward_nll(pool, model, 64, seed)
+        nll, counted = forward_nll(pool, model, seed)
+        alone = rows_alone_nll(pool, model, seed)
+        np.testing.assert_array_equal(nll, alone)
+        assert _pool_nll(pool, model, seed) == math.fsum(alone[counted].tolist()) / counted.sum()
 
     @pytest.mark.parametrize("kind", list(LikelihoodKind))
-    def test_close_to_float64_per_chunk_unrolls(self, kind):
-        for seed, size, batch_size in ((21, 203, 64), (25, 100, 16)):
+    def test_close_to_float64_unroll_of_the_pool(self, kind):
+        for seed, size in ((21, 203), (25, 100)):
             pool, model = gappy_pool(kind, size, seed=seed)
             assert np.any(pool.mask == MASK_MISSING)
             val_seed = derive_seed(3, "val", seed)
-            got = _pool_nll(pool, model, batch_size, val_seed)
-            want = per_chunk_nll(pool, model, batch_size, val_seed)
+            got = _pool_nll(pool, model, val_seed)
+            want = pool_unroll_nll(pool, model, val_seed)
             assert got == pytest.approx(want, rel=FLOAT32_POOL_RTOL, abs=0.0)
 
-    def test_equals_single_chunk_unroll(self):
+    def test_imputation_reads_the_seed(self):
+        # Missing values are drawn from the seed's keys; a pool without
+        # any scores the same under every seed.
         pool, model = gappy_pool(LikelihoodKind.NEG_BINOMIAL, 40, seed=22)
-        assert _pool_nll(pool, model, 64, 9) == per_chunk_forward_nll(pool, model, 64, 9)
+        assert _pool_nll(pool, model, 9) != _pool_nll(pool, model, 10)
+        full = window_rows(pool, np.flatnonzero((pool.mask != MASK_MISSING).all(axis=1)))
+        assert len(full) and _pool_nll(full, model, 9) == _pool_nll(full, model, 10)
 
-    def test_equals_per_chunk_on_fallback_pool(self):
+    def test_rows_equal_rows_run_alone_on_fallback_pool(self):
         # The 64 in-sample windows train() validates on when no series
-        # holds placements out.
+        # holds placements out: five series, each on many rows.
         panel = Panel([
             make_series(f"f{i}", 4.0 + i + np.sin(np.arange(10.0) + i), category=i % 2)
             for i in range(5)
@@ -353,17 +371,18 @@ class TestPoolNll:
                            panel.category_cardinality, cfg.num_layers, cfg.hidden_units,
                            cfg.embedding_dim, cfg.seed)
         seed = derive_seed(cfg.seed, "val", 1)
-        assert _pool_nll(pool, model, 8, seed) == per_chunk_forward_nll(pool, model, 8, seed)
+        np.testing.assert_array_equal(forward_nll(pool, model, seed)[0],
+                                      rows_alone_nll(pool, model, seed))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_heads_diverge(self):
         pool, model = gappy_pool(LikelihoodKind.GAUSSIAN, 100, seed=23)
         model.heads.w_mu.fill(1e308)
         with pytest.raises(DivergenceError, match="non-finite loss at step 0") as exc:
-            _pool_nll(pool, model, 64, 5)
+            _pool_nll(pool, model, 5)
         assert exc.value.log["step"] == 0
         with pytest.raises(DivergenceError, match="non-finite loss at step 0"):
-            per_chunk_nll(pool, model, 64, 5)
+            pool_unroll_nll(pool, model, 5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_step_with_draws_diverges_as_a_loss(self):
@@ -375,10 +394,10 @@ class TestPoolNll:
         pool.mask[3, 4] = MASK_MISSING
         pool.target[3, 4] = np.nan
         with pytest.raises(DivergenceError, match="non-finite loss at step 4") as exc:
-            _pool_nll(pool, model, 64, 5)
+            _pool_nll(pool, model, 5)
         assert exc.value.log["step"] == 4
         with pytest.raises(DivergenceError, match="non-finite loss at step 4"):
-            per_chunk_nll(pool, model, 64, 5)
+            pool_unroll_nll(pool, model, 5)
 
 
 class TestTrainLogTelemetry:
