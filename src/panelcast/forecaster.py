@@ -31,10 +31,9 @@ other rows of its batch (the float32 slab pads its columns to a multiple
 of 16 so that BLAS rounds a row the same at every block size and in
 every column).
 
-The LSTM steps in float32 here (lstm.SLAB_DTYPE), as in validation: the
-heads read the slab's top h upcast to float64, so the distribution
-parameters, the samplers and the quantiles are float64, and training
-steps in float64.
+The LSTM steps in float32 here (lstm.SLAB_DTYPE), as in training and
+validation: the heads read the slab's top h upcast to float64, so the
+distribution parameters, the samplers and the quantiles are float64.
 
 Quantiles are empirical nearest-rank: sorted column index ceil(rho*n)-1.
 """

@@ -5,8 +5,8 @@ the order input | forget | candidate | output, with the input and
 recurrent paths stacked row-wise and a bias per gate column.
 
 Every step's block is stored feature-major, one column per row of the
-batch, with the columns padded to a multiple of 8, or of 16 for a
-float32 StepSlab (_padded). A step's inputs and hidden states form one
+batch, with the columns padded to a multiple of 8, or of 16 in float32
+(_padded). A step's inputs and hidden states form one
 column vector [1, x, h_0, 1, h_1, ..., 1, h_{L-1}]: layer l's row range,
 [1, x, h_0] for layer 0 and [h_{l-1}, 1, h_l] above it, holds exactly
 one ones row, the h a layer writes is already the next layer's input,
@@ -26,26 +26,26 @@ precisions found no exception (see _padded).
 Training records a whole sequence in a SequenceTape, whose slab of
 inputs and hidden states carries a time axis between the features and
 the columns, and whose gates and cells are step-major, so the cell
-writes each step in place. Its backward pass runs layer by layer on the
-canonical layer.w and keeps only the recurrence inside the time loop,
-the product of the recurrent weights with each step's contiguous
-pre-activation gradient; each layer's input and weight gradients are
-single products over one feature-major copy of all T steps after it,
-and the weight gradient's product over the ones row is the bias
-gradient.
+writes each step in place. Its backward pass runs layer by layer on
+layer.w, cast to the tape's dtype, and keeps only the recurrence inside
+the time loop, the product of the recurrent weights with each step's
+contiguous pre-activation gradient; each layer's input and weight
+gradients are single products over one feature-major copy of all T
+steps after it, and the weight gradient's product over the ones row is
+the bias gradient.
 
 Whatever runs forward only (validation, conditioning, decoding) steps a
 StepSlab: the tape collapsed to a single step and updated in place, so
 it allocates nothing per step. Both step through _step_layer on the same
-layout, so a float64 slab and the tape agree bit for bit. The tape, and
-so training, is float64; a slab steps in the dtype it is made with, its
-stores and derived weights alike. The forward-only passes, validation
-and a forecast, make theirs in SLAB_DTYPE, float32, whose products and
-transcendentals cost about half as much. Tape and slab share one
-stepping API: step_inputs(t) is the view of step t's layer-0 inputs to
-write, and forward_step(t) takes the step and returns its top h. So one
-loop steps either (see network), and decoding steps its slab the same
-way.
+layout, so a slab and a tape of one dtype agree bit for bit. Each steps
+in the dtype it is made with, its stores and derived weights alike; the
+layers, and so the model, stay float64. Training, validation and a
+forecast make theirs in SLAB_DTYPE, float32, whose products and
+transcendentals cost about half as much; a float64 tape is the
+reference the gradient checks run on. Tape and slab share one stepping
+API: step_inputs(t) is the view of step t's layer-0 inputs to write,
+and forward_step(t) takes the step and returns its top h. So one loop
+steps either (see network), and decoding steps its slab the same way.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ __all__ = [
     "StepSlab",
 ]
 
-# The precision validation, encode and decode step the LSTM in. float32
-# halves the cost of the step's products and transcendentals, and the
-# float64 heads, NLL and samplers downstream gain nothing from more.
+# The precision training, validation, encode and decode step the LSTM
+# in. float32 halves the cost of the step's products and
+# transcendentals, and the float64 heads, NLL, optimiser and samplers
+# around it gain nothing from more.
 SLAB_DTYPE = np.float32
 
 
@@ -310,27 +311,33 @@ class SequenceTape:
     rows are padding (see _padded), stepped from zero inputs and never
     read. A sequence starts from the zero state. The caller writes the
     layer-0 inputs into `inputs` and calls forward_step(t) for t = 0, 1, ...
+
+    Stores, derived weights and the backward's work arrays are of
+    `dtype`, float64 or float32, as a StepSlab's are; the layers stay
+    float64, and backward() returns their gradients in float64.
     """
 
-    def __init__(self, layers, steps: int, batch: int):
+    def __init__(self, layers, steps: int, batch: int, dtype=np.float64):
         self.layers = layers
         self.steps = steps
         self.capacity = batch
+        self.dtype = np.dtype(dtype)
         # Row ranges of the layers in xh, their ones rows and where each h starts.
         self._rows, self._ones, self._h_row, self._width = _slab_columns(layers)
         self._hidden = max(layer.hidden_dim for layer in layers)
-        cols = _padded(batch)
+        cols = _padded(batch, dtype)
         # Flat storage for `capacity` rows; reset() carves the slabs for
         # the rows in use, so a shorter batch reuses the same memory.
-        self._xh_store = np.empty(self._width * (steps + len(layers)) * cols)
-        self._c_stores = [np.empty(layer.hidden_dim * (steps + 1) * cols) for layer in layers]
+        self._xh_store = np.empty(self._width * (steps + len(layers)) * cols, dtype)
+        self._c_stores = [np.empty(layer.hidden_dim * (steps + 1) * cols, dtype)
+                          for layer in layers]
         # A gate store also takes the layer's input gradient once spent.
-        self._gate_stores = [np.empty(max(4 * layer.hidden_dim, layer.input_dim) * steps * cols)
-                             for layer in layers]
+        self._gate_stores = [np.empty(max(4 * layer.hidden_dim, layer.input_dim) * steps * cols,
+                                      dtype) for layer in layers]
         # Four quarters of H * T * columns: the cell's work array at the
         # start of the first, upstream() the last, and backward's work.
-        self._scratch = np.empty(4 * self._hidden * steps * cols)
-        self._weights = [np.empty((4 * layer.hidden_dim, hi - lo))
+        self._scratch = np.empty(4 * self._hidden * steps * cols, dtype)
+        self._weights = [np.empty((4 * layer.hidden_dim, hi - lo), dtype)
                          for layer, (lo, hi) in zip(layers, self._rows)]
         self.reset(batch)
 
@@ -340,7 +347,7 @@ class SequenceTape:
         if not 0 < batch <= self.capacity:
             raise ConfigError(f"tape holds at most {self.capacity} rows, not {batch}")
         T, L = self.steps, len(self.layers)
-        cols = _padded(batch)
+        cols = _padded(batch, self.dtype)
         self.batch = batch
         _derive_weights(self.layers, self._rows, self._ones, self._weights)
         self.xh = self._xh_store[: self._width * (T + L) * cols].reshape(self._width, T + L, cols)
@@ -387,7 +394,10 @@ class SequenceTape:
     def forward_step(self, t: int) -> np.ndarray:
         """Run every layer for step t, once its layer-0 inputs are written,
         recording in place; returns the (H, columns) view of `top` at t."""
-        with np.errstate(over="ignore"):  # exp(-x) -> inf gives sigmoid 0
+        # exp(-x) -> inf gives sigmoid 0. As on a StepSlab, a value past a
+        # float32 tape's range can turn rows into NaN, which the heads'
+        # checks report.
+        with np.errstate(over="ignore", invalid="ignore"):
             for idx, layer in enumerate(self.layers):
                 c = self.c[idx]
                 _step_layer(self._weights[idx], self._xh(idx, t + idx), self.gates[idx][t], c[t],
@@ -398,7 +408,7 @@ class SequenceTape:
         """(H, T, columns) buffer for the gradient of the loss w.r.t. the
         top layer's h at every step, for the caller to fill (padding
         columns with zeros) and pass to backward()."""
-        size = self.steps * _padded(self.batch)
+        size = self.steps * _padded(self.batch, self.dtype)
         hd = self.layers[-1].hidden_dim
         return self._scratch[3 * self._hidden * size :][: hd * size].reshape(hd, self.steps, -1)
 
@@ -453,18 +463,19 @@ class SequenceTape:
         Overwrites the tape's gate and cell slabs (each step's gates end
         up holding its pre-activation gradient) and its scratch, so it can
         run once. Returns (d_x (T, B, input_dim), a feature-major view of
-        layer 0's gate store, valid until the tape steps again, and
-        per-layer [(d_w, d_b)]).
+        layer 0's gate store in the tape's dtype, valid until the tape
+        steps again, and per-layer [(d_w, d_b)] in float64).
 
         Each layer's time loop reads step-major blocks from the scratch:
         the upstream gradient d_up in its first quarter, a_out in its
         second; the third is _local_derivatives' work. Once they are spent,
         the scratch takes a feature-major copy of the pre-activation
         gradients, the operand of the input and weight gradient products,
-        and then the layer below's d_up.
+        and then the layer below's d_up. The products read layer.w in the
+        tape's dtype: a copy made here for a float32 tape, nothing held.
         """
         T, B = self.steps, self.batch
-        cols = _padded(B)
+        cols = _padded(B, self.dtype)
         if d_h.shape != (self.layers[-1].hidden_dim, T, cols):
             raise ConfigError("upstream gradient shape does not match the tape")
         size = T * cols
@@ -472,40 +483,45 @@ class SequenceTape:
         d_up = self._scratch[: d_h.size].reshape(T, -1, cols)
         np.copyto(d_up, d_h.transpose(1, 0, 2))
         d_param = [None] * len(self.layers)
-        for idx in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[idx]
-            hd, ind = layer.hidden_dim, layer.input_dim
-            a_out = self._scratch[quarter : quarter + hd * size].reshape(T, hd, cols)
-            self._local_derivatives(idx, self._scratch[2 * quarter :], a_out)
-            d_pre, forget = self.gates[idx], self.c[idx][1:]
-            d_pre4 = d_pre.reshape(T, 4, hd, cols)
-            w_rec = layer.w[ind:]
-            # Only the gradient w.r.t. h_prev feeds the next step back.
-            d_rec = np.zeros((hd, cols))
-            d_c = np.zeros((hd, cols))
-            dc = np.empty((hd, cols))
-            for t in range(T - 1, -1, -1):
-                dh = d_up[t]
-                dh += d_rec
-                np.multiply(dh, a_out[t], out=dc)
-                dc += d_c
-                step = d_pre4[t]
-                step[:3] *= dc
-                step[3] *= dh
-                np.multiply(dc, forget[t], out=d_c)
-                np.matmul(w_rec, d_pre[t], out=d_rec)
-            # The input gradient at every step, into the spent gate store,
-            # and d_w with d_b from the ones row: one product each, over
-            # all steps.
-            flat = self._scratch[: 4 * hd * size].reshape(4 * hd, size)
-            np.copyto(flat.reshape(4 * hd, T, cols), d_pre.transpose(1, 0, 2))
-            d_x = self._gate_stores[idx][: ind * size].reshape(ind, T, cols)
-            np.matmul(layer.w[:ind], flat, out=d_x.reshape(ind, size))
-            lo, hi = self._rows[idx]
-            d_wb = self._xh(idx, slice(idx, idx + T)).reshape(hi - lo, size) @ flat.T
-            one = self._ones[idx] - lo
-            d_param[idx] = (np.delete(d_wb, one, axis=0), d_wb[one])
-            if idx:  # the layer below's upstream gradient, step-major
-                d_up = self._scratch[: ind * size].reshape(T, ind, cols)
-                np.copyto(d_up, d_x.transpose(1, 0, 2))
+        # A non-finite value in a float32 tape reaches the gradients, whose
+        # norm the trainer checks.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in range(len(self.layers) - 1, -1, -1):
+                layer = self.layers[idx]
+                hd, ind = layer.hidden_dim, layer.input_dim
+                w = layer.w.astype(self.dtype, copy=False)
+                a_out = self._scratch[quarter : quarter + hd * size].reshape(T, hd, cols)
+                self._local_derivatives(idx, self._scratch[2 * quarter :], a_out)
+                d_pre, forget = self.gates[idx], self.c[idx][1:]
+                d_pre4 = d_pre.reshape(T, 4, hd, cols)
+                w_rec = w[ind:]
+                # Only the gradient w.r.t. h_prev feeds the next step back.
+                d_rec = np.zeros((hd, cols), self.dtype)
+                d_c = np.zeros((hd, cols), self.dtype)
+                dc = np.empty((hd, cols), self.dtype)
+                for t in range(T - 1, -1, -1):
+                    dh = d_up[t]
+                    dh += d_rec
+                    np.multiply(dh, a_out[t], out=dc)
+                    dc += d_c
+                    step = d_pre4[t]
+                    step[:3] *= dc
+                    step[3] *= dh
+                    np.multiply(dc, forget[t], out=d_c)
+                    np.matmul(w_rec, d_pre[t], out=d_rec)
+                # The input gradient at every step, into the spent gate
+                # store, and d_w with d_b from the ones row: one product
+                # each, over all steps.
+                flat = self._scratch[: 4 * hd * size].reshape(4 * hd, size)
+                np.copyto(flat.reshape(4 * hd, T, cols), d_pre.transpose(1, 0, 2))
+                d_x = self._gate_stores[idx][: ind * size].reshape(ind, T, cols)
+                np.matmul(w[:ind], flat, out=d_x.reshape(ind, size))
+                lo, hi = self._rows[idx]
+                d_wb = self._xh(idx, slice(idx, idx + T)).reshape(hi - lo, size) @ flat.T
+                d_wb = d_wb.astype(np.float64, copy=False)
+                one = self._ones[idx] - lo
+                d_param[idx] = (np.delete(d_wb, one, axis=0), d_wb[one])
+                if idx:  # the layer below's upstream gradient, step-major
+                    d_up = self._scratch[: ind * size].reshape(T, ind, cols)
+                    np.copyto(d_up, d_x.transpose(1, 0, 2))
         return d_x[:, :, :B].transpose(1, 2, 0), d_param

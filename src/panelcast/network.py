@@ -5,9 +5,11 @@ decoding for sampling.
 
 One loop, _teacher_forced, is the teacher-forced recurrence: at each
 step it writes the inputs, steps a stepper and draws the missing next
-inputs. Training (`unroll_batch`) steps a float64 lstm.SequenceTape,
-recorded for the backward pass; validation (`forward_nll`) steps a
-float32 lstm.StepSlab that also keeps each step's top h, upcast; and
+inputs. Training (`unroll_batch`) steps an lstm.SequenceTape, recorded
+for the backward pass: the trainer's is float32, and the one
+unroll_batch makes when given none float64, the reference the gradient
+checks run on. Validation (`forward_nll`) steps a float32
+lstm.StepSlab that also keeps each step's top h, upcast; and
 `encode` steps the forecast's float32 StepSlab through the conditioning
 range and the first prediction step. All three read a
 dataset.WindowBatch, the (B, T) arrays one gather cuts from a panel's
@@ -17,9 +19,10 @@ window b draws with the key of (impute_seed, its series id) on path b,
 so validation scores its whole pool as one batch. One scorer,
 _score, runs the float64 heads and the NLL over the top h of every step
 of a training or validation batch (validation's without the NLL's
-gradients) and names the first non-finite step. Decoding keeps its own
-loop: `decode_step` advances a slab loaded from encoded rows a step at
-a time in place.
+gradients) and names the first non-finite step. The model, the heads'
+backward and every gradient unroll_batch returns are float64, whatever
+the tape's dtype. Decoding keeps its own loop: `decode_step` advances a
+slab loaded from encoded rows a step at a time in place.
 
 Tape and slab hold the step vector [1, x, h_0, 1, h_1, ...]
 feature-major, step the same cell and derive each layer's weight from
@@ -70,6 +73,7 @@ __all__ = [
     "UnrollResult",
     "init_model",
     "unroll_batch",
+    "check_slab_range",
     "forward_nll",
     "encode",
     "decode_step",
@@ -344,8 +348,9 @@ def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
     some row's next input must be imputed; _score then runs the heads and
     the NLL once over the tape's top rows at all T steps.
     `tape`, a SequenceTape of params.layers for T steps and at least B
-    rows, is reused if given (a training loop saves re-allocating, and
-    page-faulting, the slabs every batch); otherwise a new one is made.
+    rows, of either dtype, is reused if given (a training loop saves
+    re-allocating, and page-faulting, the slabs every batch); otherwise a
+    new float64 one is made. The loss and every gradient are float64.
     """
     nu, cats, targets, counted, covariates, keys = _batch_arrays(batch, params, impute_seed)
     B, T = targets.shape
@@ -364,14 +369,24 @@ def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
     except OverflowError:
         raise DivergenceError("the summed NLL overflows") from None
     d_h, head_grads = heads_backward(d_mu.reshape(T, B), d_disp.reshape(T, B), hcache,
-                                     params.heads, params.likelihood, out=tape.upstream())
-    d_x, layer_grads = tape.backward(d_h)
-    d_emb = d_x[:, :, 1 + params.feature_dim :].sum(axis=0)
+                                     params.heads, params.likelihood)
+    # Power-of-two loss scaling: the tape runs backward from d_h / 2^k,
+    # whose largest entry is below 1 in magnitude, and its gradients are
+    # scaled back by 2^k in float64. So a float32 tape holds an upstream
+    # gradient past its range (a Gaussian sigma-gradient grows as z^2 at
+    # unit scale), and since scaling by a power of two is exact, a float64
+    # tape's gradients keep their bits. A d_h that is not finite gives
+    # k = 0 and gradients that are not finite, which the trainer skips.
+    k = int(np.frexp(np.abs(d_h).max())[1])
+    d_x, layer_grads = tape.backward(np.ldexp(d_h, -k, out=tape.upstream()))
+    d_emb = d_x[:, :, 1 + params.feature_dim :].sum(axis=0, dtype=np.float64)
     grads = {"embedding": np.zeros_like(params.embedding)}  # keyed in blocks() order
     np.add.at(grads["embedding"], cats, d_emb)
     for i, (d_w, d_b) in enumerate(layer_grads):
         grads[f"lstm{i}.w"] = d_w
         grads[f"lstm{i}.b"] = d_b
+    for g in grads.values():
+        np.ldexp(g, k, out=g)
     grads.update((f"head.{key}", g) for key, g in head_grads.items())
 
     return UnrollResult(total_nll, mu.reshape(T, B).T, disp.reshape(T, B).T, grads,
@@ -395,8 +410,8 @@ class _TopRecord(StepSlab):
 
 def _past_slab_range(params: ModelParams):
     """The name of the first LSTM or embedding block holding a value past
-    SLAB_DTYPE's range, which a forward-only pass cannot step; else None.
-    The heads stay float64 and hold any finite value."""
+    SLAB_DTYPE's range, which a SLAB_DTYPE slab or tape cannot step; else
+    None. The heads stay float64 and hold any finite value."""
     limit = np.finfo(SLAB_DTYPE).max
     for name, arr in params.blocks().items():
         if not name.startswith("head.") and np.abs(arr).max() > limit:
@@ -404,14 +419,23 @@ def _past_slab_range(params: ModelParams):
     return None
 
 
+def check_slab_range(params: ModelParams) -> None:
+    """Raise DivergenceError when an LSTM or embedding value is past the
+    float32 range: what validation and the trainer's float32 tape check
+    before they step the model."""
+    past = _past_slab_range(params)
+    if past:
+        raise DivergenceError(f"the model's {past} holds a value past the float32 range")
+
+
 def forward_nll(batch: WindowBatch, params: ModelParams, impute_seed=None):
     """The teacher-forced NLL of every step of a batch of windows, forward
     only: unroll_batch's loop and scorer on a float32 StepSlab instead of
-    a tape, and the NLL without its gradients. So the terms are
-    unroll_batch's loss terms at single-precision LSTM arithmetic (about
-    1e-9 relative on a pool's total in the tests), with the imputation
-    keys unroll_batch derives from impute_seed, and a row's bits do not
-    depend on the rows beside it (see lstm._padded).
+    a tape, and the NLL without its gradients. So the terms are, bit for
+    bit, unroll_batch's loss terms on a float32 tape (within about 1e-9
+    relative of a float64 tape's on a pool's total, in the tests), with
+    the imputation keys unroll_batch derives from impute_seed, and a row's
+    bits do not depend on the rows beside it (see lstm._padded).
 
     Returns (nll, counted), each (B, T):
     counted marks the steps that contribute, and nll is 0 elsewhere.
@@ -419,9 +443,7 @@ def forward_nll(batch: WindowBatch, params: ModelParams, impute_seed=None):
     embedding value is past the float32 range, which the model loader
     would reject.
     """
-    past = _past_slab_range(params)
-    if past:
-        raise DivergenceError(f"the model's {past} holds a value past the float32 range")
+    check_slab_range(params)
     nu, cats, targets, counted, covariates, keys = _batch_arrays(batch, params, impute_seed)
     B, T = targets.shape
     slab = _TopRecord(params.layers, B, T)

@@ -10,10 +10,15 @@ epoch's validation seed, its series id) on path b, as in a training
 batch, and the losses are summed exactly. It depends on the model, the
 pool and the seed only. The pass runs forward only, on a float32 step
 slab (network.forward_nll), with no tape and no NLL gradients, through
-the loop and the scorer a training batch uses. Its total is within
-about 1e-9 relative of the pool unrolled as one float64 training batch,
-in less time, and each window's terms keep their bits when it is run
-alone with the same key.
+the loop and the scorer a training batch uses. Its terms are, bit for
+bit, the loss terms of the pool unrolled as one batch on a float32
+training tape, and its total within about 1e-9 relative of the pool
+unrolled on a float64 one; each window's terms keep their bits when it
+is run alone with the same key.
+
+Training batches step a float32 tape (lstm.SLAB_DTYPE): the LSTM's
+forward and backward run in single precision, while the heads, the NLL,
+the loss, clipping, Adam and the model's weights stay float64.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import numpy as np
 from .dataset import Panel, WindowSampler, WindowSpec, fit_feature_stats
 from .errors import ConfigError, DivergenceError
 from .likelihood import LikelihoodKind
-from .lstm import SequenceTape
-from .network import ModelParams, forward_nll, init_model, unroll_batch
+from .lstm import SLAB_DTYPE, SequenceTape
+from .network import ModelParams, check_slab_range, forward_nll, init_model, unroll_batch
 from .optim import clip_global_norm, init_adam, adam_step
 from .rng import RowKeys, derive_seed
 
@@ -228,7 +233,7 @@ def train(panel: Panel, config: TrainConfig):
         # One recording of the recurrence, refilled by every batch of the
         # epoch. Validation does not use it, and releasing it first keeps
         # the validation slab out of the run's peak RSS.
-        tape = SequenceTape(model.layers, spec.total, config.batch_size)
+        tape = SequenceTape(model.layers, spec.total, config.batch_size, SLAB_DTYPE)
         for _ in range(steps_per_epoch):
             if batches_done >= config.max_batches:
                 break
@@ -236,6 +241,9 @@ def train(panel: Panel, config: TrainConfig):
             batches_done += 1
             epoch_windows += len(windows)
             try:
+                # The float32 tape cannot step a weight past its range: the
+                # batch is divergent, as validation would find.
+                check_slab_range(model)
                 res = unroll_batch(
                     windows, model, derive_seed(config.seed, "train", "impute", batches_done),
                     tape=tape,

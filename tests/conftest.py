@@ -128,6 +128,24 @@ def pcg64_init_model(likelihood, spec, stats, granularity, cardinality, num_laye
     return model
 
 
+def gradient_gate_case(kind):
+    """The batch and model of the acceptance gradient gate: the 12-step
+    window at offset 8 of each of two Poisson series, and a one-layer
+    model at weights the gate draws itself: the PCG64 init of
+    pcg64_init_model, every block then tripled so that every gate works
+    in its nonlinear range. The gate's evaluation point thus stays put
+    when the engine's initialisation changes."""
+    rng = np.random.default_rng(0)
+    panel = Panel([TimeSeries(f"s{i}", START, Granularity.DAILY,
+                              rng.poisson(3.0 + 2 * i, 26).astype(float), i) for i in range(2)])
+    spec = WindowSpec(6, 6)
+    stats = fit_feature_stats(panel, spec)
+    windows = stack_windows([cut_window(s, spec, 8, stats) for s in panel])
+    model = pcg64_init_model(kind, spec, stats, Granularity.DAILY, 2, 1, 8, 2, 7)
+    model.load_blocks({name: 3.0 * arr for name, arr in model.copy_blocks().items()})
+    return windows, model
+
+
 def placement_bounds(n, spec):
     """(lo, hi), the first and last window start offsets of a series of
     length n, or None when it is shorter than the prediction range."""

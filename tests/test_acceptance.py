@@ -45,12 +45,10 @@ from panelcast.trainer import TrainConfig, train
 from conftest import (
     all_k_risk,
     coverage,
-    cut_window,
+    gradient_gate_case,
     pcg64,
-    pcg64_init_model,
     seasonal_naive,
     shuffle_paths,
-    stack_windows,
 )
 from gradcheck import finite_diff_check
 
@@ -78,32 +76,11 @@ def _truncated(series, steps):
 # ---------------------------------------------------------------------------
 
 
-def _gate_model(kind, spec, stats, seed=7, hidden=8, embedding_dim=2, cardinality=2):
-    """A one-layer model at weights the gate draws itself: the PCG64
-    init of conftest.pcg64_init_model, every block then tripled so that
-    every gate works in its nonlinear range. The gate's evaluation point
-    thus stays put when the engine's initialisation changes."""
-    model = pcg64_init_model(kind, spec, stats, Granularity.DAILY, cardinality, 1, hidden,
-                             embedding_dim, seed)
-    model.load_blocks({name: 3.0 * arr for name, arr in model.copy_blocks().items()})
-    return model
-
-
 def test_gradient_suite():
     t0 = time.monotonic()
-    rng = np.random.default_rng(0)
-    series = []
-    for i in range(2):
-        vals = rng.poisson(3.0 + 2 * i, 26).astype(float)
-        series.append(TimeSeries(f"s{i}", START, Granularity.DAILY, vals, i))
-    panel = Panel(series)
-    spec = WindowSpec(6, 6)  # 12-step unroll
-    stats = fit_feature_stats(panel, spec)
-    windows = stack_windows([cut_window(s, spec, 8, stats) for s in panel])
-
     errors = {}
     for kind in (LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL):
-        model = _gate_model(kind, spec, stats)
+        windows, model = gradient_gate_case(kind)
 
         def loss_fn(blocks):
             result = unroll_batch(windows, model)

@@ -76,10 +76,10 @@ def upstream(tape, d_h):
     return up
 
 
-def run_tape(layers, xs):
-    """A SequenceTape over inputs xs (T, B, input_dim), run forward from
-    the zero state."""
-    tape = SequenceTape(layers, xs.shape[0], xs.shape[1])
+def run_tape(layers, xs, dtype=np.float64):
+    """A SequenceTape of `dtype` over inputs xs (T, B, input_dim), run
+    forward from the zero state."""
+    tape = SequenceTape(layers, xs.shape[0], xs.shape[1], dtype)
     tape.inputs[...] = xs
     for t in range(xs.shape[0]):
         tape.forward_step(t)
@@ -142,16 +142,19 @@ class TestForward:
         assert np.allclose(state.h[0][0], h0_ref, atol=1e-12)
         assert np.allclose(state.h[1][0], h1_ref, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("batch", [1, 2, 7, 64, 203, 400])
-    def test_tape_equals_stepping_bitwise(self, batch):
+    def test_tape_equals_stepping_bitwise(self, batch, dtype):
         # Training records the same arithmetic that inference steps
-        # through: on a small stack, on one 11-unit layer with 46 inputs,
-        # and on three 40-unit layers at training and decode batch sizes.
+        # through, in either precision: on a small stack, on one 11-unit
+        # layer with 46 inputs, and on three 40-unit layers at training
+        # and decode batch sizes.
         for layers in (stack((3, 5, 5, 5), seed=12), stack((46, 11), seed=25),
                        stack((13, 40, 40, 40), seed=21)):
             xs = np.random.default_rng(7).normal(size=(6, batch, layers[0].input_dim))
-            tape = run_tape(layers, xs)
-            slab = StepSlab(layers, batch)  # stepped in place throughout
+            tape = run_tape(layers, xs, dtype)
+            assert tape.top.dtype == dtype
+            slab = StepSlab(layers, batch, dtype)  # stepped in place throughout
             for t in range(xs.shape[0]):
                 slab.step_inputs(t)[...] = xs[t]
                 slab.forward_step(t)
@@ -159,13 +162,14 @@ class TestForward:
                     np.testing.assert_array_equal(c, recorded[t + 1, :, :batch].T)
                 np.testing.assert_array_equal(top_rows(tape)[t], slab_top(slab))
 
-    def test_forward_step_records_in_place(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_step_records_in_place(self, dtype):
         # The cell writes each step's gates and cell into the tape's
         # step-major stores as contiguous blocks; no array stages a step
         # to be copied in after it.
         layers = stack((13, 40, 40, 40), seed=27)
         steps, batch = 5, 9
-        tape = SequenceTape(layers, steps, batch)
+        tape = SequenceTape(layers, steps, batch, dtype)
         for store in tape._gate_stores + tape._c_stores:
             store[...] = np.nan
         tape.reset(batch)
@@ -184,6 +188,7 @@ class TestForward:
         held += [a for v in vars(tape).values() if isinstance(v, (list, tuple))
                  for a in v if isinstance(a, np.ndarray)]
         for a in held:
+            assert a.dtype == dtype
             while a.base is not None:
                 a = a.base
             assert any(a is store for store in owned)
@@ -266,7 +271,7 @@ class TestForward:
     def test_padded_columns(self):
         # 64 bytes of columns: a multiple of 8 float64 or of 16 float32
         # columns, one-row batches included, which would otherwise reach
-        # gemv. A tape pads as a float64 slab does.
+        # gemv. A tape pads as a slab of its dtype does.
         for batch, f64, f32 in ((1, 8, 16), (8, 8, 16), (9, 16, 16), (16, 16, 16),
                                 (17, 24, 32), (400, 400, 400), (401, 408, 416)):
             assert _padded(batch) == _padded(batch, np.float64) == f64
@@ -277,6 +282,7 @@ class TestForward:
             assert slab.top.shape == (4, cols) and slab.top.dtype == np.float32
             assert all(w.dtype == np.float32 for w in slab._weights)
             assert SequenceTape(layers, 2, batch).top.shape == (4, 2, _padded(batch))
+            assert SequenceTape(layers, 2, batch, np.float32).top.shape == (4, 2, cols)
 
     def test_float32_slab_tracks_float64(self):
         # The single-precision slab steps the float64 arithmetic, rounded:
@@ -400,6 +406,26 @@ class TestBackward:
         for (d_w, d_b), (ref_w, ref_b) in zip(d_params, ref_params):
             np.testing.assert_array_equal(d_w, ref_w)
             np.testing.assert_array_equal(d_b, ref_b)
+
+    def test_float32_gradients_track_float64(self):
+        # The benchmark's shape: three 40-unit layers, 64 rows, 42 steps.
+        # A float32 tape's weight, bias and input gradients are each within
+        # 1e-5 relative (in norm) of a float64 tape's, and come back in
+        # float64.
+        layers = stack((13, 40, 40, 40), seed=32)
+        rng = np.random.default_rng(17)
+        xs = rng.normal(size=(42, 64, 13))
+        d_h = rng.normal(size=(42, 64, 40))
+        grads = []
+        for dtype in (np.float64, np.float32):
+            tape = run_tape(layers, xs, dtype)
+            d_x, d_params = tape.backward(upstream(tape, d_h))
+            assert d_x.dtype == dtype
+            assert all(g.dtype == np.float64 for pair in d_params for g in pair)
+            grads.append([d_x.astype(np.float64)] + [g for pair in d_params for g in pair])
+        for g32, g64 in zip(*grads[::-1]):
+            assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+            assert not np.array_equal(g32, g64)
 
     def test_zero_upstream_gradient_gives_zero(self):
         layer = random_layer(2, 3, seed=6)

@@ -16,6 +16,7 @@ from panelcast.dataset import (
     Panel,
     TimeSeries,
     WindowBatch,
+    WindowSampler,
     WindowSpec,
     feature_names,
     fit_feature_stats,
@@ -40,7 +41,9 @@ from panelcast.rng import RowKeys
 from conftest import (
     count_panel,
     cut_window,
+    gradient_gate_case,
     make_series,
+    pcg64,
     pcg64_init_model,
     sinusoid_panel,
     slab_state,
@@ -282,6 +285,51 @@ class TestUnroll:
         for got, want in zip(encode_one(w, unscaled)[1:], encode_one(unit, model)[1:]):
             np.testing.assert_array_equal(got, want)
         assert unroll_batch(w, model).loss != unroll_batch(unit, model).loss
+
+    @staticmethod
+    def _tape_grads(windows, model):
+        """unroll_batch's gradients on a float64 tape and on a float32 one."""
+        tape = SequenceTape(model.layers, model.spec.total, len(windows), np.float32)
+        return unroll_batch(windows, model).grads, unroll_batch(windows, model, tape=tape).grads
+
+    @pytest.mark.parametrize("kind", [LikelihoodKind.GAUSSIAN, LikelihoodKind.NEG_BINOMIAL])
+    def test_float32_tape_gradients_track_float64(self, kind):
+        # On the gradient gate's model, and on the benchmark's shape (three
+        # 40-unit layers, embedding 10, 64 windows of 28 + 14 steps), each
+        # block of a float32 tape's gradients is float64 and within 1e-5
+        # relative, in norm, of the float64 tape's.
+        panel = count_panel(num_series=20, n=120, seed=4, mean_hi=500.0)
+        spec = WindowSpec(28, 14)
+        stats = fit_feature_stats(panel, spec)
+        model = init_model(kind, spec, stats, panel.granularity, 2, 3, 40, 10, seed=6)
+        windows = WindowSampler(panel, spec, stats).draw(pcg64(6, "windows").random((64, 2)))
+        for windows, model in (gradient_gate_case(kind), (windows, model)):
+            g64, g32 = self._tape_grads(windows, model)
+            for name, g in g64.items():
+                assert g32[name].dtype == np.float64
+                assert np.linalg.norm(g32[name] - g) <= 1e-5 * np.linalg.norm(g), name
+
+    @pytest.mark.parametrize("scaling, magnitude", [(False, 1e19), (True, 1e45)])
+    def test_gaussian_gradients_stay_finite_on_a_float32_tape(self, scaling, magnitude):
+        # At unit scale the Gaussian sigma-gradient grows as z^2, about 1e40
+        # for targets near 1e20, past the float32 range. At scales near
+        # 1e45 the gradients w.r.t. mu and sigma shrink as 1/nu, below the
+        # float32 range, while the gradient w.r.t. the top h stays near 1.
+        # The tape runs backward from the latter scaled by a power of two
+        # to below 1, so either way a float32 tape's gradients are finite
+        # and track the float64 tape's.
+        panel = sinusoid_panel(num_series=4, n=30, seed=9)
+        for series in panel:
+            series.target *= magnitude
+        _, model = tiny_model(panel=panel, layers=2, cardinality=4)
+        model = replace(model, scaling=scaling)
+        windows = stack_windows([default_window(panel, model, f"s{i}") for i in range(4)])
+        g64, g32 = self._tape_grads(windows, model)
+        if not scaling:
+            assert abs(g64["head.b_disp"]) > np.finfo(np.float32).max
+        for name, g in g64.items():
+            assert np.isfinite(g32[name]).all(), name
+            assert np.linalg.norm(g32[name] - g) <= 1e-5 * np.linalg.norm(g), name
 
     def test_mismatched_window_length_rejected(self):
         panel, model = tiny_model()

@@ -17,6 +17,7 @@ from panelcast.dataset import (
 from panelcast.errors import ConfigError, DivergenceError
 from panelcast.forecaster import forecast_panel, quantiles
 from panelcast.likelihood import LikelihoodKind
+from panelcast.lstm import SLAB_DTYPE, SequenceTape
 from panelcast.network import forward_nll, init_model, model_to_bytes, unroll_batch
 from panelcast.rng import RowKeys, derive_seed
 from panelcast.trainer import TrainConfig, _pool_nll, grid_search, parse_config, train
@@ -323,8 +324,9 @@ class TestPoolNll:
     # The pool is scored as one batch on one float32 slab. Each window's
     # terms must keep the bits of that window run alone on a slab of its
     # own with the same key (a row's float32 arithmetic does not depend on
-    # the rows beside it at 16-column padding), and the total must stay
-    # within FLOAT32_POOL_RTOL of the pool unrolled as one float64 batch.
+    # the rows beside it at 16-column padding), and of the pool unrolled
+    # on a float32 training tape; the total must stay within
+    # FLOAT32_POOL_RTOL of the pool unrolled as one float64 batch.
 
     @pytest.mark.parametrize("kind", list(LikelihoodKind))
     def test_rows_equal_rows_run_alone_with_missing_values(self, kind):
@@ -345,6 +347,29 @@ class TestPoolNll:
             got = _pool_nll(pool, model, val_seed)
             want = pool_unroll_nll(pool, model, val_seed)
             assert got == pytest.approx(want, rel=FLOAT32_POOL_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("size", [64, 37, 5])
+    @pytest.mark.parametrize("kind", list(LikelihoodKind))
+    def test_float32_tape_equals_validation_bitwise(self, kind, size):
+        # A float32 training tape steps each window to the bits validation's
+        # slab steps it to, so the pool's validation terms are, exactly, the
+        # loss terms of the pool unrolled on a float32 tape.
+        pool, model = gappy_pool(kind, size, seed=26)
+        seed = derive_seed(3, "val", 4)
+        nu, cats, targets, counted, covariates, keys = network._batch_arrays(pool, model, seed)
+        T = targets.shape[1]
+        tape = SequenceTape(model.layers, T, size, SLAB_DTYPE)
+        slab = network._TopRecord(model.layers, size, T)
+        for stepper in (tape, slab):
+            assert network._teacher_forced(model, stepper, targets, ~counted, covariates, nu,
+                                           cats, keys) == T
+        np.testing.assert_array_equal(tape.top[:, :, :size].astype(np.float64),
+                                      slab.tops[:, :, :size])
+        nll = forward_nll(pool, model, seed)[0]
+        terms = network._score(model, tape.top, nu, targets, counted)[3]
+        np.testing.assert_array_equal(terms.reshape(T, size).T, nll)
+        res = unroll_batch(pool, model, seed, tape=SequenceTape(model.layers, T, size, SLAB_DTYPE))
+        assert res.loss == math.fsum(nll[counted].tolist())
 
     def test_imputation_reads_the_seed(self):
         # Missing values are drawn from the seed's keys; a pool without
