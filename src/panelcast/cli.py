@@ -348,10 +348,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except PanelcastError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (PanelcastError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -54,6 +54,7 @@ __all__ = [
     "PanelArrays",
     "conditioning_windows",
     "WindowSampler",
+    "VALIDATION_CAP",
     "velocity_histogram",
     "text_lines",
 ]
@@ -660,6 +661,10 @@ def conditioning_windows(series_list, stats: FeatureStats, conditioning_length: 
     return arrays.cut(np.arange(starts.size), starts, c, c, covariate_length=c + horizon)
 
 
+# The most windows the held-out validation pool keeps.
+VALIDATION_CAP = 512
+
+
 class WindowSampler:
     """Draws training windows: series by scale weight, placement uniform.
 
@@ -722,7 +727,7 @@ class WindowSampler:
         offsets = np.minimum(np.floor(u[:, 1] * n_train).astype(np.int64), n_train - 1)
         return self.windows(idx, offsets - self.spec.conditioning_length)
 
-    def validation_windows(self, cap: int = 512) -> WindowBatch:
+    def validation_windows(self, cap: int = VALIDATION_CAP) -> WindowBatch:
         """Deterministic held-out pool: the last ~10% of placements per
         series, strided down to at most cap windows."""
         n_val = self._hi + self.spec.conditioning_length + 1 - self._n_train
@@ -736,16 +741,18 @@ class WindowSampler:
         return self.windows(rows, starts)
 
 
-def velocity_histogram(panel: Panel, bucket_width: float = 0.25):
-    """Bucket counts of log10(1 + series mean); missing steps count as 0.
+_BUCKET_WIDTH = 0.25
+
+
+def velocity_histogram(panel: Panel):
+    """Bucket counts of log10(1 + series mean), in buckets 0.25 wide;
+    missing steps count as 0.
 
     Returns (edge, count) rows sorted by edge; counts sum to the number
     of series.
     """
-    if bucket_width <= 0.0:
-        raise ConfigError("bucket width must be positive")
     counts = {}
     for series in panel:
-        idx = int(math.floor(math.log10(series_scale(series)) / bucket_width))
+        idx = int(math.floor(math.log10(series_scale(series)) / _BUCKET_WIDTH))
         counts[idx] = counts.get(idx, 0) + 1
-    return [(idx * bucket_width, counts[idx]) for idx in sorted(counts)]
+    return [(idx * _BUCKET_WIDTH, counts[idx]) for idx in sorted(counts)]

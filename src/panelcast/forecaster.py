@@ -52,7 +52,7 @@ from .errors import ConfigError, DataError
 from .likelihood import draw
 from .lstm import SLAB_DTYPE, StepSlab
 from .network import ModelParams, decode_step, encode
-from .rng import RowKeys, tag_key
+from .rng import RowKeys
 
 __all__ = [
     "ForecastSamples",
@@ -135,10 +135,9 @@ def _forecast_groups(series_list, params, num_samples, seed, h):
     if not series_list:
         return
     slab = StepSlab(params.layers, min(ROW_BUDGET, len(series_list) * num_samples), SLAB_DTYPE)
-    path_key = tag_key(seed, "path")
     for g0 in range(0, len(series_list), ROW_BUDGET):
         group = series_list[g0 : g0 + ROW_BUDGET]
-        encoded = _encode_group(group, params, seed, h, path_key, slab)
+        encoded = _encode_group(group, params, seed, h, slab)
         # Row r of the group is path r % P of series r // P, and each run
         # of ROW_BUDGET rows is one block, which may start or end inside a
         # series.
@@ -172,13 +171,12 @@ class _EncodedGroup:
     covariates: np.ndarray  # (G, h - 1, d), steps 1 .. h - 1
 
 
-def _encode_group(group, params: ModelParams, seed: int, h: int, path_key,
-                  slab: StepSlab) -> _EncodedGroup:
+def _encode_group(group, params: ModelParams, seed: int, h: int, slab: StepSlab) -> _EncodedGroup:
     c = params.spec.conditioning_length
     cut = conditioning_windows(group, params.stats, c, h)
     mu, disp = encode(cut, params, slab,
                       RowKeys.for_series(seed, "impute", cut.ids, np.zeros(len(group))))
-    keys = RowKeys.for_ids(path_key, cut.ids, np.zeros(len(group)))
+    keys = RowKeys.for_series(seed, "path", cut.ids, np.zeros(len(group)))
     return _EncodedGroup(keys, slab.state(), mu, disp, params.nu(cut), cut.covariates[:, c + 1 :])
 
 

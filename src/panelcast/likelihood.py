@@ -4,7 +4,8 @@ scale-aware output heads, and keyed sampling.
 Two likelihoods are supported. The Gaussian is parameterized by mean and
 standard deviation; the negative binomial by its mean mu and a shape
 alpha that scales variance relative to the mean, Var[z] = mu + mu^2*alpha.
-Accepts scalars or arrays (elementwise) for the density functions.
+The density functions work elementwise on arrays and return float64
+ndarrays: 0-d inputs give 0-d results.
 """
 
 from __future__ import annotations
@@ -60,12 +61,10 @@ def gaussian_nll(z, mu, sigma, grads=True):
     var = sigma * sigma
     nll = 0.5 * _LOG_2PI + np.log(sigma) + resid * resid / (2.0 * var)
     if not grads:
-        return float(nll) if nll.ndim == 0 else nll
+        return np.asarray(nll)
     d_mu = -resid / var
     d_sigma = 1.0 / sigma - resid * resid / (var * sigma)
-    if nll.ndim == 0:
-        return float(nll), float(d_mu), float(d_sigma)
-    return nll, d_mu, d_sigma
+    return np.asarray(nll), np.asarray(d_mu), np.asarray(d_sigma)
 
 
 def negbin_nll(z, mu, alpha, grads=True):
@@ -90,7 +89,7 @@ def negbin_nll(z, mu, alpha, grads=True):
     ll = lgamma(z + r) - lgamma(z + 1.0) - lgamma(r) - r * log1am + z * (np.log(alpha * mu) - log1am)
     nll = -ll
     if not grads:
-        return float(nll) if nll.ndim == 0 else nll
+        return np.asarray(nll)
     d_mu = (mu - z) / (mu * (1.0 + alpha * mu))
     # d(nll)/d(alpha), derived from the mass above; psi is the digamma.
     d_alpha = (
@@ -98,9 +97,7 @@ def negbin_nll(z, mu, alpha, grads=True):
         + mu * (r + z) / (1.0 + alpha * mu)
         - z * r
     )
-    if nll.ndim == 0:
-        return float(nll), float(d_mu), float(d_alpha)
-    return nll, d_mu, d_alpha
+    return np.asarray(nll), np.asarray(d_mu), np.asarray(d_alpha)
 
 
 @dataclass
@@ -158,14 +155,12 @@ def apply_heads(h, heads: HeadParams, nu, kind: LikelihoodKind):
     return mu, disp, HeadCache(o, h, nu)
 
 
-def heads_backward(d_mu, d_disp, cache: HeadCache, heads: HeadParams, kind: LikelihoodKind,
-                   out=None):
+def heads_backward(d_mu, d_disp, cache: HeadCache, heads: HeadParams, kind: LikelihoodKind):
     """Backprop through apply_heads.
 
     d_mu and d_disp are (..., B) like apply_heads' outputs. Returns (d_h,
     grads): d_h in the layout of the h apply_heads read, (H, ..., columns),
-    zero in the padding columns, written into `out` if given; grads keyed
-    like the head blocks.
+    zero in the padding columns; grads keyed like the head blocks.
     """
     nu = cache.nu
     o_mu, o_disp = cache.o
@@ -183,9 +178,7 @@ def heads_backward(d_mu, d_disp, cache: HeadCache, heads: HeadParams, kind: Like
     d_o[1, ..., : nu.shape[0]] = d_o_disp
     d_o = d_o.reshape(2, -1)
     flat_h = h.reshape(h.shape[0], -1)
-    if out is None:
-        out = np.empty(h.shape)
-    np.matmul(_head_weights(heads).T, d_o, out=out.reshape(flat_h.shape))
+    d_h = (_head_weights(heads).T @ d_o).reshape(h.shape)
     d_w = d_o @ flat_h.T
     d_b = d_o.sum(axis=1)
     grads = {
@@ -194,7 +187,7 @@ def heads_backward(d_mu, d_disp, cache: HeadCache, heads: HeadParams, kind: Like
         "w_disp": d_w[1],
         "b_disp": np.asarray(d_b[1]),
     }
-    return out, grads
+    return d_h, grads
 
 
 def nll_and_grads(z, mu, disp, kind: LikelihoodKind):

@@ -73,7 +73,6 @@ __all__ = [
     "UnrollResult",
     "init_model",
     "unroll_batch",
-    "check_slab_range",
     "forward_nll",
     "encode",
     "decode_step",
@@ -347,15 +346,23 @@ def unroll_batch(batch: WindowBatch, params: ModelParams, impute_seed=None, *,
     SequenceTape, evaluating the heads inside the loop only at steps where
     some row's next input must be imputed; _score then runs the heads and
     the NLL once over the tape's top rows at all T steps.
-    `tape`, a SequenceTape of params.layers for T steps and at least B
-    rows, of either dtype, is reused if given (a training loop saves
-    re-allocating, and page-faulting, the slabs every batch); otherwise a
-    new float64 one is made. The loss and every gradient are float64.
+    `tape`, if given, is a SequenceTape of params.layers for T steps and
+    at least B rows, of either dtype, and is reused (a training loop saves
+    re-allocating, and page-faulting, the slabs every batch); one that
+    does not fit raises ConfigError, and a float32 one raises
+    DivergenceError, as forward_nll does, when an LSTM or embedding value
+    is past its range. Without one, a new float64 tape is made: the
+    reference the gradient checks run on. The loss and every gradient are
+    float64.
     """
+    if tape is not None and tape.dtype == SLAB_DTYPE:
+        _check_slab_range(params)
     nu, cats, targets, counted, covariates, keys = _batch_arrays(batch, params, impute_seed)
     B, T = targets.shape
-    if tape is None or tape.layers is not params.layers or tape.steps != T or tape.capacity < B:
+    if tape is None:
         tape = SequenceTape(params.layers, T, B)
+    elif tape.layers is not params.layers or tape.steps != T:
+        raise ConfigError("the tape was made for other layers or another window length")
     else:
         tape.reset(B)
     steps = _teacher_forced(params, tape, targets, ~counted, covariates, nu, cats, keys)
@@ -419,9 +426,9 @@ def _past_slab_range(params: ModelParams):
     return None
 
 
-def check_slab_range(params: ModelParams) -> None:
+def _check_slab_range(params: ModelParams) -> None:
     """Raise DivergenceError when an LSTM or embedding value is past the
-    float32 range: what validation and the trainer's float32 tape check
+    float32 range: what validation and a float32 training tape check
     before they step the model."""
     past = _past_slab_range(params)
     if past:
@@ -439,11 +446,11 @@ def forward_nll(batch: WindowBatch, params: ModelParams, impute_seed=None):
 
     Returns (nll, counted), each (B, T):
     counted marks the steps that contribute, and nll is 0 elsewhere.
-    Raises DivergenceError as unroll_batch does, and when an LSTM or
-    embedding value is past the float32 range, which the model loader
-    would reject.
+    Raises DivergenceError as unroll_batch on a float32 tape does,
+    including when an LSTM or embedding value is past the float32 range,
+    which the model loader would reject.
     """
-    check_slab_range(params)
+    _check_slab_range(params)
     nu, cats, targets, counted, covariates, keys = _batch_arrays(batch, params, impute_seed)
     B, T = targets.shape
     slab = _TopRecord(params.layers, B, T)

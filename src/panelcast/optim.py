@@ -11,21 +11,22 @@ from .errors import ConfigError
 
 __all__ = ["AdamState", "init_adam", "adam_step", "clip_global_norm"]
 
+# Adam's moment decays and denominator offset (Kingma and Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def init_adam(blocks: dict, learning_rate: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(learning_rate, beta1, beta2, eps)
+def init_adam(blocks: dict, learning_rate: float = 1e-3) -> AdamState:
+    state = AdamState(learning_rate)
     state.m = {name: np.zeros_like(arr) for name, arr in blocks.items()}
     state.v = {name: np.zeros_like(arr) for name, arr in blocks.items()}
     return state
@@ -44,16 +45,16 @@ def adam_step(blocks: dict, grads: dict, state: AdamState) -> None:
         if grad.shape != blocks[name].shape:
             raise ConfigError(f"gradient shape {grad.shape} != parameter shape {blocks[name].shape} for '{name}'")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, grad in grads.items():
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        blocks[name] -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        blocks[name] -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:

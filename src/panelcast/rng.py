@@ -13,11 +13,10 @@ function: starting from key (0, 0), the seed and then each part of the
 path are folded in, two words at a time, as the counter of one Philox
 call whose first two output words become the next key. The counter's
 other two words, a depth and a domain, keep seed chunks and path parts
-apart. RowKeys.for_series folds the seed and tag once per call
-(tag_key), then every distinct name in one vectorised call
-(RowKeys.for_ids). No command loads numpy's random module or OpenSSL:
-SHA-256, for the words of a string path part and the CLI's manifest
-digests, is the interpreter's builtin module.
+apart. RowKeys.for_series folds the seed and tag once per call, then
+every distinct name in one vectorised call. No command loads numpy's
+random module or OpenSSL: SHA-256, for the words of a string path part
+and the CLI's manifest digests, is the interpreter's builtin module.
 
 No draw keeps stream state. Each uniform is a pure function
 
@@ -65,7 +64,6 @@ from .special import lgamma
 
 __all__ = [
     "derive_seed",
-    "tag_key",
     "philox4x32",
     "RowKeys",
     "normals",
@@ -179,12 +177,6 @@ def derive_seed(seed: int, *path) -> int:
     return int(k0) | (int(k1) << 32)
 
 
-def tag_key(seed: int, tag: str):
-    """The key (seed, tag) folds to: the prefix RowKeys.for_ids extends
-    with each series id."""
-    return _key(seed, (tag,))
-
-
 _SHIFT21 = np.uint64(21)
 _SHIFT11 = np.uint64(11)
 _TWO_M53 = 2.0**-53
@@ -214,16 +206,10 @@ class RowKeys:
         paths[i]: the words derive_seed(seed, tag, series_ids[i]) is made
         of. The seed and tag are folded once per call, then every distinct
         id in one Philox call, as path part 1."""
-        return cls.for_ids(tag_key(seed, tag), series_ids, paths)
-
-    @classmethod
-    def for_ids(cls, prefix, series_ids, paths) -> "RowKeys":
-        """for_series under prefix = tag_key(seed, tag), which a caller
-        that makes keys for many batches folds once."""
         index = {}
         rows = [index.setdefault(sid, len(index)) for sid in series_ids]
         words = np.array([_path_key((sid,)) for sid in index], dtype=np.uint64).reshape(-1, 2)
-        k0, k1 = _fold(prefix, words[:, 0], words[:, 1], 1, _PATH_DOMAIN)
+        k0, k1 = _fold(_key(seed, (tag,)), words[:, 0], words[:, 1], 1, _PATH_DOMAIN)
         return cls(k0[rows], k1[rows], paths)
 
     def __len__(self) -> int:

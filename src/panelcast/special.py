@@ -1,7 +1,9 @@
-"""Scalar special functions used by the likelihood heads and log-densities.
+"""Elementwise special functions used by the likelihood heads and
+log-densities.
 
-Everything here accepts either a Python float or a numpy array and returns
-the same kind. All math is float64.
+Each function takes an array, or anything np.asarray reads as one, and
+returns a float64 ndarray of its shape: a 0-d input gives a 0-d array,
+whose value is, bit for bit, the one an array evaluation gives it.
 """
 
 from __future__ import annotations
@@ -30,26 +32,18 @@ _LANCZOS_C = np.array(
 )
 
 
-def _wrap(x):
-    """Return (array, was_scalar) for a float-or-array argument."""
-    arr = np.asarray(x, dtype=np.float64)
-    return arr, arr.ndim == 0
-
-
 def softplus(x):
     """log(1 + exp(x)), computed without overflow on either tail."""
-    arr, scalar = _wrap(x)
-    out = np.maximum(arr, 0.0) + np.log1p(np.exp(-np.abs(arr)))
-    return float(out) if scalar else out
+    arr = np.asarray(x, dtype=np.float64)
+    return np.asarray(np.maximum(arr, 0.0) + np.log1p(np.exp(-np.abs(arr))))
 
 
 def sigmoid(x):
     """Logistic function; stable companion of softplus (its derivative)."""
-    arr, scalar = _wrap(x)
+    arr = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(arr))
     # 1/(1+t) where arr >= 0 and t/(1+t) elsewhere.
-    out = np.where(arr >= 0.0, 1.0, t) / (1.0 + t)
-    return float(out) if scalar else out
+    return np.asarray(np.where(arr >= 0.0, 1.0, t) / (1.0 + t))
 
 
 def _lanczos_lgamma(x):
@@ -64,13 +58,12 @@ def _lanczos_lgamma(x):
 
 def lgamma(x):
     """log Gamma(x) for x > 0 via the Lanczos approximation."""
-    arr, scalar = _wrap(x)
+    arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0.0):
         raise ValueError("lgamma requires x > 0")
     small = arr < 0.5
     lifted = np.where(small, arr + 1.0, arr)
-    out = _lanczos_lgamma(lifted) - np.where(small, np.log(arr), 0.0)
-    return float(out) if scalar else out
+    return np.asarray(_lanczos_lgamma(lifted) - np.where(small, np.log(arr), 0.0))
 
 
 def digamma(x):
@@ -79,10 +72,9 @@ def digamma(x):
     Upward recurrence psi(x) = psi(x+1) - 1/x until x >= 6, then the
     asymptotic (de Moivre) series with terms through x**-14.
     """
-    arr, scalar = _wrap(x)
-    if np.any(arr <= 0.0):
+    z = np.asarray(x, dtype=np.float64)
+    if np.any(z <= 0.0):
         raise ValueError("digamma requires x > 0")
-    z = arr.copy() if arr.ndim else np.array(arr, dtype=np.float64)
     acc = np.zeros_like(z)
     # At most six lifts are needed to reach z >= 6 from any positive start.
     for _ in range(6):
@@ -96,5 +88,4 @@ def digamma(x):
         1.0 / 12.0
         - r2 * (1.0 / 120.0 - r2 * (1.0 / 252.0 - r2 * (1.0 / 240.0 - r2 * (1.0 / 132.0 - r2 * 691.0 / 32760.0))))
     )
-    out = acc + np.log(z) - 0.5 / z - series
-    return float(out) if scalar else out
+    return np.asarray(acc + np.log(z) - 0.5 / z - series)

@@ -29,18 +29,17 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import Panel, WindowSampler, WindowSpec, fit_feature_stats
+from .dataset import VALIDATION_CAP, Panel, WindowSampler, WindowSpec, fit_feature_stats
 from .errors import ConfigError, DivergenceError
 from .likelihood import LikelihoodKind
 from .lstm import SLAB_DTYPE, SequenceTape
-from .network import ModelParams, check_slab_range, forward_nll, init_model, unroll_batch
+from .network import ModelParams, forward_nll, init_model, unroll_batch
 from .optim import clip_global_norm, init_adam, adam_step
 from .rng import RowKeys, derive_seed
 
 __all__ = ["TrainConfig", "TrainLog", "parse_config", "train", "grid_search"]
 
 MAX_GRAD_NORM = 10.0
-VALIDATION_CAP = 512
 DIVERGENCE_LIMIT = 3
 
 
@@ -241,9 +240,8 @@ def train(panel: Panel, config: TrainConfig):
             batches_done += 1
             epoch_windows += len(windows)
             try:
-                # The float32 tape cannot step a weight past its range: the
-                # batch is divergent, as validation would find.
-                check_slab_range(model)
+                # unroll_batch raises DivergenceError, as validation would,
+                # for a weight past the float32 range the tape cannot step.
                 res = unroll_batch(
                     windows, model, derive_seed(config.seed, "train", "impute", batches_done),
                     tape=tape,

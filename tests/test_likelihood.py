@@ -155,6 +155,29 @@ class TestNllOnly:
             nll_only(1.0, 1.0, 0.0, kind)
 
 
+@pytest.mark.parametrize("grads", [True, False])
+@pytest.mark.parametrize("density", [gaussian_nll, negbin_nll], ids=lambda f: f.__name__)
+def test_zero_d_inputs_give_array_bits(density, grads):
+    # Floats or 0-d arrays give 0-d float64 ndarrays, whose bits are their
+    # entries' in an array evaluation.
+    gen = pcg64(47, density.__name__)
+    n = 50
+    z = np.floor(gen.lognormal(1.0, 2.0, n))
+    mu = gen.lognormal(0.0, 3.0, n)
+    disp = gen.lognormal(-1.0, 2.0, n)
+    whole = density(z, mu, disp, grads=grads)
+    whole = whole if grads else (whole,)
+    for i in range(n):
+        args = (z[i].item(), mu[i].item(), disp[i].item())
+        for point in (args, tuple(np.array(a) for a in args)):
+            got = density(*point, grads=grads)
+            got = got if grads else (got,)
+            assert len(got) == len(whole)
+            for g, w in zip(got, whole):
+                assert type(g) is np.ndarray and g.shape == () and g.dtype == np.float64
+                assert g.tobytes() == w[i].tobytes(), (i, args)
+
+
 def make_heads(hidden, w_mu=None, b_mu=0.0, w_disp=None, b_disp=0.0):
     return HeadParams(
         np.zeros(hidden) if w_mu is None else np.asarray(w_mu, dtype=np.float64),

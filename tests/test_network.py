@@ -339,6 +339,32 @@ class TestUnroll:
         with pytest.raises(ConfigError):
             unroll_batch(w, model)
 
+    @pytest.mark.parametrize("misfit", ["steps", "layers"])
+    def test_tape_that_does_not_fit_rejected(self, misfit):
+        # A given tape is refused, not replaced by a new float64 one, when
+        # it was made for another window length or other layers.
+        panel, model = tiny_model(layers=2)
+        w = default_window(panel, model)
+        steps, layers = model.spec.total, model.layers
+        if misfit == "steps":
+            steps += 1
+        else:
+            layers = tiny_model(panel=panel, layers=2, seed=1)[1].layers
+        tape = SequenceTape(layers, steps, len(w), np.float32)
+        with pytest.raises(ConfigError, match="tape"):
+            unroll_batch(w, model, tape=tape)
+
+    def test_float32_tape_refuses_weights_past_its_range(self):
+        # The range guard validation runs belongs to unroll_batch too: a
+        # float32 tape cannot step a weight past the float32 range.
+        panel, model = tiny_model()
+        w = default_window(panel, model)
+        tape = SequenceTape(model.layers, model.spec.total, len(w), np.float32)
+        model.layers[0].w[0, 3] = 1e39
+        with pytest.raises(DivergenceError) as exc:
+            unroll_batch(w, model, tape=tape)
+        assert str(exc.value) == "the model's lstm0.w holds a value past the float32 range"
+
 
 def encode_one(w, model, target=None, mask=None, category=None, keys=None):
     """Encode one window's conditioning range and first prediction step as

@@ -108,3 +108,18 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(ValueError):
             digamma(-1.0)
+
+
+@pytest.mark.parametrize("fn", [softplus, sigmoid, lgamma, digamma], ids=lambda f: f.__name__)
+def test_zero_d_input_gives_array_bits(fn):
+    # A float or a 0-d array gives a 0-d float64 ndarray, whose bits are
+    # its entry's in an array evaluation: one path serves both.
+    x = np.array([1e-300, 1e-3, 0.3, 0.5, 1.0, 2.5, 5.999, 6.0, 37.0, 1e6, 1e100])
+    if fn in (softplus, sigmoid):
+        x = np.concatenate((-x, [0.0], x))
+    whole = fn(x)
+    for xi, want in zip(x.tolist(), whole):
+        for arg in (xi, np.array(xi)):
+            got = fn(arg)
+            assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), xi
